@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 
 from .errors import CapExceeded, InputError
 
@@ -54,7 +54,8 @@ class GroupSpec:
             raise InputError(f"exponents must be positive: {exps}")
         if list(exps) != sorted(exps, reverse=True):
             raise InputError(f"exponents must be nonincreasing: {exps}")
-        if self.p ** sum(exps) > _MAX_ORDER:
+        # p >= 2, so sum(exps) >= 63 never fits; test it before the power
+        if sum(exps) >= 63 or self.p ** sum(exps) > _MAX_ORDER:
             raise InputError("group order exceeds 64-bit range")
 
     @property
@@ -148,9 +149,6 @@ class Subgroup:
     def size(self) -> int:
         return len(self.elements)
 
-    def contains(self, a: Elem) -> bool:
-        return a in set(self.elements)
-
     def to_json(self) -> dict:
         return {"generators": [list(g) for g in self.generators], "size": self.size}
 
@@ -169,11 +167,6 @@ def additive_closure(spec: GroupSpec, gens) -> frozenset:
         multiples = [scalar_mul(spec, m, g) for m in range(o)]
         elems = {add(spec, s, mg) for s in elems for mg in multiples}
     return frozenset(elems)
-
-
-def closure_of_set(spec: GroupSpec, elems) -> frozenset:
-    """Closure of an arbitrary element set under addition."""
-    return additive_closure(spec, list(elems))
 
 
 def minimal_generators(spec: GroupSpec, elements: frozenset) -> tuple:
@@ -205,30 +198,55 @@ def subgroup_generated(spec: GroupSpec, gens) -> Subgroup:
     return subgroup_from_elements(spec, additive_closure(spec, gens))
 
 
+def walk_subgroups(elements, op, zero, p, maps=()) -> list:
+    """Every subgroup of the abelian p-group (elements, op) that each map in
+    `maps` (endomorphisms) sends into itself, as frozensets, by level.
+
+    Each cover J < I has index p: I is the union of the cosets g^k o J,
+    k < p, for any g in I - J, and g^p and each m(g) lie in J.  This holds
+    for subgroups of a p-group, and for ideals of a nilpotent ring with the
+    generator products as `maps` (such a ring acts trivially on simple
+    modules).  For each J, a g inside a cover already found is skipped.
+    """
+    p_power = {}
+    for g in elements:
+        y = g
+        for _ in range(p - 1):
+            y = op(y, g)
+        p_power[g] = y
+    images = {g: [m(g) for m in maps] for g in elements}
+    level = [frozenset({zero})]
+    found = list(level)
+    while level:
+        covers = {}  # insertion-ordered, so the walk is deterministic
+        for J in level:
+            covered = set(J)
+            for g in elements:
+                if g in covered or p_power[g] not in J or any(
+                    x not in J for x in images[g]
+                ):
+                    continue
+                coset, cover = J, set(J)
+                for _ in range(p - 1):
+                    coset = {op(g, x) for x in coset}
+                    cover |= coset
+                covered |= cover
+                covers[frozenset(cover)] = None
+        level = list(covers)
+        found.extend(level)
+    return found
+
+
 def enumerate_subgroups(spec: GroupSpec, cap: int = DEFAULT_ENUM_CAP) -> list:
     """All additive subgroups, each exactly once, canonically sorted.
 
-    Breadth-first closure over the subgroup lattice: extend each known
-    subgroup by each outside element and close.  Requires |G| <= cap.
+    The lattice walk of `walk_subgroups` under addition, with no maps.
+    Requires |G| <= cap.
     """
     if spec.order > cap:
         raise CapExceeded(f"|G| = {spec.order} exceeds enumeration cap {cap}")
-    all_elems = list(spec.elements())
-    trivial = frozenset({spec.zero()})
-    seen = {trivial}
-    frontier = [trivial]
-    while frontier:
-        nxt = []
-        for sub_elems in frontier:
-            for g in all_elems:
-                if g in sub_elems:
-                    continue
-                grown = closure_of_set(spec, set(sub_elems) | {g})
-                if grown not in seen:
-                    seen.add(grown)
-                    nxt.append(grown)
-        frontier = nxt
-    subs = [subgroup_from_elements(spec, e) for e in seen]
+    found = walk_subgroups(list(spec.elements()), partial(add, spec), spec.zero(), spec.p)
+    subs = [subgroup_from_elements(spec, e) for e in found]
     subs.sort(key=Subgroup.sort_key)
     return subs
 

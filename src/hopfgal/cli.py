@@ -45,11 +45,18 @@ def _add_common(parser):
     parser.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
 
 
+def _parse_int(text, what) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise InputError(f"{what} must be an integer, got {text!r}") from None
+
+
 def _parse_spec(args, cyclic_n=False) -> GroupSpec:
     if args.p is None:
         raise InputError("--p is required")
     if args.exp is not None:
-        exps = tuple(int(x) for x in args.exp.split(","))
+        exps = tuple(_parse_int(x, "--exp entry") for x in args.exp.split(","))
     elif args.n is not None:
         exps = (args.n,) if cyclic_n else (1,) * args.n
     else:
@@ -78,7 +85,7 @@ def _resolve_structures(args, cyclic_n=False):
         if args.n is None:
             raise InputError("cyclic family requires --n")
         if ":" in family:
-            ds = [int(family.split(":", 1)[1])]
+            ds = [_parse_int(family.split(":", 1)[1], "cyclic family parameter d")]
         elif args.all_d:
             ds = range(args.p ** (args.n - 1))
         elif args.d is not None:

@@ -5,14 +5,17 @@ relabeling isomorphism is fixed to the identity set map, which changes
 no lattice).  Left circle translations and additive translations give
 two regular representations on the same set; the subgroups invariant
 under conjugation by circle translations are computed by literal
-permutation conjugation and compared with the ideals of the structure,
-which are computed by a disjoint code path in `nilring`.
+permutation conjugation and compared with the ideals of the structure.
+Both sides use the lattice walk `abelian.walk_subgroups` and differ by
+predicate: stability under generator multiplication vs. conjugation.
+Brute-force and closed-form tests check that the walk is complete.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 
 from . import abelian, holomorph, nilring
 from .abelian import Elem, GroupSpec, Subgroup
@@ -161,42 +164,14 @@ def invariant_subgroups(ctx: Context, cap: int = abelian.DEFAULT_ENUM_CAP) -> li
 
 
 def circle_subgroup_count(ctx: Context, cap: int = abelian.DEFAULT_ENUM_CAP):
-    """Number of subgroups of (G, o), by closure search over the circle table."""
+    """Number of subgroups of (G, o), by the lattice walk of
+    `abelian.walk_subgroups` under the circle operation."""
     if ctx.spec.order > cap:
         raise CapExceeded(f"|G| = {ctx.spec.order} exceeds enumeration cap {cap}")
-    elements = ctx.elements
-    ring = ctx.ring
-
-    def close(seed):
-        elems = set(seed)
-        frontier = list(elems)
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for y in list(elems):
-                    for z in (nilring.circle(ring, x, y), nilring.circle(ring, y, x)):
-                        if z not in elems:
-                            elems.add(z)
-                            nxt.append(z)
-            frontier = nxt
-        return frozenset(elems)
-
-    zero = ctx.spec.zero()
-    trivial = frozenset({zero})
-    seen = {trivial}
-    frontier = [trivial]
-    while frontier:
-        nxt = []
-        for sub in frontier:
-            for g in elements:
-                if g in sub:
-                    continue
-                grown = close(set(sub) | {g})
-                if grown not in seen:
-                    seen.add(grown)
-                    nxt.append(grown)
-        frontier = nxt
-    return len(seen)
+    found = abelian.walk_subgroups(
+        ctx.elements, partial(nilring.circle, ctx.ring), ctx.spec.zero(), ctx.spec.p
+    )
+    return len(found)
 
 
 @dataclass(frozen=True)
@@ -234,9 +209,9 @@ def _strict_inclusions(subs) -> tuple:
 def lattice_report(ctx: Context, cap: int = abelian.DEFAULT_ENUM_CAP) -> LatticeReport:
     """Compare the ideal lattice with the invariant-subgroup lattice.
 
-    The two sides come from disjoint code paths (multiplicative closure
-    vs. permutation conjugation); any discrepancy in membership or
-    inclusion structure raises TheoremViolation.
+    The two sides share the lattice walk but not the predicate (stability
+    under generator multiplication vs. permutation conjugation); any
+    discrepancy in membership or inclusion structure raises TheoremViolation.
     """
     ideal_list = nilring.ideals(ctx.ring, cap)
     inv_list = invariant_subgroups(ctx, cap)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 
 from . import abelian
 from .abelian import Elem, GroupSpec, Subgroup
@@ -205,10 +206,6 @@ class CircleGroup:
     table: tuple  # table[i][j] = index of elements[i] o elements[j]
     invariants: tuple  # nonincreasing cyclic exponents
 
-    def op(self, a: Elem, b: Elem) -> Elem:
-        index = {e: i for i, e in enumerate(self.elements)}
-        return self.elements[self.table[index[a]][index[b]]]
-
 
 def circle_group(A: RingStructure, cap: int = abelian.DEFAULT_ENUM_CAP) -> CircleGroup:
     spec = A.spec
@@ -225,81 +222,23 @@ def circle_group(A: RingStructure, cap: int = abelian.DEFAULT_ENUM_CAP) -> Circl
     return CircleGroup(spec, elements, table, tuple(inv))
 
 
-def _basis_product_maps(A: RingStructure) -> list:
-    """For each generator index i, the map g -> b_i * g over all of G."""
-    spec = A.spec
-    basis = spec.basis()
-    return [
-        {g: mul(A, b, g) for g in spec.elements()} for b in basis
-    ]
-
-
-def _extend_subgroup(spec: GroupSpec, elems: set, x) -> set:
-    """Subgroup generated by the subgroup `elems` and one extra element."""
-    if x in elems:
-        return elems
-    o = abelian.order_of(spec, x)
-    multiples = [abelian.scalar_mul(spec, m, x) for m in range(o)]
-    return {abelian.add(spec, s, mx) for s in elems for mx in multiples}
-
-
-def _ideal_closure_with_maps(A: RingStructure, gens, bmaps) -> frozenset:
-    spec = A.spec
-    elems = {spec.zero()}
-    pending = list(gens)
-    while pending:
-        x = pending.pop()
-        if x in elems:
-            continue
-        before = elems
-        elems = _extend_subgroup(spec, elems, x)
-        for s in elems - before:
-            for bmap in bmaps:
-                prod = bmap[s]
-                if prod not in elems:
-                    pending.append(prod)
-    return frozenset(elems)
-
-
-def ideal_closure(A: RingStructure, gens) -> frozenset:
-    """Smallest additive subgroup containing gens and closed under G-multiplication.
-
-    Closure under products with the standard generators suffices, since
-    multiplication is bilinear.
-    """
-    return _ideal_closure_with_maps(A, gens, _basis_product_maps(A))
-
-
-def is_ideal(A: RingStructure, sub: Subgroup) -> bool:
-    elems = set(sub.elements)
-    basis = A.spec.basis()
-    return all(mul(A, b, g) in elems for b in basis for g in elems)
-
-
 def ideals(A: RingStructure, cap: int = abelian.DEFAULT_ENUM_CAP) -> list:
-    """All ideals of A, canonically sorted (lattice BFS over ideal closures)."""
+    """All ideals of A, canonically sorted: the additive subgroups stable
+    under the product with each generator (enough, by bilinearity), from
+    `abelian.walk_subgroups`.  The walk is complete only for nilpotent A,
+    so an invalid A raises InputError.
+    """
     spec = A.spec
     if spec.order > cap:
         raise CapExceeded(f"|G| = {spec.order} exceeds enumeration cap {cap}")
-    all_elems = list(spec.elements())
-    bmaps = _basis_product_maps(A)
-    trivial = frozenset({spec.zero()})
-    seen = {trivial}
-    frontier = [trivial]
-    while frontier:
-        nxt = []
-        for ideal_elems in frontier:
-            for g in all_elems:
-                if g in ideal_elems:
-                    continue
-                grown = _ideal_closure_with_maps(
-                    A, sorted(set(ideal_elems) | {g}), bmaps
-                )
-                if grown not in seen:
-                    seen.add(grown)
-                    nxt.append(grown)
-        frontier = nxt
-    out = [abelian.subgroup_from_elements(spec, e) for e in seen]
+    violations = validate(A)
+    if violations:
+        raise InputError(f"invalid structure: {violations[0].axiom}")
+    maps = [partial(mul, A, b) for b in spec.basis()]
+    found = abelian.walk_subgroups(
+        list(spec.elements()), partial(abelian.add, spec), spec.zero(), spec.p, maps
+    )
+    out = [abelian.subgroup_from_elements(spec, e) for e in found]
     out.sort(key=Subgroup.sort_key)
     return out
 

@@ -56,6 +56,12 @@ def test_spec_validation():
         GroupSpec(2, ())
     with pytest.raises(InputError):
         GroupSpec(2, (1, 0))
+    # orders above 2^63 - 1; a huge exponent is rejected without p**n
+    with pytest.raises(InputError):
+        GroupSpec(2, (63,))
+    with pytest.raises(InputError):
+        GroupSpec(3, (10**6,))
+    assert GroupSpec(2, (62,)).order == 2**62
 
 
 def test_add_examples():

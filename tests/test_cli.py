@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 
 def run_cli(*argv):
     return subprocess.run(
@@ -112,6 +114,23 @@ def test_input_error_exit_code():
     assert run_cli("enumerate", "--p", "4", "--exp", "1").returncode == 2
     assert run_cli("enumerate", "--p", "2").returncode == 2
     assert run_cli("verify", "cyclic", "--p", "2", "--n", "2", "--all-d").returncode == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("enumerate", "--p", "2", "--exp", "1,a"),
+        ("enumerate", "--p", "2", "--exp="),
+        ("enumerate", "--p", "2", "--exp", "1,,1"),
+        ("report", "--family", "cyclic:abc", "--p", "3", "--n", "2"),
+        ("verify", "cyclic", "--family", "cyclic:abc", "--p", "3", "--n", "2"),
+    ],
+)
+def test_malformed_input_exit_code(argv):
+    result = run_cli(*argv)
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith("input error:")
+    assert "Traceback" not in result.stderr
 
 
 def test_cap_exceeded_exit_code():
