@@ -64,9 +64,8 @@ def _parse_spec(args, cyclic_n=False) -> GroupSpec:
     return GroupSpec(args.p, exps)
 
 
-def _resolve_structures(args, cyclic_n=False):
-    """(label, structure) pairs selected by --family / --all-structures."""
-    family = args.family
+def _resolve_structures(args, family, cyclic_n=False):
+    """(label, structure) pairs selected by family / --all-structures."""
     if family == "fixture:klein":
         return [("fixture:klein", correspondence.klein_four_fixture().ring)]
     if args.all_structures or family == "enumerate":
@@ -118,9 +117,13 @@ def cmd_enumerate(args) -> int:
         "structure_count": len(structures),
         "structures": [A.to_json() for A in structures],
     }
-    hol_size = spec.order * len(holomorph.enumerate_automorphisms(spec))
-    if hol_size <= args.cap_hol:
+    try:
         regs = holomorph.enumerate_regular_subgroups(spec, args.cap_hol)
+    except CapExceeded:  # |Hol(G)| above --cap-hol: no cross-check
+        payload["regular_subgroup_count"] = None
+        payload["abelian_regular_subgroup_count"] = None
+        payload["counts_match"] = None
+    else:
         abelian_regs = [T for T in regs if holomorph.is_abelian(T)]
         payload["regular_subgroup_count"] = len(regs)
         payload["abelian_regular_subgroup_count"] = len(abelian_regs)
@@ -130,10 +133,6 @@ def cmd_enumerate(args) -> int:
                 "structure count differs from regular-subgroup count",
                 witness=payload,
             )
-    else:
-        payload["regular_subgroup_count"] = None
-        payload["abelian_regular_subgroup_count"] = None
-        payload["counts_match"] = None
     lines = [f"spec            {spec}", f"structures      {len(structures)}"]
     if payload["regular_subgroup_count"] is not None:
         lines.append(f"regular subgrps {payload['regular_subgroup_count']}")
@@ -145,7 +144,7 @@ def cmd_enumerate(args) -> int:
 
 def _verify_lattice(args) -> dict:
     rows = []
-    for label, A in _resolve_structures(args):
+    for label, A in _resolve_structures(args, args.family):
         report = correspondence.lattice_report(Context(A, args.cap_enum), args.cap_enum)
         rows.append(
             {
@@ -162,7 +161,7 @@ def _verify_lattice(args) -> dict:
 def _verify_conjugation(args) -> dict:
     rng = random.Random(args.seed)
     rows = []
-    for label, A in _resolve_structures(args):
+    for label, A in _resolve_structures(args, args.family):
         ctx = Context(A, args.cap_enum)
         report = correspondence.holomorph_conjugation_report(ctx)
         if report["failures"]:
@@ -221,13 +220,12 @@ def _verify_primitive(args) -> dict:
 def _verify_cyclic(args) -> dict:
     if args.p is None or args.n is None:
         raise InputError("cyclic verification requires --p and --n")
-    if args.family is None:
-        args.family = "cyclic"
     spec = GroupSpec(args.p, (args.n,))
     subgroups = abelian.enumerate_subgroups(spec, args.cap_enum)
     sub_sets = [s.elements for s in subgroups]
     rows = []
-    for label, A in _resolve_structures(args, cyclic_n=True):
+    family = "cyclic" if args.family is None else args.family
+    for label, A in _resolve_structures(args, family, cyclic_n=True):
         if nilring.validate(A):
             raise TheoremViolation("cyclic-family structure failed validation",
                                    witness=A.to_json())
@@ -296,7 +294,7 @@ def _subfield_count(A, cap_enum):
 
 def cmd_report(args) -> int:
     rows = []
-    for label, A in _resolve_structures(args, cyclic_n=args.family is not None and args.family.startswith("cyclic")):
+    for label, A in _resolve_structures(args, args.family, cyclic_n=args.family is not None and args.family.startswith("cyclic")):
         ideal_list = nilring.ideals(A, args.cap_enum)
         subfields, method, cg = _subfield_count(A, args.cap_enum)
         rows.append(

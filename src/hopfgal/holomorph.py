@@ -171,23 +171,46 @@ def _regular_from_maps(spec: GroupSpec, maps) -> RegularSubgroup:
     return RegularSubgroup(spec, tuple(sorted(maps, key=AffineMap.sort_key)))
 
 
-def closure_under_composition(maps, size_limit=None):
-    """Subgroup of Perm(G) generated by the maps (as affine maps).
+def _perm_compose(f: tuple, g: tuple) -> tuple:
+    """(f o g)(x) = f(g(x)) on index permutations."""
+    return tuple(map(f.__getitem__, g))
+
+
+def _index_perms(spec: GroupSpec, maps) -> list:
+    """Each map x -> a + m(x) as an index permutation: the tuple of the
+    indices, in spec.elements() order, of its images of the elements.
+    It is translation by a after m; each a and each m is tabulated once.
+    """
+    elements = list(spec.elements())
+    index = {x: n for n, x in enumerate(elements)}
+    linear, shift = {}, {}
+    out = []
+    for f in maps:
+        if f.m not in linear:
+            linear[f.m] = tuple(index[f.linear_apply(x)] for x in elements)
+        if f.a not in shift:
+            shift[f.a] = tuple(index[abelian.add(spec, f.a, x)] for x in elements)
+        out.append(_perm_compose(shift[f.a], linear[f.m]))
+    return out
+
+
+def closure_under_composition(perms, size_limit=None):
+    """Subgroup generated by index permutations of G (see `_index_perms`),
+    by breadth-first products with the generators.
 
     Returns None if a size_limit is given and exceeded.
     """
-    gens = list(maps)
+    gens = list(perms)
     if not gens:
         return frozenset()
-    spec = gens[0].spec
-    elems = {identity_map(spec)}
-    frontier = list(elems)
-    gen_list = gens
+    ident = tuple(range(len(gens[0])))
+    elems = {ident}
+    frontier = [ident]
     while frontier:
         nxt = []
         for x in frontier:
-            for g in gen_list:
-                y = compose(x, g)
+            for g in gens:
+                y = _perm_compose(x, g)
                 if y not in elems:
                     elems.add(y)
                     nxt.append(y)
@@ -219,8 +242,8 @@ def is_fixed_point_free(f: AffineMap) -> bool:
 
 
 def is_abelian(T: RegularSubgroup) -> bool:
-    els = T.elements
-    return all(compose(a, b) == compose(b, a) for a in els for b in els)
+    perms = _index_perms(T.spec, T.elements)
+    return all(_perm_compose(a, b) == _perm_compose(b, a) for a in perms for b in perms)
 
 
 def regular_subgroup_from_ring(A: RingStructure) -> RegularSubgroup:
@@ -298,66 +321,72 @@ def holomorph_elements(spec: GroupSpec, cap: int = DEFAULT_HOL_CAP) -> list:
 def enumerate_regular_subgroups(
     spec: GroupSpec, cap: int = DEFAULT_HOL_CAP
 ) -> list:
-    """All regular subgroups of Hol(G), by closing candidate generator sets.
+    """All regular subgroups of Hol(G), by growing subgroups one generator
+    at a time.
 
-    Every non-identity element of a regular subgroup is fixed-point-free
-    with p-power order, so the search space is restricted to those
-    candidates before the lattice walk.
+    Every element of Hol(G) is turned once into a permutation of element
+    indices.  Every non-identity element of a regular subgroup is
+    fixed-point-free with p-power order, so only those are candidates.
+    The search starts from the cyclic subgroups of the candidates and
+    closes each subgroup's generators plus one more candidate, keeping the
+    subgroups of order at most |G| whose non-identity elements are all
+    fixed-point-free; those of order |G| that are transitive are regular.
+    Only the returned subgroups are mapped back to affine maps.
     """
     hol = holomorph_elements(spec, cap)
     order = spec.order
-    ident = identity_map(spec)
+    as_map = dict(zip(_index_perms(spec, hol), hol))
+    ident = tuple(range(order))
+    fixed_point_free = [
+        f for f in as_map if all(image != x for x, image in enumerate(f))
+    ]
+    allowed = set(fixed_point_free) | {ident}
 
     def p_power_order(f):
         count = 1
         g = f
         while g != ident:
-            g = compose(g, f)
+            g = _perm_compose(g, f)
             count += 1
             if count > order:
                 return None
         return count
 
-    candidates = [
-        f
-        for f in hol
-        if f != ident
-        and is_fixed_point_free(f)
-        and p_power_order(f) is not None
-        and order % p_power_order(f) == 0
-    ]
+    candidates = []
+    for f in fixed_point_free:
+        f_order = p_power_order(f)
+        if f_order is not None and order % f_order == 0:
+            candidates.append(f)
+
+    def grow(gens):
+        sub = closure_under_composition(gens, size_limit=order)
+        if sub is None or not sub <= allowed:
+            return None
+        return sub
+
     seen = set()
     regulars = []
     frontier = []
     for f in candidates:
-        sub = closure_under_composition([f], size_limit=order)
-        if sub is None:
-            continue
-        key = frozenset((t.a, t.m) for t in sub)
-        if key not in seen:
-            seen.add(key)
-            frontier.append(sub)
+        sub = grow((f,))
+        if sub is not None and sub not in seen:
+            seen.add(sub)
+            frontier.append(((f,), sub))
     while frontier:
         nxt = []
-        for sub in frontier:
+        for gens, sub in frontier:
             if len(sub) == order:
-                orbit = {t.apply(spec.zero()) for t in sub}
-                if len(orbit) == order:
+                if len({t[0] for t in sub}) == order:  # orbit of 0 (index 0)
                     regulars.append(sub)
                 continue
             for f in candidates:
                 if f in sub:
                     continue
-                grown = closure_under_composition(list(sub) + [f], size_limit=order)
-                if grown is None:
-                    continue
-                if any(t != ident and not is_fixed_point_free(t) for t in grown):
-                    continue
-                key = frozenset((t.a, t.m) for t in grown)
-                if key not in seen:
-                    seen.add(key)
-                    nxt.append(grown)
+                grown = grow(gens + (f,))
+                if grown is not None and grown not in seen:
+                    seen.add(grown)
+                    nxt.append((gens + (f,), grown))
         frontier = nxt
-    out = [_regular_from_maps(spec, sub) for sub in regulars]
+    out = [_regular_from_maps(spec, [as_map[t] for t in sub]) for sub in regulars]
     out.sort(key=lambda T: tuple(t.sort_key() for t in T.elements))
     return out

@@ -281,14 +281,57 @@ def cyclic_structure(p: int, n: int, d: int) -> RingStructure:
     return RingStructure(spec, ((( (p * d) % p**n ,),),))
 
 
-def _entry_candidates(spec: GroupSpec, i: int, j: int) -> list:
-    """Elems c admissible as the (i, j) structure constant (order condition)."""
+def _entry_ranges(spec: GroupSpec, i: int, j: int) -> list:
+    """Per coordinate, the residues admissible in the (i, j) structure
+    constant (order condition); the candidates are their product."""
     killer = min(spec.exponents[i], spec.exponents[j])
-    ranges = []
-    for e, m in zip(spec.exponents, spec.moduli):
-        step = spec.p ** max(0, e - killer)
-        ranges.append(range(0, m, step))
-    return [tuple(c) for c in itertools.product(*ranges)]
+    return [
+        range(0, m, spec.p ** max(0, e - killer))
+        for e, m in zip(spec.exponents, spec.moduli)
+    ]
+
+
+def _associativity_triples(k: int) -> list:
+    """Generator triples (i, j, l) whose associativity implies all others.
+
+    For a commutative bilinear product, assoc(x, y, z) = (xy)z - x(yz)
+    vanishes when x = z, is antisymmetric in x and z, and for distinct
+    a, b, c satisfies assoc(a, c, b) = assoc(a, b, c) - assoc(b, a, c).
+    So the triples with i < l and j <= l imply all k^3 of them.
+    """
+    return [(i, j, l) for l in range(k) for i in range(l) for j in range(l + 1)]
+
+
+def _passes_int_checks(spec: GroupSpec, c, triples) -> bool:
+    """Associativity on `triples` and nilpotency of the constants table c
+    (symmetric, entries satisfying the order condition), on plain ints.
+
+    Accepts exactly the tables that `validate` accepts; it is the cheap
+    filter before `validate` in `enumerate_structures`.
+    """
+    k = spec.rank
+    moduli = spec.moduli
+    gens = range(k)
+    # (b_i b_j) b_l = sum_t (c_ij)_t c_tl  vs  b_i (b_j b_l) = sum_t (c_jl)_t c_it
+    for i, j, l in triples:
+        cij, cjl, ci = c[i][j], c[j][l], c[i]
+        for u, mod in enumerate(moduli):
+            if sum(cij[t] * c[t][l][u] - cjl[t] * ci[t][u] for t in gens) % mod:
+                return False
+    # A^{n+1} = 0 iff every left-nested (n+1)-fold generator product is 0:
+    # the products b_i * s of the degree-m monomials s are those of degree m+1
+    zero = spec.zero()
+    monomials = {x for row in c for x in row if x != zero}
+    for _ in range(spec.n - 1):
+        if not monomials:
+            return True
+        products = (
+            tuple(sum(s[t] * row[t][u] for t in gens) % mod for u, mod in enumerate(moduli))
+            for s in monomials
+            for row in c
+        )
+        monomials = {x for x in products if x != zero}
+    return not monomials
 
 
 def enumerate_structures(
@@ -296,25 +339,32 @@ def enumerate_structures(
 ) -> list:
     """Every valid structure on spec, exactly once, ordered by constants tensor.
 
-    Raw brute force over the free entries (i <= j) of the symmetric
-    constants table, with candidates pre-filtered by the order condition
-    and each tensor rejected at its first failing axiom.
+    Brute force over the free entries (i <= j) of the symmetric constants
+    table, each entry drawn from the constants that satisfy the order
+    condition.  The search space (tensors) is compared with search_cap
+    before any candidate is built.  Each tensor is tested by integer
+    associativity and nilpotency checks on the table; only tensors that
+    pass them are built as structures, and `validate` certifies each one
+    before it is returned.
     """
     k = spec.rank
     free = [(i, j) for i in range(k) for j in range(i, k)]
-    candidates = [_entry_candidates(spec, i, j) for i, j in free]
+    ranges = [_entry_ranges(spec, i, j) for i, j in free]
     space = 1
-    for c in candidates:
-        space *= len(c)
+    for entry in ranges:
+        for r in entry:
+            space *= len(r)
     if space > search_cap:
         raise CapExceeded(f"search space {space} exceeds cap {search_cap}")
+    candidates = [list(itertools.product(*entry)) for entry in ranges]
+    slot = [[free.index((min(i, j), max(i, j))) for j in range(k)] for i in range(k)]
+    triples = _associativity_triples(k)
     out = []
     for assignment in itertools.product(*candidates):
-        table = [[None] * k for _ in range(k)]
-        for (i, j), c in zip(free, assignment):
-            table[i][j] = c
-            table[j][i] = c
-        A = RingStructure(spec, tuple(tuple(row) for row in table))
+        table = tuple(tuple(assignment[n] for n in row) for row in slot)
+        if not _passes_int_checks(spec, table, triples):
+            continue
+        A = RingStructure(spec, table)
         if not validate(A):
             out.append(A)
     out.sort(key=RingStructure.sort_key)

@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+
+from hopfgal import cli
 
 
 def run_cli(*argv):
@@ -19,6 +23,16 @@ def test_enumerate_klein_four():
     payload = json.loads(result.stdout)
     assert payload["structure_count"] == 4
     assert payload["regular_subgroup_count"] == 4
+    assert payload["counts_match"] is True
+
+
+def test_enumerate_c2_cubed_bijection():
+    result = run_cli("enumerate", "--p", "2", "--exp", "1,1,1", "--format", "json")
+    assert result.returncode == 0, result.stderr
+    payload = json.loads(result.stdout)
+    assert payload["structure_count"] == 92
+    assert payload["regular_subgroup_count"] == 232
+    assert payload["abelian_regular_subgroup_count"] == 92
     assert payload["counts_match"] is True
 
 
@@ -59,6 +73,14 @@ def test_verify_cyclic_all_d():
     payload = json.loads(result.stdout)
     assert payload["d_count"] == 9
     assert all(r["strong_ftgt"] for r in payload["rows"])
+
+
+def test_verify_cyclic_leaves_args_unchanged():
+    args = cli.build_parser().parse_args(["verify", "cyclic", "--p", "3", "--n", "2", "--d", "1"])
+    before = dict(vars(args))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.cmd_verify(args) == cli.EXIT_OK
+    assert vars(args) == before
 
 
 def test_verify_conjugation_fixture():

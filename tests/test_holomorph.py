@@ -207,6 +207,16 @@ def test_nontrivial_regular_subgroups_of_klein_four():
     assert all(not A.is_trivial() for A in recovered)
 
 
+@pytest.mark.parametrize(
+    "spec", [GroupSpec(2, (3,)), GroupSpec(2, (2, 1)), GroupSpec(3, (1, 1))]
+)
+def test_enumerated_subgroups_are_regular(spec):
+    # is_regular works on affine maps, apart from the permutation search
+    regs = enumerate_regular_subgroups(spec)
+    assert regs
+    assert all(is_regular(T.elements) for T in regs)
+
+
 def test_regular_subgroup_enumeration_cap():
     with pytest.raises(CapExceeded):
         enumerate_regular_subgroups(C2C2, cap=10)

@@ -1,11 +1,14 @@
 import itertools
+import tracemalloc
 
 import pytest
 
-from hopfgal.abelian import GroupSpec, add, enumerate_subgroups
+from hopfgal.abelian import GroupSpec, add, enumerate_subgroups, scalar_mul
 from hopfgal.errors import CapExceeded, InputError
 from hopfgal.nilring import (
     RingStructure,
+    _associativity_triples,
+    _passes_int_checks,
     circle,
     circle_group,
     circle_inverse,
@@ -254,6 +257,66 @@ def test_enumerated_structures_validate(spec):
 def test_enumerate_structures_cap():
     with pytest.raises(CapExceeded):
         enumerate_structures(C2C2, search_cap=10)
+
+
+def test_enumerate_structures_cap_checked_before_candidates():
+    # 421^6 tensors: the cap must fire before any candidate list is built
+    spec = GroupSpec(421, (1, 1))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded):
+            enumerate_structures(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def _all_tensors(spec):
+    """Every symmetric table whose (i, j) entry is killed by p^min(e_i, e_j),
+    the order condition, derived here from the elements of G."""
+    k = spec.rank
+    zero = spec.zero()
+    free = [(i, j) for i in range(k) for j in range(i, k)]
+    entries = [
+        [
+            c
+            for c in spec.elements()
+            if scalar_mul(spec, spec.p ** min(spec.exponents[i], spec.exponents[j]), c) == zero
+        ]
+        for i, j in free
+    ]
+    for assignment in itertools.product(*entries):
+        table = [[None] * k for _ in range(k)]
+        for (i, j), c in zip(free, assignment):
+            table[i][j] = table[j][i] = c
+        yield tuple(tuple(row) for row in table)
+
+
+# On C2^2 and C3^2 (|G| = p^2) nilpotency alone forces associativity, and
+# C4 x C2 has no tensor that fails only triple (0, 1, 1); C4 x C4 has one.
+@pytest.mark.parametrize(
+    "spec",
+    [
+        C2C2,
+        Z4,
+        GroupSpec(2, (3,)),
+        GroupSpec(3, (1, 1)),
+        Z9,
+        GroupSpec(2, (2, 1)),
+        GroupSpec(2, (2, 2)),
+    ],
+)
+def test_int_checks_accept_exactly_what_validate_accepts(spec):
+    triples = _associativity_triples(spec.rank)
+    tried = accepted = 0
+    for table in _all_tensors(spec):
+        expected = not validate(RingStructure(spec, table))
+        assert _passes_int_checks(spec, table, triples) == expected, table
+        tried += 1
+        accepted += expected
+    assert accepted == len(enumerate_structures(spec))
+    assert 0 < accepted < tried
 
 
 def test_structure_json_round_trip():
