@@ -198,6 +198,14 @@ def subgroup_generated(spec: GroupSpec, gens) -> Subgroup:
     return subgroup_from_elements(spec, additive_closure(spec, gens))
 
 
+def p_power(op, x, p):
+    """x op x op ... op x, with p factors."""
+    y = x
+    for _ in range(p - 1):
+        y = op(y, x)
+    return y
+
+
 def walk_subgroups(elements, op, zero, p, maps=()) -> list:
     """Every subgroup of the abelian p-group (elements, op) that each map in
     `maps` (endomorphisms) sends into itself, as frozensets, by level.
@@ -208,12 +216,7 @@ def walk_subgroups(elements, op, zero, p, maps=()) -> list:
     generator products as `maps` (such a ring acts trivially on simple
     modules).  For each J, a g inside a cover already found is skipped.
     """
-    p_power = {}
-    for g in elements:
-        y = g
-        for _ in range(p - 1):
-            y = op(y, g)
-        p_power[g] = y
+    powers = {g: p_power(op, g, p) for g in elements}
     images = {g: [m(g) for m in maps] for g in elements}
     level = [frozenset({zero})]
     found = list(level)
@@ -222,7 +225,7 @@ def walk_subgroups(elements, op, zero, p, maps=()) -> list:
         for J in level:
             covered = set(J)
             for g in elements:
-                if g in covered or p_power[g] not in J or any(
+                if g in covered or powers[g] not in J or any(
                     x not in J for x in images[g]
                 ):
                     continue
@@ -252,7 +255,7 @@ def enumerate_subgroups(spec: GroupSpec, cap: int = DEFAULT_ENUM_CAP) -> list:
 
 
 def _group_table_checks(elements, op):
-    """Find the identity of (elements, op); raise if not a closed group table."""
+    """Raise unless (elements, op) is a closed table with identity and inverses."""
     elem_set = set(elements)
     if len(elem_set) != len(elements):
         raise InputError("duplicate elements in table")
@@ -270,52 +273,42 @@ def _group_table_checks(elements, op):
     for x in elements:
         if not any(op(x, y) == identity for y in elements):
             raise InputError(f"element {x} has no inverse")
-    return identity
 
 
 def isomorphism_type(elements, op) -> list:
     """Cyclic invariants (nonincreasing exponents) of a finite abelian p-group.
 
-    `op` is the group operation as a callable on pairs of elements.  The
-    invariants are read off from the sizes of the iterated p-th power
-    subgroups |p^k G|, so no normal-form computation is needed.
+    `op` is the group operation as a callable on pairs of elements.  After
+    checking that (elements, op) is a closed table with identity and
+    inverses, the invariants are read off by `power_type`.
     """
-    identity = _group_table_checks(elements, op)
+    _group_table_checks(elements, op)
     order = len(elements)
-    if order == 1:
-        return []
-    p = next(d for d in range(2, order + 1) if order % d == 0)
-    n = 0
-    m = order
-    while m % p == 0:
-        m //= p
-        n += 1
-    if m != 1:
-        raise InputError(f"group order {order} is not a power of a prime")
+    p = next((d for d in range(2, order + 1) if order % d == 0), 2)  # least prime factor
+    return power_type(elements, op, p)
 
-    def p_power(x):
-        y = identity
-        for _ in range(p):
-            y = op(y, x)
-        return y
 
+def power_type(elements, op, p) -> list:
+    """Cyclic invariants (nonincreasing exponents) of the abelian p-group
+    (elements, op), from the sizes of its iterated p-th power subgroups
+    |p^k G|: the number of cyclic factors of exponent > k is
+    log_p |p^k G| - log_p |p^(k+1) G|.  Each layer is the image of the one
+    before under x -> x^p, so this takes at most p |G| operations.
+    """
     layer = set(elements)
-    sizes = [len(layer)]
-    while len(layer) > 1:
-        layer = {p_power(x) for x in layer}
-        sizes.append(len(layer))
-
-    def log_p(v):
-        k = 0
-        while v > 1:
-            v //= p
+    logs = []
+    while True:
+        size, k = len(layer), 0
+        while size % p == 0:
+            size //= p
             k += 1
-        return k
-
-    # m_k = number of cyclic factors of exponent > k
-    counts = [log_p(sizes[k]) - log_p(sizes[k + 1]) for k in range(len(sizes) - 1)]
-    invariants = []
-    for j in range(1, counts[0] + 1):
-        invariants.append(sum(1 for c in counts if c >= j))
-    invariants.sort(reverse=True)
-    return invariants
+        if size != 1:
+            raise InputError(f"order {len(layer)} is not a power of {p}")
+        if logs and k == logs[-1]:
+            raise InputError("p-th power map is a bijection: not a p-group")
+        logs.append(k)
+        if k == 0:
+            break
+        layer = {p_power(op, x, p) for x in layer}
+    counts = [a - b for a, b in zip(logs, logs[1:])]  # factors of exponent > k
+    return [sum(1 for c in counts if c >= j) for j in range(1, max(counts, default=0) + 1)]

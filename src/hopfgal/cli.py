@@ -14,8 +14,8 @@ Exit codes: 0 success, 2 input/config error, 3 cap exceeded,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
-import random
 import sys
 
 from . import abelian, correspondence, holomorph, nilring
@@ -42,7 +42,6 @@ def _add_common(parser):
     parser.add_argument("--cap-enum", type=int, default=abelian.DEFAULT_ENUM_CAP)
     parser.add_argument("--cap-search", type=int, default=nilring.DEFAULT_SEARCH_CAP)
     parser.add_argument("--cap-hol", type=int, default=holomorph.DEFAULT_HOL_CAP)
-    parser.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
 
 
 def _parse_int(text, what) -> int:
@@ -145,7 +144,7 @@ def cmd_enumerate(args) -> int:
 def _verify_lattice(args) -> dict:
     rows = []
     for label, A in _resolve_structures(args, args.family):
-        report = correspondence.lattice_report(Context(A, args.cap_enum), args.cap_enum)
+        report = correspondence.lattice_report(Context(A, args.cap_enum))
         rows.append(
             {
                 "structure": label,
@@ -159,7 +158,6 @@ def _verify_lattice(args) -> dict:
 
 
 def _verify_conjugation(args) -> dict:
-    rng = random.Random(args.seed)
     rows = []
     for label, A in _resolve_structures(args, args.family):
         ctx = Context(A, args.cap_enum)
@@ -168,18 +166,17 @@ def _verify_conjugation(args) -> dict:
             raise TheoremViolation(
                 "conjugation identities failed", witness=report["failures"]
             )
-        # sampled homomorphism check: translation by g+h = composition
-        for _ in range(3):
-            g = rng.choice(ctx.elements)
-            h = rng.choice(ctx.elements)
-            lhs = ctx.additive_translation_perm(abelian.add(ctx.spec, g, h))
+        # homomorphism check, exhaustive: translation by g + b is the
+        # composite, for every g and every generator b
+        for g, b in itertools.product(ctx.elements, ctx.spec.basis()):
+            lhs = ctx.additive_translation_perm(abelian.add(ctx.spec, g, b))
             rhs = correspondence.perm_compose(
-                ctx.additive_translation_perm(g), ctx.additive_translation_perm(h)
+                ctx.additive_translation_perm(g), ctx.additive_translation_perm(b)
             )
             if lhs != rhs:
                 raise TheoremViolation(
                     "additive translations do not compose additively",
-                    witness={"g": list(g), "h": list(h)},
+                    witness={"g": list(g), "b": list(b)},
                 )
         rows.append({"structure": label, "pairs_checked": report["pairs_checked"]})
     return {"check": "conjugation", "structures_checked": len(rows), "rows": rows}
@@ -235,7 +232,7 @@ def _verify_cyclic(args) -> dict:
                 "ideals of the cyclic-family structure are not all additive subgroups",
                 witness={"structure": A.to_json()},
             )
-        report = correspondence.lattice_report(Context(A, args.cap_enum), args.cap_enum)
+        report = correspondence.lattice_report(Context(A, args.cap_enum))
         if not report.strong_ftgt:
             raise TheoremViolation(
                 "strong correspondence fails for a cyclic-family structure",
@@ -282,14 +279,14 @@ def _subfield_count(A, cap_enum):
     """Subgroup count of the circle group, with the counting method used.
 
     Elementary abelian circle groups use the exact subspace-count
-    formula; others are enumerated from the circle table.
+    formula; others are counted by the lattice walk under the circle
+    operation.
     """
     cg = nilring.circle_group(A, cap_enum)
     if cg.invariants and all(e == 1 for e in cg.invariants):
         count = 1 + correspondence.gaussian_subspace_count(A.spec.p, len(cg.invariants))
         return count, "formula", cg
-    ctx = Context(A, cap_enum)
-    return correspondence.circle_subgroup_count(ctx, cap_enum), "enumeration", cg
+    return correspondence.circle_subgroup_count(Context(A, cap_enum)), "enumeration", cg
 
 
 def cmd_report(args) -> int:

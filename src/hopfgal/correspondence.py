@@ -13,13 +13,12 @@ Brute-force and closed-form tests check that the walk is complete.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import partial
 
 from . import abelian, holomorph, nilring
 from .abelian import Elem, GroupSpec, Subgroup
-from .errors import CapExceeded, InputError, TheoremViolation
+from .errors import InputError, TheoremViolation
 from .nilring import RingStructure
 
 # permutations of G are dense index tables over the canonical element order
@@ -27,18 +26,14 @@ Perm = tuple
 
 
 class Context:
-    """A structure together with cached element order and permutation tables."""
+    """The per-structure model: a valid structure, the enumeration cap every
+    computation on it obeys, and lazily cached translation permutations."""
 
     def __init__(self, ring: RingStructure, cap: int = abelian.DEFAULT_ENUM_CAP):
-        violations = nilring.validate(ring)
-        if violations:
-            raise InputError(f"invalid structure: {violations[0].axiom}")
-        if ring.spec.order > cap:
-            raise CapExceeded(
-                f"|G| = {ring.spec.order} exceeds enumeration cap {cap}"
-            )
+        nilring.require_valid(ring, cap)
         self.ring = ring
         self.spec = ring.spec
+        self.cap = cap
         self.elements = tuple(self.spec.elements())
         self.index = {e: i for i, e in enumerate(self.elements)}
         self._lambda_cache = {}
@@ -67,11 +62,18 @@ def perm_compose(f: Perm, g: Perm) -> Perm:
     return tuple(f[i] for i in g)
 
 
-def perm_inverse(f: Perm) -> Perm:
-    out = [0] * len(f)
-    for i, j in enumerate(f):
-        out[j] = i
-    return tuple(out)
+def _conjugate(ctx: Context, gamma: Elem, g: Elem):
+    """(h, ok): with lam = lam(gamma), h is lam alpha(g) lam^{-1} applied to
+    0, and ok tells whether that conjugate is the translation alpha(h).
+
+    Literal permutation conjugation without inverting lam: the conjugate
+    is alpha(h) iff lam alpha(g) = alpha(h) lam, and h is lam alpha(g) read
+    at lam^{-1}(0), the position in lam of index 0 (the zero element).
+    """
+    lam = ctx.circle_translation_perm(gamma)
+    left = perm_compose(lam, ctx.additive_translation_perm(g))
+    h = ctx.elements[left[lam.index(0)]]
+    return h, left == perm_compose(ctx.additive_translation_perm(h), lam)
 
 
 def conjugated_translation(ctx: Context, gamma: Elem, g: Elem) -> Elem:
@@ -80,12 +82,9 @@ def conjugated_translation(ctx: Context, gamma: Elem, g: Elem) -> Elem:
     Computed two independent ways: literal permutation conjugation, and
     the closed form h = g + gamma*g.  A mismatch is a theorem violation.
     """
-    lam = ctx.circle_translation_perm(gamma)
-    conj = perm_compose(perm_compose(lam, ctx.additive_translation_perm(g)), perm_inverse(lam))
-    zero_idx = ctx.index[ctx.spec.zero()]
-    h_perm = ctx.elements[conj[zero_idx]]
+    h_perm, is_translation = _conjugate(ctx, gamma, g)
     closed = abelian.add(ctx.spec, g, nilring.mul(ctx.ring, gamma, g))
-    if h_perm != closed or conj != ctx.additive_translation_perm(h_perm):
+    if h_perm != closed or not is_translation:
         raise TheoremViolation(
             "conjugation of an additive translation is not the predicted translation",
             witness={
@@ -98,80 +97,65 @@ def conjugated_translation(ctx: Context, gamma: Elem, g: Elem) -> Elem:
     return closed
 
 
-def holomorph_conjugation_report(ctx: Context, pairs=None) -> dict:
+def holomorph_conjugation_report(ctx: Context) -> dict:
     """Check both conjugation identities, in Hol(G) and in Perm(G).
 
     For each (gamma, g): conjugating the additive translation by g with
     the circle translation by gamma must give an additive translation by
-    the same h on both levels.  Returns a report with any failures.
+    the same h on both levels.  tau(gamma) and its inverse are built once
+    per gamma.  Returns a report with any failures.
     """
     spec = ctx.spec
-    if pairs is None:
-        pairs = list(itertools.product(ctx.elements, ctx.elements))
     failures = []
-    for gamma, g in pairs:
+    for gamma in ctx.elements:
         beta = holomorph.tau(ctx.ring, gamma)
-        conj = holomorph.compose(
-            holomorph.compose(beta, holomorph.translation(spec, g)),
-            holomorph.inverse(beta),
-        )
-        entry = {"gamma": list(gamma), "g": list(g)}
-        if not conj.is_translation():
-            entry["reason"] = "holomorph conjugate is not a translation"
-            failures.append(entry)
-            continue
-        h_hol = conj.a
-        try:
-            h_perm = conjugated_translation(ctx, gamma, g)
-        except TheoremViolation as exc:
-            entry["reason"] = str(exc)
-            failures.append(entry)
-            continue
-        if h_hol != h_perm:
-            entry["reason"] = "holomorph-level and permutation-level h differ"
-            entry["h_holomorph"] = list(h_hol)
-            entry["h_permutation"] = list(h_perm)
-            failures.append(entry)
-    return {"pairs_checked": len(pairs), "failures": failures}
+        beta_inv = holomorph.inverse(beta)
+        for g in ctx.elements:
+            conj = holomorph.compose(
+                holomorph.compose(beta, holomorph.translation(spec, g)), beta_inv
+            )
+            entry = {"gamma": list(gamma), "g": list(g)}
+            if not conj.is_translation():
+                entry["reason"] = "holomorph conjugate is not a translation"
+                failures.append(entry)
+                continue
+            h_hol = conj.a
+            try:
+                h_perm = conjugated_translation(ctx, gamma, g)
+            except TheoremViolation as exc:
+                entry["reason"] = str(exc)
+                failures.append(entry)
+                continue
+            if h_hol != h_perm:
+                entry["reason"] = "holomorph-level and permutation-level h differ"
+                entry["h_holomorph"] = list(h_hol)
+                entry["h_permutation"] = list(h_perm)
+                failures.append(entry)
+    return {"pairs_checked": len(ctx.elements) ** 2, "failures": failures}
 
 
-def invariant_subgroups(ctx: Context, cap: int = abelian.DEFAULT_ENUM_CAP) -> list:
+def invariant_subgroups(ctx: Context) -> list:
     """Additive subgroups J whose translation image is stable under conjugation
     by every circle translation, computed by literal permutation conjugation."""
-    spec = ctx.spec
-    subs = abelian.enumerate_subgroups(spec, cap)
-    zero_idx = ctx.index[spec.zero()]
     out = []
-    for sub in subs:
+    for sub in abelian.enumerate_subgroups(ctx.spec, ctx.cap):
         members = set(sub.elements)
-        ok = True
-        for gamma in ctx.elements:
-            lam = ctx.circle_translation_perm(gamma)
-            lam_inv = perm_inverse(lam)
-            for g in sub.elements:
-                conj = perm_compose(
-                    perm_compose(lam, ctx.additive_translation_perm(g)), lam_inv
-                )
-                h = ctx.elements[conj[zero_idx]]
-                if h not in members or conj != ctx.additive_translation_perm(h):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        if all(
+            ok and h in members
+            for gamma in ctx.elements
+            for g in sub.elements
+            for h, ok in [_conjugate(ctx, gamma, g)]
+        ):
             out.append(sub)
     return out
 
 
-def circle_subgroup_count(ctx: Context, cap: int = abelian.DEFAULT_ENUM_CAP):
+def circle_subgroup_count(ctx: Context) -> int:
     """Number of subgroups of (G, o), by the lattice walk of
     `abelian.walk_subgroups` under the circle operation."""
-    if ctx.spec.order > cap:
-        raise CapExceeded(f"|G| = {ctx.spec.order} exceeds enumeration cap {cap}")
-    found = abelian.walk_subgroups(
+    return len(abelian.walk_subgroups(
         ctx.elements, partial(nilring.circle, ctx.ring), ctx.spec.zero(), ctx.spec.p
-    )
-    return len(found)
+    ))
 
 
 @dataclass(frozen=True)
@@ -206,15 +190,15 @@ def _strict_inclusions(subs) -> tuple:
     return tuple(edges)
 
 
-def lattice_report(ctx: Context, cap: int = abelian.DEFAULT_ENUM_CAP) -> LatticeReport:
+def lattice_report(ctx: Context) -> LatticeReport:
     """Compare the ideal lattice with the invariant-subgroup lattice.
 
     The two sides share the lattice walk but not the predicate (stability
     under generator multiplication vs. permutation conjugation); any
     discrepancy in membership or inclusion structure raises TheoremViolation.
     """
-    ideal_list = nilring.ideals(ctx.ring, cap)
-    inv_list = invariant_subgroups(ctx, cap)
+    ideal_list = nilring.ideals(ctx.ring, ctx.cap)
+    inv_list = invariant_subgroups(ctx)
     ideal_sets = [s.elements for s in ideal_list]
     inv_sets = [s.elements for s in inv_list]
     if ideal_sets != inv_sets:
@@ -233,8 +217,8 @@ def lattice_report(ctx: Context, cap: int = abelian.DEFAULT_ENUM_CAP) -> Lattice
             "lattice matching does not preserve inclusion",
             witness={"structure": ctx.ring.to_json()},
         )
-    gamma_count = circle_subgroup_count(ctx, cap)
-    cg = nilring.circle_group(ctx.ring, cap)
+    gamma_count = circle_subgroup_count(ctx)
+    cg = nilring.circle_group(ctx.ring, ctx.cap)
     return LatticeReport(
         ideals=tuple(ideal_list),
         invariant_subgroups=tuple(inv_list),
@@ -256,11 +240,9 @@ def elementary_scan(
         raise InputError("scan requires an elementary abelian spec")
     rows = []
     for A in nilring.enumerate_structures(spec, search_cap):
-        ctx = Context(A, cap)
-        cg_type = nilring.circle_group(A, cap).invariants
-        if any(e != 1 for e in cg_type):
+        if any(e != 1 for e in nilring.circle_group(A, cap).invariants):
             continue
-        report = lattice_report(ctx, cap)
+        report = lattice_report(Context(A, cap))
         expected = A.is_trivial()
         if report.strong_ftgt != expected:
             raise TheoremViolation(

@@ -308,11 +308,31 @@ def enumerate_automorphisms(spec: GroupSpec) -> list:
     return out
 
 
+def automorphism_count(spec: GroupSpec) -> int:
+    """|Aut(G)| in closed form (Hillar and Rhea, Amer. Math. Monthly 114,
+    2007).  With exponents e_1 <= ... <= e_k, d_i the last and c_i the
+    first position of the value e_i:
+    prod_i (p^{d_i} - p^{i-1}) p^{e_i (k - d_i)} p^{(e_i - 1)(k - c_i + 1)}.
+    """
+    p, e = spec.p, sorted(spec.exponents)
+    k, count = len(e), 1
+    for i, ei in enumerate(e):  # i = position - 1, and k - c_i + 1 = k - e.index(ei)
+        d = k - e[::-1].index(ei)
+        count *= (p**d - p**i) * p ** (ei * (k - d) + (ei - 1) * (k - e.index(ei)))
+    return count
+
+
 def holomorph_elements(spec: GroupSpec, cap: int = DEFAULT_HOL_CAP) -> list:
-    auts = enumerate_automorphisms(spec)
-    size = spec.order * len(auts)
+    """Every x -> a + m(x) with m in Aut(G).  |Hol(G)| is compared with cap
+    by `automorphism_count` before any automorphism is enumerated, and the
+    enumeration must then match that closed form."""
+    size = spec.order * automorphism_count(spec)
     if size > cap:
         raise CapExceeded(f"|Hol(G)| = {size} exceeds holomorph cap {cap}")
+    auts = enumerate_automorphisms(spec)
+    if spec.order * len(auts) != size:
+        raise TheoremViolation("|Aut(G)| enumerated differs from the closed form",
+                               witness={"spec": spec.to_json(), "enumerated": len(auts)})
     return [
         AffineMap(spec, a, m) for a in spec.elements() for m in auts
     ]

@@ -197,29 +197,33 @@ def circle_inverse(A: RingStructure, a: Elem) -> Elem:
     return x
 
 
+def require_valid(A: RingStructure, cap: int) -> None:
+    """Boundary check of the per-structure computations: CapExceeded if
+    |G| > cap (before any validation work), then InputError if A is invalid."""
+    if A.spec.order > cap:
+        raise CapExceeded(f"|G| = {A.spec.order} exceeds enumeration cap {cap}")
+    violations = validate(A)
+    if violations:
+        raise InputError(f"invalid structure: {violations[0].axiom}")
+
+
 @dataclass(frozen=True)
 class CircleGroup:
-    """The group (G, o) as an explicit table over the canonical element order."""
+    """The isomorphism type of the circle group (G, o)."""
 
     spec: GroupSpec
-    elements: tuple
-    table: tuple  # table[i][j] = index of elements[i] o elements[j]
     invariants: tuple  # nonincreasing cyclic exponents
 
 
 def circle_group(A: RingStructure, cap: int = abelian.DEFAULT_ENUM_CAP) -> CircleGroup:
+    """The type of (G, o) from the iterated circle p-th power map
+    (`abelian.power_type`): at most p |G| circle products, no table.  (G, o)
+    is an abelian p-group only for valid A; an invalid A raises InputError.
+    """
+    require_valid(A, cap)
     spec = A.spec
-    if spec.order > cap:
-        raise CapExceeded(f"|G| = {spec.order} exceeds enumeration cap {cap}")
-    elements = tuple(spec.elements())
-    index = {e: i for i, e in enumerate(elements)}
-    table = tuple(
-        tuple(index[circle(A, a, b)] for b in elements) for a in elements
-    )
-    inv = abelian.isomorphism_type(
-        list(elements), lambda a, b: elements[table[index[a]][index[b]]]
-    )
-    return CircleGroup(spec, elements, table, tuple(inv))
+    inv = abelian.power_type(list(spec.elements()), partial(circle, A), spec.p)
+    return CircleGroup(spec, tuple(inv))
 
 
 def ideals(A: RingStructure, cap: int = abelian.DEFAULT_ENUM_CAP) -> list:
@@ -228,12 +232,8 @@ def ideals(A: RingStructure, cap: int = abelian.DEFAULT_ENUM_CAP) -> list:
     `abelian.walk_subgroups`.  The walk is complete only for nilpotent A,
     so an invalid A raises InputError.
     """
+    require_valid(A, cap)
     spec = A.spec
-    if spec.order > cap:
-        raise CapExceeded(f"|G| = {spec.order} exceeds enumeration cap {cap}")
-    violations = validate(A)
-    if violations:
-        raise InputError(f"invalid structure: {violations[0].axiom}")
     maps = [partial(mul, A, b) for b in spec.basis()]
     found = abelian.walk_subgroups(
         list(spec.elements()), partial(abelian.add, spec), spec.zero(), spec.p, maps

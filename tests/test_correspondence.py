@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -14,12 +15,12 @@ from hopfgal.correspondence import (
     klein_four_fixture,
     lattice_report,
     perm_compose,
-    perm_inverse,
 )
-from hopfgal.errors import InputError
+from hopfgal.errors import CapExceeded, InputError, TheoremViolation
 from hopfgal.nilring import (
     cyclic_structure,
     enumerate_structures,
+    make_structure,
     primitive_structure,
     trivial_structure,
 )
@@ -64,9 +65,9 @@ def test_additive_translations_form_a_homomorphism():
 
 
 def test_perm_helpers():
-    f = (1, 2, 0)
-    assert perm_inverse(f) == (2, 0, 1)
-    assert perm_compose(f, perm_inverse(f)) == (0, 1, 2)
+    f, f_inv = (1, 2, 0), (2, 0, 1)
+    assert perm_compose(f, f_inv) == perm_compose(f_inv, f) == (0, 1, 2)
+    assert perm_compose(f, f) == (2, 0, 1)
 
 
 def test_conjugated_translation_examples():
@@ -78,6 +79,16 @@ def test_conjugated_translation_examples():
     assert conjugated_translation(ctx, (1, 0), (1, 0)) == (1, 1)
     ctx = Context(cyclic_structure(3, 2, 1))
     assert conjugated_translation(ctx, (1,), (1,)) == (4,)
+
+
+def test_conjugated_translation_rejects_non_translation():
+    # a stand-in for lam((0,)) on Z/8 that fixes 0 and 1 and swaps 2 and 4:
+    # conjugating translation by 1 sends 0 to 1, the closed form's h, but
+    # sends 1 to 4, so the conjugate is no translation
+    ctx = Context(trivial_structure(GroupSpec(2, (3,))))
+    ctx._lambda_cache[(0,)] = (0, 1, 4, 3, 2, 5, 6, 7)
+    with pytest.raises(TheoremViolation):
+        conjugated_translation(ctx, (0,), (1,))
 
 
 @pytest.mark.parametrize("spec", SCAN_SPECS)
@@ -200,3 +211,17 @@ def test_circle_subgroup_count_matches_isomorphic_additive_group():
     # circle group of the fixture is C2 x C2: 5 subgroups
     assert circle_subgroup_count(klein_four_fixture()) == 5
     assert circle_subgroup_count(Context(trivial_structure(Z9))) == 3
+
+
+def test_context_cap_checked_before_validation():
+    # 1*1 = 2 on C_{2^14}: |G| = 16384 is over the default cap, which must
+    # fire before the structure is validated
+    A = make_structure(GroupSpec(2, (14,)), (((2,),),))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded):
+            Context(A)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

@@ -4,9 +4,11 @@ import pytest
 
 from hopfgal.abelian import GroupSpec
 from hopfgal.errors import CapExceeded, InputError
+from hopfgal import holomorph
 from hopfgal.holomorph import (
     AffineMap,
     affine_map,
+    automorphism_count,
     compose,
     enumerate_automorphisms,
     enumerate_regular_subgroups,
@@ -127,6 +129,30 @@ def test_holomorph_sizes():
 def test_holomorph_cap():
     with pytest.raises(CapExceeded):
         holomorph_elements(C2C2, cap=10)
+
+
+AUT_SPECS = [
+    GroupSpec(p, e)
+    for p, e in [
+        (2, (2,)), (2, (3,)), (3, (2,)), (5, (2,)), (2, (1, 1)), (3, (1, 1)),
+        (2, (2, 1)), (2, (3, 1)), (2, (1, 1, 1)), (2, (2, 2)), (5, (1, 1)),
+        (3, (2, 1)), (2, (3, 2)),
+    ]
+]
+
+
+@pytest.mark.parametrize("spec", AUT_SPECS, ids=str)
+def test_automorphism_count_matches_enumeration(spec):
+    assert automorphism_count(spec) == len(enumerate_automorphisms(spec))
+
+
+def test_holomorph_cap_checked_before_enumeration(monkeypatch):
+    def refuse(spec):
+        raise AssertionError("Aut(G) enumerated before the cap was compared")
+
+    monkeypatch.setattr(holomorph, "enumerate_automorphisms", refuse)
+    with pytest.raises(CapExceeded):  # |Hol(C5 x C5)| = 25 * 480
+        holomorph_elements(GroupSpec(5, (1, 1)), cap=1000)
 
 
 def test_is_regular_cases():

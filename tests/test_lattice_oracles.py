@@ -1,14 +1,25 @@
-"""The lattice walk against oracles that share no code with it: brute force
-over all element subsets, and Birkhoff's closed form for subgroup counts."""
+"""The lattice walk and the circle type against oracles that share no code
+with them: brute force over all element subsets, Birkhoff's closed form for
+subgroup counts, and the full-table type check of `isomorphism_type`."""
 
 import itertools
+from functools import partial
 
 import pytest
 
-from hopfgal.abelian import GroupSpec, add, enumerate_subgroups
+from hopfgal import nilring
+from hopfgal.abelian import GroupSpec, add, enumerate_subgroups, isomorphism_type
 from hopfgal.correspondence import Context, circle_subgroup_count
 from hopfgal.errors import InputError
-from hopfgal.nilring import circle, enumerate_structures, ideals, make_structure, mul
+from hopfgal.nilring import (
+    circle,
+    circle_group,
+    enumerate_structures,
+    ideals,
+    make_structure,
+    mul,
+    primitive_structure,
+)
 
 ORACLE_SPECS = [
     GroupSpec(2, (1, 1)),
@@ -64,10 +75,33 @@ def test_circle_subgroup_count_matches_brute_force(spec):
 
 
 def test_ideals_reject_invalid_structure():
-    # z*z = z on C2 is not nilpotent; the lattice walk would be incomplete
+    # z*z = z on C2 is not nilpotent; the lattice walk would be incomplete,
+    # and (G, o) is no group: 1 o 1 = 1
     A = make_structure(GroupSpec(2, (1,)), (((1,),),))
     with pytest.raises(InputError):
         ideals(A)
+    with pytest.raises(InputError):
+        circle_group(A)
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS + [GroupSpec(2, (2, 1))], ids=str)
+def test_circle_type_matches_full_table(spec):
+    elems = list(spec.elements())
+    for A in enumerate_structures(spec):
+        expected = isomorphism_type(elems, partial(circle, A))
+        assert circle_group(A).invariants == tuple(expected)
+
+
+def test_circle_type_needs_at_most_p_times_order_products(monkeypatch):
+    calls = []
+
+    def counted(A, a, b):
+        calls.append(None)
+        return circle(A, a, b)
+
+    monkeypatch.setattr(nilring, "circle", counted)
+    assert circle_group(primitive_structure(5, 4)).invariants == (1, 1, 1, 1)
+    assert 0 < len(calls) <= 5 * 625
 
 
 def gaussian_binomial(n, k, p):
