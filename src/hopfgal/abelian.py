@@ -5,6 +5,8 @@ A group is presented as a direct sum of cyclic p-power factors
 factor, always reduced modulo the factor order.  Everything here is a
 pure function on immutable values; outputs are canonically ordered so
 runs are deterministic and diffable.
+The public ops check their arguments and call the unchecked kernel
+(`_add`, `_scalar_mul`), which the package runs on its own elements.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import cached_property, partial, reduce
 
 from .errors import CapExceeded, InputError
 
@@ -58,20 +60,20 @@ class GroupSpec:
         if sum(exps) >= 63 or self.p ** sum(exps) > _MAX_ORDER:
             raise InputError("group order exceeds 64-bit range")
 
-    @property
+    @cached_property
     def rank(self) -> int:
         return len(self.exponents)
 
-    @property
+    @cached_property
     def n(self) -> int:
         """Total exponent: |G| = p^n."""
         return sum(self.exponents)
 
-    @property
+    @cached_property
     def moduli(self) -> tuple:
         return tuple(self.p**e for e in self.exponents)
 
-    @property
+    @cached_property
     def order(self) -> int:
         return reduce(lambda a, b: a * b, self.moduli, 1)
 
@@ -107,24 +109,28 @@ class GroupSpec:
         return " x ".join(f"C{m}" for m in self.moduli)
 
 
+def _add(spec: GroupSpec, a: Elem, b: Elem) -> Elem:
+    return tuple((x + y) % m for x, y, m in zip(a, b, spec.moduli))
+
+
+def _scalar_mul(spec: GroupSpec, m: int, a: Elem) -> Elem:
+    return tuple((m * x) % mod for x, mod in zip(a, spec.moduli))
+
+
 def add(spec: GroupSpec, a: Elem, b: Elem) -> Elem:
     spec.check_elem(a)
     spec.check_elem(b)
-    return tuple((x + y) % m for x, y, m in zip(a, b, spec.moduli))
+    return _add(spec, a, b)
 
 
 def neg(spec: GroupSpec, a: Elem) -> Elem:
     spec.check_elem(a)
-    return tuple((-x) % m for x, m in zip(a, spec.moduli))
-
-
-def sub(spec: GroupSpec, a: Elem, b: Elem) -> Elem:
-    return add(spec, a, neg(spec, b))
+    return _scalar_mul(spec, -1, a)
 
 
 def scalar_mul(spec: GroupSpec, m: int, a: Elem) -> Elem:
     spec.check_elem(a)
-    return tuple((m * x) % mod for x, mod in zip(a, spec.moduli))
+    return _scalar_mul(spec, m, a)
 
 
 def order_of(spec: GroupSpec, a: Elem) -> int:
@@ -157,15 +163,16 @@ class Subgroup:
 
 
 def additive_closure(spec: GroupSpec, gens) -> frozenset:
-    """Closure of gens under addition (a subgroup, since G is finite)."""
-    elems = {spec.zero()}
+    """Closure of gens (elements of spec, unchecked) under addition."""
+    zero = spec.zero()
+    elems = {zero}
     for g in gens:
-        spec.check_elem(g)
         if g in elems:
             continue
-        o = order_of(spec, g)
-        multiples = [scalar_mul(spec, m, g) for m in range(o)]
-        elems = {add(spec, s, mg) for s in elems for mg in multiples}
+        multiples = [g]
+        while multiples[-1] != zero:
+            multiples.append(_add(spec, multiples[-1], g))
+        elems = {_add(spec, s, mg) for s in elems for mg in multiples}
     return frozenset(elems)
 
 
@@ -177,7 +184,7 @@ def minimal_generators(spec: GroupSpec, elements: frozenset) -> tuple:
     """
     if len(elements) == 1:
         return ()
-    p_multiples = frozenset(scalar_mul(spec, spec.p, x) for x in elements)
+    p_multiples = frozenset(_scalar_mul(spec, spec.p, x) for x in elements)
     gens = []
     span = set(p_multiples)
     for x in sorted(elements):
@@ -195,6 +202,9 @@ def subgroup_from_elements(spec: GroupSpec, elements) -> Subgroup:
 
 
 def subgroup_generated(spec: GroupSpec, gens) -> Subgroup:
+    gens = list(gens)
+    for g in gens:
+        spec.check_elem(g)
     return subgroup_from_elements(spec, additive_closure(spec, gens))
 
 
@@ -248,7 +258,7 @@ def enumerate_subgroups(spec: GroupSpec, cap: int = DEFAULT_ENUM_CAP) -> list:
     """
     if spec.order > cap:
         raise CapExceeded(f"|G| = {spec.order} exceeds enumeration cap {cap}")
-    found = walk_subgroups(list(spec.elements()), partial(add, spec), spec.zero(), spec.p)
+    found = walk_subgroups(list(spec.elements()), partial(_add, spec), spec.zero(), spec.p)
     subs = [subgroup_from_elements(spec, e) for e in found]
     subs.sort(key=Subgroup.sort_key)
     return subs

@@ -169,7 +169,7 @@ def _verify_conjugation(args) -> dict:
         # homomorphism check, exhaustive: translation by g + b is the
         # composite, for every g and every generator b
         for g, b in itertools.product(ctx.elements, ctx.spec.basis()):
-            lhs = ctx.additive_translation_perm(abelian.add(ctx.spec, g, b))
+            lhs = ctx.additive_translation_perm(abelian._add(ctx.spec, g, b))
             rhs = correspondence.perm_compose(
                 ctx.additive_translation_perm(g), ctx.additive_translation_perm(b)
             )

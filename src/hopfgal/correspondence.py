@@ -9,6 +9,7 @@ permutation conjugation and compared with the ideals of the structure.
 Both sides use the lattice walk `abelian.walk_subgroups` and differ by
 predicate: stability under generator multiplication vs. conjugation.
 Brute-force and closed-form tests check that the walk is complete.
+Only `conjugated_translation` checks its elements; the rest is unchecked.
 """
 
 from __future__ import annotations
@@ -42,8 +43,9 @@ class Context:
     def circle_translation_perm(self, gamma: Elem) -> Perm:
         """Left translation by gamma in (G, o): delta -> gamma o delta."""
         if gamma not in self._lambda_cache:
+            self.spec.check_elem(gamma)
             self._lambda_cache[gamma] = tuple(
-                self.index[nilring.circle(self.ring, gamma, d)]
+                self.index[nilring._circle(self.ring, gamma, d)]
                 for d in self.elements
             )
         return self._lambda_cache[gamma]
@@ -51,15 +53,16 @@ class Context:
     def additive_translation_perm(self, g: Elem) -> Perm:
         """Translation by g in (G, +), regarded as a permutation of the set."""
         if g not in self._alpha_cache:
+            self.spec.check_elem(g)
             self._alpha_cache[g] = tuple(
-                self.index[abelian.add(self.spec, g, d)] for d in self.elements
+                self.index[abelian._add(self.spec, g, d)] for d in self.elements
             )
         return self._alpha_cache[g]
 
 
 def perm_compose(f: Perm, g: Perm) -> Perm:
     """(f * g)(x) = f(g(x))."""
-    return tuple(f[i] for i in g)
+    return tuple(map(f.__getitem__, g))
 
 
 def _conjugate(ctx: Context, gamma: Elem, g: Elem):
@@ -82,8 +85,10 @@ def conjugated_translation(ctx: Context, gamma: Elem, g: Elem) -> Elem:
     Computed two independent ways: literal permutation conjugation, and
     the closed form h = g + gamma*g.  A mismatch is a theorem violation.
     """
+    ctx.spec.check_elem(gamma)
+    ctx.spec.check_elem(g)
     h_perm, is_translation = _conjugate(ctx, gamma, g)
-    closed = abelian.add(ctx.spec, g, nilring.mul(ctx.ring, gamma, g))
+    closed = abelian._add(ctx.spec, g, nilring._mul(ctx.ring, gamma, g))
     if h_perm != closed or not is_translation:
         raise TheoremViolation(
             "conjugation of an additive translation is not the predicted translation",
@@ -103,17 +108,15 @@ def holomorph_conjugation_report(ctx: Context) -> dict:
     For each (gamma, g): conjugating the additive translation by g with
     the circle translation by gamma must give an additive translation by
     the same h on both levels.  tau(gamma) and its inverse are built once
-    per gamma.  Returns a report with any failures.
+    per gamma, and each translation once.  Returns a report with any failures.
     """
-    spec = ctx.spec
+    translations = [holomorph.translation(ctx.spec, g) for g in ctx.elements]
     failures = []
     for gamma in ctx.elements:
         beta = holomorph.tau(ctx.ring, gamma)
         beta_inv = holomorph.inverse(beta)
-        for g in ctx.elements:
-            conj = holomorph.compose(
-                holomorph.compose(beta, holomorph.translation(spec, g)), beta_inv
-            )
+        for g, alpha in zip(ctx.elements, translations):
+            conj = holomorph.compose(holomorph.compose(beta, alpha), beta_inv)
             entry = {"gamma": list(gamma), "g": list(g)}
             if not conj.is_translation():
                 entry["reason"] = "holomorph conjugate is not a translation"
@@ -136,16 +139,20 @@ def holomorph_conjugation_report(ctx: Context) -> dict:
 
 def invariant_subgroups(ctx: Context) -> list:
     """Additive subgroups J whose translation image is stable under conjugation
-    by every circle translation, computed by literal permutation conjugation."""
+    by every circle translation, computed by literal permutation conjugation.
+    The conjugates of alpha(g) are computed once per g, for all subgroups:
+    the set of their h, or None if one of them is not a translation."""
+    conjugates = {}
     out = []
     for sub in abelian.enumerate_subgroups(ctx.spec, ctx.cap):
         members = set(sub.elements)
-        if all(
-            ok and h in members
-            for gamma in ctx.elements
-            for g in sub.elements
-            for h, ok in [_conjugate(ctx, gamma, g)]
-        ):
+        for g in sub.elements:
+            if g not in conjugates:
+                pairs = [_conjugate(ctx, gamma, g) for gamma in ctx.elements]
+                conjugates[g] = {h for h, _ in pairs} if all(ok for _, ok in pairs) else None
+            if conjugates[g] is None or not conjugates[g] <= members:
+                break
+        else:
             out.append(sub)
     return out
 
@@ -154,7 +161,7 @@ def circle_subgroup_count(ctx: Context) -> int:
     """Number of subgroups of (G, o), by the lattice walk of
     `abelian.walk_subgroups` under the circle operation."""
     return len(abelian.walk_subgroups(
-        ctx.elements, partial(nilring.circle, ctx.ring), ctx.spec.zero(), ctx.spec.p
+        ctx.elements, partial(nilring._circle, ctx.ring), ctx.spec.zero(), ctx.spec.p
     ))
 
 

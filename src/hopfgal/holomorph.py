@@ -4,12 +4,14 @@ Elements are stored as (translation, matrix) pairs: x -> a + m(x), with
 column j of m the image of the j-th standard generator.  Includes the
 embedding of the circle group into Hol(G), both directions of the
 structure/regular-subgroup correspondence, and brute-force regular
-subgroup enumeration for tiny holomorphs.
+subgroup enumeration for tiny holomorphs.  `AffineMap.apply`, `tau`,
+`translation` and `affine_map` check their elements; the rest is unchecked.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 from . import abelian, nilring
@@ -28,20 +30,17 @@ class AffineMap:
     a: Elem
     m: tuple  # k x k tuple of rows of ints
 
+    def _apply(self, x: Elem) -> Elem:
+        return abelian._add(self.spec, self.a, self.linear_apply(x))
+
     def apply(self, x: Elem) -> Elem:
-        spec = self.spec
-        spec.check_elem(x)
-        k = spec.rank
-        coords = [
-            self.a[i] + sum(self.m[i][j] * x[j] for j in range(k))
-            for i in range(k)
-        ]
-        return spec.reduce_coords(coords)
+        self.spec.check_elem(x)
+        return self._apply(x)
 
     def linear_apply(self, x: Elem) -> Elem:
-        k = self.spec.rank
-        return self.spec.reduce_coords(
-            [sum(self.m[i][j] * x[j] for j in range(k)) for i in range(k)]
+        return tuple(
+            sum(map(operator.mul, row, x)) % mod
+            for row, mod in zip(self.m, self.spec.moduli)
         )
 
     def is_translation(self) -> bool:
@@ -107,13 +106,12 @@ def compose(f: AffineMap, g: AffineMap) -> AffineMap:
     if f.spec != g.spec:
         raise InputError("affine maps over different specs")
     spec = f.spec
-    k = spec.rank
-    a = f.apply(g.a)
-    m = [
-        [sum(f.m[i][t] * g.m[t][j] for t in range(k)) for j in range(k)]
-        for i in range(k)
-    ]
-    return AffineMap(spec, a, _reduce_matrix(spec, m))
+    cols = tuple(zip(*g.m))
+    m = tuple(
+        tuple(sum(map(operator.mul, row, col)) % mod for col in cols)
+        for row, mod in zip(f.m, spec.moduli)
+    )
+    return AffineMap(spec, f._apply(g.a), m)
 
 
 def inverse(f: AffineMap) -> AffineMap:
@@ -128,7 +126,7 @@ def inverse(f: AffineMap) -> AffineMap:
     cols = [preimage[b] for b in spec.basis()]
     minv = tuple(tuple(cols[j][i] for j in range(k)) for i in range(k))
     inv = AffineMap(spec, spec.zero(), _reduce_matrix(spec, minv))
-    a_inv = abelian.neg(spec, inv.linear_apply(f.a))
+    a_inv = abelian._scalar_mul(spec, -1, inv.linear_apply(f.a))
     return AffineMap(spec, a_inv, inv.m)
 
 
@@ -139,7 +137,7 @@ def tau(A: RingStructure, g: Elem) -> AffineMap:
     k = spec.rank
     basis = spec.basis()
     cols = [
-        abelian.add(spec, basis[j], nilring.mul(A, g, basis[j]))
+        abelian._add(spec, basis[j], nilring._mul(A, g, basis[j]))
         for j in range(k)
     ]
     m = tuple(tuple(cols[j][i] for j in range(k)) for i in range(k))
@@ -189,7 +187,7 @@ def _index_perms(spec: GroupSpec, maps) -> list:
         if f.m not in linear:
             linear[f.m] = tuple(index[f.linear_apply(x)] for x in elements)
         if f.a not in shift:
-            shift[f.a] = tuple(index[abelian.add(spec, f.a, x)] for x in elements)
+            shift[f.a] = tuple(index[abelian._add(spec, f.a, x)] for x in elements)
         out.append(_perm_compose(shift[f.a], linear[f.m]))
     return out
 
@@ -243,7 +241,9 @@ def is_fixed_point_free(f: AffineMap) -> bool:
 
 def is_abelian(T: RegularSubgroup) -> bool:
     perms = _index_perms(T.spec, T.elements)
-    return all(_perm_compose(a, b) == _perm_compose(b, a) for a in perms for b in perms)
+    return all(
+        _perm_compose(a, b) == _perm_compose(b, a) for a, b in itertools.combinations(perms, 2)
+    )
 
 
 def regular_subgroup_from_ring(A: RingStructure) -> RegularSubgroup:
@@ -271,12 +271,8 @@ def ring_from_regular_subgroup(T: RegularSubgroup) -> RingStructure:
         t_i = T.element_with_base_image(basis[i])
         row = []
         for j in range(k):
-            prod = abelian.sub(
-                spec,
-                abelian.sub(spec, t_i.apply(basis[j]), basis[i]),
-                basis[j],
-            )
-            row.append(prod)
+            minus_g_h = abelian._scalar_mul(spec, -1, abelian._add(spec, basis[i], basis[j]))
+            row.append(abelian._add(spec, t_i._apply(basis[j]), minus_g_h))
         constants.append(tuple(row))
     A = RingStructure(spec, tuple(constants))
     violations = nilring.validate(A)
@@ -342,14 +338,16 @@ def enumerate_regular_subgroups(
     spec: GroupSpec, cap: int = DEFAULT_HOL_CAP
 ) -> list:
     """All regular subgroups of Hol(G), by growing subgroups one generator
-    at a time.
+    at a time from {id}.
 
     Every element of Hol(G) is turned once into a permutation of element
     indices.  Every non-identity element of a regular subgroup is
     fixed-point-free with p-power order, so only those are candidates.
-    The search starts from the cyclic subgroups of the candidates and
-    closes each subgroup's generators plus one more candidate, keeping the
-    subgroups of order at most |G| whose non-identity elements are all
+    A regular R containing a subgroup S has exactly one element sending 0
+    to each point, so S grows only by the candidates f with f(0) = x, for
+    x the least point outside the orbit S(0): every R above S contains one
+    of them, and the search stays complete.  Each grown subgroup is kept
+    if its order is at most |G| and its non-identity elements are all
     fixed-point-free; those of order |G| that are transitive are regular.
     Only the returned subgroups are mapped back to affine maps.
     """
@@ -372,11 +370,11 @@ def enumerate_regular_subgroups(
                 return None
         return count
 
-    candidates = []
+    by_base = {}  # candidates by the image of 0 (index 0)
     for f in fixed_point_free:
         f_order = p_power_order(f)
         if f_order is not None and order % f_order == 0:
-            candidates.append(f)
+            by_base.setdefault(f[0], []).append(f)
 
     def grow(gens):
         sub = closure_under_composition(gens, size_limit=order)
@@ -386,22 +384,17 @@ def enumerate_regular_subgroups(
 
     seen = set()
     regulars = []
-    frontier = []
-    for f in candidates:
-        sub = grow((f,))
-        if sub is not None and sub not in seen:
-            seen.add(sub)
-            frontier.append(((f,), sub))
+    frontier = [((), frozenset({ident}))]
     while frontier:
         nxt = []
         for gens, sub in frontier:
+            orbit = {t[0] for t in sub}  # orbit of 0 (index 0)
             if len(sub) == order:
-                if len({t[0] for t in sub}) == order:  # orbit of 0 (index 0)
+                if len(orbit) == order:
                     regulars.append(sub)
                 continue
-            for f in candidates:
-                if f in sub:
-                    continue
+            base = next(x for x in range(order) if x not in orbit)
+            for f in by_base.get(base, ()):
                 grown = grow(gens + (f,))
                 if grown is not None and grown not in seen:
                     seen.add(grown)

@@ -4,6 +4,8 @@ A structure is stored as a symmetric table of structure constants on the
 standard generators and extended bilinearly.  The induced circle
 operation a o b = a + b + a*b turns the underlying set into a group,
 whose isomorphism type plays the role of the Galois group.
+`mul` and `circle` check their arguments and call the unchecked kernel
+(`_mul`, `_circle`), which the package runs on its own elements.
 """
 
 from __future__ import annotations
@@ -30,9 +32,6 @@ class RingStructure:
 
     spec: GroupSpec
     constants: tuple  # k x k tuple of Elem
-
-    def constant(self, i: int, j: int) -> Elem:
-        return self.constants[i][j]
 
     def is_trivial(self) -> bool:
         zero = self.spec.zero()
@@ -73,28 +72,37 @@ def make_structure(spec: GroupSpec, constants) -> RingStructure:
     return RingStructure(spec, tab)
 
 
+def _product(A: RingStructure, a: Elem, b: Elem, acc: list) -> Elem:
+    """acc + a*b, reduced: the bilinear extension of the generator products."""
+    for i, x in enumerate(a):
+        if x:
+            row = A.constants[i]
+            for j, y in enumerate(b):
+                if y:
+                    coeff = x * y
+                    for t, c in enumerate(row[j]):
+                        acc[t] += coeff * c
+    return tuple(v % m for v, m in zip(acc, A.spec.moduli))
+
+
+def _mul(A: RingStructure, a: Elem, b: Elem) -> Elem:
+    return _product(A, a, b, [0] * len(a))
+
+
+def _circle(A: RingStructure, a: Elem, b: Elem) -> Elem:
+    return _product(A, a, b, [x + y for x, y in zip(a, b)])
+
+
 def mul(A: RingStructure, a: Elem, b: Elem) -> Elem:
     """Bilinear extension of the generator products."""
-    spec = A.spec
-    spec.check_elem(a)
-    spec.check_elem(b)
-    k = spec.rank
-    acc = [0] * k
-    for i in range(k):
-        if a[i] == 0:
-            continue
-        for j in range(k):
-            if b[j] == 0:
-                continue
-            c = A.constants[i][j]
-            coeff = a[i] * b[j]
-            for t in range(k):
-                acc[t] += coeff * c[t]
-    return spec.reduce_coords(acc)
+    A.spec.check_elem(a)
+    A.spec.check_elem(b)
+    return _mul(A, a, b)
 
 
 def _product_span_chain(A: RingStructure):
-    """Generating sets of the powers A^2, A^3, ... as additive subgroups."""
+    """The powers A^2, A^3, ... as additive subgroups; by bilinearity the
+    products b_i * g of the generators g of A^m generate A^(m+1)."""
     spec = A.spec
     zero = spec.zero()
     basis = spec.basis()
@@ -102,7 +110,7 @@ def _product_span_chain(A: RingStructure):
     while True:
         span = abelian.additive_closure(spec, gens)
         yield span
-        nxt = {mul(A, b, g) for b in basis for g in span}
+        nxt = {_mul(A, b, g) for b in basis for g in gens}
         nxt.discard(zero)
         gens = sorted(nxt)
 
@@ -114,6 +122,8 @@ def nilpotency_index(A: RingStructure, bound: int = None) -> int:
     chain has not died by A^bound the function returns bound + 1.
     """
     spec = A.spec
+    for c in itertools.chain.from_iterable(A.constants):
+        spec.check_elem(c)
     if bound is None:
         bound = spec.n + 1
     zero_set = frozenset({spec.zero()})
@@ -150,7 +160,7 @@ def validate(A: RingStructure) -> list:
     for i in range(k):
         for j in range(k):
             killer = spec.p ** min(spec.exponents[i], spec.exponents[j])
-            if abelian.scalar_mul(spec, killer, A.constants[i][j]) != spec.zero():
+            if abelian._scalar_mul(spec, killer, A.constants[i][j]) != spec.zero():
                 out.append(Violation("well-defined", (i, j)))
     if out:
         return out
@@ -158,8 +168,8 @@ def validate(A: RingStructure) -> list:
     for i in range(k):
         for j in range(k):
             for l in range(k):
-                lhs = mul(A, A.constants[i][j], basis[l])
-                rhs = mul(A, basis[i], A.constants[j][l])
+                lhs = _mul(A, A.constants[i][j], basis[l])
+                rhs = _mul(A, basis[i], A.constants[j][l])
                 if lhs != rhs:
                     out.append(Violation("associativity", (i, j, l)))
     if out:
@@ -176,23 +186,25 @@ def validate(A: RingStructure) -> list:
 
 def circle(A: RingStructure, a: Elem, b: Elem) -> Elem:
     """a o b = a + b + a*b."""
-    spec = A.spec
-    return abelian.add(spec, abelian.add(spec, a, b), mul(A, a, b))
+    A.spec.check_elem(a)
+    A.spec.check_elem(b)
+    return _circle(A, a, b)
 
 
 def circle_inverse(A: RingStructure, a: Elem) -> Elem:
     """The unique x with a o x = 0, via the truncated geometric series."""
     spec = A.spec
+    spec.check_elem(a)
     x = spec.zero()
     power = a  # (-1)^i a^i accumulated with alternating sign
     sign = -1
     for _ in range(spec.n + 1):
-        x = abelian.add(spec, x, abelian.scalar_mul(spec, sign, power))
-        power = mul(A, power, a)
+        x = abelian._add(spec, x, abelian._scalar_mul(spec, sign, power))
+        power = _mul(A, power, a)
         if power == spec.zero():
             break
         sign = -sign
-    if circle(A, a, x) != spec.zero():
+    if _circle(A, a, x) != spec.zero():
         raise InputError(f"no circle inverse for {a}: structure is not valid")
     return x
 
@@ -222,7 +234,7 @@ def circle_group(A: RingStructure, cap: int = abelian.DEFAULT_ENUM_CAP) -> Circl
     """
     require_valid(A, cap)
     spec = A.spec
-    inv = abelian.power_type(list(spec.elements()), partial(circle, A), spec.p)
+    inv = abelian.power_type(list(spec.elements()), partial(_circle, A), spec.p)
     return CircleGroup(spec, tuple(inv))
 
 
@@ -234,9 +246,9 @@ def ideals(A: RingStructure, cap: int = abelian.DEFAULT_ENUM_CAP) -> list:
     """
     require_valid(A, cap)
     spec = A.spec
-    maps = [partial(mul, A, b) for b in spec.basis()]
+    maps = [partial(_mul, A, b) for b in spec.basis()]
     found = abelian.walk_subgroups(
-        list(spec.elements()), partial(abelian.add, spec), spec.zero(), spec.p, maps
+        list(spec.elements()), partial(abelian._add, spec), spec.zero(), spec.p, maps
     )
     out = [abelian.subgroup_from_elements(spec, e) for e in found]
     out.sort(key=Subgroup.sort_key)
@@ -302,6 +314,27 @@ def _associativity_triples(k: int) -> list:
     return [(i, j, l) for l in range(k) for i in range(l) for j in range(l + 1)]
 
 
+def _nilpotent(spec: GroupSpec, rows) -> bool:
+    """Whether every n-fold composite of the maps x -> sum_t x_t row[t]
+    (row in rows) is 0, |G| = p^n: for rows = c, the constants table, that
+    is A^{n+1} = 0 (the degree-m monomials times each b_i give those of
+    degree m+1); for rows = (c[0],) it is L_0^n = 0, L_0 = (x -> b_0 x)."""
+    moduli = spec.moduli
+    gens = range(spec.rank)
+    zero = spec.zero()
+    vectors = {x for row in rows for x in row if x != zero}  # generator images
+    for _ in range(spec.n - 1):
+        if not vectors:
+            return True
+        products = (
+            tuple(sum(s[t] * row[t][u] for t in gens) % mod for u, mod in enumerate(moduli))
+            for s in vectors
+            for row in rows
+        )
+        vectors = {x for x in products if x != zero}
+    return not vectors
+
+
 def _passes_int_checks(spec: GroupSpec, c, triples) -> bool:
     """Associativity on `triples` and nilpotency of the constants table c
     (symmetric, entries satisfying the order condition), on plain ints.
@@ -309,29 +342,15 @@ def _passes_int_checks(spec: GroupSpec, c, triples) -> bool:
     Accepts exactly the tables that `validate` accepts; it is the cheap
     filter before `validate` in `enumerate_structures`.
     """
-    k = spec.rank
     moduli = spec.moduli
-    gens = range(k)
+    gens = range(spec.rank)
     # (b_i b_j) b_l = sum_t (c_ij)_t c_tl  vs  b_i (b_j b_l) = sum_t (c_jl)_t c_it
     for i, j, l in triples:
         cij, cjl, ci = c[i][j], c[j][l], c[i]
         for u, mod in enumerate(moduli):
             if sum(cij[t] * c[t][l][u] - cjl[t] * ci[t][u] for t in gens) % mod:
                 return False
-    # A^{n+1} = 0 iff every left-nested (n+1)-fold generator product is 0:
-    # the products b_i * s of the degree-m monomials s are those of degree m+1
-    zero = spec.zero()
-    monomials = {x for row in c for x in row if x != zero}
-    for _ in range(spec.n - 1):
-        if not monomials:
-            return True
-        products = (
-            tuple(sum(s[t] * row[t][u] for t in gens) % mod for u, mod in enumerate(moduli))
-            for s in monomials
-            for row in c
-        )
-        monomials = {x for x in products if x != zero}
-    return not monomials
+    return _nilpotent(spec, c)
 
 
 def enumerate_structures(
@@ -342,10 +361,11 @@ def enumerate_structures(
     Brute force over the free entries (i <= j) of the symmetric constants
     table, each entry drawn from the constants that satisfy the order
     condition.  The search space (tensors) is compared with search_cap
-    before any candidate is built.  Each tensor is tested by integer
-    associativity and nilpotency checks on the table; only tensors that
-    pass them are built as structures, and `validate` certifies each one
-    before it is returned.
+    before any candidate is built.  Row 0 (the free entries (0, j)) is
+    screened once per assignment: L_0 = (x -> b_0 x) must be nilpotent.
+    Each tensor is then tested by integer associativity and nilpotency
+    checks on the table; only tensors that pass them are built as
+    structures, and `validate` certifies each one before it is returned.
     """
     k = spec.rank
     free = [(i, j) for i in range(k) for j in range(i, k)]
@@ -360,12 +380,16 @@ def enumerate_structures(
     slot = [[free.index((min(i, j), max(i, j))) for j in range(k)] for i in range(k)]
     triples = _associativity_triples(k)
     out = []
-    for assignment in itertools.product(*candidates):
-        table = tuple(tuple(assignment[n] for n in row) for row in slot)
-        if not _passes_int_checks(spec, table, triples):
+    for row0 in itertools.product(*candidates[:k]):  # free[:k] is row 0
+        if not _nilpotent(spec, (row0,)):
             continue
-        A = RingStructure(spec, table)
-        if not validate(A):
-            out.append(A)
+        for rest in itertools.product(*candidates[k:]):
+            assignment = row0 + rest
+            table = tuple(tuple(assignment[n] for n in row) for row in slot)
+            if not _passes_int_checks(spec, table, triples):
+                continue
+            A = RingStructure(spec, table)
+            if not validate(A):
+                out.append(A)
     out.sort(key=RingStructure.sort_key)
     return out

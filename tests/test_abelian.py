@@ -13,7 +13,10 @@ from hopfgal.abelian import (
     subgroup_from_elements,
     subgroup_generated,
 )
+from hopfgal.correspondence import Context, conjugated_translation
 from hopfgal.errors import CapExceeded, InputError
+from hopfgal.holomorph import tau, translation
+from hopfgal.nilring import circle, mul, primitive_structure
 
 C2C2 = GroupSpec(2, (1, 1))
 Z4 = GroupSpec(2, (2,))
@@ -77,6 +80,26 @@ def test_add_rejects_mismatched_elements():
         add(C2C2, (1,), (0, 1))
     with pytest.raises(InputError):
         add(Z4, (5,), (0,))
+    # the other public element ops check their arguments the same way
+    A = primitive_structure(2, 2)  # on C2 x C2
+    ctx = Context(A)
+    f = translation(C2C2, (1, 0))
+    for bad in [(1,), (2, 0), (0, -1), (1, 0, 0)]:
+        calls = [
+            lambda: mul(A, bad, (1, 0)),
+            lambda: mul(A, (1, 0), bad),
+            lambda: circle(A, bad, (0, 1)),
+            lambda: circle(A, (0, 1), bad),
+            lambda: f.apply(bad),
+            lambda: tau(A, bad),
+            lambda: conjugated_translation(ctx, bad, (1, 0)),
+            lambda: conjugated_translation(ctx, (1, 0), bad),
+            lambda: ctx.circle_translation_perm(bad),
+            lambda: ctx.additive_translation_perm(bad),
+        ]
+        for call in calls:
+            with pytest.raises(InputError):
+                call()
 
 
 def test_scalar_mul_examples():

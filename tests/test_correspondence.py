@@ -225,3 +225,24 @@ def test_context_cap_checked_before_validation():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_certification_checks_elements_only_at_the_boundary(monkeypatch):
+    # b0 * b0 = b1 on C4 x C4: the element kernel under Context, the lattice
+    # report and the conjugation report runs unchecked, so only the public
+    # entry points call check_elem, at most 3 |G|^2 = 768 times in all
+    spec = GroupSpec(2, (2, 2))
+    A = make_structure(spec, (((0, 1), (0, 0)), ((0, 0), (0, 0))))
+    calls = []
+    check_elem = GroupSpec.check_elem
+
+    def counted(self, a):
+        calls.append(None)
+        return check_elem(self, a)
+
+    monkeypatch.setattr(GroupSpec, "check_elem", counted)
+    ctx = Context(A)
+    report = lattice_report(ctx)
+    assert not holomorph_conjugation_report(ctx)["failures"]
+    assert len(report.ideals) == len(report.invariant_subgroups)
+    assert 0 < len(calls) <= 3 * spec.order**2

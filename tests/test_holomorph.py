@@ -243,6 +243,15 @@ def test_enumerated_subgroups_are_regular(spec):
     assert all(is_regular(T.elements) for T in regs)
 
 
+@pytest.mark.parametrize("p,n", [(3, 2), (3, 3), (5, 2), (7, 2)])
+def test_kohl_count_for_odd_cyclic_groups(p, n):
+    # Kohl (J. Algebra 207, 1998): for odd p, Hol(C_{p^n}) has exactly
+    # p^(n-1) regular subgroups, all abelian; |Hol(C49)| = 2058
+    regs = enumerate_regular_subgroups(GroupSpec(p, (n,)), cap=4000)
+    assert len(regs) == p ** (n - 1)
+    assert all(is_abelian(T) for T in regs)
+
+
 def test_regular_subgroup_enumeration_cap():
     with pytest.raises(CapExceeded):
         enumerate_regular_subgroups(C2C2, cap=10)

@@ -8,6 +8,7 @@ from hopfgal.errors import CapExceeded, InputError
 from hopfgal.nilring import (
     RingStructure,
     _associativity_triples,
+    _nilpotent,
     _passes_int_checks,
     circle,
     circle_group,
@@ -95,6 +96,8 @@ def test_validate_symmetry_and_order_condition():
 
 
 def test_nilpotency_index_examples():
+    with pytest.raises(InputError):
+        nilpotency_index(RingStructure(Z4, (((5,),),)))
     assert nilpotency_index(trivial_structure(C2C2)) == 2
     assert nilpotency_index(primitive_structure(2, 3)) == 4
     assert nilpotency_index(cyclic_structure(3, 2, 1)) == 3
@@ -313,6 +316,8 @@ def test_int_checks_accept_exactly_what_validate_accepts(spec):
     for table in _all_tensors(spec):
         expected = not validate(RingStructure(spec, table))
         assert _passes_int_checks(spec, table, triples) == expected, table
+        # the row-0 screen of enumerate_structures keeps every valid table
+        assert _nilpotent(spec, (table[0],)) or not expected, table
         tried += 1
         accepted += expected
     assert accepted == len(enumerate_structures(spec))
