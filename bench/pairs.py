@@ -1,17 +1,17 @@
 #!/usr/bin/env python3
 """Alternating benchmark pairs of two checkouts, summarized as a BENCH_*.json.
 
-    python3 bench/pairs.py --parent DIR --change DIR --out BENCH_N.json \
-        [--workloads certify,search,readme] [--pairs 10] [--first-seed 21] \
-        [--trace-seed 3]
+    python3 bench/pairs.py --parent DIR --change DIR --out BENCH_N.json
 
-Each pair runs `perfbench/run.py` once in each checkout with the same seed
-and the run length of the change's BENCHMARK.json, alternating which side
-runs first.  Per workload the summary holds, for every end-to-end metric,
-each side's median and quartiles and the pairs the change won and lost;
-every run's pass count and tail percentile; each job's median raw seconds
-per side; and, from one `--trace 1` run per side, the tracer's call counts
-of `check_elem` and `closure_under_composition`.
+Per workload, PAIRS pairs (seeds FIRST_SEED on) each run `perfbench/run.py`
+once in each checkout with the same seed and the run length of the change's
+BENCHMARK.json, alternating which side runs first.  These values are fixed
+so that every BENCH_*.json is made the same way.  Per workload the summary
+holds, for every end-to-end metric, each side's median and quartiles and
+the pairs the change won and lost; every run's pass count and tail
+percentile; each job's median raw seconds per side; and, from one
+`--trace 1` run per side at seed TRACE_SEED, the tracer's call counts of
+`check_elem` and `closure_under_composition`.
 
 `verdict_s_tail` reads the highest percentile with at least 10 samples
 above it, so the job it reads depends on how many passes fit in the run.
@@ -30,6 +30,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+WORKLOADS = ("certify", "search", "readme")
+PAIRS = 10
+FIRST_SEED = 21
+TRACE_SEED = 3
 TRACED = ("abelian.check_elem.calls", "holomorph.closure_under_composition.calls",
           "holomorph.closure_under_composition.useful_ratio")
 
@@ -110,19 +114,15 @@ def main(argv=None):
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--workloads", default="certify,search,readme")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--first-seed", type=int, default=21)
-    parser.add_argument("--trace-seed", type=int, default=3)
     args = parser.parse_args(argv)
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     bench = json.loads((roots["change"] / "BENCHMARK.json").read_text())
     out = {"python": sys.version.split()[0], "run_seconds": bench["run_seconds"],
            "sides": {}, "workloads": {}}
-    for workload in args.workloads.split(","):
+    for workload in WORKLOADS:
         rows = []
-        for i in range(args.pairs):
-            seed = args.first_seed + i
+        for i in range(PAIRS):
+            seed = FIRST_SEED + i
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for s in order:
                 result, info, record = run(roots[s], workload, seed, bench["run_seconds"])
@@ -137,7 +137,7 @@ def main(argv=None):
                       file=sys.stderr, flush=True)
         traced = {}
         for s, root in roots.items():
-            result = run(root, workload, args.trace_seed, bench["run_seconds"], trace=1)[0]
+            result = run(root, workload, TRACE_SEED, bench["run_seconds"], trace=1)[0]
             traced[s] = {k: result["metrics"][k]["value"] for k in TRACED}
         out["workloads"][workload] = summarize(rows, traced, bench["end_to_end"])
     args.out.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")

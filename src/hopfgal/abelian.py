@@ -163,10 +163,13 @@ class Subgroup:
 
 
 def additive_closure(spec: GroupSpec, gens) -> frozenset:
-    """Closure of gens (elements of spec, unchecked) under addition."""
+    """Closure of gens under addition.  Coordinates are reduced as they are
+    added; a gen of the wrong length raises (its multiples never reach 0)."""
     zero = spec.zero()
     elems = {zero}
     for g in gens:
+        if len(g) != spec.rank:
+            raise InputError(f"element {g} has wrong length for {spec}")
         if g in elems:
             continue
         multiples = [g]

@@ -5,6 +5,7 @@ import pytest
 from hopfgal.abelian import (
     GroupSpec,
     add,
+    additive_closure,
     enumerate_subgroups,
     isomorphism_type,
     neg,
@@ -230,3 +231,14 @@ def test_subgroup_from_elements_trivial():
     sub = subgroup_from_elements(Z4, {(0,)})
     assert sub.generators == ()
     assert sub.size == 1
+
+
+def test_additive_closure_rejects_wrong_length():
+    # a short gen's multiples never equal the zero of the full rank
+    with pytest.raises(InputError):
+        additive_closure(C2C2, [(1,)])
+    with pytest.raises(InputError):
+        additive_closure(C2C2, [(1, 0, 1)])
+    with pytest.raises(InputError):
+        subgroup_from_elements(C2C2, {(0, 0), (1,)})
+    assert additive_closure(Z4, [(5,)]) == frozenset(Z4.elements())
