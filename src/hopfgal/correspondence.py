@@ -9,7 +9,8 @@ permutation conjugation and compared with the ideals of the structure.
 Both sides use the lattice walk `abelian.walk_subgroups` and differ by
 predicate: stability under generator multiplication vs. conjugation.
 Brute-force and closed-form tests check that the walk is complete.
-Only `conjugated_translation` checks its elements; the rest is unchecked.
+Each conjugate lam alpha(g) lam^{-1} is built once, in the `Context.conjugates`
+table.  Only `conjugated_translation` checks its elements; the rest is unchecked.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ Perm = tuple
 
 class Context:
     """The per-structure model: a valid structure, the enumeration cap every
-    computation on it obeys, and lazily cached translation permutations."""
+    computation on it obeys, and lazily cached permutations and conjugates."""
 
     def __init__(self, ring: RingStructure, cap: int = abelian.DEFAULT_ENUM_CAP):
         nilring.require_valid(ring, cap)
@@ -39,6 +40,8 @@ class Context:
         self.index = {e: i for i, e in enumerate(self.elements)}
         self._lambda_cache = {}
         self._alpha_cache = {}
+        self._lambda_zero = None  # (lam(gamma), lam(gamma)^{-1}(0)) per gamma
+        self._conjugates = {}
 
     def circle_translation_perm(self, gamma: Elem) -> Perm:
         """Left translation by gamma in (G, o): delta -> gamma o delta."""
@@ -59,24 +62,42 @@ class Context:
             )
         return self._alpha_cache[g]
 
+    def conjugates(self, g: Elem) -> tuple:
+        """(hs, oks) over gamma in `elements` order, built once per g: with
+        lam = lam(gamma), h is lam alpha(g) read at lam^{-1}(0), that is the
+        conjugate lam alpha(g) lam^{-1} at 0, and ok tells whether that
+        conjugate is alpha(h), that is whether lam alpha(g) = alpha(h) lam."""
+        if g not in self._conjugates:
+            if self._lambda_zero is None:
+                lams = map(self.circle_translation_perm, self.elements)
+                self._lambda_zero = [(lam, lam.index(0)) for lam in lams]
+            alpha = self.additive_translation_perm(g)
+            hs, oks = [], []
+            for lam, zero in self._lambda_zero:
+                left = perm_compose(lam, alpha)
+                hs.append(self.elements[left[zero]])
+                oks.append(left == perm_compose(self.additive_translation_perm(hs[-1]), lam))
+            self._conjugates[g] = (tuple(hs), tuple(oks))
+        return self._conjugates[g]
+
 
 def perm_compose(f: Perm, g: Perm) -> Perm:
     """(f * g)(x) = f(g(x))."""
     return tuple(map(f.__getitem__, g))
 
 
-def _conjugate(ctx: Context, gamma: Elem, g: Elem):
-    """(h, ok): with lam = lam(gamma), h is lam alpha(g) lam^{-1} applied to
-    0, and ok tells whether that conjugate is the translation alpha(h).
-
-    Literal permutation conjugation without inverting lam: the conjugate
-    is alpha(h) iff lam alpha(g) = alpha(h) lam, and h is lam alpha(g) read
-    at lam^{-1}(0), the position in lam of index 0 (the zero element).
-    """
-    lam = ctx.circle_translation_perm(gamma)
-    left = perm_compose(lam, ctx.additive_translation_perm(g))
-    h = ctx.elements[left[lam.index(0)]]
-    return h, left == perm_compose(ctx.additive_translation_perm(h), lam)
+def _conjugated_translation(ctx: Context, n: int, g: Elem) -> Elem:
+    """`conjugated_translation` for gamma = ctx.elements[n], unchecked."""
+    hs, oks = ctx.conjugates(g)
+    gamma = ctx.elements[n]
+    closed = abelian._add(ctx.spec, g, nilring._mul(ctx.ring, gamma, g))
+    if hs[n] != closed or not oks[n]:
+        raise TheoremViolation(
+            "conjugation of an additive translation is not the predicted translation",
+            witness={"gamma": list(gamma), "g": list(g),
+                     "permutation_path": list(hs[n]), "closed_form": list(closed)},
+        )
+    return closed
 
 
 def conjugated_translation(ctx: Context, gamma: Elem, g: Elem) -> Elem:
@@ -87,19 +108,7 @@ def conjugated_translation(ctx: Context, gamma: Elem, g: Elem) -> Elem:
     """
     ctx.spec.check_elem(gamma)
     ctx.spec.check_elem(g)
-    h_perm, is_translation = _conjugate(ctx, gamma, g)
-    closed = abelian._add(ctx.spec, g, nilring._mul(ctx.ring, gamma, g))
-    if h_perm != closed or not is_translation:
-        raise TheoremViolation(
-            "conjugation of an additive translation is not the predicted translation",
-            witness={
-                "gamma": list(gamma),
-                "g": list(g),
-                "permutation_path": list(h_perm),
-                "closed_form": list(closed),
-            },
-        )
-    return closed
+    return _conjugated_translation(ctx, ctx.index[gamma], g)
 
 
 def holomorph_conjugation_report(ctx: Context) -> dict:
@@ -107,24 +116,23 @@ def holomorph_conjugation_report(ctx: Context) -> dict:
 
     For each (gamma, g): conjugating the additive translation by g with
     the circle translation by gamma must give an additive translation by
-    the same h on both levels.  tau(gamma) and its inverse are built once
-    per gamma, and each translation once.  Returns a report with any failures.
+    the same h on both levels.  Per gamma, beta = tau(gamma), its inverse and
+    the linear part M_beta M_beta^{-1} of every conjugate are built once; per
+    g only the translation part beta(g + beta^{-1}(0)).  Returns the failures.
     """
-    translations = [holomorph.translation(ctx.spec, g) for g in ctx.elements]
     failures = []
-    for gamma in ctx.elements:
+    for n, gamma in enumerate(ctx.elements):
         beta = holomorph.tau(ctx.ring, gamma)
         beta_inv = holomorph.inverse(beta)
-        for g, alpha in zip(ctx.elements, translations):
-            conj = holomorph.compose(holomorph.compose(beta, alpha), beta_inv)
+        if not holomorph.compose(beta, beta_inv).is_translation():
+            reason = "holomorph conjugate is not a translation"
+            failures += [{"gamma": list(gamma), "g": list(g), "reason": reason} for g in ctx.elements]
+            continue
+        for g in ctx.elements:
             entry = {"gamma": list(gamma), "g": list(g)}
-            if not conj.is_translation():
-                entry["reason"] = "holomorph conjugate is not a translation"
-                failures.append(entry)
-                continue
-            h_hol = conj.a
+            h_hol = beta._apply(abelian._add(ctx.spec, g, beta_inv.a))
             try:
-                h_perm = conjugated_translation(ctx, gamma, g)
+                h_perm = _conjugated_translation(ctx, n, g)
             except TheoremViolation as exc:
                 entry["reason"] = str(exc)
                 failures.append(entry)
@@ -139,18 +147,14 @@ def holomorph_conjugation_report(ctx: Context) -> dict:
 
 def invariant_subgroups(ctx: Context) -> list:
     """Additive subgroups J whose translation image is stable under conjugation
-    by every circle translation, computed by literal permutation conjugation.
-    The conjugates of alpha(g) are computed once per g, for all subgroups:
-    the set of their h, or None if one of them is not a translation."""
-    conjugates = {}
+    by every circle translation, computed by literal permutation conjugation
+    (the `Context.conjugates` table)."""
     out = []
     for sub in abelian.enumerate_subgroups(ctx.spec, ctx.cap):
         members = set(sub.elements)
         for g in sub.elements:
-            if g not in conjugates:
-                pairs = [_conjugate(ctx, gamma, g) for gamma in ctx.elements]
-                conjugates[g] = {h for h, _ in pairs} if all(ok for _, ok in pairs) else None
-            if conjugates[g] is None or not conjugates[g] <= members:
+            hs, oks = ctx.conjugates(g)
+            if not all(oks) or not members.issuperset(hs):
                 break
         else:
             out.append(sub)
@@ -204,7 +208,7 @@ def lattice_report(ctx: Context) -> LatticeReport:
     under generator multiplication vs. permutation conjugation); any
     discrepancy in membership or inclusion structure raises TheoremViolation.
     """
-    ideal_list = nilring.ideals(ctx.ring, ctx.cap)
+    ideal_list = nilring._ideals(ctx.ring)
     inv_list = invariant_subgroups(ctx)
     ideal_sets = [s.elements for s in ideal_list]
     inv_sets = [s.elements for s in inv_list]
@@ -225,7 +229,7 @@ def lattice_report(ctx: Context) -> LatticeReport:
             witness={"structure": ctx.ring.to_json()},
         )
     gamma_count = circle_subgroup_count(ctx)
-    cg = nilring.circle_group(ctx.ring, ctx.cap)
+    cg = nilring._circle_group(ctx.ring)
     return LatticeReport(
         ideals=tuple(ideal_list),
         invariant_subgroups=tuple(inv_list),

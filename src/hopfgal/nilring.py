@@ -4,8 +4,8 @@ A structure is stored as a symmetric table of structure constants on the
 standard generators and extended bilinearly.  The induced circle
 operation a o b = a + b + a*b turns the underlying set into a group,
 whose isomorphism type plays the role of the Galois group.
-`mul` and `circle` check their arguments and call the unchecked kernel
-(`_mul`, `_circle`), which the package runs on its own elements.
+`mul`, `circle`, `ideals` and `circle_group` check their input, then call
+the unchecked `_mul`, `_circle`, `_ideals`, `_circle_group` the package runs.
 """
 
 from __future__ import annotations
@@ -233,9 +233,12 @@ def circle_group(A: RingStructure, cap: int = abelian.DEFAULT_ENUM_CAP) -> Circl
     is an abelian p-group only for valid A; an invalid A raises InputError.
     """
     require_valid(A, cap)
-    spec = A.spec
-    inv = abelian.power_type(list(spec.elements()), partial(_circle, A), spec.p)
-    return CircleGroup(spec, tuple(inv))
+    return _circle_group(A)
+
+
+def _circle_group(A: RingStructure) -> CircleGroup:
+    inv = abelian.power_type(list(A.spec.elements()), partial(_circle, A), A.spec.p)
+    return CircleGroup(A.spec, tuple(inv))
 
 
 def ideals(A: RingStructure, cap: int = abelian.DEFAULT_ENUM_CAP) -> list:
@@ -245,14 +248,17 @@ def ideals(A: RingStructure, cap: int = abelian.DEFAULT_ENUM_CAP) -> list:
     so an invalid A raises InputError.
     """
     require_valid(A, cap)
+    return _ideals(A)
+
+
+def _ideals(A: RingStructure) -> list:
     spec = A.spec
     maps = [partial(_mul, A, b) for b in spec.basis()]
     found = abelian.walk_subgroups(
         list(spec.elements()), partial(abelian._add, spec), spec.zero(), spec.p, maps
     )
-    out = [abelian.subgroup_from_elements(spec, e) for e in found]
-    out.sort(key=Subgroup.sort_key)
-    return out
+    return sorted((abelian.subgroup_from_elements(spec, e) for e in found),
+                  key=Subgroup.sort_key)
 
 
 def trivial_structure(spec: GroupSpec) -> RingStructure:

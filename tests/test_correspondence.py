@@ -3,6 +3,7 @@ import tracemalloc
 
 import pytest
 
+from hopfgal import correspondence, holomorph, nilring
 from hopfgal.abelian import GroupSpec, add, enumerate_subgroups
 from hopfgal.correspondence import (
     Context,
@@ -110,6 +111,65 @@ def test_conjugation_report_primitive():
     report = holomorph_conjugation_report(Context(primitive_structure(3, 2)))
     assert report["pairs_checked"] == 81
     assert report["failures"] == []
+
+
+PERM_REASON = "conjugation of an additive translation is not the predicted translation"
+
+
+def test_conjugation_report_permutation_failures():
+    # the stand-in lam((0,)) of the test above: every conjugate of alpha(g),
+    # g != 0, by it fails on the permutation side, and the invariant side
+    # reads the same conjugates, so only the zero subgroup is invariant
+    ctx = Context(trivial_structure(GroupSpec(2, (3,))))
+    ctx._lambda_cache[(0,)] = (0, 1, 4, 3, 2, 5, 6, 7)
+    report = holomorph_conjugation_report(ctx)
+    assert report["pairs_checked"] == 64
+    assert report["failures"] == [
+        {"gamma": [0], "g": [g], "reason": PERM_REASON} for g in range(1, 8)
+    ]
+    assert [s.elements for s in invariant_subgroups(ctx)] == [((0,),)]
+
+
+def _patch_inverse(monkeypatch, change):
+    """holomorph.inverse, with `change` applied to the inverse of tau((1, 0))."""
+    inverse = holomorph.inverse
+
+    def patched(f):
+        inv = inverse(f)
+        return change(inv) if f.a == (1, 0) else inv
+
+    monkeypatch.setattr(holomorph, "inverse", patched)
+
+
+def test_conjugation_report_holomorph_not_a_translation(monkeypatch):
+    # tau((1, 0)) on primitive(3, 2) is not linear-trivial, so an inverse
+    # with the identity matrix leaves every conjugate a non-translation
+    _patch_inverse(monkeypatch, lambda inv: holomorph.AffineMap(
+        inv.spec, inv.a, holomorph._identity_matrix(inv.spec)))
+    report = holomorph_conjugation_report(Context(primitive_structure(3, 2)))
+    assert report["pairs_checked"] == 81
+    assert report["failures"] == [
+        {"gamma": [1, 0], "g": [a, b], "reason": "holomorph conjugate is not a translation"}
+        for a in range(3) for b in range(3)
+    ]
+
+
+def test_conjugation_report_holomorph_and_permutation_differ(monkeypatch):
+    # the right matrix but the translation part shifted by (0, 1)
+    _patch_inverse(monkeypatch, lambda inv: holomorph.AffineMap(
+        inv.spec, add(inv.spec, inv.a, (0, 1)), inv.m))
+    report = holomorph_conjugation_report(Context(primitive_structure(3, 2)))
+    assert report["pairs_checked"] == 81
+    h = [((0, 1), (0, 0)), ((0, 2), (0, 1)), ((0, 0), (0, 2)),
+         ((1, 2), (1, 1)), ((1, 0), (1, 2)), ((1, 1), (1, 0)),
+         ((2, 0), (2, 2)), ((2, 1), (2, 0)), ((2, 2), (2, 1))]
+    assert report["failures"] == [
+        {"gamma": [1, 0], "g": [a, b],
+         "reason": "holomorph-level and permutation-level h differ",
+         "h_holomorph": list(h_hol), "h_permutation": list(h_perm)}
+        for (a, b), (h_hol, h_perm) in zip(
+            [(a, b) for a in range(3) for b in range(3)], h)
+    ]
 
 
 def test_invariant_subgroups_examples():
@@ -246,3 +306,43 @@ def test_certification_checks_elements_only_at_the_boundary(monkeypatch):
     assert not holomorph_conjugation_report(ctx)["failures"]
     assert len(report.ideals) == len(report.invariant_subgroups)
     assert 0 < len(calls) <= 3 * spec.order**2
+
+
+def _c4c4_context():
+    # b0 * b0 = b1 on C4 x C4
+    spec = GroupSpec(2, (2, 2))
+    return Context(make_structure(spec, (((0, 1), (0, 0)), ((0, 0), (0, 0)))))
+
+
+def _counted(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(None)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_certification_validates_once(monkeypatch):
+    # Context validates the structure; neither report validates it again
+    ctx = _c4c4_context()
+    calls = _counted(monkeypatch, nilring, "validate")
+    lattice_report(ctx)
+    assert not holomorph_conjugation_report(ctx)["failures"]
+    assert calls == []
+
+
+def test_each_pair_is_conjugated_once(monkeypatch):
+    # across both reports: one Hol(G) compose per gamma, and two permutation
+    # composes per (gamma, g) pair, shared by the lattice and conjugation sides
+    ctx = _c4c4_context()
+    order = ctx.spec.order
+    composes = _counted(monkeypatch, holomorph, "compose")
+    perm_composes = _counted(monkeypatch, correspondence, "perm_compose")
+    lattice_report(ctx)
+    assert not holomorph_conjugation_report(ctx)["failures"]
+    assert len(composes) <= order
+    assert len(perm_composes) == 2 * order**2
