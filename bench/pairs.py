@@ -10,8 +10,8 @@ so that every BENCH_*.json is made the same way.  Per workload the summary
 holds, for every end-to-end metric, each side's median and quartiles and
 the pairs the change won and lost; every run's pass count and tail
 percentile; each job's median raw seconds per side; and, from one
-`--trace 1` run per side at seed TRACE_SEED, the tracer's call counts of
-`check_elem` and `closure_under_composition`.
+`--trace 1` run per side at seed TRACE_SEED, every per-layer metric whose
+unit is `count`, so that each work counter a change moves is on record.
 
 `verdict_s_tail` reads the highest percentile with at least 10 samples
 above it, so the job it reads depends on how many passes fit in the run.
@@ -34,8 +34,6 @@ WORKLOADS = ("certify", "search", "readme")
 PAIRS = 10
 FIRST_SEED = 21
 TRACE_SEED = 3
-TRACED = ("abelian.check_elem.calls", "holomorph.closure_under_composition.calls",
-          "holomorph.closure_under_composition.useful_ratio")
 
 
 def run(root, workload, seed, seconds, trace=0):
@@ -138,7 +136,8 @@ def main(argv=None):
         traced = {}
         for s, root in roots.items():
             result = run(root, workload, TRACE_SEED, bench["run_seconds"], trace=1)[0]
-            traced[s] = {k: result["metrics"][k]["value"] for k in TRACED}
+            traced[s] = {k: v["value"] for k, v in result["metrics"].items()
+                         if v["unit"] == "count"}
         out["workloads"][workload] = summarize(rows, traced, bench["end_to_end"])
     args.out.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property, partial, reduce
 
@@ -110,7 +111,7 @@ class GroupSpec:
 
 
 def _add(spec: GroupSpec, a: Elem, b: Elem) -> Elem:
-    return tuple((x + y) % m for x, y, m in zip(a, b, spec.moduli))
+    return tuple(map(operator.mod, map(operator.add, a, b), spec.moduli))
 
 
 def _scalar_mul(spec: GroupSpec, m: int, a: Elem) -> Elem:

@@ -118,8 +118,11 @@ def holomorph_conjugation_report(ctx: Context) -> dict:
     the circle translation by gamma must give an additive translation by
     the same h on both levels.  Per gamma, beta = tau(gamma), its inverse and
     the linear part M_beta M_beta^{-1} of every conjugate are built once; per
-    g only the translation part beta(g + beta^{-1}(0)).  Returns the failures.
+    g only the translation part beta(g + beta^{-1}(0)), read through beta's
+    `linear_images` (the scan of tau's invertibility check).  Returns the
+    failures.
     """
+    spec = ctx.spec
     failures = []
     for n, gamma in enumerate(ctx.elements):
         beta = holomorph.tau(ctx.ring, gamma)
@@ -128,20 +131,18 @@ def holomorph_conjugation_report(ctx: Context) -> dict:
             reason = "holomorph conjugate is not a translation"
             failures += [{"gamma": list(gamma), "g": list(g), "reason": reason} for g in ctx.elements]
             continue
+        images = beta.linear_images
         for g in ctx.elements:
-            entry = {"gamma": list(gamma), "g": list(g)}
-            h_hol = beta._apply(abelian._add(ctx.spec, g, beta_inv.a))
+            h_hol = abelian._add(spec, beta.a, images[abelian._add(spec, g, beta_inv.a)])
             try:
                 h_perm = _conjugated_translation(ctx, n, g)
             except TheoremViolation as exc:
-                entry["reason"] = str(exc)
-                failures.append(entry)
+                failures.append({"gamma": list(gamma), "g": list(g), "reason": str(exc)})
                 continue
             if h_hol != h_perm:
-                entry["reason"] = "holomorph-level and permutation-level h differ"
-                entry["h_holomorph"] = list(h_hol)
-                entry["h_permutation"] = list(h_perm)
-                failures.append(entry)
+                failures.append({"gamma": list(gamma), "g": list(g),
+                                 "reason": "holomorph-level and permutation-level h differ",
+                                 "h_holomorph": list(h_hol), "h_permutation": list(h_perm)})
     return {"pairs_checked": len(ctx.elements) ** 2, "failures": failures}
 
 

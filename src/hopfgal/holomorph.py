@@ -6,6 +6,8 @@ embedding of the circle group into Hol(G), both directions of the
 structure/regular-subgroup correspondence, and brute-force regular
 subgroup enumeration for tiny holomorphs.  `AffineMap.apply`, `tau`,
 `translation` and `affine_map` check their elements; the rest is unchecked.
+Each map is scanned over G once, on first use: `AffineMap.linear_images`
+serves `is_invertible`, `inverse` and the index permutations.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import abelian, nilring
 from .abelian import Elem, GroupSpec
@@ -42,6 +45,12 @@ class AffineMap:
             sum(map(operator.mul, row, x)) % mod
             for row, mod in zip(self.m, self.spec.moduli)
         )
+
+    @cached_property
+    def linear_images(self) -> dict:
+        """x -> m(x) for every x in spec.elements() order, from one scan made
+        on first use and kept on the map, outside the dataclass fields."""
+        return {x: self.linear_apply(x) for x in self.spec.elements()}
 
     def is_translation(self) -> bool:
         return self.m == _identity_matrix(self.spec)
@@ -96,9 +105,7 @@ def translation(spec: GroupSpec, g: Elem) -> AffineMap:
 
 def is_invertible(f: AffineMap) -> bool:
     """Bijectivity of the linear part, by image enumeration."""
-    spec = f.spec
-    images = {f.linear_apply(x) for x in spec.elements()}
-    return len(images) == spec.order
+    return len(set(f.linear_images.values())) == f.spec.order
 
 
 def compose(f: AffineMap, g: AffineMap) -> AffineMap:
@@ -117,17 +124,14 @@ def compose(f: AffineMap, g: AffineMap) -> AffineMap:
 def inverse(f: AffineMap) -> AffineMap:
     """Inverse map x -> m^{-1}(x - a); requires an invertible linear part."""
     spec = f.spec
-    preimage = {}
-    for x in spec.elements():
-        preimage[f.linear_apply(x)] = x
+    preimage = {y: x for x, y in f.linear_images.items()}
     if len(preimage) != spec.order:
         raise InputError("linear part is not invertible")
     k = spec.rank
     cols = [preimage[b] for b in spec.basis()]
     minv = tuple(tuple(cols[j][i] for j in range(k)) for i in range(k))
-    inv = AffineMap(spec, spec.zero(), _reduce_matrix(spec, minv))
-    a_inv = abelian._scalar_mul(spec, -1, inv.linear_apply(f.a))
-    return AffineMap(spec, a_inv, inv.m)
+    a_inv = abelian._scalar_mul(spec, -1, preimage[f.a])
+    return AffineMap(spec, a_inv, _reduce_matrix(spec, minv))
 
 
 def tau(A: RingStructure, g: Elem) -> AffineMap:
@@ -177,7 +181,8 @@ def _perm_compose(f: tuple, g: tuple) -> tuple:
 def _index_perms(spec: GroupSpec, maps) -> list:
     """Each map x -> a + m(x) as an index permutation: the tuple of the
     indices, in spec.elements() order, of its images of the elements.
-    It is translation by a after m; each a and each m is tabulated once.
+    It is translation by a after m; each a and each m is tabulated once,
+    m from the `linear_images` of the first map that has it.
     """
     elements = list(spec.elements())
     index = {x: n for n, x in enumerate(elements)}
@@ -185,7 +190,7 @@ def _index_perms(spec: GroupSpec, maps) -> list:
     out = []
     for f in maps:
         if f.m not in linear:
-            linear[f.m] = tuple(index[f.linear_apply(x)] for x in elements)
+            linear[f.m] = tuple(map(index.__getitem__, f.linear_images.values()))
         if f.a not in shift:
             shift[f.a] = tuple(index[abelian._add(spec, f.a, x)] for x in elements)
         out.append(_perm_compose(shift[f.a], linear[f.m]))
@@ -240,10 +245,19 @@ def is_fixed_point_free(f: AffineMap) -> bool:
 
 
 def is_abelian(T: RegularSubgroup) -> bool:
-    perms = _index_perms(T.spec, T.elements)
-    return all(
-        _perm_compose(a, b) == _perm_compose(b, a) for a, b in itertools.combinations(perms, 2)
-    )
+    """Whether the members of T pairwise commute, tested on generators: a
+    member joins S only if it lies outside <S>, and only after it commutes
+    with every member of S.  Then T lies in <S> = <T>, so T pairwise
+    commutes iff S does, for any finite set of maps."""
+    gens, span = [], {tuple(range(T.spec.order))}
+    for a in _index_perms(T.spec, T.elements):
+        if a in span:
+            continue
+        if any(_perm_compose(a, b) != _perm_compose(b, a) for b in gens):
+            return False
+        gens.append(a)
+        span = closure_under_composition(gens)
+    return True
 
 
 def regular_subgroup_from_ring(A: RingStructure) -> RegularSubgroup:

@@ -6,13 +6,16 @@ operation a o b = a + b + a*b turns the underlying set into a group,
 whose isomorphism type plays the role of the Galois group.
 `mul`, `circle`, `ideals` and `circle_group` check their input, then call
 the unchecked `_mul`, `_circle`, `_ideals`, `_circle_group` the package runs.
+The element kernel runs on sparse terms: the nonzero generator products,
+listed once per structure on first use.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 from . import abelian
 from .abelian import Elem, GroupSpec, Subgroup
@@ -54,6 +57,18 @@ class RingStructure:
     def sort_key(self):
         return self.constants
 
+    @cached_property
+    def _terms(self) -> tuple:
+        """(i, j, ((t, c_t), ...)) for each nonzero product b_i b_j, with
+        c_t its nonzero coordinates: the sparse table `_product` runs on.
+        Kept on the instance, outside the dataclass fields."""
+        return tuple(
+            (i, j, tuple((t, c) for t, c in enumerate(cij) if c))
+            for i, row in enumerate(self.constants)
+            for j, cij in enumerate(row)
+            if any(cij)
+        )
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -73,16 +88,14 @@ def make_structure(spec: GroupSpec, constants) -> RingStructure:
 
 
 def _product(A: RingStructure, a: Elem, b: Elem, acc: list) -> Elem:
-    """acc + a*b, reduced: the bilinear extension of the generator products."""
-    for i, x in enumerate(a):
-        if x:
-            row = A.constants[i]
-            for j, y in enumerate(b):
-                if y:
-                    coeff = x * y
-                    for t, c in enumerate(row[j]):
-                        acc[t] += coeff * c
-    return tuple(v % m for v, m in zip(acc, A.spec.moduli))
+    """acc + a*b, reduced: the bilinear extension of the generator products,
+    over the nonzero ones only (`RingStructure._terms`)."""
+    for i, j, coeffs in A._terms:
+        xy = a[i] * b[j]
+        if xy:
+            for t, c in coeffs:
+                acc[t] += xy * c
+    return tuple(map(operator.mod, acc, A.spec.moduli))
 
 
 def _mul(A: RingStructure, a: Elem, b: Elem) -> Elem:
@@ -90,7 +103,7 @@ def _mul(A: RingStructure, a: Elem, b: Elem) -> Elem:
 
 
 def _circle(A: RingStructure, a: Elem, b: Elem) -> Elem:
-    return _product(A, a, b, [x + y for x, y in zip(a, b)])
+    return _product(A, a, b, list(map(operator.add, a, b)))
 
 
 def mul(A: RingStructure, a: Elem, b: Elem) -> Elem:

@@ -346,3 +346,14 @@ def test_each_pair_is_conjugated_once(monkeypatch):
     assert not holomorph_conjugation_report(ctx)["failures"]
     assert len(composes) <= order
     assert len(perm_composes) == 2 * order**2
+
+
+def test_each_map_is_scanned_once(monkeypatch):
+    # one |G|-element linear image scan per gamma, for tau's invertibility
+    # check, shared by its inverse and by every pair's beta(g + beta^{-1}(0)),
+    # plus at most one more linear image per gamma
+    ctx = _c4c4_context()
+    order = ctx.spec.order
+    scans = _counted(monkeypatch, holomorph.AffineMap, "linear_apply")
+    assert not holomorph_conjugation_report(ctx)["failures"]
+    assert len(scans) <= order**2 + order

@@ -16,7 +16,9 @@ from hopfgal.holomorph import (
     identity_map,
     inverse,
     is_abelian,
+    is_closed,
     is_fixed_point_free,
+    is_invertible,
     is_regular,
     regular_subgroup_from_ring,
     ring_from_regular_subgroup,
@@ -255,3 +257,61 @@ def test_kohl_count_for_odd_cyclic_groups(p, n):
 def test_regular_subgroup_enumeration_cap():
     with pytest.raises(CapExceeded):
         enumerate_regular_subgroups(C2C2, cap=10)
+
+
+def _image(f, x):
+    """x -> a + m(x), written out with no package code."""
+    return tuple((a + sum(r * c for r, c in zip(row, x))) % mod
+                 for a, row, mod in zip(f.a, f.m, f.spec.moduli))
+
+
+def _commute_pairwise(maps):
+    """Oracle: every two maps commute at every point of G."""
+    if not maps:
+        return True
+    moduli = maps[0].spec.moduli
+    points = list(itertools.product(*(range(m) for m in moduli)))
+    return all(
+        _image(f, _image(g, x)) == _image(g, _image(f, x))
+        for f, g in itertools.combinations(maps, 2) for x in points
+    )
+
+
+@pytest.mark.parametrize("spec,regular,abelian", [
+    (GroupSpec(2, (3,)), 6, 4), (GroupSpec(2, (1, 1, 1)), 232, 92),
+])
+def test_is_abelian_matches_pairwise_oracle(spec, regular, abelian):
+    regs = enumerate_regular_subgroups(spec)
+    verdicts = [is_abelian(T) for T in regs]
+    assert verdicts == [_commute_pairwise(T.elements) for T in regs]
+    assert (len(regs), sum(verdicts)) == (regular, abelian)
+
+
+def test_is_abelian_on_sets_that_are_not_closed():
+    # on Z/8: x + 2, 5x and 5x + 4 commute, but (x + 2)^2 = x + 4 is missing;
+    # x + 4 lies in <x + 2>, and 3x does not commute with x + 2
+    spec = GroupSpec(2, (3,))
+    commuting = [AffineMap(spec, (2,), ((1,),)), AffineMap(spec, (0,), ((5,),)),
+                 AffineMap(spec, (4,), ((5,),))]
+    clash = commuting + [AffineMap(spec, (4,), ((1,),)), AffineMap(spec, (0,), ((3,),))]
+    for maps, expected in ((commuting, True), (clash, False)):
+        assert not is_closed(maps)
+        assert _commute_pairwise(maps) is expected
+        assert is_abelian(holomorph.RegularSubgroup(spec, tuple(maps))) is expected
+
+
+def test_linear_image_scan_does_not_change_identity():
+    # the scan is kept on the map after first use; equality, hashing and
+    # set membership ignore it, and both maps act the same
+    A = primitive_structure(3, 2)
+    scanned = tau(A, (1, 2))
+    fresh = AffineMap(scanned.spec, scanned.a, scanned.m)
+    assert is_invertible(scanned)
+    assert "linear_images" in vars(scanned) and "linear_images" not in vars(fresh)
+    assert scanned == fresh and hash(scanned) == hash(fresh)
+    assert fresh in {scanned} and scanned in {fresh} and len({scanned, fresh}) == 1
+    assert scanned.to_json() == fresh.to_json()
+    for x in itertools.product(range(3), range(3)):
+        assert scanned.apply(x) == fresh.apply(x) == _image(fresh, x)
+    assert inverse(scanned) == inverse(fresh)
+    assert "linear_images" in vars(fresh)

@@ -327,3 +327,46 @@ def test_int_checks_accept_exactly_what_validate_accepts(spec):
 def test_structure_json_round_trip():
     A = primitive_structure(2, 2)
     assert RingStructure.from_json(A.to_json()) == A
+
+
+def _dense_product(A, a, b):
+    """Reference product, independent of the package kernel: the sum over
+    every (i, j) of a_i b_j c_ij, reduced modulo the factor orders."""
+    moduli = A.spec.moduli
+    total = [0] * len(moduli)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            for t, c in enumerate(A.constants[i][j]):
+                total[t] += x * y * c
+    return tuple(v % m for v, m in zip(total, moduli))
+
+
+@pytest.mark.parametrize(
+    "structures",
+    [lambda spec=spec: enumerate_structures(spec)
+     for spec in (C2C2, GroupSpec(2, (2, 1)), GroupSpec(3, (1, 1)), Z9, GroupSpec(2, (1, 1, 1)))]
+    + [lambda: [primitive_structure(3, 3)]],
+    ids=["C2xC2", "C4xC2", "C3xC3", "C9", "C2^3", "primitive(3,3)"],
+)
+def test_kernel_matches_dense_bilinear_reference(structures):
+    for A in structures():
+        moduli = A.spec.moduli
+        elements = list(itertools.product(*(range(m) for m in moduli)))
+        for a in elements:
+            for b in elements:
+                ab = _dense_product(A, a, b)
+                assert mul(A, a, b) == ab
+                assert circle(A, a, b) == tuple(
+                    (x + y + z) % m for x, y, z, m in zip(a, b, ab, moduli))
+
+
+def test_sparse_terms_do_not_change_identity():
+    # the sparse product terms are kept on the instance after first use;
+    # equality, hashing, set membership and to_json ignore them
+    used, fresh = primitive_structure(3, 3), primitive_structure(3, 3)
+    mul(used, (1, 0, 0), (1, 0, 0))
+    assert "_terms" in vars(used) and "_terms" not in vars(fresh)
+    assert used == fresh and hash(used) == hash(fresh)
+    assert fresh in {used} and used in {fresh} and len({used, fresh}) == 1
+    assert used.to_json() == fresh.to_json() == primitive_structure(3, 3).to_json()
+    assert RingStructure.from_json(used.to_json()) == fresh
