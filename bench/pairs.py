@@ -6,10 +6,11 @@
 Per workload, PAIRS pairs (seeds FIRST_SEED on) each run `perfbench/run.py`
 once in each checkout with the same seed and the run length of the change's
 BENCHMARK.json, alternating which side runs first.  These values are fixed
-so that every BENCH_*.json is made the same way.  Per workload the summary
-holds, for every end-to-end metric, each side's median and quartiles and
-the pairs the change won and lost; every run's pass count and tail
-percentile; each job's median raw seconds per side; and, from one
+so that every BENCH_*.json is made the same way.  Neither checkout may
+hold a `__pycache__` at the start, so that both sides compile alike.  Per
+workload the summary holds, for every end-to-end metric, each side's median
+and quartiles and the pairs the change won and lost; every run's pass count
+and tail percentile; each job's median raw seconds per side; and, from one
 `--trace 1` run per side at seed TRACE_SEED, every per-layer metric whose
 unit is `count`, so that each work counter a change moves is on record.
 
@@ -114,6 +115,11 @@ def main(argv=None):
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    # a side that imports from bytecode an earlier run left in its checkout
+    # skips compiling, which shows in its setup_s and peak_rss_mb
+    cached = [str(d) for root in roots.values() for d in root.rglob("__pycache__")]
+    if cached:
+        raise SystemExit("remove the bytecode caches first: " + " ".join(cached))
     bench = json.loads((roots["change"] / "BENCHMARK.json").read_text())
     out = {"python": sys.version.split()[0], "run_seconds": bench["run_seconds"],
            "sides": {}, "workloads": {}}
