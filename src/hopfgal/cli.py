@@ -226,13 +226,12 @@ def _verify_cyclic(args) -> dict:
         if nilring.validate(A):
             raise TheoremViolation("cyclic-family structure failed validation",
                                    witness=A.to_json())
-        ideal_list = nilring.ideals(A, args.cap_enum)
-        if [s.elements for s in ideal_list] != sub_sets:
+        report = correspondence.lattice_report(Context(A, args.cap_enum))
+        if [s.elements for s in report.ideals] != sub_sets:
             raise TheoremViolation(
                 "ideals of the cyclic-family structure are not all additive subgroups",
                 witness={"structure": A.to_json()},
             )
-        report = correspondence.lattice_report(Context(A, args.cap_enum))
         if not report.strong_ftgt:
             raise TheoremViolation(
                 "strong correspondence fails for a cyclic-family structure",
@@ -241,7 +240,7 @@ def _verify_cyclic(args) -> dict:
         rows.append(
             {
                 "structure": label,
-                "ideal_count": len(ideal_list),
+                "ideal_count": len(report.ideals),
                 "strong_ftgt": report.strong_ftgt,
             }
         )

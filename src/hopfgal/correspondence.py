@@ -7,16 +7,16 @@ two regular representations on the same set; the subgroups invariant
 under conjugation by circle translations are computed by literal
 permutation conjugation and compared with the ideals of the structure.
 Both sides use the lattice walk `abelian.walk_subgroups` and differ by
-predicate: stability under generator multiplication vs. conjugation.
-Brute-force and closed-form tests check that the walk is complete.
-Each conjugate lam alpha(g) lam^{-1} is built once, in the `Context.conjugates`
-table.  Only `conjugated_translation` checks its elements; the rest is unchecked.
+predicate: stability under generator multiplication vs. conjugation by the
+circle generators.  Brute-force and closed-form tests check that the walk is
+complete.  Each conjugate lam alpha(g) lam^{-1} is built once, in gamma's
+`Context.conjugation_row`; only `conjugated_translation` checks its elements.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 from . import abelian, holomorph, nilring
 from .abelian import Elem, GroupSpec, Subgroup
@@ -29,7 +29,8 @@ Perm = tuple
 
 class Context:
     """The per-structure model: a valid structure, the enumeration cap every
-    computation on it obeys, and lazily cached permutations and conjugates."""
+    computation on it obeys, and lazily cached permutations, circle generators
+    and conjugation rows."""
 
     def __init__(self, ring: RingStructure, cap: int = abelian.DEFAULT_ENUM_CAP):
         nilring.require_valid(ring, cap)
@@ -40,8 +41,7 @@ class Context:
         self.index = {e: i for i, e in enumerate(self.elements)}
         self._lambda_cache = {}
         self._alpha_cache = {}
-        self._lambda_zero = None  # (lam(gamma), lam(gamma)^{-1}(0)) per gamma
-        self._conjugates = {}
+        self._rows = {}
 
     def circle_translation_perm(self, gamma: Elem) -> Perm:
         """Left translation by gamma in (G, o): delta -> gamma o delta."""
@@ -62,23 +62,34 @@ class Context:
             )
         return self._alpha_cache[g]
 
-    def conjugates(self, g: Elem) -> tuple:
-        """(hs, oks) over gamma in `elements` order, built once per g: with
-        lam = lam(gamma), h is lam alpha(g) read at lam^{-1}(0), that is the
-        conjugate lam alpha(g) lam^{-1} at 0, and ok tells whether that
-        conjugate is alpha(h), that is whether lam alpha(g) = alpha(h) lam."""
-        if g not in self._conjugates:
-            if self._lambda_zero is None:
-                lams = map(self.circle_translation_perm, self.elements)
-                self._lambda_zero = [(lam, lam.index(0)) for lam in lams]
-            alpha = self.additive_translation_perm(g)
-            hs, oks = [], []
-            for lam, zero in self._lambda_zero:
-                left = perm_compose(lam, alpha)
+    @cached_property
+    def circle_generators(self) -> tuple:
+        """Indices of generators of (G, o), grown greedily: an element joins
+        when it lies outside the span of those before it, so at most
+        log_p |G| join.  The span grows by cosets under lam(gamma)."""
+        gens, span = [], {0}
+        for n, gamma in enumerate(self.elements):
+            if n not in span:
+                gens.append(n)
+                lam, coset = self.circle_translation_perm(gamma), span
+                while not (coset := {lam[x] for x in coset}) <= span:
+                    span |= coset
+        return tuple(gens)
+
+    def conjugation_row(self, n: int) -> tuple:
+        """(hs, oks) over g, built once per gamma = elements[n]: with lam =
+        lam(gamma), h is lam alpha(g) read at lam^{-1}(0), that is the conjugate
+        lam alpha(g) lam^{-1} at 0, and ok tells whether that conjugate is
+        alpha(h), that is whether lam alpha(g) = alpha(h) lam."""
+        if n not in self._rows:
+            lam = self.circle_translation_perm(self.elements[n])
+            zero, hs, oks = lam.index(0), [], []
+            for g in self.elements:
+                left = perm_compose(lam, self.additive_translation_perm(g))
                 hs.append(self.elements[left[zero]])
                 oks.append(left == perm_compose(self.additive_translation_perm(hs[-1]), lam))
-            self._conjugates[g] = (tuple(hs), tuple(oks))
-        return self._conjugates[g]
+            self._rows[n] = (tuple(hs), tuple(oks))
+        return self._rows[n]
 
 
 def perm_compose(f: Perm, g: Perm) -> Perm:
@@ -88,14 +99,14 @@ def perm_compose(f: Perm, g: Perm) -> Perm:
 
 def _conjugated_translation(ctx: Context, n: int, g: Elem) -> Elem:
     """`conjugated_translation` for gamma = ctx.elements[n], unchecked."""
-    hs, oks = ctx.conjugates(g)
-    gamma = ctx.elements[n]
+    hs, oks = ctx.conjugation_row(n)
+    gamma, i = ctx.elements[n], ctx.index[g]
     closed = abelian._add(ctx.spec, g, nilring._mul(ctx.ring, gamma, g))
-    if hs[n] != closed or not oks[n]:
+    if hs[i] != closed or not oks[i]:
         raise TheoremViolation(
             "conjugation of an additive translation is not the predicted translation",
             witness={"gamma": list(gamma), "g": list(g),
-                     "permutation_path": list(hs[n]), "closed_form": list(closed)},
+                     "permutation_path": list(hs[i]), "closed_form": list(closed)},
         )
     return closed
 
@@ -148,18 +159,18 @@ def holomorph_conjugation_report(ctx: Context) -> dict:
 
 def invariant_subgroups(ctx: Context) -> list:
     """Additive subgroups J whose translation image is stable under conjugation
-    by every circle translation, computed by literal permutation conjugation
-    (the `Context.conjugates` table)."""
-    out = []
-    for sub in abelian.enumerate_subgroups(ctx.spec, ctx.cap):
-        members = set(sub.elements)
-        for g in sub.elements:
-            hs, oks = ctx.conjugates(g)
-            if not all(oks) or not members.issuperset(hs):
-                break
-        else:
-            out.append(sub)
-    return out
+    by every circle translation, canonically sorted.  lam is a homomorphism on
+    (G, o), so the circle generators suffice.  Each one's row of literal
+    conjugates gives `abelian.walk_subgroups` the map g -> h - g = gamma * g, a
+    nilpotent endomorphism, so the walk is complete.  A g whose conjugate is
+    no translation maps to None, which lies in no J."""
+    spec, elems = ctx.spec, ctx.elements
+    maps = []
+    for hs, oks in map(ctx.conjugation_row, ctx.circle_generators):
+        maps.append({g: abelian._add(spec, h, abelian._scalar_mul(spec, -1, g)) if ok else None
+                     for g, h, ok in zip(elems, hs, oks)}.__getitem__)
+    found = abelian.walk_subgroups(elems, partial(abelian._add, spec), spec.zero(), spec.p, maps)
+    return sorted((abelian.subgroup_from_elements(spec, e) for e in found), key=Subgroup.sort_key)
 
 
 def circle_subgroup_count(ctx: Context) -> int:

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from hopfgal import cli
+from hopfgal import cli, nilring
 
 
 def run_cli(*argv):
@@ -73,6 +73,21 @@ def test_verify_cyclic_all_d():
     payload = json.loads(result.stdout)
     assert payload["d_count"] == 9
     assert all(r["strong_ftgt"] for r in payload["rows"])
+
+
+def test_verify_cyclic_walks_the_ideals_once_per_structure(monkeypatch):
+    # per structure: the explicit validation, the Context's, and the one
+    # ideal walk of its lattice report, which is compared with the subgroups
+    def counted(name):
+        original, seen = getattr(nilring, name), []
+        monkeypatch.setattr(nilring, name, lambda A: seen.append(A) or original(A))
+        return seen
+
+    validations, walks = counted("validate"), counted("_ideals")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["verify", "cyclic", "--p", "3", "--n", "3", "--all-d"]) == cli.EXIT_OK
+    assert len(walks) == 9
+    assert len(validations) == 18
 
 
 def test_verify_cyclic_leaves_args_unchanged():

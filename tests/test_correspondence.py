@@ -118,8 +118,7 @@ PERM_REASON = "conjugation of an additive translation is not the predicted trans
 
 def test_conjugation_report_permutation_failures():
     # the stand-in lam((0,)) of the test above: every conjugate of alpha(g),
-    # g != 0, by it fails on the permutation side, and the invariant side
-    # reads the same conjugates, so only the zero subgroup is invariant
+    # g != 0, by it fails on the permutation side
     ctx = Context(trivial_structure(GroupSpec(2, (3,))))
     ctx._lambda_cache[(0,)] = (0, 1, 4, 3, 2, 5, 6, 7)
     report = holomorph_conjugation_report(ctx)
@@ -127,6 +126,13 @@ def test_conjugation_report_permutation_failures():
     assert report["failures"] == [
         {"gamma": [0], "g": [g], "reason": PERM_REASON} for g in range(1, 8)
     ]
+    # the invariant side conjugates by the circle generators only, here (1,);
+    # with the images of 2 and 4 under lam((1,)) swapped, the conjugate of
+    # alpha(4) sends 0 to 4 but is no translation, so only the zero subgroup
+    # is invariant (taken as alpha(4), it would leave {0, 4} invariant)
+    ctx = Context(trivial_structure(GroupSpec(2, (3,))))
+    assert ctx.circle_generators == (1,)
+    ctx._lambda_cache[(1,)] = (1, 2, 5, 4, 3, 6, 7, 0)
     assert [s.elements for s in invariant_subgroups(ctx)] == [((0,),)]
 
 
@@ -346,6 +352,21 @@ def test_each_pair_is_conjugated_once(monkeypatch):
     assert not holomorph_conjugation_report(ctx)["failures"]
     assert len(composes) <= order
     assert len(perm_composes) == 2 * order**2
+
+
+def test_lattice_side_conjugates_by_the_circle_generators_only(monkeypatch):
+    # the invariant side conjugates every alpha(g) by lam(gamma) for the k
+    # circle generators gamma only, k <= log_3 |G| = 5: two permutation
+    # composes per (gamma, g), at most 2 * 5 * 243 = 2430 (2 |G|^2 = 118098
+    # for the full table)
+    ctx = Context(primitive_structure(3, 5))
+    order = ctx.spec.order
+    perm_composes = _counted(monkeypatch, correspondence, "perm_compose")
+    lattice_report(ctx)
+    assert len(perm_composes) <= 2 * 5 * order
+    k = len(ctx.circle_generators)
+    assert 1 <= k <= 5
+    assert len(perm_composes) == 2 * k * order
 
 
 def test_each_map_is_scanned_once(monkeypatch):

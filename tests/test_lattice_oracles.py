@@ -1,6 +1,8 @@
 """The lattice walk and the circle type against oracles that share no code
 with them: brute force over all element subsets, Birkhoff's closed form for
-subgroup counts, and the full-table type check of `isomorphism_type`."""
+subgroup counts, and the full-table type check of `isomorphism_type`.  The
+invariant side's walk over the circle generators is also checked against
+the filter of every additive subgroup through the full conjugation table."""
 
 import itertools
 from functools import partial
@@ -9,7 +11,12 @@ import pytest
 
 from hopfgal import nilring
 from hopfgal.abelian import GroupSpec, add, enumerate_subgroups, isomorphism_type
-from hopfgal.correspondence import Context, circle_subgroup_count
+from hopfgal.correspondence import (
+    Context,
+    circle_subgroup_count,
+    invariant_subgroups,
+    klein_four_fixture,
+)
 from hopfgal.errors import InputError
 from hopfgal.nilring import (
     circle,
@@ -60,6 +67,69 @@ def brute_force_circle_subgroup_count(A):
         for s in subsets_with_zero(A.spec)
         if all(table[a, b] in s for a in s for b in s)
     )
+
+
+def brute_force_invariant_subgroups(A):
+    """Subsets containing 0 closed under add whose translations are stable
+    under conjugation by lam(gamma), the circle translation, for every gamma:
+    lam(gamma) alpha(g) lam(gamma)^{-1} must be alpha(h) with h in the subset."""
+    spec = A.spec
+    elems = list(spec.elements())
+    plus = {(a, b): add(spec, a, b) for a in elems for b in elems}
+    conjugates = {}  # (gamma, g) -> h, or None if the conjugate is no translation
+    for gamma in elems:
+        lam = {x: circle(A, gamma, x) for x in elems}
+        lam_inv = {y: x for x, y in lam.items()}
+        for g in elems:
+            image = {x: lam[plus[g, lam_inv[x]]] for x in elems}
+            h = image[elems[0]]
+            translation = all(image[x] == plus[h, x] for x in elems)
+            conjugates[gamma, g] = h if translation else None
+    return {
+        s
+        for s in subsets_with_zero(spec)
+        if all(plus[a, b] in s for a in s for b in s)
+        and all(conjugates[gamma, g] in s for gamma in elems for g in s)
+    }
+
+
+def full_table_invariant_subgroups(ctx):
+    """Every additive subgroup, kept when each member's conjugate by every
+    circle translation, read off the full conjugation table, is a translation
+    by a member."""
+    rows = [ctx.conjugation_row(n) for n in range(len(ctx.elements))]
+    out = []
+    for sub in enumerate_subgroups(ctx.spec):
+        members = set(sub.elements)
+        if all(oks[ctx.index[g]] and hs[ctx.index[g]] in members
+               for hs, oks in rows for g in sub.elements):
+            out.append(sub)
+    return out
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=str)
+def test_invariant_subgroups_match_brute_force(spec):
+    for A in enumerate_structures(spec):
+        subs = invariant_subgroups(Context(A))
+        assert len(subs) == len(brute_force_invariant_subgroups(A))
+        assert {frozenset(s.elements) for s in subs} == brute_force_invariant_subgroups(A)
+
+
+def test_fixture_invariant_subgroups_match_brute_force():
+    ctx = klein_four_fixture()
+    subs = invariant_subgroups(ctx)
+    assert {frozenset(s.elements) for s in subs} == brute_force_invariant_subgroups(ctx.ring)
+    assert len(subs) == 3
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ORACLE_SPECS + [GroupSpec(2, (2, 1)), GroupSpec(2, (1, 1, 1)), GroupSpec(2, (2, 2))],
+    ids=str,
+)
+def test_invariant_subgroups_match_full_table(spec):
+    for A in enumerate_structures(spec):
+        assert invariant_subgroups(Context(A)) == full_table_invariant_subgroups(Context(A))
 
 
 @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=str)
