@@ -7,6 +7,8 @@ pure function on immutable values; outputs are canonically ordered so
 runs are deterministic and diffable.
 The public ops check their arguments and call the unchecked kernel
 (`_add`, `_scalar_mul`), which the package runs on its own elements.
+An element's index is its position in `GroupSpec.elements()`; the index
+tables of `_translation_perm` and `_linear_table` are built per coordinate.
 """
 
 from __future__ import annotations
@@ -89,9 +91,18 @@ class GroupSpec:
     def reduce_coords(self, coords) -> Elem:
         return tuple(int(c) % m for c, m in zip(coords, self.moduli))
 
-    def elements(self):
-        """All elements in lexicographic coordinate order."""
-        return itertools.product(*[range(m) for m in self.moduli])
+    @cached_property
+    def _elements(self) -> tuple:
+        return tuple(itertools.product(*map(range, self.moduli)))
+
+    @cached_property
+    def element_index(self) -> dict:
+        return {x: n for n, x in enumerate(self._elements)}
+
+    def elements(self) -> tuple:
+        """All elements in lexicographic coordinate order: one tuple, built on
+        first use and kept on the spec, outside the dataclass fields."""
+        return self._elements
 
     def check_elem(self, a: Elem) -> None:
         if len(a) != self.rank:
@@ -116,6 +127,23 @@ def _add(spec: GroupSpec, a: Elem, b: Elem) -> Elem:
 
 def _scalar_mul(spec: GroupSpec, m: int, a: Elem) -> Elem:
     return tuple((m * x) % mod for x, mod in zip(a, spec.moduli))
+
+
+def _translation_perm(spec: GroupSpec, g: Elem) -> tuple:
+    """The index permutation of x -> g + x: coordinate i of g + x depends on
+    x_i alone, so one product of the shifted ranges lists the images in order."""
+    shifted = [[(gi + t) % mod for t in range(mod)] for gi, mod in zip(g, spec.moduli)]
+    return tuple(map(spec.element_index.__getitem__, itertools.product(*shifted)))
+
+
+def _linear_table(spec: GroupSpec, m) -> tuple:
+    """The index table of x -> m(x), m well defined: coordinate i of m(x) is
+    sum_j m_ij x_j mod m_i, for every x at once from one product per row."""
+    coords = []
+    for row, mod in zip(m, spec.moduli):
+        multiples = [[c * t for t in range(mj)] for c, mj in zip(row, spec.moduli)]
+        coords.append(map(operator.mod, map(sum, itertools.product(*multiples)), itertools.repeat(mod)))
+    return tuple(map(spec.element_index.__getitem__, zip(*coords)))
 
 
 def add(spec: GroupSpec, a: Elem, b: Elem) -> Elem:
@@ -262,7 +290,7 @@ def enumerate_subgroups(spec: GroupSpec, cap: int = DEFAULT_ENUM_CAP) -> list:
     """
     if spec.order > cap:
         raise CapExceeded(f"|G| = {spec.order} exceeds enumeration cap {cap}")
-    found = walk_subgroups(list(spec.elements()), partial(_add, spec), spec.zero(), spec.p)
+    found = walk_subgroups(spec.elements(), partial(_add, spec), spec.zero(), spec.p)
     subs = [subgroup_from_elements(spec, e) for e in found]
     subs.sort(key=Subgroup.sort_key)
     return subs

@@ -274,33 +274,21 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _subfield_count(A, cap_enum):
-    """Subgroup count of the circle group, with the counting method used.
-
-    Elementary abelian circle groups use the exact subspace-count
-    formula; others are counted by the lattice walk under the circle
-    operation.
-    """
-    cg = nilring.circle_group(A, cap_enum)
-    if cg.invariants and all(e == 1 for e in cg.invariants):
-        count = 1 + correspondence.gaussian_subspace_count(A.spec.p, len(cg.invariants))
-        return count, "formula", cg
-    return correspondence.circle_subgroup_count(Context(A, cap_enum)), "enumeration", cg
-
-
 def cmd_report(args) -> int:
     rows = []
     for label, A in _resolve_structures(args, args.family, cyclic_n=args.family is not None and args.family.startswith("cyclic")):
-        ideal_list = nilring.ideals(A, args.cap_enum)
-        subfields, method, cg = _subfield_count(A, args.cap_enum)
+        ctx = Context(A, args.cap_enum)
+        ideal_list = nilring._ideals(A)
+        subfields = correspondence.circle_subgroup_count(ctx)
         rows.append(
             {
                 "family": label,
                 "spec": A.spec.to_json(),
-                "circle_type": list(cg.invariants),
+                "circle_type": list(ctx.circle_type),
                 "subhopf_count": len(ideal_list),
                 "subfield_count": subfields,
-                "count_method": method,
+                # circle_subgroup_count's closed form covers elementary abelian (G, o)
+                "count_method": "formula" if set(ctx.circle_type) == {1} else "enumeration",
                 "strong_ftgt": len(ideal_list) == subfields,
             }
         )

@@ -29,19 +29,17 @@ Perm = tuple
 
 class Context:
     """The per-structure model: a valid structure, the enumeration cap every
-    computation on it obeys, and lazily cached permutations, circle generators
-    and conjugation rows."""
+    computation on it obeys, and lazily cached permutations, circle type,
+    circle generators and conjugation rows."""
 
     def __init__(self, ring: RingStructure, cap: int = abelian.DEFAULT_ENUM_CAP):
         nilring.require_valid(ring, cap)
         self.ring = ring
         self.spec = ring.spec
         self.cap = cap
-        self.elements = tuple(self.spec.elements())
-        self.index = {e: i for i, e in enumerate(self.elements)}
-        self._lambda_cache = {}
-        self._alpha_cache = {}
-        self._rows = {}
+        self.elements = self.spec.elements()
+        self.index = self.spec.element_index
+        self._lambda_cache, self._alpha_cache, self._rows = {}, {}, {}
 
     def circle_translation_perm(self, gamma: Elem) -> Perm:
         """Left translation by gamma in (G, o): delta -> gamma o delta."""
@@ -57,10 +55,13 @@ class Context:
         """Translation by g in (G, +), regarded as a permutation of the set."""
         if g not in self._alpha_cache:
             self.spec.check_elem(g)
-            self._alpha_cache[g] = tuple(
-                self.index[abelian._add(self.spec, g, d)] for d in self.elements
-            )
+            self._alpha_cache[g] = abelian._translation_perm(self.spec, g)
         return self._alpha_cache[g]
+
+    @cached_property
+    def circle_type(self) -> tuple:
+        """Cyclic invariants of (G, o), from `nilring._circle_group`."""
+        return nilring._circle_group(self.ring).invariants
 
     @cached_property
     def circle_generators(self) -> tuple:
@@ -128,23 +129,30 @@ def holomorph_conjugation_report(ctx: Context) -> dict:
     For each (gamma, g): conjugating the additive translation by g with
     the circle translation by gamma must give an additive translation by
     the same h on both levels.  Per gamma, beta = tau(gamma), its inverse and
-    the linear part M_beta M_beta^{-1} of every conjugate are built once; per
-    g only the translation part beta(g + beta^{-1}(0)), read through beta's
-    `linear_images` (the scan of tau's invertibility check).  Returns the
-    failures.
+    the linear part M_beta M_beta^{-1} of every conjugate are built once, and
+    the translation parts beta(g + beta^{-1}(0)) of all g are composed from
+    index tables.  They, gamma's conjugation row and the closed form g + gamma*g
+    are compared as whole tuples; only a gamma where they disagree is checked
+    pair by pair, for the failure records.  Returns the failures.
     """
-    spec = ctx.spec
+    spec, elems = ctx.spec, ctx.elements
     failures = []
-    for n, gamma in enumerate(ctx.elements):
+    for n, gamma in enumerate(elems):
         beta = holomorph.tau(ctx.ring, gamma)
         beta_inv = holomorph.inverse(beta)
         if not holomorph.compose(beta, beta_inv).is_translation():
             reason = "holomorph conjugate is not a translation"
-            failures += [{"gamma": list(gamma), "g": list(g), "reason": reason} for g in ctx.elements]
+            failures += [{"gamma": list(gamma), "g": list(g), "reason": reason} for g in elems]
             continue
-        images = beta.linear_images
-        for g in ctx.elements:
-            h_hol = abelian._add(spec, beta.a, images[abelian._add(spec, g, beta_inv.a)])
+        # beta.a + M_beta(g + beta^{-1}(0)) for every g, composed on indices
+        h_index = map(abelian._translation_perm(spec, beta.a).__getitem__,
+                      map(beta.linear_table.__getitem__, abelian._translation_perm(spec, beta_inv.a)))
+        hol = tuple(map(elems.__getitem__, h_index))
+        hs, oks = ctx.conjugation_row(n)
+        closed = tuple(abelian._add(spec, g, nilring._mul(ctx.ring, gamma, g)) for g in elems)
+        if hol == hs == closed and all(oks):
+            continue
+        for g, h_hol in zip(elems, hol):
             try:
                 h_perm = _conjugated_translation(ctx, n, g)
             except TheoremViolation as exc:
@@ -174,8 +182,12 @@ def invariant_subgroups(ctx: Context) -> list:
 
 
 def circle_subgroup_count(ctx: Context) -> int:
-    """Number of subgroups of (G, o), by the lattice walk of
-    `abelian.walk_subgroups` under the circle operation."""
+    """Number of subgroups of (G, o): 1 + `gaussian_subspace_count` if its type
+    is elementary abelian, else the lattice walk of `abelian.walk_subgroups`
+    under the circle operation."""
+    rank = len(ctx.circle_type)
+    if ctx.circle_type == (1,) * rank:
+        return 1 + gaussian_subspace_count(ctx.spec.p, rank)
     return len(abelian.walk_subgroups(
         ctx.elements, partial(nilring._circle, ctx.ring), ctx.spec.zero(), ctx.spec.p
     ))
@@ -241,14 +253,13 @@ def lattice_report(ctx: Context) -> LatticeReport:
             witness={"structure": ctx.ring.to_json()},
         )
     gamma_count = circle_subgroup_count(ctx)
-    cg = nilring._circle_group(ctx.ring)
     return LatticeReport(
         ideals=tuple(ideal_list),
         invariant_subgroups=tuple(inv_list),
         inclusion_edges=ideal_edges,
         gamma_subgroup_count=gamma_count,
         strong_ftgt=(len(ideal_list) == gamma_count),
-        circle_type=cg.invariants,
+        circle_type=ctx.circle_type,
     )
 
 

@@ -6,8 +6,9 @@ embedding of the circle group into Hol(G), both directions of the
 structure/regular-subgroup correspondence, and brute-force regular
 subgroup enumeration for tiny holomorphs.  `AffineMap.apply`, `tau`,
 `translation` and `affine_map` check their elements; the rest is unchecked.
-Each map is scanned over G once, on first use: `AffineMap.linear_images`
-serves `is_invertible`, `inverse` and the index permutations.
+Each map tabulates its linear part on element indices once, on first use:
+`AffineMap.linear_table` serves `_apply`, `is_invertible`, `inverse` and
+the index permutations.
 """
 
 from __future__ import annotations
@@ -34,11 +35,13 @@ class AffineMap:
     m: tuple  # k x k tuple of rows of ints
 
     def _apply(self, x: Elem) -> Elem:
-        return abelian._add(self.spec, self.a, self.linear_apply(x))
+        """a + m(x), read off `linear_table`; `apply` evaluates the matrix."""
+        spec = self.spec
+        return abelian._add(spec, self.a, spec.elements()[self.linear_table[spec.element_index[x]]])
 
     def apply(self, x: Elem) -> Elem:
         self.spec.check_elem(x)
-        return self._apply(x)
+        return abelian._add(self.spec, self.a, self.linear_apply(x))
 
     def linear_apply(self, x: Elem) -> Elem:
         return tuple(
@@ -47,10 +50,10 @@ class AffineMap:
         )
 
     @cached_property
-    def linear_images(self) -> dict:
-        """x -> m(x) for every x in spec.elements() order, from one scan made
-        on first use and kept on the map, outside the dataclass fields."""
-        return {x: self.linear_apply(x) for x in self.spec.elements()}
+    def linear_table(self) -> tuple:
+        """The index of m(x) for each x in spec.elements() order, built on first
+        use and kept on the map, outside the dataclass fields."""
+        return abelian._linear_table(self.spec, self.m)
 
     def is_translation(self) -> bool:
         return self.m == _identity_matrix(self.spec)
@@ -104,8 +107,8 @@ def translation(spec: GroupSpec, g: Elem) -> AffineMap:
 
 
 def is_invertible(f: AffineMap) -> bool:
-    """Bijectivity of the linear part, by image enumeration."""
-    return len(set(f.linear_images.values())) == f.spec.order
+    """Bijectivity of the linear part, by counting its image indices."""
+    return len(set(f.linear_table)) == f.spec.order
 
 
 def compose(f: AffineMap, g: AffineMap) -> AffineMap:
@@ -122,30 +125,22 @@ def compose(f: AffineMap, g: AffineMap) -> AffineMap:
 
 
 def inverse(f: AffineMap) -> AffineMap:
-    """Inverse map x -> m^{-1}(x - a); requires an invertible linear part."""
+    """Inverse map x -> m^{-1}(x - a); requires an invertible linear part.  The
+    preimages of the generators and of a are read off the linear table."""
     spec = f.spec
-    preimage = {y: x for x, y in f.linear_images.items()}
-    if len(preimage) != spec.order:
+    if not is_invertible(f):
         raise InputError("linear part is not invertible")
-    k = spec.rank
-    cols = [preimage[b] for b in spec.basis()]
-    minv = tuple(tuple(cols[j][i] for j in range(k)) for i in range(k))
-    a_inv = abelian._scalar_mul(spec, -1, preimage[f.a])
-    return AffineMap(spec, a_inv, _reduce_matrix(spec, minv))
+    elems, index, table = spec.elements(), spec.element_index, f.linear_table
+    *cols, a = [elems[table.index(index[y])] for y in spec.basis() + [f.a]]
+    return AffineMap(spec, abelian._scalar_mul(spec, -1, a), _reduce_matrix(spec, zip(*cols)))
 
 
 def tau(A: RingStructure, g: Elem) -> AffineMap:
     """The affine map x -> g o x realizing left circle translation by g."""
     spec = A.spec
     spec.check_elem(g)
-    k = spec.rank
-    basis = spec.basis()
-    cols = [
-        abelian._add(spec, basis[j], nilring._mul(A, g, basis[j]))
-        for j in range(k)
-    ]
-    m = tuple(tuple(cols[j][i] for j in range(k)) for i in range(k))
-    f = AffineMap(spec, g, _reduce_matrix(spec, m))
+    cols = [abelian._add(spec, b, nilring._mul(A, g, b)) for b in spec.basis()]
+    f = AffineMap(spec, g, _reduce_matrix(spec, zip(*cols)))
     if not is_invertible(f):
         raise InputError(f"circle translation by {g} is not invertible: invalid structure")
     return f
@@ -182,17 +177,14 @@ def _index_perms(spec: GroupSpec, maps) -> list:
     """Each map x -> a + m(x) as an index permutation: the tuple of the
     indices, in spec.elements() order, of its images of the elements.
     It is translation by a after m; each a and each m is tabulated once,
-    m from the `linear_images` of the first map that has it.
+    m by the `linear_table` of the first map that has it.
     """
-    elements = list(spec.elements())
-    index = {x: n for n, x in enumerate(elements)}
-    linear, shift = {}, {}
-    out = []
+    linear, shift, out = {}, {}, []
     for f in maps:
         if f.m not in linear:
-            linear[f.m] = tuple(map(index.__getitem__, f.linear_images.values()))
+            linear[f.m] = f.linear_table
         if f.a not in shift:
-            shift[f.a] = tuple(index[abelian._add(spec, f.a, x)] for x in elements)
+            shift[f.a] = abelian._translation_perm(spec, f.a)
         out.append(_perm_compose(shift[f.a], linear[f.m]))
     return out
 
@@ -311,9 +303,8 @@ def enumerate_automorphisms(spec: GroupSpec) -> list:
             col_ranges.append(range(0, spec.moduli[i], step))
     out = []
     for flat in itertools.product(*col_ranges):
-        m = tuple(tuple(flat[i * k + j] for j in range(k)) for i in range(k))
-        f = AffineMap(spec, spec.zero(), m)
-        if is_invertible(f):
+        m = tuple(flat[i * k:(i + 1) * k] for i in range(k))
+        if is_invertible(AffineMap(spec, spec.zero(), m)):
             out.append(m)
     return out
 

@@ -250,7 +250,7 @@ def circle_group(A: RingStructure, cap: int = abelian.DEFAULT_ENUM_CAP) -> Circl
 
 
 def _circle_group(A: RingStructure) -> CircleGroup:
-    inv = abelian.power_type(list(A.spec.elements()), partial(_circle, A), A.spec.p)
+    inv = abelian.power_type(A.spec.elements(), partial(_circle, A), A.spec.p)
     return CircleGroup(A.spec, tuple(inv))
 
 
@@ -268,7 +268,7 @@ def _ideals(A: RingStructure) -> list:
     spec = A.spec
     maps = [partial(_mul, A, b) for b in spec.basis()]
     found = abelian.walk_subgroups(
-        list(spec.elements()), partial(abelian._add, spec), spec.zero(), spec.p, maps
+        spec.elements(), partial(abelian._add, spec), spec.zero(), spec.p, maps
     )
     return sorted((abelian.subgroup_from_elements(spec, e) for e in found),
                   key=Subgroup.sort_key)

@@ -301,17 +301,17 @@ def test_is_abelian_on_sets_that_are_not_closed():
 
 
 def test_linear_image_scan_does_not_change_identity():
-    # the scan is kept on the map after first use; equality, hashing and
-    # set membership ignore it, and both maps act the same
+    # the linear table is kept on the map after first use; equality, hashing
+    # and set membership ignore it, and both maps act the same
     A = primitive_structure(3, 2)
     scanned = tau(A, (1, 2))
     fresh = AffineMap(scanned.spec, scanned.a, scanned.m)
     assert is_invertible(scanned)
-    assert "linear_images" in vars(scanned) and "linear_images" not in vars(fresh)
+    assert "linear_table" in vars(scanned) and "linear_table" not in vars(fresh)
     assert scanned == fresh and hash(scanned) == hash(fresh)
     assert fresh in {scanned} and scanned in {fresh} and len({scanned, fresh}) == 1
     assert scanned.to_json() == fresh.to_json()
     for x in itertools.product(range(3), range(3)):
         assert scanned.apply(x) == fresh.apply(x) == _image(fresh, x)
     assert inverse(scanned) == inverse(fresh)
-    assert "linear_images" in vars(fresh)
+    assert "linear_table" in vars(fresh)

@@ -1,8 +1,10 @@
 """The lattice walk and the circle type against oracles that share no code
 with them: brute force over all element subsets, Birkhoff's closed form for
-subgroup counts, and the full-table type check of `isomorphism_type`.  The
-invariant side's walk over the circle generators is also checked against
-the filter of every additive subgroup through the full conjugation table."""
+subgroup counts, and counts of the solutions of x^(p^k) = e.  The circle
+type is also checked against the full-table type check of
+`isomorphism_type`, which reads the invariants with the same `power_type`.
+The invariant side's walk over the circle generators is checked against the
+filter of every additive subgroup through the full conjugation table."""
 
 import itertools
 from functools import partial
@@ -160,6 +162,37 @@ def test_circle_type_matches_full_table(spec):
     for A in enumerate_structures(spec):
         expected = isomorphism_type(elems, partial(circle, A))
         assert circle_group(A).invariants == tuple(expected)
+
+
+def circle_type_from_omega(A):
+    """Invariants of (G, o) from |Omega_k| = #{x : x^(p^k) = e} =
+    p^(sum_i min(e_i, k)): the number of invariants >= k is
+    log_p |Omega_k| - log_p |Omega_(k-1)|."""
+    p, elems = A.spec.p, list(A.spec.elements())
+    zero = elems[0]
+    powers, logs = list(elems), [0]  # powers[x] = x^(p^k)
+    while logs[-1] < A.spec.n:
+        nxt = []
+        for y in powers:
+            z = zero
+            for _ in range(p):
+                z = circle(A, z, y)
+            nxt.append(z)
+        powers = nxt
+        size, log = sum(1 for y in powers if y == zero), 0
+        while size > 1:
+            assert size % p == 0
+            size, log = size // p, log + 1
+        assert log > logs[-1], "no new solutions: not a p-group of the right order"
+        logs.append(log)
+    at_least = [b - a for a, b in zip(logs, logs[1:])]  # at_least[k-1] = #{i : e_i >= k}
+    return tuple(sum(1 for d in at_least if d >= i) for i in range(1, at_least[0] + 1))
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS + [GroupSpec(2, (2, 1))], ids=str)
+def test_circle_type_matches_omega_counts(spec):
+    for A in enumerate_structures(spec):
+        assert circle_group(A).invariants == circle_type_from_omega(A)
 
 
 def test_circle_type_needs_at_most_p_times_order_products(monkeypatch):
