@@ -39,7 +39,9 @@ class Context:
         self.cap = cap
         self.elements = self.spec.elements()
         self.index = self.spec.element_index
-        self._lambda_cache, self._alpha_cache, self._rows = {}, {}, {}
+        self._lambda_cache = {}
+        self._alpha_cache = {}
+        self._rows = {}
 
     def circle_translation_perm(self, gamma: Elem) -> Perm:
         """Left translation by gamma in (G, o): delta -> gamma o delta."""
@@ -185,9 +187,8 @@ def circle_subgroup_count(ctx: Context) -> int:
     """Number of subgroups of (G, o): 1 + `gaussian_subspace_count` if its type
     is elementary abelian, else the lattice walk of `abelian.walk_subgroups`
     under the circle operation."""
-    rank = len(ctx.circle_type)
-    if ctx.circle_type == (1,) * rank:
-        return 1 + gaussian_subspace_count(ctx.spec.p, rank)
+    if set(ctx.circle_type) == {1}:
+        return 1 + gaussian_subspace_count(ctx.spec.p, len(ctx.circle_type))
     return len(abelian.walk_subgroups(
         ctx.elements, partial(nilring._circle, ctx.ring), ctx.spec.zero(), ctx.spec.p
     ))

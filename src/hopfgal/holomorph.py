@@ -139,8 +139,14 @@ def tau(A: RingStructure, g: Elem) -> AffineMap:
     """The affine map x -> g o x realizing left circle translation by g."""
     spec = A.spec
     spec.check_elem(g)
-    cols = [abelian._add(spec, b, nilring._mul(A, g, b)) for b in spec.basis()]
-    f = AffineMap(spec, g, _reduce_matrix(spec, zip(*cols)))
+    k = spec.rank
+    basis = spec.basis()
+    cols = [
+        abelian._add(spec, basis[j], nilring._mul(A, g, basis[j]))
+        for j in range(k)
+    ]
+    m = tuple(tuple(cols[j][i] for j in range(k)) for i in range(k))
+    f = AffineMap(spec, g, _reduce_matrix(spec, m))
     if not is_invertible(f):
         raise InputError(f"circle translation by {g} is not invertible: invalid structure")
     return f
@@ -179,7 +185,8 @@ def _index_perms(spec: GroupSpec, maps) -> list:
     It is translation by a after m; each a and each m is tabulated once,
     m by the `linear_table` of the first map that has it.
     """
-    linear, shift, out = {}, {}, []
+    linear, shift = {}, {}
+    out = []
     for f in maps:
         if f.m not in linear:
             linear[f.m] = f.linear_table
@@ -303,8 +310,9 @@ def enumerate_automorphisms(spec: GroupSpec) -> list:
             col_ranges.append(range(0, spec.moduli[i], step))
     out = []
     for flat in itertools.product(*col_ranges):
-        m = tuple(flat[i * k:(i + 1) * k] for i in range(k))
-        if is_invertible(AffineMap(spec, spec.zero(), m)):
+        m = tuple(tuple(flat[i * k + j] for j in range(k)) for i in range(k))
+        f = AffineMap(spec, spec.zero(), m)
+        if is_invertible(f):
             out.append(m)
     return out
 
