@@ -1,18 +1,15 @@
 """The coordinate-wise index tables of `abelian` against element-wise scans
-written here, and the work the certification does with them: no affine map
-and no additive translation is tabulated one element at a time."""
+written here: additive translations, and matrices through `AffineMap`."""
 
 import itertools
 import random
 
 import pytest
 
-from hopfgal import abelian, correspondence, holomorph
+from hopfgal import abelian, holomorph
 from hopfgal.abelian import GroupSpec, add
-from hopfgal.correspondence import Context, holomorph_conjugation_report, lattice_report
 from hopfgal.errors import InputError
 from hopfgal.holomorph import AffineMap, inverse, is_invertible
-from hopfgal.nilring import make_structure, primitive_structure, trivial_structure
 
 CATALOGUE_GROUPS = (
     (2, (1, 1)), (2, (2,)), (2, (3,)), (3, (2,)), (3, (1, 1)), (2, (2, 1)),
@@ -82,63 +79,3 @@ def test_every_matrix_matches_element_scan(spec):
             with pytest.raises(InputError):
                 inverse(f)
     assert invertible == holomorph.automorphism_count(spec)
-
-
-def _c4c4_context():
-    # b0 * b0 = b1 on C4 x C4
-    spec = GroupSpec(2, (2, 2))
-    return Context(make_structure(spec, (((0, 1), (0, 0)), ((0, 0), (0, 0)))))
-
-
-def _counted(monkeypatch, owner, name):
-    calls = []
-    original = getattr(owner, name)
-
-    def counted(*args):
-        calls.append(None)
-        return original(*args)
-
-    monkeypatch.setattr(owner, name, counted)
-    return calls
-
-
-def test_certification_tabulates_no_map_element_by_element(monkeypatch):
-    # the conjugation report and the round trip evaluate affine maps through
-    # their index tables only: no linear_apply call, where one scan per map
-    # makes at least 2 |G|^2 = 512
-    ctx = _c4c4_context()
-    scans = _counted(monkeypatch, AffineMap, "linear_apply")
-    assert not holomorph_conjugation_report(ctx)["failures"]
-    T = holomorph.regular_subgroup_from_ring(ctx.ring)
-    assert holomorph.ring_from_regular_subgroup(T) == ctx.ring
-    assert scans == []
-
-
-def test_additive_translations_are_tabulated_without_the_kernel(monkeypatch):
-    # |G| additive translations with no abelian._add call (|G|^2 = 256 by scan)
-    ctx = _c4c4_context()
-    adds = _counted(monkeypatch, abelian, "_add")
-    perms = [ctx.additive_translation_perm(g) for g in ctx.elements]
-    assert adds == []
-    assert sorted(p[0] for p in perms) == list(range(ctx.spec.order))
-
-
-def test_conjugation_report_reads_the_row_checks():
-    # a conjugation row whose h all match the closed form, with one conjugate
-    # marked as no translation: the report must not pass gamma as a whole
-    ctx = Context(primitive_structure(3, 2))
-    n, i = 4, 5
-    hs, oks = ctx.conjugation_row(n)
-    ctx._rows[n] = (hs, oks[:i] + (False,) + oks[i + 1:])
-    report = holomorph_conjugation_report(ctx)
-    assert report["failures"] == [{
-        "gamma": list(ctx.elements[n]), "g": list(ctx.elements[i]),
-        "reason": "conjugation of an additive translation is not the predicted translation"}]
-
-
-def test_lattice_report_counts_elementary_circle_groups_in_closed_form(monkeypatch):
-    # (G, o) elementary abelian: 1 + gaussian_subspace_count, no circle walk
-    walks = _counted(monkeypatch, abelian, "walk_subgroups")
-    report = lattice_report(Context(trivial_structure(GroupSpec(3, (1, 1, 1)))))
-    assert report.gamma_subgroup_count == 1 + correspondence.gaussian_subspace_count(3, 3) == 28
-    assert len(walks) == 2  # the ideal side and the invariant side
