@@ -76,12 +76,14 @@ def _resolve_structures(args, family, cyclic_n=False):
     if family == "trivial":
         return [("trivial", nilring.trivial_structure(_parse_spec(args, cyclic_n)))]
     if family == "primitive":
-        if args.n is None:
-            raise InputError("primitive family requires --n")
+        if args.p is None or args.n is None:
+            raise InputError("primitive family requires --p and --n")
         return [("primitive", nilring.primitive_structure(args.p, args.n, args.cap_enum))]
     if family is not None and family.startswith("cyclic"):
-        if args.n is None:
-            raise InputError("cyclic family requires --n")
+        if args.p is None or args.n is None:
+            raise InputError("cyclic family requires --p and --n")
+        if args.n < 1:
+            raise InputError("n must be >= 1")
         if ":" in family:
             ds = [_parse_int(family.split(":", 1)[1], "cyclic family parameter d")]
         elif args.all_d:
@@ -193,7 +195,7 @@ def _verify_primitive(args) -> dict:
     if args.p is None or args.n is None:
         raise InputError("primitive verification requires --p and --n")
     A = nilring.primitive_structure(args.p, args.n, args.cap_enum)
-    ideal_list = nilring.ideals(A, args.cap_enum)
+    ideal_list = correspondence.ideals(Context(A, args.cap_enum))
     sizes = [s.size for s in ideal_list]
     chain = all(
         set(a.elements) <= set(b.elements)
@@ -217,12 +219,17 @@ def _verify_primitive(args) -> dict:
 def _verify_cyclic(args) -> dict:
     if args.p is None or args.n is None:
         raise InputError("cyclic verification requires --p and --n")
+    if args.p == 2:
+        raise InputError("cyclic verification requires an odd prime")
     spec = GroupSpec(args.p, (args.n,))
     subgroups = abelian.enumerate_subgroups(spec, args.cap_enum)
     sub_sets = [s.elements for s in subgroups]
     rows = []
     family = "cyclic" if args.family is None else args.family
-    for label, A in _resolve_structures(args, family, cyclic_n=True):
+    structures = _resolve_structures(args, family, cyclic_n=True)
+    if any(A.spec != spec for _, A in structures):
+        raise InputError(f"cyclic verification requires structures on Z/p^n = {spec}")
+    for label, A in structures:
         if nilring.validate(A):
             raise TheoremViolation("cyclic-family structure failed validation",
                                    witness=A.to_json())
@@ -278,7 +285,7 @@ def cmd_report(args) -> int:
     rows = []
     for label, A in _resolve_structures(args, args.family, cyclic_n=args.family is not None and args.family.startswith("cyclic")):
         ctx = Context(A, args.cap_enum)
-        ideal_list = nilring._ideals(A)
+        ideal_list = correspondence.ideals(ctx)
         subfields = correspondence.circle_subgroup_count(ctx)
         rows.append(
             {

@@ -20,7 +20,7 @@ from functools import cached_property, partial
 
 from . import abelian, holomorph, nilring
 from .abelian import Elem, GroupSpec, Subgroup
-from .errors import InputError, TheoremViolation
+from .errors import CapExceeded, InputError, TheoremViolation
 from .nilring import RingStructure
 
 # permutations of G are dense index tables over the canonical element order
@@ -28,15 +28,18 @@ Perm = tuple
 
 
 class Context:
-    """The per-structure model: a valid structure, the enumeration cap every
-    computation on it obeys, and lazily cached permutations, circle type,
-    circle generators and conjugation rows."""
+    """The per-structure model, and the one place a structure is capped
+    (before any validation work) and validated for lattice work; it caches
+    permutations, circle type, circle generators and conjugation rows."""
 
     def __init__(self, ring: RingStructure, cap: int = abelian.DEFAULT_ENUM_CAP):
-        nilring.require_valid(ring, cap)
+        if ring.spec.order > cap:
+            raise CapExceeded(f"|G| = {ring.spec.order} exceeds enumeration cap {cap}")
+        violations = nilring.validate(ring)
+        if violations:
+            raise InputError(f"invalid structure: {violations[0].axiom}")
         self.ring = ring
         self.spec = ring.spec
-        self.cap = cap
         self.elements = self.spec.elements()
         self.index = self.spec.element_index
         self._lambda_cache = {}
@@ -62,8 +65,10 @@ class Context:
 
     @cached_property
     def circle_type(self) -> tuple:
-        """Cyclic invariants of (G, o), from `nilring._circle_group`."""
-        return nilring._circle_group(self.ring).invariants
+        """Cyclic invariants of (G, o), from the iterated circle p-th power
+        map (`abelian.power_type`): at most p |G| circle products, no table."""
+        return tuple(abelian.power_type(self.elements, partial(nilring._circle, self.ring),
+                                        self.spec.p))
 
     @cached_property
     def circle_generators(self) -> tuple:
@@ -100,18 +105,7 @@ def perm_compose(f: Perm, g: Perm) -> Perm:
     return tuple(map(f.__getitem__, g))
 
 
-def _conjugated_translation(ctx: Context, n: int, g: Elem) -> Elem:
-    """`conjugated_translation` for gamma = ctx.elements[n], unchecked."""
-    hs, oks = ctx.conjugation_row(n)
-    gamma, i = ctx.elements[n], ctx.index[g]
-    closed = abelian._add(ctx.spec, g, nilring._mul(ctx.ring, gamma, g))
-    if hs[i] != closed or not oks[i]:
-        raise TheoremViolation(
-            "conjugation of an additive translation is not the predicted translation",
-            witness={"gamma": list(gamma), "g": list(g),
-                     "permutation_path": list(hs[i]), "closed_form": list(closed)},
-        )
-    return closed
+_NOT_PREDICTED = "conjugation of an additive translation is not the predicted translation"
 
 
 def conjugated_translation(ctx: Context, gamma: Elem, g: Elem) -> Elem:
@@ -122,7 +116,14 @@ def conjugated_translation(ctx: Context, gamma: Elem, g: Elem) -> Elem:
     """
     ctx.spec.check_elem(gamma)
     ctx.spec.check_elem(g)
-    return _conjugated_translation(ctx, ctx.index[gamma], g)
+    hs, oks = ctx.conjugation_row(ctx.index[gamma])
+    i = ctx.index[g]
+    closed = abelian._add(ctx.spec, g, nilring._mul(ctx.ring, gamma, g))
+    if hs[i] != closed or not oks[i]:
+        raise TheoremViolation(_NOT_PREDICTED, witness={
+            "gamma": list(gamma), "g": list(g),
+            "permutation_path": list(hs[i]), "closed_form": list(closed)})
+    return closed
 
 
 def holomorph_conjugation_report(ctx: Context) -> dict:
@@ -154,17 +155,24 @@ def holomorph_conjugation_report(ctx: Context) -> dict:
         closed = tuple(abelian._add(spec, g, nilring._mul(ctx.ring, gamma, g)) for g in elems)
         if hol == hs == closed and all(oks):
             continue
-        for g, h_hol in zip(elems, hol):
-            try:
-                h_perm = _conjugated_translation(ctx, n, g)
-            except TheoremViolation as exc:
-                failures.append({"gamma": list(gamma), "g": list(g), "reason": str(exc)})
-                continue
-            if h_hol != h_perm:
+        for g, h_hol, h, ok, h_closed in zip(elems, hol, hs, oks, closed):
+            if h != h_closed or not ok:
+                failures.append({"gamma": list(gamma), "g": list(g), "reason": _NOT_PREDICTED})
+            elif h_hol != h:
                 failures.append({"gamma": list(gamma), "g": list(g),
                                  "reason": "holomorph-level and permutation-level h differ",
-                                 "h_holomorph": list(h_hol), "h_permutation": list(h_perm)})
+                                 "h_holomorph": list(h_hol), "h_permutation": list(h)})
     return {"pairs_checked": len(ctx.elements) ** 2, "failures": failures}
+
+
+def ideals(ctx: Context) -> list:
+    """All ideals of the structure, canonically sorted: the additive subgroups
+    stable under the product with each generator (enough, by bilinearity),
+    from `abelian.walk_subgroups`, which is complete for a nilpotent ring."""
+    spec = ctx.spec
+    maps = [partial(nilring._mul, ctx.ring, b) for b in spec.basis()]
+    found = abelian.walk_subgroups(ctx.elements, partial(abelian._add, spec), spec.zero(), spec.p, maps)
+    return sorted((abelian.subgroup_from_elements(spec, e) for e in found), key=Subgroup.sort_key)
 
 
 def invariant_subgroups(ctx: Context) -> list:
@@ -230,10 +238,11 @@ def lattice_report(ctx: Context) -> LatticeReport:
     """Compare the ideal lattice with the invariant-subgroup lattice.
 
     The two sides share the lattice walk but not the predicate (stability
-    under generator multiplication vs. permutation conjugation); any
-    discrepancy in membership or inclusion structure raises TheoremViolation.
+    under generator multiplication vs. permutation conjugation).  Lattices
+    with different members raise TheoremViolation; equal member lists have
+    the same inclusion edges, so the edges are read off the ideals only.
     """
-    ideal_list = nilring._ideals(ctx.ring)
+    ideal_list = ideals(ctx)
     inv_list = invariant_subgroups(ctx)
     ideal_sets = [s.elements for s in ideal_list]
     inv_sets = [s.elements for s in inv_list]
@@ -246,18 +255,11 @@ def lattice_report(ctx: Context) -> LatticeReport:
                 "invariant_subgroups": [s.to_json() for s in inv_list],
             },
         )
-    ideal_edges = _strict_inclusions(ideal_list)
-    inv_edges = _strict_inclusions(inv_list)
-    if ideal_edges != inv_edges:
-        raise TheoremViolation(
-            "lattice matching does not preserve inclusion",
-            witness={"structure": ctx.ring.to_json()},
-        )
     gamma_count = circle_subgroup_count(ctx)
     return LatticeReport(
         ideals=tuple(ideal_list),
         invariant_subgroups=tuple(inv_list),
-        inclusion_edges=ideal_edges,
+        inclusion_edges=_strict_inclusions(ideal_list),
         gamma_subgroup_count=gamma_count,
         strong_ftgt=(len(ideal_list) == gamma_count),
         circle_type=ctx.circle_type,
@@ -275,9 +277,10 @@ def elementary_scan(
         raise InputError("scan requires an elementary abelian spec")
     rows = []
     for A in nilring.enumerate_structures(spec, search_cap):
-        if any(e != 1 for e in nilring.circle_group(A, cap).invariants):
+        ctx = Context(A, cap)
+        if any(e != 1 for e in ctx.circle_type):
             continue
-        report = lattice_report(Context(A, cap))
+        report = lattice_report(ctx)
         expected = A.is_trivial()
         if report.strong_ftgt != expected:
             raise TheoremViolation(

@@ -4,8 +4,9 @@ A structure is stored as a symmetric table of structure constants on the
 standard generators and extended bilinearly.  The induced circle
 operation a o b = a + b + a*b turns the underlying set into a group,
 whose isomorphism type plays the role of the Galois group.
-`mul`, `circle`, `ideals` and `circle_group` check their input, then call
-the unchecked `_mul`, `_circle`, `_ideals`, `_circle_group` the package runs.
+`mul` and `circle` check their input, then call the unchecked `_mul` and
+`_circle` the package runs.  The ideals and the circle type are served by
+`correspondence.Context`, which caps and validates a structure first.
 The element kernel runs on sparse terms: the nonzero generator products,
 listed once per structure on first use.
 """
@@ -15,10 +16,10 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 from . import abelian
-from .abelian import Elem, GroupSpec, Subgroup
+from .abelian import Elem, GroupSpec
 from .errors import CapExceeded, InputError
 
 DEFAULT_SEARCH_CAP = 1 << 24
@@ -220,58 +221,6 @@ def circle_inverse(A: RingStructure, a: Elem) -> Elem:
     if _circle(A, a, x) != spec.zero():
         raise InputError(f"no circle inverse for {a}: structure is not valid")
     return x
-
-
-def require_valid(A: RingStructure, cap: int) -> None:
-    """Boundary check of the per-structure computations: CapExceeded if
-    |G| > cap (before any validation work), then InputError if A is invalid."""
-    if A.spec.order > cap:
-        raise CapExceeded(f"|G| = {A.spec.order} exceeds enumeration cap {cap}")
-    violations = validate(A)
-    if violations:
-        raise InputError(f"invalid structure: {violations[0].axiom}")
-
-
-@dataclass(frozen=True)
-class CircleGroup:
-    """The isomorphism type of the circle group (G, o)."""
-
-    spec: GroupSpec
-    invariants: tuple  # nonincreasing cyclic exponents
-
-
-def circle_group(A: RingStructure, cap: int = abelian.DEFAULT_ENUM_CAP) -> CircleGroup:
-    """The type of (G, o) from the iterated circle p-th power map
-    (`abelian.power_type`): at most p |G| circle products, no table.  (G, o)
-    is an abelian p-group only for valid A; an invalid A raises InputError.
-    """
-    require_valid(A, cap)
-    return _circle_group(A)
-
-
-def _circle_group(A: RingStructure) -> CircleGroup:
-    inv = abelian.power_type(A.spec.elements(), partial(_circle, A), A.spec.p)
-    return CircleGroup(A.spec, tuple(inv))
-
-
-def ideals(A: RingStructure, cap: int = abelian.DEFAULT_ENUM_CAP) -> list:
-    """All ideals of A, canonically sorted: the additive subgroups stable
-    under the product with each generator (enough, by bilinearity), from
-    `abelian.walk_subgroups`.  The walk is complete only for nilpotent A,
-    so an invalid A raises InputError.
-    """
-    require_valid(A, cap)
-    return _ideals(A)
-
-
-def _ideals(A: RingStructure) -> list:
-    spec = A.spec
-    maps = [partial(_mul, A, b) for b in spec.basis()]
-    found = abelian.walk_subgroups(
-        spec.elements(), partial(abelian._add, spec), spec.zero(), spec.p, maps
-    )
-    return sorted((abelian.subgroup_from_elements(spec, e) for e in found),
-                  key=Subgroup.sort_key)
 
 
 def trivial_structure(spec: GroupSpec) -> RingStructure:

@@ -16,6 +16,7 @@ from hopfgal.correspondence import (
     elementary_scan,
     gaussian_subspace_count,
     holomorph_conjugation_report,
+    ideals,
     klein_four_fixture,
     lattice_report,
 )
@@ -34,7 +35,6 @@ from hopfgal.nilring import (
     circle_inverse,
     cyclic_structure,
     enumerate_structures,
-    ideals,
     nilpotency_index,
     primitive_structure,
     trivial_structure,
@@ -102,7 +102,7 @@ def test_criterion_3_conjugation_closed_form_agreement():
 def test_criterion_4_primitive_ideal_chains():
     start = time.time()
     for p, n in [(2, 2), (2, 3), (3, 2), (3, 3), (5, 2), (5, 4)]:
-        chain = ideals(primitive_structure(p, n))
+        chain = ideals(Context(primitive_structure(p, n)))
         assert len(chain) == n + 1
         assert [s.size for s in chain] == [p**i for i in range(n + 1)]
         for small, big in zip(chain, chain[1:]):
@@ -130,7 +130,7 @@ def test_criterion_6_cyclic_family():
         for d in range(3 ** (n - 1)):
             A = cyclic_structure(3, n, d)
             assert validate(A) == []
-            ideal_list = ideals(A)
+            ideal_list = ideals(Context(A))
             assert len(ideal_list) == n + 1
             assert [s.elements for s in ideal_list] == subgroup_sets
             expected = [
@@ -209,7 +209,7 @@ def test_criterion_9_property_suites():
             for h in elems:
                 assert compose(f, tau(A, h)) == tau(A, circle(A, g, h))
         # ideal lattice closed under sum and intersection
-        ideal_sets = [frozenset(s.elements) for s in ideals(A)]
+        ideal_sets = [frozenset(s.elements) for s in ideals(Context(A))]
         lattice = set(ideal_sets)
         for x, y in itertools.combinations(ideal_sets, 2):
             assert x & y in lattice

@@ -1,12 +1,16 @@
 import contextlib
+import hashlib
 import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from hopfgal import cli, nilring
+from hopfgal import cli, correspondence, nilring
+
+GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "golden.json"
 
 
 def run_cli(*argv):
@@ -75,18 +79,29 @@ def test_verify_cyclic_all_d():
     assert all(r["strong_ftgt"] for r in payload["rows"])
 
 
+def _counted(monkeypatch, owner, name):
+    original, seen = getattr(owner, name), []
+    monkeypatch.setattr(owner, name, lambda x: seen.append(x) or original(x))
+    return seen
+
+
 def test_verify_cyclic_walks_the_ideals_once_per_structure(monkeypatch):
     # per structure: the explicit validation, the Context's, and the one
     # ideal walk of its lattice report, which is compared with the subgroups
-    def counted(name):
-        original, seen = getattr(nilring, name), []
-        monkeypatch.setattr(nilring, name, lambda A: seen.append(A) or original(A))
-        return seen
-
-    validations, walks = counted("validate"), counted("_ideals")
+    validations = _counted(monkeypatch, nilring, "validate")
+    walks = _counted(monkeypatch, correspondence, "ideals")
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["verify", "cyclic", "--p", "3", "--n", "3", "--all-d"]) == cli.EXIT_OK
     assert len(walks) == 9
+    assert len(validations) == 18
+
+
+def test_verify_elementary_validates_once_per_structure(monkeypatch):
+    # per structure: the certification in enumerate_structures and the one
+    # Context that serves both its circle type and its lattice report
+    validations = _counted(monkeypatch, nilring, "validate")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["verify", "elementary", "--p", "3", "--n", "2"]) == cli.EXIT_OK
     assert len(validations) == 18
 
 
@@ -161,6 +176,10 @@ def test_input_error_exit_code():
         ("enumerate", "--p", "2", "--exp", "1,,1"),
         ("report", "--family", "cyclic:abc", "--p", "3", "--n", "2"),
         ("verify", "cyclic", "--family", "cyclic:abc", "--p", "3", "--n", "2"),
+        ("verify", "lattice", "--family", "primitive", "--n", "2"),
+        ("report", "--family", "cyclic:1", "--n", "2"),
+        ("verify", "lattice", "--family", "cyclic", "--n", "3", "--all-d"),
+        ("verify", "lattice", "--family", "cyclic", "--p", "3", "--n", "0", "--all-d"),
     ],
 )
 def test_malformed_input_exit_code(argv):
@@ -168,6 +187,56 @@ def test_malformed_input_exit_code(argv):
     assert result.returncode == 2, result.stderr
     assert result.stderr.startswith("input error:")
     assert "Traceback" not in result.stderr
+
+
+def _main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--p", "3", "--n", "2", "--family", "primitive"),
+        ("--p", "2", "--n", "2", "--family", "enumerate"),
+        ("--p", "2", "--n", "2", "--family", "fixture:klein"),
+        ("--p", "3", "--n", "2", "--family", "fixture:klein"),
+        ("--p", "2", "--n", "2", "--all-structures"),
+    ],
+)
+def test_verify_cyclic_rejects_inputs_outside_the_theorem(argv):
+    # the theorem needs p odd and G = Z/p^n: anything else is an input
+    # error, raised before any lattice report is made
+    code, out, err = _main(["verify", "cyclic", *argv])
+    assert code == cli.EXIT_INPUT, err
+    assert err.startswith("input error:") and out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--p", "3", "--n", "2", "--family", "trivial"),
+        ("--p", "3", "--n", "2", "--family", "enumerate"),
+        ("--p", "3", "--n", "2", "--all-structures"),
+        ("--p", "3", "--n", "1", "--family", "primitive"),
+    ],
+)
+def test_verify_cyclic_accepts_every_structure_on_the_cyclic_group(argv):
+    code, out, err = _main(["verify", "cyclic", *argv])
+    assert code == cli.EXIT_OK, err
+    assert json.loads(out)["status"] == "pass"
+
+
+def test_golden_cli_output():
+    # every frozen CLI verdict of the benchmark: exit code and stdout digest
+    golden = json.loads(GOLDEN.read_text())["cli"]
+    assert len(golden) == 20
+    for command, expected in golden.items():
+        code, out, _ = _main(command.split())
+        assert {"exit": code, "stdout_sha256": hashlib.sha256(out.encode()).hexdigest()} \
+            == expected, command
 
 
 def test_cap_exceeded_exit_code():

@@ -16,15 +16,14 @@ from hopfgal.abelian import GroupSpec, add, enumerate_subgroups, isomorphism_typ
 from hopfgal.correspondence import (
     Context,
     circle_subgroup_count,
+    ideals,
     invariant_subgroups,
     klein_four_fixture,
 )
 from hopfgal.errors import InputError
 from hopfgal.nilring import (
     circle,
-    circle_group,
     enumerate_structures,
-    ideals,
     make_structure,
     mul,
     primitive_structure,
@@ -137,7 +136,7 @@ def test_invariant_subgroups_match_full_table(spec):
 @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=str)
 def test_ideals_match_brute_force(spec):
     for A in enumerate_structures(spec):
-        assert {frozenset(s.elements) for s in ideals(A)} == brute_force_ideals(A)
+        assert {frozenset(s.elements) for s in ideals(Context(A))} == brute_force_ideals(A)
 
 
 @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=str)
@@ -151,9 +150,9 @@ def test_ideals_reject_invalid_structure():
     # and (G, o) is no group: 1 o 1 = 1
     A = make_structure(GroupSpec(2, (1,)), (((1,),),))
     with pytest.raises(InputError):
-        ideals(A)
+        ideals(Context(A))
     with pytest.raises(InputError):
-        circle_group(A)
+        Context(A).circle_type
 
 
 @pytest.mark.parametrize("spec", ORACLE_SPECS + [GroupSpec(2, (2, 1))], ids=str)
@@ -161,7 +160,7 @@ def test_circle_type_matches_full_table(spec):
     elems = list(spec.elements())
     for A in enumerate_structures(spec):
         expected = isomorphism_type(elems, partial(circle, A))
-        assert circle_group(A).invariants == tuple(expected)
+        assert Context(A).circle_type == tuple(expected)
 
 
 def circle_type_from_omega(A):
@@ -192,11 +191,11 @@ def circle_type_from_omega(A):
 @pytest.mark.parametrize("spec", ORACLE_SPECS + [GroupSpec(2, (2, 1))], ids=str)
 def test_circle_type_matches_omega_counts(spec):
     for A in enumerate_structures(spec):
-        assert circle_group(A).invariants == circle_type_from_omega(A)
+        assert Context(A).circle_type == circle_type_from_omega(A)
 
 
 def test_circle_type_needs_at_most_p_times_order_products(monkeypatch):
-    # circle_group runs on the unchecked circle product, nilring._circle
+    # the circle type runs on the unchecked circle product, nilring._circle
     calls = []
     circle_product = nilring._circle
 
@@ -205,7 +204,7 @@ def test_circle_type_needs_at_most_p_times_order_products(monkeypatch):
         return circle_product(A, a, b)
 
     monkeypatch.setattr(nilring, "_circle", counted)
-    assert circle_group(primitive_structure(5, 4)).invariants == (1, 1, 1, 1)
+    assert Context(primitive_structure(5, 4)).circle_type == (1, 1, 1, 1)
     assert 0 < len(calls) <= 5 * 625
 
 

@@ -4,6 +4,7 @@ import tracemalloc
 import pytest
 
 from hopfgal.abelian import GroupSpec, add, enumerate_subgroups, scalar_mul
+from hopfgal.correspondence import Context, ideals
 from hopfgal.errors import CapExceeded, InputError
 from hopfgal.nilring import (
     RingStructure,
@@ -11,11 +12,9 @@ from hopfgal.nilring import (
     _nilpotent,
     _passes_int_checks,
     circle,
-    circle_group,
     circle_inverse,
     cyclic_structure,
     enumerate_structures,
-    ideals,
     make_structure,
     mul,
     nilpotency_index,
@@ -155,27 +154,27 @@ def test_circle_is_a_group_operation(A):
 
 
 def test_circle_group_types():
-    assert circle_group(trivial_structure(Z4)).invariants == (2,)
-    assert circle_group(trivial_structure(C2C2)).invariants == (1, 1)
-    assert circle_group(primitive_structure(2, 2)).invariants == (2,)
-    assert circle_group(fixture_structure()).invariants == (1, 1)
+    assert Context(trivial_structure(Z4)).circle_type == (2,)
+    assert Context(trivial_structure(C2C2)).circle_type == (1, 1)
+    assert Context(primitive_structure(2, 2)).circle_type == (2,)
+    assert Context(fixture_structure()).circle_type == (1, 1)
     # p > n: elementary abelian circle group
-    assert circle_group(primitive_structure(5, 4)).invariants == (1, 1, 1, 1)
-    assert circle_group(primitive_structure(3, 2)).invariants == (1, 1)
+    assert Context(primitive_structure(5, 4)).circle_type == (1, 1, 1, 1)
+    assert Context(primitive_structure(3, 2)).circle_type == (1, 1)
 
 
 def test_ideals_examples():
     P = primitive_structure(2, 2)
-    sizes = [s.size for s in ideals(P)]
+    sizes = [s.size for s in ideals(Context(P))]
     assert sizes == [1, 2, 4]
     C = cyclic_structure(3, 2, 1)
-    assert [s.elements for s in ideals(C)] == [
+    assert [s.elements for s in ideals(Context(C))] == [
         ((0,),),
         ((0,), (3,), (6,)),
         tuple((r,) for r in range(9)),
     ]
     T = trivial_structure(C2C2)
-    assert [s.elements for s in ideals(T)] == [
+    assert [s.elements for s in ideals(Context(T))] == [
         s.elements for s in enumerate_subgroups(C2C2)
     ]
 
@@ -183,7 +182,7 @@ def test_ideals_examples():
 @pytest.mark.parametrize("A", SMALL_VALID)
 def test_ideal_lattice_closed_under_sum_and_intersection(A):
     spec = A.spec
-    ideal_sets = [frozenset(s.elements) for s in ideals(A)]
+    ideal_sets = [frozenset(s.elements) for s in ideals(Context(A))]
     lattice = set(ideal_sets)
     for x, y in itertools.combinations(ideal_sets, 2):
         assert x & y in lattice
@@ -212,7 +211,7 @@ def test_primitive_structure_constants():
 def test_primitive_ideal_chain():
     for p, n in [(2, 2), (2, 3), (3, 2), (3, 3), (5, 2)]:
         A = primitive_structure(p, n)
-        chain = ideals(A)
+        chain = ideals(Context(A))
         assert len(chain) == n + 1
         assert [s.size for s in chain] == [p**i for i in range(n + 1)]
         for small, big in zip(chain, chain[1:]):
@@ -235,7 +234,7 @@ def test_enumerate_structures_counts():
     # checked in test_holomorph; 1 trivial + 3 with circle group C4.
     structures = enumerate_structures(C2C2)
     assert len(structures) == 4
-    types = sorted(circle_group(A).invariants for A in structures)
+    types = sorted(Context(A).circle_type for A in structures)
     assert types == [(1, 1), (2,), (2,), (2,)]
 
     line3 = GroupSpec(3, (1,))
