@@ -29,18 +29,17 @@ _MAX_ORDER = 2**63 - 1  # order must fit in a signed 64-bit integer
 
 
 def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
-    return True
+    """Deterministic Miller-Rabin on the prime bases 2..37, exact below
+    3.18 * 10^23 (GroupSpec checks p < 2^63 first)."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if p < 2 or any(p % b == 0 for b in bases):
+        return p in bases
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    # b witnesses that p is composite unless b^d = 1 or b^(d 2^r) = -1, r < s
+    return all(pow(b, d, p) == 1 or any(pow(b, d << r, p) == p - 1 for r in range(s))
+               for b in bases)
 
 
 @dataclass(frozen=True)
@@ -51,17 +50,17 @@ class GroupSpec:
     exponents: tuple
 
     def __post_init__(self):
-        if not is_prime(self.p):
-            raise InputError(f"p = {self.p} is not prime")
         exps = tuple(int(e) for e in self.exponents)
         object.__setattr__(self, "exponents", exps)
         if not exps or any(e < 1 for e in exps):
             raise InputError(f"exponents must be positive: {exps}")
         if list(exps) != sorted(exps, reverse=True):
             raise InputError(f"exponents must be nonincreasing: {exps}")
-        # p >= 2, so sum(exps) >= 63 never fits; test it before the power
+        # a prime never fits sum(exps) >= 63; the range comes first, so p < 2^63 below
         if sum(exps) >= 63 or self.p ** sum(exps) > _MAX_ORDER:
             raise InputError("group order exceeds 64-bit range")
+        if not is_prime(self.p):
+            raise InputError(f"p = {self.p} is not prime")
 
     @cached_property
     def rank(self) -> int:
@@ -294,40 +293,6 @@ def enumerate_subgroups(spec: GroupSpec, cap: int = DEFAULT_ENUM_CAP) -> list:
     subs = [subgroup_from_elements(spec, e) for e in found]
     subs.sort(key=Subgroup.sort_key)
     return subs
-
-
-def _group_table_checks(elements, op):
-    """Raise unless (elements, op) is a closed table with identity and inverses."""
-    elem_set = set(elements)
-    if len(elem_set) != len(elements):
-        raise InputError("duplicate elements in table")
-    identity = None
-    for e in elements:
-        if all(op(e, x) == x for x in elements):
-            identity = e
-            break
-    if identity is None:
-        raise InputError("operation table has no identity")
-    for x in elements:
-        for y in elements:
-            if op(x, y) not in elem_set:
-                raise InputError(f"table not closed at ({x}, {y})")
-    for x in elements:
-        if not any(op(x, y) == identity for y in elements):
-            raise InputError(f"element {x} has no inverse")
-
-
-def isomorphism_type(elements, op) -> list:
-    """Cyclic invariants (nonincreasing exponents) of a finite abelian p-group.
-
-    `op` is the group operation as a callable on pairs of elements.  After
-    checking that (elements, op) is a closed table with identity and
-    inverses, the invariants are read off by `power_type`.
-    """
-    _group_table_checks(elements, op)
-    order = len(elements)
-    p = next((d for d in range(2, order + 1) if order % d == 0), 2)  # least prime factor
-    return power_type(elements, op, p)
 
 
 def power_type(elements, op, p) -> list:

@@ -63,8 +63,15 @@ def _parse_spec(args, cyclic_n=False) -> GroupSpec:
     return GroupSpec(args.p, exps)
 
 
+def _primitive(args):
+    if args.p is None or args.n is None:
+        raise InputError("primitive family requires --p and --n")
+    return nilring.primitive_structure(args.p, args.n)
+
+
 def _resolve_structures(args, family, cyclic_n=False):
-    """(label, structure) pairs selected by family / --all-structures."""
+    """(label, structure) pairs selected by family / --all-structures; the
+    cyclic family's are built one at a time, so a cap stops them at the first."""
     if family == "fixture:klein":
         return [("fixture:klein", correspondence.klein_four_fixture().ring)]
     if args.all_structures or family == "enumerate":
@@ -76,9 +83,7 @@ def _resolve_structures(args, family, cyclic_n=False):
     if family == "trivial":
         return [("trivial", nilring.trivial_structure(_parse_spec(args, cyclic_n)))]
     if family == "primitive":
-        if args.p is None or args.n is None:
-            raise InputError("primitive family requires --p and --n")
-        return [("primitive", nilring.primitive_structure(args.p, args.n, args.cap_enum))]
+        return [("primitive", _primitive(args))]
     if family is not None and family.startswith("cyclic"):
         if args.p is None or args.n is None:
             raise InputError("cyclic family requires --p and --n")
@@ -92,9 +97,7 @@ def _resolve_structures(args, family, cyclic_n=False):
             ds = [args.d]
         else:
             raise InputError("cyclic family requires :d, --d, or --all-d")
-        return [
-            (f"cyclic:{d}", nilring.cyclic_structure(args.p, args.n, d)) for d in ds
-        ]
+        return ((f"cyclic:{d}", nilring.cyclic_structure(args.p, args.n, d)) for d in ds)
     raise InputError(f"cannot resolve structures from family={family!r}")
 
 
@@ -192,10 +195,7 @@ def _verify_elementary(args) -> dict:
 
 
 def _verify_primitive(args) -> dict:
-    if args.p is None or args.n is None:
-        raise InputError("primitive verification requires --p and --n")
-    A = nilring.primitive_structure(args.p, args.n, args.cap_enum)
-    ideal_list = correspondence.ideals(Context(A, args.cap_enum))
+    ideal_list = correspondence.ideals(Context(_primitive(args), args.cap_enum))
     sizes = [s.size for s in ideal_list]
     chain = all(
         set(a.elements) <= set(b.elements)
@@ -226,10 +226,10 @@ def _verify_cyclic(args) -> dict:
     sub_sets = [s.elements for s in subgroups]
     rows = []
     family = "cyclic" if args.family is None else args.family
-    structures = _resolve_structures(args, family, cyclic_n=True)
-    if any(A.spec != spec for _, A in structures):
-        raise InputError(f"cyclic verification requires structures on Z/p^n = {spec}")
-    for label, A in structures:
+    for label, A in _resolve_structures(args, family, cyclic_n=True):
+        # before its lattice report; a family has one spec, so the first decides
+        if A.spec != spec:
+            raise InputError(f"cyclic verification requires structures on Z/p^n = {spec}")
         if nilring.validate(A):
             raise TheoremViolation("cyclic-family structure failed validation",
                                    witness=A.to_json())

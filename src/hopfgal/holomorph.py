@@ -56,18 +56,13 @@ class AffineMap:
         return abelian._linear_table(self.spec, self.m)
 
     def is_translation(self) -> bool:
-        return self.m == _identity_matrix(self.spec)
+        return self.m == tuple(self.spec.basis())
 
     def sort_key(self):
         return (self.a, self.m)
 
     def to_json(self) -> dict:
         return {"a": list(self.a), "m": [list(row) for row in self.m]}
-
-
-def _identity_matrix(spec: GroupSpec) -> tuple:
-    k = spec.rank
-    return tuple(tuple(1 if i == j else 0 for j in range(k)) for i in range(k))
 
 
 def _reduce_matrix(spec: GroupSpec, m) -> tuple:
@@ -96,14 +91,10 @@ def affine_map(spec: GroupSpec, a: Elem, m) -> AffineMap:
     return AffineMap(spec, a, mat)
 
 
-def identity_map(spec: GroupSpec) -> AffineMap:
-    return AffineMap(spec, spec.zero(), _identity_matrix(spec))
-
-
 def translation(spec: GroupSpec, g: Elem) -> AffineMap:
     """The left regular representation of (G, +): x -> g + x."""
     spec.check_elem(g)
-    return AffineMap(spec, g, _identity_matrix(spec))
+    return AffineMap(spec, g, tuple(spec.basis()))
 
 
 def is_invertible(f: AffineMap) -> bool:
@@ -220,27 +211,6 @@ def closure_under_composition(perms, size_limit=None):
                         return None
         frontier = nxt
     return frozenset(elems)
-
-
-def is_closed(maps) -> bool:
-    maps = set(maps)
-    return all(compose(f, g) in maps for f in maps for g in maps)
-
-
-def is_regular(maps) -> bool:
-    """Transitive-plus-order criterion for a composition-closed set."""
-    maps = list(maps)
-    if not maps:
-        return False
-    spec = maps[0].spec
-    if not is_closed(maps):
-        raise InputError("map set is not closed under composition")
-    orbit = {t.apply(spec.zero()) for t in maps}
-    return len(maps) == spec.order and len(orbit) == spec.order
-
-
-def is_fixed_point_free(f: AffineMap) -> bool:
-    return all(f.apply(x) != x for x in f.spec.elements())
 
 
 def is_abelian(T: RegularSubgroup) -> bool:
@@ -361,7 +331,8 @@ def enumerate_regular_subgroups(
     x the least point outside the orbit S(0): every R above S contains one
     of them, and the search stays complete.  Each grown subgroup is kept
     if its order is at most |G| and its non-identity elements are all
-    fixed-point-free; those of order |G| that are transitive are regular.
+    fixed-point-free.  Such a subgroup acts semiregularly, so its orbit of
+    0 has as many points as it has elements: those of order |G| are regular.
     Only the returned subgroups are mapped back to affine maps.
     """
     hol = holomorph_elements(spec, cap)
@@ -401,11 +372,10 @@ def enumerate_regular_subgroups(
     while frontier:
         nxt = []
         for gens, sub in frontier:
-            orbit = {t[0] for t in sub}  # orbit of 0 (index 0)
             if len(sub) == order:
-                if len(orbit) == order:
-                    regulars.append(sub)
+                regulars.append(sub)
                 continue
+            orbit = {t[0] for t in sub}  # orbit of 0 (index 0)
             base = next(x for x in range(order) if x not in orbit)
             for f in by_base.get(base, ()):
                 grown = grow(gens + (f,))

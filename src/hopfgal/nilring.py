@@ -114,40 +114,22 @@ def mul(A: RingStructure, a: Elem, b: Elem) -> Elem:
     return _mul(A, a, b)
 
 
-def _product_span_chain(A: RingStructure):
-    """The powers A^2, A^3, ... as additive subgroups; by bilinearity the
-    products b_i * g of the generators g of A^m generate A^(m+1)."""
-    spec = A.spec
-    zero = spec.zero()
-    basis = spec.basis()
-    gens = [c for row in A.constants for c in row if c != zero]
-    while True:
-        span = abelian.additive_closure(spec, gens)
-        yield span
-        nxt = {_mul(A, b, g) for b in basis for g in gens}
-        nxt.discard(zero)
-        gens = sorted(nxt)
-
-
-def nilpotency_index(A: RingStructure, bound: int = None) -> int:
-    """Least m with every m-fold product zero.
-
-    Valid structures satisfy m <= n + 1; if `bound` is given and the
-    chain has not died by A^bound the function returns bound + 1.
-    """
+def nilpotency_index(A: RingStructure) -> int:
+    """Least m with every m-fold product zero; n + 2 if A^(n+1) != 0, where
+    valid structures have m <= n + 1.  By bilinearity the products b_i * g
+    of the generators g of A^m generate A^(m+1), so A^m = 0 exactly when
+    no nonzero generator is left."""
     spec = A.spec
     for c in itertools.chain.from_iterable(A.constants):
         spec.check_elem(c)
-    if bound is None:
-        bound = spec.n + 1
-    zero_set = frozenset({spec.zero()})
+    zero = spec.zero()
+    basis = spec.basis()
+    gens = {c for row in A.constants for c in row} - {zero}  # of A^2
     m = 2
-    for span in _product_span_chain(A):
-        if span == zero_set:
-            return m
-        if m > bound:
-            return bound + 1
+    while gens and m <= spec.n + 1:
+        gens = {_mul(A, b, g) for b in basis for g in gens} - {zero}
         m += 1
+    return m
 
 
 def validate(A: RingStructure) -> list:
@@ -188,8 +170,7 @@ def validate(A: RingStructure) -> list:
                     out.append(Violation("associativity", (i, j, l)))
     if out:
         return out
-    idx = nilpotency_index(A, bound=spec.n + 1)
-    if idx > spec.n + 1:
+    if nilpotency_index(A) > spec.n + 1:
         witness = next(
             (c for row in A.constants for c in row if c != spec.zero()),
             spec.zero(),
@@ -230,13 +211,11 @@ def trivial_structure(spec: GroupSpec) -> RingStructure:
     return RingStructure(spec, tuple(tuple(zero for _ in range(k)) for _ in range(k)))
 
 
-def primitive_structure(p: int, n: int, cap: int = abelian.DEFAULT_ENUM_CAP) -> RingStructure:
+def primitive_structure(p: int, n: int) -> RingStructure:
     """One-generator structure on F_p^n: basis z, z^2, ..., z^n with z^{n+1} = 0."""
     if n < 1:
         raise InputError("n must be >= 1")
     spec = GroupSpec(p, (1,) * n)
-    if spec.order > cap:
-        raise CapExceeded(f"p^n = {spec.order} exceeds cap {cap}")
     zero = spec.zero()
     basis = spec.basis()
     constants = []

@@ -1,0 +1,111 @@
+"""Reference implementations for the tests, sharing no code with what they check.
+
+Each oracle works from first principles: a full operation table, trial
+division, or affine maps applied point by point.  From `hopfgal` they
+import only the element API (`test_oracles_import_only_the_element_api`
+keeps it that way), never the lattice walk, `power_type` or `Context`.
+"""
+
+from hopfgal.errors import InputError
+from hopfgal.holomorph import AffineMap, compose
+
+
+def is_prime(n: int) -> bool:
+    """Trial division by every d with d^2 <= n."""
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def _group_table_checks(elements, op):
+    """Raise unless (elements, op) is a closed table with identity and
+    inverses; return the identity."""
+    elem_set = set(elements)
+    if len(elem_set) != len(elements):
+        raise InputError("duplicate elements in table")
+    identity = None
+    for e in elements:
+        if all(op(e, x) == x for x in elements):
+            identity = e
+            break
+    if identity is None:
+        raise InputError("operation table has no identity")
+    for x in elements:
+        for y in elements:
+            if op(x, y) not in elem_set:
+                raise InputError(f"table not closed at ({x}, {y})")
+    for x in elements:
+        if not any(op(x, y) == identity for y in elements):
+            raise InputError(f"element {x} has no inverse")
+    return identity
+
+
+def _log(size: int, p: int) -> int:
+    k = 0
+    while size % p == 0:
+        size, k = size // p, k + 1
+    if size != 1:
+        raise InputError(f"a count is not a power of {p}")
+    return k
+
+
+def omega_type(elements, op, identity, p) -> list:
+    """Cyclic invariants (nonincreasing exponents) of the abelian p-group
+    (elements, op), from |Omega_k| = #{x : x^(p^k) = e} = p^(sum_i min(e_i, k)):
+    the number of invariants >= k is log_p |Omega_k| - log_p |Omega_(k-1)|.
+    It counts solutions, where `abelian.power_type` takes image layers."""
+    n = _log(len(elements), p)
+    powers, logs = list(elements), [0]  # powers[x] = x^(p^k)
+    while logs[-1] < n:
+        nxt = []
+        for y in powers:
+            z = identity
+            for _ in range(p):
+                z = op(z, y)
+            nxt.append(z)
+        powers = nxt
+        log = _log(sum(1 for y in powers if y == identity), p)
+        if log <= logs[-1]:
+            raise InputError("no new solutions of x^(p^k) = e: not a p-group")
+        logs.append(log)
+    at_least = [b - a for a, b in zip(logs, logs[1:])]  # at_least[k-1] = #{i : e_i >= k}
+    return [sum(1 for d in at_least if d >= i) for i in range(1, at_least[0] + 1)] if at_least else []
+
+
+def isomorphism_type(elements, op) -> list:
+    """Cyclic invariants of a finite abelian p-group given by its operation
+    table: the table is checked first, then read by `omega_type`."""
+    identity = _group_table_checks(elements, op)
+    order = len(elements)
+    p = next((d for d in range(2, order + 1) if order % d == 0), 2)  # least prime factor
+    return omega_type(elements, op, identity, p)
+
+
+def identity_map(spec) -> AffineMap:
+    return AffineMap(spec, spec.zero(), tuple(spec.basis()))
+
+
+def is_closed(maps) -> bool:
+    maps = set(maps)
+    return all(compose(f, g) in maps for f in maps for g in maps)
+
+
+def is_regular(maps) -> bool:
+    """Transitive-plus-order criterion for a composition-closed set."""
+    maps = list(maps)
+    if not maps:
+        return False
+    spec = maps[0].spec
+    if not is_closed(maps):
+        raise InputError("map set is not closed under composition")
+    orbit = {t.apply(spec.zero()) for t in maps}
+    return len(maps) == spec.order and len(orbit) == spec.order
+
+
+def is_fixed_point_free(f: AffineMap) -> bool:
+    return all(f.apply(x) != x for x in f.spec.elements())

@@ -7,9 +7,10 @@ from hopfgal.abelian import (
     add,
     additive_closure,
     enumerate_subgroups,
-    isomorphism_type,
+    is_prime,
     neg,
     order_of,
+    power_type,
     scalar_mul,
     subgroup_from_elements,
     subgroup_generated,
@@ -18,6 +19,8 @@ from hopfgal.correspondence import Context, conjugated_translation
 from hopfgal.errors import CapExceeded, InputError
 from hopfgal.holomorph import tau, translation
 from hopfgal.nilring import circle, mul, primitive_structure
+from oracles import is_prime as trial_division_is_prime
+from oracles import isomorphism_type
 
 C2C2 = GroupSpec(2, (1, 1))
 Z4 = GroupSpec(2, (2,))
@@ -203,6 +206,31 @@ def test_isomorphism_type_recovers_spec(spec):
     assert isomorphism_type(elems, lambda a, b: add(spec, a, b)) == list(
         spec.exponents
     )
+    assert power_type(elems, lambda a, b: add(spec, a, b), spec.p) == list(spec.exponents)
+
+
+def test_power_type_rejects_non_p_groups():
+    with pytest.raises(InputError, match="not a power of 2"):
+        power_type(range(6), lambda a, b: (a + b) % 6, 2)
+    with pytest.raises(InputError, match="bijection"):
+        power_type([0, 1], lambda a, b: a, 2)
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(-3, 10**5) if is_prime(n) != trial_division_is_prime(n)] == []
+    # strong pseudoprimes to the bases 2..7 and to the bases 2..23
+    assert not is_prime(3215031751)
+    assert not is_prime(3825123056546413051)
+    assert is_prime(2**61 - 1) and is_prime(9223372036854775783)
+
+
+def test_group_spec_checks_the_order_before_primality():
+    with pytest.raises(InputError, match="exponents must be nonincreasing"):
+        GroupSpec(4, (1, 2))
+    with pytest.raises(InputError, match="64-bit"):
+        GroupSpec(4, (70,))
+    with pytest.raises(InputError, match="not prime"):
+        GroupSpec(4, (1,))
 
 
 def test_isomorphism_type_examples():

@@ -23,7 +23,6 @@ from hopfgal.correspondence import (
 from hopfgal.holomorph import (
     compose,
     enumerate_regular_subgroups,
-    identity_map,
     inverse,
     is_abelian,
     regular_subgroup_from_ring,
@@ -40,6 +39,7 @@ from hopfgal.nilring import (
     trivial_structure,
     validate,
 )
+from oracles import identity_map
 
 C2C2 = GroupSpec(2, (1, 1))
 Z4 = GroupSpec(2, (2,))

@@ -4,6 +4,7 @@ import io
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -237,6 +238,37 @@ def test_golden_cli_output():
         code, out, _ = _main(command.split())
         assert {"exit": code, "stdout_sha256": hashlib.sha256(out.encode()).hexdigest()} \
             == expected, command
+
+
+@pytest.mark.parametrize("command", [("verify", "lattice"), ("report",)])
+def test_all_d_compares_the_cap_before_building_the_family(command):
+    # 3^10 structures on Z/3^11, |G| above --cap-enum: the first one decides
+    tracemalloc.start()
+    try:
+        code, out, err = _main([*command, "--family", "cyclic", "--p", "3", "--n", "11", "--all-d"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == cli.EXIT_CAP, err
+    assert err == "cap exceeded: |G| = 177147 exceeds enumeration cap 10000\n"
+    assert peak < 1 << 20
+
+
+def test_verify_primitive_reads_the_one_cap_and_input_check():
+    assert _main(["verify", "primitive", "--p", "5", "--n", "6"]) == (
+        cli.EXIT_CAP, "", "cap exceeded: |G| = 15625 exceeds enumeration cap 10000\n")
+    assert _main(["verify", "primitive", "--p", "5"]) == (
+        cli.EXIT_INPUT, "", "input error: primitive family requires --p and --n\n")
+
+
+@pytest.mark.parametrize("p, code", [
+    ("9223372036854775783", 3),  # the largest prime below 2^63: C_p is too large to search
+    (str((2**61 - 1) ** 2), 2),  # |G| = p above 2^63 - 1
+])
+def test_large_p_is_decided_at_once(p, code):
+    result = subprocess.run([sys.executable, "-m", "hopfgal.cli", "enumerate", "--p", p, "--exp", "1"],
+                            capture_output=True, text=True, timeout=10)
+    assert result.returncode == code, result.stderr
 
 
 def test_cap_exceeded_exit_code():

@@ -151,7 +151,7 @@ def test_conjugation_report_holomorph_not_a_translation(monkeypatch):
     # tau((1, 0)) on primitive(3, 2) is not linear-trivial, so an inverse
     # with the identity matrix leaves every conjugate a non-translation
     _patch_inverse(monkeypatch, lambda inv: holomorph.AffineMap(
-        inv.spec, inv.a, holomorph._identity_matrix(inv.spec)))
+        inv.spec, inv.a, tuple(inv.spec.basis())))
     report = holomorph_conjugation_report(Context(primitive_structure(3, 2)))
     assert report["pairs_checked"] == 81
     assert report["failures"] == [

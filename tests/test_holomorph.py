@@ -13,13 +13,9 @@ from hopfgal.holomorph import (
     enumerate_automorphisms,
     enumerate_regular_subgroups,
     holomorph_elements,
-    identity_map,
     inverse,
     is_abelian,
-    is_closed,
-    is_fixed_point_free,
     is_invertible,
-    is_regular,
     regular_subgroup_from_ring,
     ring_from_regular_subgroup,
     tau,
@@ -33,6 +29,7 @@ from hopfgal.nilring import (
     primitive_structure,
     trivial_structure,
 )
+from oracles import identity_map, is_closed, is_fixed_point_free, is_regular
 
 C2C2 = GroupSpec(2, (1, 1))
 Z4 = GroupSpec(2, (2,))

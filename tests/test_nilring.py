@@ -3,6 +3,7 @@ import tracemalloc
 
 import pytest
 
+from hopfgal import abelian
 from hopfgal.abelian import GroupSpec, add, enumerate_subgroups, scalar_mul
 from hopfgal.correspondence import Context, ideals
 from hopfgal.errors import CapExceeded, InputError
@@ -101,6 +102,20 @@ def test_nilpotency_index_examples():
     assert nilpotency_index(primitive_structure(2, 3)) == 4
     assert nilpotency_index(cyclic_structure(3, 2, 1)) == 3
     assert nilpotency_index(cyclic_structure(3, 2, 2)) == 3
+
+
+def test_nilpotency_index_builds_no_additive_closure(monkeypatch):
+    # A^m = 0 is read off the nonzero generator products alone
+    def closure(*args):
+        raise AssertionError("additive_closure called")
+
+    monkeypatch.setattr(abelian, "additive_closure", closure)
+    for A, index in ((primitive_structure(3, 3), 4), (cyclic_structure(3, 2, 1), 3)):
+        assert validate(A) == []
+        assert nilpotency_index(A) == index
+    z_squared_is_z = make_structure(GroupSpec(2, (1,)), (((1,),),))
+    assert nilpotency_index(z_squared_is_z) == 3  # n + 2: A^(n+1) != 0
+    assert [v.axiom for v in validate(z_squared_is_z)] == ["nilpotency"]
 
 
 @pytest.mark.parametrize("A", SMALL_VALID)
