@@ -173,15 +173,19 @@ def order_of(spec: GroupSpec, a: Elem) -> int:
 
 @dataclass(frozen=True)
 class Subgroup:
-    """An additive subgroup: sorted element list plus a minimal generating list."""
+    """An additive subgroup: sorted element list, and a minimal generating
+    list (`minimal_generators`) computed on first read."""
 
     spec: GroupSpec
     elements: tuple  # sorted, deduplicated tuple of Elem
-    generators: tuple
 
     @property
     def size(self) -> int:
         return len(self.elements)
+
+    @cached_property
+    def generators(self) -> tuple:
+        return minimal_generators(self.spec, frozenset(self.elements))
 
     def to_json(self) -> dict:
         return {"generators": [list(g) for g in self.generators], "size": self.size}
@@ -229,7 +233,9 @@ def minimal_generators(spec: GroupSpec, elements: frozenset) -> tuple:
 
 def subgroup_from_elements(spec: GroupSpec, elements) -> Subgroup:
     elems = frozenset(elements)
-    return Subgroup(spec, tuple(sorted(elems)), minimal_generators(spec, elems))
+    if set(map(len, elems)) - {spec.rank}:
+        raise InputError(f"an element has wrong length for {spec}")
+    return Subgroup(spec, tuple(sorted(elems)))
 
 
 def subgroup_generated(spec: GroupSpec, gens) -> Subgroup:
@@ -247,9 +253,19 @@ def p_power(op, x, p):
     return y
 
 
-def walk_subgroups(elements, op, zero, p, maps=()) -> list:
+def _p_multiples(spec: GroupSpec) -> tuple:
+    """p x for each x of `spec.elements()`, in that order: x -> p x is linear,
+    so it is read off one `_linear_table`, with no kernel call per element."""
+    p_identity = [[spec.p * c for c in row] for row in spec.basis()]
+    return tuple(map(spec.elements().__getitem__, _linear_table(spec, p_identity)))
+
+
+def walk_subgroups(elements, op, zero, p, powers, maps=()) -> list:
     """Every subgroup of the abelian p-group (elements, op) that each map in
     `maps` (endomorphisms) sends into itself, as frozensets, by level.
+    `powers` and each map are tables aligned with `elements`: powers[n] is
+    the p-th power of elements[n] and m[n] its image; the caller builds them
+    (index tables for the linear maps, the circle p-th powers by products).
 
     Each cover J < I has index p: I is the union of the cosets g^k o J,
     k < p, for any g in I - J, and g^p and each m(g) lie in J.  This holds
@@ -257,17 +273,16 @@ def walk_subgroups(elements, op, zero, p, maps=()) -> list:
     generator products as `maps` (such a ring acts trivially on simple
     modules).  For each J, a g inside a cover already found is skipped.
     """
-    powers = {g: p_power(op, g, p) for g in elements}
-    images = {g: [m(g) for m in maps] for g in elements}
+    images = tuple(zip(*maps)) if maps else ((),) * len(elements)
     level = [frozenset({zero})]
     found = list(level)
     while level:
         covers = {}  # insertion-ordered, so the walk is deterministic
         for J in level:
             covered = set(J)
-            for g in elements:
-                if g in covered or powers[g] not in J or any(
-                    x not in J for x in images[g]
+            for g, g_p, g_images in zip(elements, powers, images):
+                if g in covered or g_p not in J or any(
+                    x not in J for x in g_images
                 ):
                     continue
                 coset, cover = J, set(J)
@@ -284,12 +299,13 @@ def walk_subgroups(elements, op, zero, p, maps=()) -> list:
 def enumerate_subgroups(spec: GroupSpec, cap: int = DEFAULT_ENUM_CAP) -> list:
     """All additive subgroups, each exactly once, canonically sorted.
 
-    The lattice walk of `walk_subgroups` under addition, with no maps.
-    Requires |G| <= cap.
+    The lattice walk of `walk_subgroups` under addition, with no maps and
+    the p-th multiples from `_p_multiples`.  Requires |G| <= cap.
     """
     if spec.order > cap:
         raise CapExceeded(f"|G| = {spec.order} exceeds enumeration cap {cap}")
-    found = walk_subgroups(spec.elements(), partial(_add, spec), spec.zero(), spec.p)
+    found = walk_subgroups(spec.elements(), partial(_add, spec), spec.zero(), spec.p,
+                           _p_multiples(spec))
     subs = [subgroup_from_elements(spec, e) for e in found]
     subs.sort(key=Subgroup.sort_key)
     return subs

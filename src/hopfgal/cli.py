@@ -63,18 +63,20 @@ def _parse_spec(args, cyclic_n=False) -> GroupSpec:
     return GroupSpec(args.p, exps)
 
 
-def _primitive(args):
-    if args.p is None or args.n is None:
-        raise InputError("primitive family requires --p and --n")
-    return nilring.primitive_structure(args.p, args.n)
-
-
 def _resolve_structures(args, family, cyclic_n=False):
     """(label, structure) pairs selected by family / --all-structures; the
-    cyclic family's are built one at a time, so a cap stops them at the first."""
+    cyclic family's are built one at a time, so a cap stops them at the first.
+    An --all-structures beside another family, or a --family other than the
+    one the caller asks for, is an input error."""
+    if args.all_structures:
+        if family not in (None, "enumerate"):
+            raise InputError(f"--all-structures conflicts with family {family}")
+        family = "enumerate"
+    if args.family is not None and args.family != family:
+        raise InputError(f"--family {args.family} conflicts with family {family}")
     if family == "fixture:klein":
         return [("fixture:klein", correspondence.klein_four_fixture().ring)]
-    if args.all_structures or family == "enumerate":
+    if family == "enumerate":
         spec = _parse_spec(args, cyclic_n)
         return [
             (f"enumerated[{i}]", A)
@@ -83,7 +85,9 @@ def _resolve_structures(args, family, cyclic_n=False):
     if family == "trivial":
         return [("trivial", nilring.trivial_structure(_parse_spec(args, cyclic_n)))]
     if family == "primitive":
-        return [("primitive", _primitive(args))]
+        if args.p is None or args.n is None:
+            raise InputError("primitive family requires --p and --n")
+        return [("primitive", nilring.primitive_structure(args.p, args.n))]
     if family is not None and family.startswith("cyclic"):
         if args.p is None or args.n is None:
             raise InputError("cyclic family requires --p and --n")
@@ -107,8 +111,11 @@ def _emit(args, payload, table_lines):
     else:
         text = "\n".join(table_lines) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write --out {args.out}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -195,7 +202,8 @@ def _verify_elementary(args) -> dict:
 
 
 def _verify_primitive(args) -> dict:
-    ideal_list = correspondence.ideals(Context(_primitive(args), args.cap_enum))
+    [(_, A)] = _resolve_structures(args, "primitive")
+    ideal_list = correspondence.ideals(Context(A, args.cap_enum))
     sizes = [s.size for s in ideal_list]
     chain = all(
         set(a.elements) <= set(b.elements)
@@ -225,7 +233,7 @@ def _verify_cyclic(args) -> dict:
     subgroups = abelian.enumerate_subgroups(spec, args.cap_enum)
     sub_sets = [s.elements for s in subgroups]
     rows = []
-    family = "cyclic" if args.family is None else args.family
+    family = "cyclic" if args.family is None and not args.all_structures else args.family
     for label, A in _resolve_structures(args, family, cyclic_n=True):
         # before its lattice report; a family has one spec, so the first decides
         if A.spec != spec:

@@ -71,6 +71,12 @@ class Context:
                                         self.spec.p))
 
     @cached_property
+    def p_multiples(self) -> tuple:
+        """p g for each g, aligned with `elements` (`abelian._p_multiples`):
+        the p-th power map both sides of the lattice report walk with."""
+        return abelian._p_multiples(self.spec)
+
+    @cached_property
     def circle_generators(self) -> tuple:
         """Indices of generators of (G, o), grown greedily: an element joins
         when it lies outside the span of those before it, so at most
@@ -165,13 +171,29 @@ def holomorph_conjugation_report(ctx: Context) -> dict:
     return {"pairs_checked": len(ctx.elements) ** 2, "failures": failures}
 
 
+def _generator_products(ctx: Context) -> list:
+    """Per standard generator b, the images b*g of every g, aligned with
+    `ctx.elements`: x -> b*x is linear, so its matrix (column j is b*b_j)
+    comes from k products and all |G| images from one `abelian._linear_table`."""
+    spec, ring = ctx.spec, ctx.ring
+    basis = spec.basis()
+    tables = []
+    for b in basis:
+        columns = [nilring._mul(ring, b, bj) for bj in basis]
+        table = abelian._linear_table(spec, tuple(zip(*columns)))
+        tables.append(tuple(map(ctx.elements.__getitem__, table)))
+    return tables
+
+
 def ideals(ctx: Context) -> list:
     """All ideals of the structure, canonically sorted: the additive subgroups
     stable under the product with each generator (enough, by bilinearity),
-    from `abelian.walk_subgroups`, which is complete for a nilpotent ring."""
+    from `abelian.walk_subgroups`, which is complete for a nilpotent ring.
+    The products and p-th multiples are read off index tables
+    (`_generator_products`, `Context.p_multiples`); generators stay lazy."""
     spec = ctx.spec
-    maps = [partial(nilring._mul, ctx.ring, b) for b in spec.basis()]
-    found = abelian.walk_subgroups(ctx.elements, partial(abelian._add, spec), spec.zero(), spec.p, maps)
+    found = abelian.walk_subgroups(ctx.elements, partial(abelian._add, spec), spec.zero(),
+                                   spec.p, ctx.p_multiples, _generator_products(ctx))
     return sorted((abelian.subgroup_from_elements(spec, e) for e in found), key=Subgroup.sort_key)
 
 
@@ -185,21 +207,22 @@ def invariant_subgroups(ctx: Context) -> list:
     spec, elems = ctx.spec, ctx.elements
     maps = []
     for hs, oks in map(ctx.conjugation_row, ctx.circle_generators):
-        maps.append({g: abelian._add(spec, h, abelian._scalar_mul(spec, -1, g)) if ok else None
-                     for g, h, ok in zip(elems, hs, oks)}.__getitem__)
-    found = abelian.walk_subgroups(elems, partial(abelian._add, spec), spec.zero(), spec.p, maps)
+        maps.append(tuple(abelian._add(spec, h, abelian._scalar_mul(spec, -1, g)) if ok else None
+                          for g, h, ok in zip(elems, hs, oks)))
+    found = abelian.walk_subgroups(elems, partial(abelian._add, spec), spec.zero(), spec.p,
+                                   ctx.p_multiples, maps)
     return sorted((abelian.subgroup_from_elements(spec, e) for e in found), key=Subgroup.sort_key)
 
 
 def circle_subgroup_count(ctx: Context) -> int:
     """Number of subgroups of (G, o): 1 + `gaussian_subspace_count` if its type
     is elementary abelian, else the lattice walk of `abelian.walk_subgroups`
-    under the circle operation."""
+    under the circle operation, with the circle p-th powers as products."""
     if set(ctx.circle_type) == {1}:
         return 1 + gaussian_subspace_count(ctx.spec.p, len(ctx.circle_type))
-    return len(abelian.walk_subgroups(
-        ctx.elements, partial(nilring._circle, ctx.ring), ctx.spec.zero(), ctx.spec.p
-    ))
+    circle, p = partial(nilring._circle, ctx.ring), ctx.spec.p
+    powers = [abelian.p_power(circle, g, p) for g in ctx.elements]
+    return len(abelian.walk_subgroups(ctx.elements, circle, ctx.spec.zero(), p, powers))
 
 
 @dataclass(frozen=True)

@@ -200,6 +200,31 @@ def _main(argv):
 @pytest.mark.parametrize(
     "argv",
     [
+        ("verify", "lattice", "--family", "primitive", "--p", "3", "--n", "2", "--all-structures"),
+        ("verify", "primitive", "--p", "3", "--n", "2", "--family", "trivial"),
+        ("verify", "primitive", "--p", "3", "--n", "2", "--all-structures"),
+    ],
+)
+def test_conflicting_structure_selections_are_input_errors(argv):
+    # --all-structures beside a family, or a --family other than the check's
+    code, out, err = _main(list(argv))
+    assert code == cli.EXIT_INPUT, err
+    assert err.startswith("input error:") and "conflicts" in err and out == ""
+
+
+@pytest.mark.parametrize("where", ["missing/x.json", "."])
+def test_unwritable_out_is_an_input_error(tmp_path, where):
+    # a missing directory, and a directory itself
+    out_path = tmp_path / where
+    code, out, err = _main(["report", "--family", "trivial", "--p", "2", "--n", "1",
+                            "--out", str(out_path)])
+    assert code == cli.EXIT_INPUT
+    assert err.startswith("input error:") and out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ("--p", "3", "--n", "2", "--family", "primitive"),
         ("--p", "2", "--n", "2", "--family", "enumerate"),
         ("--p", "2", "--n", "2", "--family", "fixture:klein"),

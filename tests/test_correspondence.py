@@ -1,9 +1,11 @@
+import contextlib
+import io
 import itertools
 import tracemalloc
 
 import pytest
 
-from hopfgal import abelian, correspondence, holomorph, nilring
+from hopfgal import abelian, cli, correspondence, holomorph, nilring
 from hopfgal.abelian import GroupSpec, add, enumerate_subgroups
 from hopfgal.correspondence import (
     Context,
@@ -12,6 +14,7 @@ from hopfgal.correspondence import (
     elementary_scan,
     gaussian_subspace_count,
     holomorph_conjugation_report,
+    ideals,
     invariant_subgroups,
     klein_four_fixture,
     lattice_report,
@@ -338,6 +341,32 @@ def test_certification_validates_once(monkeypatch):
     calls = _counted(monkeypatch, nilring, "validate")
     lattice_report(ctx)
     assert not holomorph_conjugation_report(ctx)["failures"]
+    assert calls == []
+
+
+def test_ideals_tabulate_the_generator_products(monkeypatch):
+    # on a built Context of primitive(5, 4): k = 4 products per generator map
+    # build its matrix, at most k^2 = 16 (one per map and element: 2500)
+    ctx = Context(primitive_structure(5, 4))
+    muls = _counted(monkeypatch, nilring, "_mul")
+    assert len(ideals(ctx)) == 5
+    assert len(muls) <= 16
+
+
+def test_ideals_read_the_p_multiples_off_a_table(monkeypatch):
+    # no p-th power by repeated addition (one per element: 625)
+    ctx = Context(primitive_structure(5, 4))
+    powers = _counted(monkeypatch, abelian, "p_power")
+    assert len(ideals(ctx)) == 5
+    assert powers == []
+
+
+def test_verify_primitive_computes_no_generators(monkeypatch):
+    # no command prints a subgroup's generators, so none are computed
+    # (eagerly, one minimal generating list per ideal: 5)
+    calls = _counted(monkeypatch, abelian, "minimal_generators")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["verify", "primitive", "--p", "5", "--n", "4"]) == cli.EXIT_OK
     assert calls == []
 
 

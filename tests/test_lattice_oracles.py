@@ -14,9 +14,10 @@ from pathlib import Path
 import pytest
 
 from hopfgal import nilring
-from hopfgal.abelian import GroupSpec, add, enumerate_subgroups
+from hopfgal.abelian import GroupSpec, add, enumerate_subgroups, scalar_mul
 from hopfgal.correspondence import (
     Context,
+    _generator_products,
     circle_subgroup_count,
     ideals,
     invariant_subgroups,
@@ -140,6 +141,20 @@ def test_invariant_subgroups_match_full_table(spec):
 def test_ideals_match_brute_force(spec):
     for A in enumerate_structures(spec):
         assert {frozenset(s.elements) for s in ideals(Context(A))} == brute_force_ideals(A)
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=str)
+def test_walk_tables_match_the_element_api(spec):
+    # the ideal side's product maps and the p-th multiples, tabulated on
+    # indices, against one checked kernel call per element
+    elems = spec.elements()
+    for A in enumerate_structures(spec):
+        ctx = Context(A)
+        tables = _generator_products(ctx)
+        assert len(tables) == spec.rank
+        for b, table in zip(spec.basis(), tables):
+            assert table == tuple(mul(A, b, g) for g in elems)
+        assert ctx.p_multiples == tuple(scalar_mul(spec, spec.p, g) for g in elems)
 
 
 @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=str)
