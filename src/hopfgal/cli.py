@@ -29,6 +29,25 @@ EXIT_CAP = 3
 EXIT_VIOLATION = 4
 
 
+# the value each option holds when it is not given
+_UNSET = {"p": None, "exp": None, "n": None, "family": None, "d": None, "all_d": False,
+          "all_structures": False, "cap_enum": abelian.DEFAULT_ENUM_CAP,
+          "cap_search": nilring.DEFAULT_SEARCH_CAP, "cap_hol": holomorph.DEFAULT_HOL_CAP}
+
+# the options of _UNSET each command or verify check reads; --format and --out
+# are read by all
+_STRUCTURES = {"p", "exp", "n", "family", "d", "all_d", "all_structures", "cap_enum", "cap_search"}
+_READS = {
+    "enumerate": {"p", "exp", "n", "cap_search", "cap_hol"},
+    "report": _STRUCTURES,
+    "verify lattice": _STRUCTURES,
+    "verify conjugation": _STRUCTURES,
+    "verify elementary": {"p", "exp", "n", "cap_enum", "cap_search"},
+    "verify primitive": {"p", "n", "family", "all_structures", "cap_enum"},
+    "verify cyclic": _STRUCTURES - {"exp"},
+}
+
+
 def _add_common(parser):
     parser.add_argument("--p", type=int, help="the prime")
     parser.add_argument("--exp", type=str, help="comma-separated exponents, e.g. 2,1")
@@ -39,9 +58,17 @@ def _add_common(parser):
     parser.add_argument("--all-structures", action="store_true", help="scan every enumerated structure on the spec")
     parser.add_argument("--format", choices=["json", "table"], default="json")
     parser.add_argument("--out", type=str, help="output path (default: stdout)")
-    parser.add_argument("--cap-enum", type=int, default=abelian.DEFAULT_ENUM_CAP)
-    parser.add_argument("--cap-search", type=int, default=nilring.DEFAULT_SEARCH_CAP)
-    parser.add_argument("--cap-hol", type=int, default=holomorph.DEFAULT_HOL_CAP)
+    parser.add_argument("--cap-enum", type=int, default=_UNSET["cap_enum"])
+    parser.add_argument("--cap-search", type=int, default=_UNSET["cap_search"])
+    parser.add_argument("--cap-hol", type=int, default=_UNSET["cap_hol"])
+
+
+def _reject_unread(args, reader, reads, options=_UNSET):
+    """An option of `options` given to a reader that does not read it is an
+    input error; an option given at its unset value cannot be told apart."""
+    for dest in options:
+        if dest not in reads and getattr(args, dest) != _UNSET[dest]:
+            raise InputError(f"{reader} does not read --{dest.replace('_', '-')}")
 
 
 def _parse_int(text, what) -> int:
@@ -54,6 +81,8 @@ def _parse_int(text, what) -> int:
 def _parse_spec(args, cyclic_n=False) -> GroupSpec:
     if args.p is None:
         raise InputError("--p is required")
+    if args.exp is not None and args.n is not None:
+        raise InputError("--exp conflicts with --n")
     if args.exp is not None:
         exps = tuple(_parse_int(x, "--exp entry") for x in args.exp.split(","))
     elif args.n is not None:
@@ -67,13 +96,17 @@ def _resolve_structures(args, family, cyclic_n=False):
     """(label, structure) pairs selected by family / --all-structures; the
     cyclic family's are built one at a time, so a cap stops them at the first.
     An --all-structures beside another family, or a --family other than the
-    one the caller asks for, is an input error."""
+    one the caller asks for, is an input error, and so is an --exp, --d or
+    --all-d that the family does not read."""
     if args.all_structures:
         if family not in (None, "enumerate"):
             raise InputError(f"--all-structures conflicts with family {family}")
         family = "enumerate"
     if args.family is not None and args.family != family:
         raise InputError(f"--family {args.family} conflicts with family {family}")
+    reads = {"trivial": {"exp"}, "enumerate": {"exp"},
+             "cyclic": {"all_d"} if args.all_d else {"d"}}.get(family, set())
+    _reject_unread(args, f"family {family}", reads, ("exp", "d", "all_d"))
     if family == "fixture:klein":
         return [("fixture:klein", correspondence.klein_four_fixture().ring)]
     if family == "enumerate":
@@ -348,6 +381,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        command = f"verify {args.check}" if args.command == "verify" else args.command
+        _reject_unread(args, command, _READS[command])
         return args.func(args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -1,13 +1,16 @@
 """Reference implementations for the tests, sharing no code with what they check.
 
 Each oracle works from first principles: a full operation table, trial
-division, or affine maps applied point by point.  From `hopfgal` they
-import only the element API (`test_oracles_import_only_the_element_api`
-keeps it that way), never the lattice walk, `power_type` or `Context`.
+division, or affine maps and permutations applied point by point.  From
+`hopfgal` they import only the element API
+(`test_oracles_import_only_the_element_api` keeps it that way), never the
+lattice walk, `power_type` or `Context`.
 """
 
+from hopfgal.abelian import add
 from hopfgal.errors import InputError
 from hopfgal.holomorph import AffineMap, compose
+from hopfgal.nilring import circle
 
 
 def is_prime(n: int) -> bool:
@@ -109,3 +112,27 @@ def is_regular(maps) -> bool:
 
 def is_fixed_point_free(f: AffineMap) -> bool:
     return all(f.apply(x) != x for x in f.spec.elements())
+
+
+def addition_table(spec) -> dict:
+    """{(a, b): a + b} over every pair of elements, from `add`."""
+    elems = spec.elements()
+    return {(a, b): add(spec, a, b) for a in elems for b in elems}
+
+
+def circle_translation(A, gamma) -> dict:
+    """lam(gamma), x -> gamma o x, as a dict, from `circle`."""
+    return {x: circle(A, gamma, x) for x in A.spec.elements()}
+
+
+def conjugation_row(spec, plus, lam) -> tuple:
+    """(hs, oks) over g, for a permutation lam of G given as a dict and the
+    table `plus` of `addition_table`: h = lam(g + z), z = lam^{-1}(0), is the
+    conjugate lam alpha(g) lam^{-1} at 0, and ok says whether lam alpha(g)
+    = alpha(h) lam, tested at every point, for every g on its own."""
+    elems = spec.elements()
+    z = next(x for x in elems if lam[x] == spec.zero())
+    hs = tuple(lam[plus[g, z]] for g in elems)
+    oks = tuple(all(lam[plus[g, x]] == plus[h, lam[x]] for x in elems)
+                for g, h in zip(elems, hs))
+    return hs, oks

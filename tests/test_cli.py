@@ -212,6 +212,31 @@ def test_conflicting_structure_selections_are_input_errors(argv):
     assert err.startswith("input error:") and "conflicts" in err and out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "elementary", "--p", "3", "--n", "2", "--family", "trivial"),
+        ("enumerate", "--p", "2", "--exp", "1,1", "--family", "primitive"),
+        ("verify", "lattice", "--family", "trivial", "--p", "3", "--n", "2", "--d", "1"),
+        ("verify", "conjugation", "--family", "primitive", "--p", "3", "--n", "2", "--all-d"),
+        ("enumerate", "--p", "2", "--exp", "1,1", "--cap-enum", "5"),
+        ("verify", "cyclic", "--p", "3", "--n", "2", "--d", "1", "--all-d"),
+        ("report", "--family", "cyclic:1", "--p", "3", "--n", "2", "--d", "0"),
+    ],
+)
+def test_unread_options_are_input_errors(argv):
+    # an option the command, or its structure family, does not read
+    code, out, err = _main(list(argv))
+    assert code == cli.EXIT_INPUT, err
+    assert err.startswith("input error:") and "does not read" in err and out == ""
+
+
+def test_exp_beside_n_is_an_input_error():
+    # --exp wins, so --n would go unread
+    code, out, err = _main(["enumerate", "--p", "2", "--exp", "1,1", "--n", "2"])
+    assert (code, out, err) == (cli.EXIT_INPUT, "", "input error: --exp conflicts with --n\n")
+
+
 @pytest.mark.parametrize("where", ["missing/x.json", "."])
 def test_unwritable_out_is_an_input_error(tmp_path, where):
     # a missing directory, and a directory itself

@@ -371,8 +371,11 @@ def test_verify_primitive_computes_no_generators(monkeypatch):
 
 
 def test_each_pair_is_conjugated_once(monkeypatch):
-    # across both reports: one Hol(G) compose per gamma, and two permutation
-    # composes per (gamma, g) pair, shared by the lattice and conjugation sides
+    # across both reports, each gamma's row is built once and shared by the
+    # lattice and conjugation sides: one Hol(G) compose per gamma, and per
+    # gamma one permutation compose for the whole h row plus two for each of
+    # the k = 2 standard generators' basis test, (2k + 1) |G| = 5 * 16 = 80
+    # (testing every pair by itself takes 2 |G|^2 = 512)
     ctx = _c4c4_context()
     order = ctx.spec.order
     composes = _counted(monkeypatch, holomorph, "compose")
@@ -380,22 +383,38 @@ def test_each_pair_is_conjugated_once(monkeypatch):
     lattice_report(ctx)
     assert not holomorph_conjugation_report(ctx)["failures"]
     assert len(composes) <= order
-    assert len(perm_composes) == 2 * order**2
+    assert len(perm_composes) == (2 * ctx.spec.rank + 1) * order == 80
 
 
 def test_lattice_side_conjugates_by_the_circle_generators_only(monkeypatch):
-    # the invariant side conjugates every alpha(g) by lam(gamma) for the k
-    # circle generators gamma only, k <= log_3 |G| = 5: two permutation
-    # composes per (gamma, g), at most 2 * 5 * 243 = 2430 (2 |G|^2 = 118098
-    # for the full table)
+    # the invariant side reads the rows of the circle generators only, at
+    # most log_3 |G| = 5 of them; each row is one permutation compose for its
+    # h and two for each of the 5 standard generators of C3^5 in the basis
+    # test, 11 per circle generator (the full table of 243 rows takes 2673)
     ctx = Context(primitive_structure(3, 5))
-    order = ctx.spec.order
     perm_composes = _counted(monkeypatch, correspondence, "perm_compose")
     lattice_report(ctx)
-    assert len(perm_composes) <= 2 * 5 * order
-    k = len(ctx.circle_generators)
-    assert 1 <= k <= 5
-    assert len(perm_composes) == 2 * k * order
+    assert len(ctx.circle_generators) == 5
+    assert len(perm_composes) == 11 * 5 == 55
+
+
+def test_each_row_tabulates_at_most_2k_plus_1_translations(monkeypatch):
+    # a row reads alpha(z) for its h, and alpha(b) and alpha(h_b) for each
+    # standard generator b: at most 2k + 1 additive translations tabulated
+    # per row, where testing every g by itself tabulated all |G|
+    translations = _counted(monkeypatch, abelian, "_translation_perm")
+    for A in (primitive_structure(3, 5), cyclic_structure(3, 5, 1), _c4c4_context().ring):
+        ctx = Context(A)
+        for n in range(0, ctx.spec.order, 7):
+            translations.clear()
+            ctx.conjugation_row(n)
+            assert len(translations) <= 2 * ctx.spec.rank + 1
+    # 81 structures on Z/243, each with one circle generator: at most 3 each
+    # (each Context tabulated all 243 translations: 19 683)
+    translations.clear()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["verify", "cyclic", "--p", "3", "--n", "5", "--all-d"]) == cli.EXIT_OK
+    assert 0 < len(translations) <= 3 * 81
 
 
 def test_each_map_is_scanned_once(monkeypatch):

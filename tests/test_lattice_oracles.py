@@ -4,10 +4,15 @@ subgroup counts, and counts of the solutions of x^(p^k) = e.  The circle
 type is also checked against `oracles.isomorphism_type`, which checks the
 full circle table and then counts those solutions on it.
 The invariant side's walk over the circle generators is checked against the
-filter of every additive subgroup through the full conjugation table."""
+filter of every additive subgroup through the full table of
+`oracles.conjugation_row`, which tests every conjugate point by point, and
+`Context.conjugation_row`, which tests the standard generators only when they
+pass, is checked against that row on the benchmark catalogue and on planted
+circle translations that fail."""
 
 import ast
 import itertools
+import json
 from functools import partial
 from pathlib import Path
 
@@ -25,13 +30,23 @@ from hopfgal.correspondence import (
 )
 from hopfgal.errors import InputError
 from hopfgal.nilring import (
+    RingStructure,
     circle,
     enumerate_structures,
     make_structure,
     mul,
     primitive_structure,
+    trivial_structure,
 )
-from oracles import isomorphism_type, omega_type
+from oracles import (
+    addition_table,
+    circle_translation,
+    conjugation_row,
+    isomorphism_type,
+    omega_type,
+)
+
+CATALOGUE = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "catalogue.json"
 
 ORACLE_SPECS = [
     GroupSpec(2, (1, 1)),
@@ -98,18 +113,60 @@ def brute_force_invariant_subgroups(A):
     }
 
 
-def full_table_invariant_subgroups(ctx):
+def full_table_invariant_subgroups(A):
     """Every additive subgroup, kept when each member's conjugate by every
-    circle translation, read off the full conjugation table, is a translation
-    by a member."""
-    rows = [ctx.conjugation_row(n) for n in range(len(ctx.elements))]
+    circle translation, read off the full table of oracle rows, is a
+    translation by a member."""
+    spec, plus = A.spec, addition_table(A.spec)
+    rows = [conjugation_row(spec, plus, circle_translation(A, gamma)) for gamma in spec.elements()]
     out = []
-    for sub in enumerate_subgroups(ctx.spec):
+    for sub in enumerate_subgroups(spec):
         members = set(sub.elements)
-        if all(oks[ctx.index[g]] and hs[ctx.index[g]] in members
+        if all(oks[spec.element_index[g]] and hs[spec.element_index[g]] in members
                for hs, oks in rows for g in sub.elements):
             out.append(sub)
     return out
+
+
+def assert_rows_match_the_oracle(ctx, planted=None):
+    """Every gamma's `Context.conjugation_row`, against the oracle row of
+    lam(gamma) from `circle`, or of the table `planted` = (gamma, index
+    table) stands in with."""
+    plus, elems = addition_table(ctx.spec), ctx.elements
+    for n, gamma in enumerate(elems):
+        if planted and planted[0] == gamma:
+            lam = {x: elems[i] for x, i in zip(elems, planted[1])}
+        else:
+            lam = circle_translation(ctx.ring, gamma)
+        assert ctx.conjugation_row(n) == conjugation_row(ctx.spec, plus, lam), gamma
+
+
+def test_conjugation_rows_match_the_oracle_on_the_catalogue():
+    catalogue = json.loads(CATALOGUE.read_text())["groups"]
+    count = 0
+    for group in catalogue:
+        spec = {"p": group["p"], "exponents": group["exponents"]}
+        for item in group["structures"]:
+            ctx = Context(RingStructure.from_json({"spec": spec, "constants": item["constants"]}))
+            assert_rows_match_the_oracle(ctx)
+            count += 1
+    assert count == 217
+
+
+@pytest.mark.parametrize("gamma, planted", [
+    ((0,), (0, 1, 4, 3, 2, 5, 6, 7)),
+    ((1,), (1, 2, 5, 4, 3, 6, 7, 0)),
+])
+def test_conjugation_rows_match_the_oracle_on_planted_translations(gamma, planted):
+    # the stand-ins for lam(gamma) on Z/8 of
+    # test_conjugation_report_permutation_failures: the conjugate of the
+    # standard generator's translation is no translation, so the row tests
+    # every g by itself
+    ctx = Context(trivial_structure(GroupSpec(2, (3,))))
+    ctx._lambda_cache[gamma] = planted
+    _, oks = ctx.conjugation_row(ctx.index[gamma])
+    assert not oks[ctx.index[(1,)]]
+    assert_rows_match_the_oracle(ctx, (gamma, planted))
 
 
 @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=str)
@@ -134,7 +191,7 @@ def test_fixture_invariant_subgroups_match_brute_force():
 )
 def test_invariant_subgroups_match_full_table(spec):
     for A in enumerate_structures(spec):
-        assert invariant_subgroups(Context(A)) == full_table_invariant_subgroups(Context(A))
+        assert invariant_subgroups(Context(A)) == full_table_invariant_subgroups(A)
 
 
 @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=str)
