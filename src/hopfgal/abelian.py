@@ -9,6 +9,7 @@ The public ops check their arguments and call the unchecked kernel
 (`_add`, `_scalar_mul`), which the package runs on its own elements.
 An element's index is its position in `GroupSpec.elements()`; the index
 tables of `_translation_perm` and `_linear_table` are built per coordinate.
+The one lattice walk is additive; `subgroup_count` reads a type alone.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property, partial, reduce
+from functools import cached_property, reduce
 
 from .errors import CapExceeded, InputError
 
@@ -260,55 +261,75 @@ def _p_multiples(spec: GroupSpec) -> tuple:
     return tuple(map(spec.elements().__getitem__, _linear_table(spec, p_identity)))
 
 
-def walk_subgroups(elements, op, zero, p, powers, maps=()) -> list:
-    """Every subgroup of the abelian p-group (elements, op) that each map in
-    `maps` (endomorphisms) sends into itself, as frozensets, by level.
-    `powers` and each map are tables aligned with `elements`: powers[n] is
-    the p-th power of elements[n] and m[n] its image; the caller builds them
-    (index tables for the linear maps, the circle p-th powers by products).
+def walk_subgroups(spec: GroupSpec, maps=()) -> list:
+    """Every additive subgroup of `spec` that each map in `maps`
+    (endomorphisms) sends into itself, canonically sorted.  Each map is a
+    table aligned with `spec.elements()`, m[n] the image of elements[n]; the
+    walk tabulates the p-th multiples itself (`_p_multiples`).
 
-    Each cover J < I has index p: I is the union of the cosets g^k o J,
-    k < p, for any g in I - J, and g^p and each m(g) lie in J.  This holds
+    Each cover J < I has index p: I is the union of the cosets kg + J,
+    k < p, for any g in I - J, and pg and each m(g) lie in J.  This holds
     for subgroups of a p-group, and for ideals of a nilpotent ring with the
     generator products as `maps` (such a ring acts trivially on simple
     modules).  For each J, a g inside a cover already found is skipped.
     """
+    elements, multiples = spec.elements(), _p_multiples(spec)
     images = tuple(zip(*maps)) if maps else ((),) * len(elements)
-    level = [frozenset({zero})]
+    level = [frozenset({spec.zero()})]
     found = list(level)
     while level:
         covers = {}  # insertion-ordered, so the walk is deterministic
         for J in level:
             covered = set(J)
-            for g, g_p, g_images in zip(elements, powers, images):
-                if g in covered or g_p not in J or any(
-                    x not in J for x in g_images
-                ):
+            for g, g_p, g_images in zip(elements, multiples, images):
+                if g in covered or g_p not in J or any(x not in J for x in g_images):
                     continue
                 coset, cover = J, set(J)
-                for _ in range(p - 1):
-                    coset = {op(g, x) for x in coset}
+                for _ in range(spec.p - 1):
+                    coset = {_add(spec, g, x) for x in coset}
                     cover |= coset
                 covered |= cover
                 covers[frozenset(cover)] = None
         level = list(covers)
         found.extend(level)
-    return found
+    return sorted((subgroup_from_elements(spec, e) for e in found), key=Subgroup.sort_key)
 
 
 def enumerate_subgroups(spec: GroupSpec, cap: int = DEFAULT_ENUM_CAP) -> list:
     """All additive subgroups, each exactly once, canonically sorted.
 
-    The lattice walk of `walk_subgroups` under addition, with no maps and
-    the p-th multiples from `_p_multiples`.  Requires |G| <= cap.
+    The lattice walk of `walk_subgroups` with no maps.  Requires |G| <= cap.
     """
     if spec.order > cap:
         raise CapExceeded(f"|G| = {spec.order} exceeds enumeration cap {cap}")
-    found = walk_subgroups(spec.elements(), partial(_add, spec), spec.zero(), spec.p,
-                           _p_multiples(spec))
-    subs = [subgroup_from_elements(spec, e) for e in found]
-    subs.sort(key=Subgroup.sort_key)
-    return subs
+    return walk_subgroups(spec)
+
+
+def _gaussian_binomial(p: int, n: int, r: int) -> int:
+    """[n choose r]_p, the number of r-dimensional subspaces of F_p^n, by
+    exact integer division."""
+    num = den = 1
+    for i in range(r):
+        num *= p**n - p**i
+        den *= p**r - p**i
+    assert num % den == 0
+    return num // den
+
+
+def subgroup_count(p: int, exponents) -> int:
+    """Number of subgroups of the abelian p-group of type lam = `exponents`,
+    from the type alone (Butler, Subgroup lattices and symmetric functions,
+    Mem. AMS 539, 1994): with ' the conjugate partition, the sum over types
+    mu <= lam, that is over nonincreasing mu' <= lam' entrywise, of
+    prod_i p^(mu'_{i+1} (lam'_i - mu'_i)) [lam'_i - mu'_{i+1} choose mu'_i - mu'_{i+1}]_p."""
+    lam = GroupSpec(p, exponents).exponents
+    lc = [sum(1 for e in lam if e > i) for i in range(lam[0])]
+    total = 0
+    for mc in itertools.combinations_with_replacement(range(lc[0], -1, -1), len(lc)):
+        if all(a <= c for a, c in zip(mc, lc)):
+            total += math.prod(p ** (b * (c - a)) * _gaussian_binomial(p, c - b, a - b)
+                               for c, a, b in zip(lc, mc, mc[1:] + (0,)))
+    return total
 
 
 def power_type(elements, op, p) -> list:

@@ -335,8 +335,8 @@ def cmd_report(args) -> int:
                 "circle_type": list(ctx.circle_type),
                 "subhopf_count": len(ideal_list),
                 "subfield_count": subfields,
-                # circle_subgroup_count's closed form covers elementary abelian (G, o)
-                "count_method": "formula" if set(ctx.circle_type) == {1} else "enumeration",
+                # circle_subgroup_count counts every type in closed form
+                "count_method": "formula",
                 "strong_ftgt": len(ideal_list) == subfields,
             }
         )

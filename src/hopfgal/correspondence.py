@@ -6,14 +6,16 @@ no lattice).  Left circle translations and additive translations give
 two regular representations on the same set; the subgroups invariant
 under conjugation by circle translations are computed by literal
 permutation conjugation and compared with the ideals of the structure.
-Both sides use the lattice walk `abelian.walk_subgroups` and differ by
-predicate: stability under generator multiplication vs. conjugation by the
+Both sides use the additive lattice walk `abelian.walk_subgroups` and differ
+by predicate: stability under generator multiplication vs. conjugation by the
 circle generators.  Brute-force and closed-form tests check that the walk is
-complete.  Per gamma, `Context.conjugation_row` reads h, the conjugate
-lam alpha(g) lam^{-1} at 0, for every g off one composition, and tests that
-the conjugates are translations on the k standard generators only (conjugation
-is a homomorphism in g), or on every g when one of them fails: O(k |G|^2)
-for all rows, not O(|G|^3).  Only `conjugated_translation` checks elements.
+complete.  The subgroups of (G, o) are counted from its type alone
+(`abelian.subgroup_count`).  Per gamma, `Context.conjugation_row` reads h,
+the conjugate lam alpha(g) lam^{-1} at 0, for every g off one composition,
+and tests that the conjugates are translations on the k standard generators
+only (conjugation is a homomorphism in g), or on every g when one of them
+fails: O(k |G|^2) for all rows, not O(|G|^3).  Only
+`conjugated_translation` checks elements.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 
 from . import abelian, holomorph, nilring
-from .abelian import Elem, GroupSpec, Subgroup
+from .abelian import Elem, GroupSpec
 from .errors import CapExceeded, InputError, TheoremViolation
 from .nilring import RingStructure
 
@@ -72,12 +74,6 @@ class Context:
         map (`abelian.power_type`): at most p |G| circle products, no table."""
         return tuple(abelian.power_type(self.elements, partial(nilring._circle, self.ring),
                                         self.spec.p))
-
-    @cached_property
-    def p_multiples(self) -> tuple:
-        """p g for each g, aligned with `elements` (`abelian._p_multiples`):
-        the p-th power map both sides of the lattice report walk with."""
-        return abelian._p_multiples(self.spec)
 
     @cached_property
     def circle_generators(self) -> tuple:
@@ -207,12 +203,9 @@ def ideals(ctx: Context) -> list:
     """All ideals of the structure, canonically sorted: the additive subgroups
     stable under the product with each generator (enough, by bilinearity),
     from `abelian.walk_subgroups`, which is complete for a nilpotent ring.
-    The products and p-th multiples are read off index tables
-    (`_generator_products`, `Context.p_multiples`); generators stay lazy."""
-    spec = ctx.spec
-    found = abelian.walk_subgroups(ctx.elements, partial(abelian._add, spec), spec.zero(),
-                                   spec.p, ctx.p_multiples, _generator_products(ctx))
-    return sorted((abelian.subgroup_from_elements(spec, e) for e in found), key=Subgroup.sort_key)
+    The products are read off index tables (`_generator_products`), and
+    generators stay lazy."""
+    return abelian.walk_subgroups(ctx.spec, _generator_products(ctx))
 
 
 def invariant_subgroups(ctx: Context) -> list:
@@ -227,20 +220,12 @@ def invariant_subgroups(ctx: Context) -> list:
     for hs, oks in map(ctx.conjugation_row, ctx.circle_generators):
         maps.append(tuple(abelian._add(spec, h, abelian._scalar_mul(spec, -1, g)) if ok else None
                           for g, h, ok in zip(elems, hs, oks)))
-    found = abelian.walk_subgroups(elems, partial(abelian._add, spec), spec.zero(), spec.p,
-                                   ctx.p_multiples, maps)
-    return sorted((abelian.subgroup_from_elements(spec, e) for e in found), key=Subgroup.sort_key)
+    return abelian.walk_subgroups(spec, maps)
 
 
 def circle_subgroup_count(ctx: Context) -> int:
-    """Number of subgroups of (G, o): 1 + `gaussian_subspace_count` if its type
-    is elementary abelian, else the lattice walk of `abelian.walk_subgroups`
-    under the circle operation, with the circle p-th powers as products."""
-    if set(ctx.circle_type) == {1}:
-        return 1 + gaussian_subspace_count(ctx.spec.p, len(ctx.circle_type))
-    circle, p = partial(nilring._circle, ctx.ring), ctx.spec.p
-    powers = [abelian.p_power(circle, g, p) for g in ctx.elements]
-    return len(abelian.walk_subgroups(ctx.elements, circle, ctx.spec.zero(), p, powers))
+    """Number of subgroups of (G, o), in closed form from its type."""
+    return abelian.subgroup_count(ctx.spec.p, ctx.circle_type)
 
 
 @dataclass(frozen=True)
@@ -344,26 +329,15 @@ def elementary_scan(
 
 
 def gaussian_subspace_count(p: int, n: int) -> int:
-    """Sum over r = 1..n of the number of r-dimensional subspaces of F_p^n.
-
-    Exact integer arithmetic; note the sum deliberately starts at r = 1,
-    so the zero subspace is not counted (callers add 1 to get the full
-    subgroup count of an elementary abelian group).
-    """
+    """Sum over r = 1..n of the number of r-dimensional subspaces of F_p^n,
+    in exact integers.  The sum deliberately starts at r = 1, so the zero
+    subspace is not counted (callers add 1 to get the full subgroup count
+    of an elementary abelian group)."""
     if not abelian.is_prime(p):
         raise InputError(f"p = {p} is not prime")
     if n < 0:
         raise InputError("n must be >= 0")
-    total = 0
-    for r in range(1, n + 1):
-        num = 1
-        den = 1
-        for i in range(r):
-            num *= p**n - p**i
-            den *= p**r - p**i
-        assert num % den == 0
-        total += num // den
-    return total
+    return sum(abelian._gaussian_binomial(p, n, r) for r in range(1, n + 1))
 
 
 def klein_four_fixture() -> Context:

@@ -1,10 +1,10 @@
 """Reference implementations for the tests, sharing no code with what they check.
 
 Each oracle works from first principles: a full operation table, trial
-division, or affine maps and permutations applied point by point.  From
-`hopfgal` they import only the element API
-(`test_oracles_import_only_the_element_api` keeps it that way), never the
-lattice walk, `power_type` or `Context`.
+division, affine maps and permutations applied point by point, or subgroups
+grown one element at a time.  From `hopfgal` they import only the element
+API (`test_oracles_import_only_the_element_api` keeps it that way), never
+the lattice walk, `power_type`, the subgroup-count formulas or `Context`.
 """
 
 from hopfgal.abelian import add
@@ -87,6 +87,26 @@ def isomorphism_type(elements, op) -> list:
     order = len(elements)
     p = next((d for d in range(2, order + 1) if order % d == 0), 2)  # least prime factor
     return omega_type(elements, op, identity, p)
+
+
+def circle_subgroups(A) -> set:
+    """Every subgroup of the circle group (G, o), as frozensets: from {0},
+    each subgroup H found grows by each g outside it to <H, g>, the union of
+    the cosets H o g^k, k = 0, 1, ..., up to the first that is H again."""
+    start = frozenset({A.spec.zero()})
+    found, todo = {start}, [start]
+    while todo:
+        H = todo.pop()
+        for g in A.spec.elements():
+            if g in H:
+                continue
+            grown, coset = set(H), H
+            while not (coset := frozenset(circle(A, x, g) for x in coset)) <= grown:
+                grown |= coset
+            if (K := frozenset(grown)) not in found:
+                found.add(K)
+                todo.append(K)
+    return found
 
 
 def identity_map(spec) -> AffineMap:

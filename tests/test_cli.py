@@ -153,6 +153,16 @@ def test_report_primitive_uses_formula_at_scale():
     assert row["subfield_count"] == 1 + 156 + 806 + 156 + 1
 
 
+def test_report_counts_a_non_elementary_circle_group_by_formula():
+    # circle type (4, 2, 1, 1): counted in closed form like every other type
+    result = run_cli("report", "--family", "primitive", "--p", "2", "--n", "8")
+    assert result.returncode == 0, result.stderr
+    row = json.loads(result.stdout)["rows"][0]
+    assert row["circle_type"] == [4, 2, 1, 1]
+    assert row["subfield_count"] == 511
+    assert row["count_method"] == "formula"
+
+
 def test_deterministic_output(tmp_path):
     a = run_cli("verify", "lattice", "--p", "2", "--exp", "2", "--all-structures")
     b = run_cli("verify", "lattice", "--p", "2", "--exp", "2", "--all-structures")

@@ -354,11 +354,16 @@ def test_ideals_tabulate_the_generator_products(monkeypatch):
 
 
 def test_ideals_read_the_p_multiples_off_a_table(monkeypatch):
-    # no p-th power by repeated addition (one per element: 625)
+    # no p-th power by repeated addition (one per element: 625), and one
+    # table of p-th multiples per walk, the ideal side's and the invariant side's
     ctx = Context(primitive_structure(5, 4))
     powers = _counted(monkeypatch, abelian, "p_power")
+    tables = _counted(monkeypatch, abelian, "_p_multiples")
     assert len(ideals(ctx)) == 5
     assert powers == []
+    assert len(tables) == 1
+    assert len(invariant_subgroups(ctx)) == 5
+    assert len(tables) == 2
 
 
 def test_verify_primitive_computes_no_generators(monkeypatch):
@@ -462,8 +467,25 @@ def test_conjugation_report_reads_the_row_checks():
 
 
 def test_lattice_report_counts_elementary_circle_groups_in_closed_form(monkeypatch):
-    # (G, o) elementary abelian: 1 + gaussian_subspace_count, no circle walk
+    # (G, o) is counted from its type alone: elementary abelian (1 +
+    # gaussian_subspace_count), and the non-elementary (2, 1, 1, 1) and (5,).
+    # The two walks are the ideal side and the invariant side; a walk under
+    # the circle operation would be a third, with |G| circle products or more
+    assert 1 + gaussian_subspace_count(3, 3) == 28
     walks = _counted(monkeypatch, abelian, "walk_subgroups")
-    report = lattice_report(Context(trivial_structure(GroupSpec(3, (1, 1, 1)))))
-    assert report.gamma_subgroup_count == 1 + gaussian_subspace_count(3, 3) == 28
-    assert len(walks) == 2  # the ideal side and the invariant side
+    circles = _counted(monkeypatch, nilring, "_circle")
+    cases = [
+        (trivial_structure(GroupSpec(3, (1, 1, 1))), (1, 1, 1), 28),
+        (primitive_structure(3, 5), (2, 1, 1, 1), 396),
+        (cyclic_structure(3, 5, 1), (5,), 6),
+    ]
+    for A, circle_type, count in cases:
+        ctx = Context(A)
+        walks.clear()
+        report = lattice_report(ctx)
+        assert report.circle_type == circle_type
+        assert report.gamma_subgroup_count == count
+        assert len(walks) == 2
+        circles.clear()  # the circle type is cached by now
+        assert circle_subgroup_count(ctx) == count
+        assert circles == []

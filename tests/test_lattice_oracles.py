@@ -1,8 +1,11 @@
-"""The lattice walk and the circle type against oracles that share no code
-with them: brute force over all element subsets, Birkhoff's closed form for
-subgroup counts, and counts of the solutions of x^(p^k) = e.  The circle
-type is also checked against `oracles.isomorphism_type`, which checks the
-full circle table and then counts those solutions on it.
+"""The lattice walk, the subgroup-count formula and the circle type against
+oracles that share no code with them: brute force over all element subsets,
+the walk and the formula against each other, and counts of the solutions of
+x^(p^k) = e.  The circle type is also checked against
+`oracles.isomorphism_type`, which checks the full circle table and then
+counts those solutions on it, and the count of circle-group subgroups on the
+benchmark catalogue against `oracles.circle_subgroups`, which grows them one
+element at a time under `circle`.
 The invariant side's walk over the circle generators is checked against the
 filter of every additive subgroup through the full table of
 `oracles.conjugation_row`, which tests every conjugate point by point, and
@@ -18,12 +21,13 @@ from pathlib import Path
 
 import pytest
 
-from hopfgal import nilring
-from hopfgal.abelian import GroupSpec, add, enumerate_subgroups, scalar_mul
+from hopfgal import abelian, nilring
+from hopfgal.abelian import GroupSpec, add, enumerate_subgroups, scalar_mul, subgroup_count
 from hopfgal.correspondence import (
     Context,
     _generator_products,
     circle_subgroup_count,
+    gaussian_subspace_count,
     ideals,
     invariant_subgroups,
     klein_four_fixture,
@@ -40,6 +44,7 @@ from hopfgal.nilring import (
 )
 from oracles import (
     addition_table,
+    circle_subgroups,
     circle_translation,
     conjugation_row,
     isomorphism_type,
@@ -141,15 +146,19 @@ def assert_rows_match_the_oracle(ctx, planted=None):
         assert ctx.conjugation_row(n) == conjugation_row(ctx.spec, plus, lam), gamma
 
 
-def test_conjugation_rows_match_the_oracle_on_the_catalogue():
-    catalogue = json.loads(CATALOGUE.read_text())["groups"]
-    count = 0
-    for group in catalogue:
+def catalogue_structures():
+    """The 217 structures of the benchmark catalogue, read only."""
+    for group in json.loads(CATALOGUE.read_text())["groups"]:
         spec = {"p": group["p"], "exponents": group["exponents"]}
         for item in group["structures"]:
-            ctx = Context(RingStructure.from_json({"spec": spec, "constants": item["constants"]}))
-            assert_rows_match_the_oracle(ctx)
-            count += 1
+            yield RingStructure.from_json({"spec": spec, "constants": item["constants"]})
+
+
+def test_conjugation_rows_match_the_oracle_on_the_catalogue():
+    count = 0
+    for A in catalogue_structures():
+        assert_rows_match_the_oracle(Context(A))
+        count += 1
     assert count == 217
 
 
@@ -211,13 +220,22 @@ def test_walk_tables_match_the_element_api(spec):
         assert len(tables) == spec.rank
         for b, table in zip(spec.basis(), tables):
             assert table == tuple(mul(A, b, g) for g in elems)
-        assert ctx.p_multiples == tuple(scalar_mul(spec, spec.p, g) for g in elems)
+    assert abelian._p_multiples(spec) == tuple(scalar_mul(spec, spec.p, g) for g in elems)
 
 
 @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=str)
 def test_circle_subgroup_count_matches_brute_force(spec):
     for A in enumerate_structures(spec):
         assert circle_subgroup_count(Context(A)) == brute_force_circle_subgroup_count(A)
+
+
+def test_circle_subgroup_count_matches_the_oracle_on_the_catalogue():
+    # the closed form on the circle type, against the subgroups of (G, o)
+    # grown coset by coset; most catalogue circle groups are not elementary
+    counts = [(circle_subgroup_count(Context(A)), len(circle_subgroups(A)))
+              for A in catalogue_structures()]
+    assert len(counts) == 217
+    assert all(formula == oracle for formula, oracle in counts)
 
 
 def test_ideals_reject_invalid_structure():
@@ -265,36 +283,6 @@ def test_circle_type_needs_at_most_p_times_order_products(monkeypatch):
     assert 0 < len(calls) <= 5 * 625
 
 
-def gaussian_binomial(n, k, p):
-    num = den = 1
-    for i in range(k):
-        num *= p ** (n - i) - 1
-        den *= p ** (i + 1) - 1
-    return num // den
-
-
-def conjugate(partition, length):
-    return [sum(1 for part in partition if part > i) for i in range(length)]
-
-
-def birkhoff_subgroup_count(p, lam):
-    """Subgroups of the abelian p-group of type lam, summed over types mu <= lam:
-    prod_i p^(mu'_{i+1} (lam'_i - mu'_i)) [lam'_i - mu'_{i+1} choose mu'_i - mu'_{i+1}]_p
-    (Butler, Subgroup lattices and symmetric functions, Mem. AMS 539, 1994)."""
-    lc = conjugate(lam, lam[0])
-    total = 0
-    for mu in itertools.product(*(range(e + 1) for e in lam)):
-        if list(mu) != sorted(mu, reverse=True):
-            continue
-        mc = conjugate(mu, lam[0] + 1)
-        term = 1
-        for i, l in enumerate(lc):
-            term *= p ** (mc[i + 1] * (l - mc[i]))
-            term *= gaussian_binomial(l - mc[i + 1], mc[i] - mc[i + 1], p)
-        total += term
-    return total
-
-
 @pytest.mark.parametrize(
     "spec,count",
     [
@@ -307,22 +295,47 @@ def birkhoff_subgroup_count(p, lam):
     ids=str,
 )
 def test_subgroup_count_matches_birkhoff(spec, count):
-    assert birkhoff_subgroup_count(spec.p, spec.exponents) == count
+    assert subgroup_count(spec.p, spec.exponents) == count
     assert len(enumerate_subgroups(spec)) == count
+
+
+def types_of(n, largest=None):
+    """Every type (partition) of n, parts nonincreasing and at most `largest`."""
+    if n == 0:
+        yield ()
+    for first in range(min(n, largest or n), 0, -1):
+        for rest in types_of(n - first, first):
+            yield (first,) + rest
+
+
+def test_subgroup_count_matches_the_walk_on_every_small_type():
+    # every type of order at most 2^6, 3^4 and 5^3
+    types = [(p, lam) for p, top in ((2, 6), (3, 4), (5, 3))
+             for n in range(1, top + 1) for lam in types_of(n)]
+    assert len(types) == 46
+    for p, lam in types:
+        assert subgroup_count(p, lam) == len(enumerate_subgroups(GroupSpec(p, lam))), (p, lam)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_subgroup_count_of_an_elementary_type_is_gaussian(p):
+    for n in range(1, 5):
+        assert subgroup_count(p, (1,) * n) == gaussian_subspace_count(p, n) + 1
 
 
 ORACLE_IMPORTS = {"GroupSpec", "AffineMap", "compose", "add", "mul", "circle", "InputError"}
 
 
 def test_oracles_import_only_the_element_api():
-    # an oracle that called power_type, the walk or Context would agree with
-    # the code it checks even where that code is wrong
+    # an oracle that called power_type, the walk, a subgroup-count formula or
+    # Context would agree with the code it checks even where that code is wrong
     tree = ast.parse((Path(__file__).parent / "oracles.py").read_text())
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             assert not any(a.name.split(".")[0] == "hopfgal" for a in node.names)
         if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "hopfgal":
             names = {a.name for a in node.names}
-            assert not names & {"power_type", "walk_subgroups", "Context"}, names
+            assert not names & {"power_type", "walk_subgroups", "subgroup_count",
+                                "circle_subgroup_count", "Context"}, names
             assert not any(n.startswith("_") for n in names), names
             assert names <= ORACLE_IMPORTS, names
