@@ -9,7 +9,8 @@ The public ops check their arguments and call the unchecked kernel
 (`_add`, `_scalar_mul`), which the package runs on its own elements.
 An element's index is its position in `GroupSpec.elements()`; the index
 tables of `_translation_perm` and `_linear_table` are built per coordinate.
-The one lattice walk is additive; `subgroup_count` reads a type alone.
+The one lattice walk is additive and runs on indices; `subgroup_count`
+reads a type alone.
 """
 
 from __future__ import annotations
@@ -89,6 +90,8 @@ class GroupSpec:
         return [tuple(1 if j == i else 0 for j in range(k)) for i in range(k)]
 
     def reduce_coords(self, coords) -> Elem:
+        if len(coords) != self.rank:
+            raise InputError(f"element {coords} has wrong length for {self}")
         return tuple(int(c) % m for c, m in zip(coords, self.moduli))
 
     @cached_property
@@ -254,45 +257,41 @@ def p_power(op, x, p):
     return y
 
 
-def _p_multiples(spec: GroupSpec) -> tuple:
-    """p x for each x of `spec.elements()`, in that order: x -> p x is linear,
-    so it is read off one `_linear_table`, with no kernel call per element."""
-    p_identity = [[spec.p * c for c in row] for row in spec.basis()]
-    return tuple(map(spec.elements().__getitem__, _linear_table(spec, p_identity)))
-
-
 def walk_subgroups(spec: GroupSpec, maps=()) -> list:
     """Every additive subgroup of `spec` that each map in `maps`
-    (endomorphisms) sends into itself, canonically sorted.  Each map is a
-    table aligned with `spec.elements()`, m[n] the image of elements[n]; the
-    walk tabulates the p-th multiples itself (`_p_multiples`).
+    (endomorphisms) sends into itself, canonically sorted.  Each map is an
+    index table like `_linear_table`'s, m[n] the index of the image of
+    elements[n]; the walk tabulates the p-th multiples as one such table.
 
     Each cover J < I has index p: I is the union of the cosets kg + J,
     k < p, for any g in I - J, and pg and each m(g) lie in J.  This holds
     for subgroups of a p-group, and for ideals of a nilpotent ring with the
     generator products as `maps` (such a ring acts trivially on simple
     modules).  For each J, a g inside a cover already found is skipped.
+    Subgroups are walked as sets of indices and decoded only when returned.
     """
-    elements, multiples = spec.elements(), _p_multiples(spec)
+    elements, index = spec.elements(), spec.element_index
+    multiples = _linear_table(spec, [[spec.p * c for c in row] for row in spec.basis()])
     images = tuple(zip(*maps)) if maps else ((),) * len(elements)
-    level = [frozenset({spec.zero()})]
+    level = [frozenset({0})]
     found = list(level)
     while level:
         covers = {}  # insertion-ordered, so the walk is deterministic
         for J in level:
             covered = set(J)
-            for g, g_p, g_images in zip(elements, multiples, images):
+            for g, (g_p, g_images) in enumerate(zip(multiples, images)):
                 if g in covered or g_p not in J or any(x not in J for x in g_images):
                     continue
-                coset, cover = J, set(J)
+                coset, cover, step = J, set(J), elements[g]
                 for _ in range(spec.p - 1):
-                    coset = {_add(spec, g, x) for x in coset}
+                    coset = {index[_add(spec, step, elements[x])] for x in coset}
                     cover |= coset
                 covered |= cover
                 covers[frozenset(cover)] = None
         level = list(covers)
         found.extend(level)
-    return sorted((subgroup_from_elements(spec, e) for e in found), key=Subgroup.sort_key)
+    subgroups = (Subgroup(spec, tuple(map(elements.__getitem__, sorted(e)))) for e in found)
+    return sorted(subgroups, key=Subgroup.sort_key)
 
 
 def enumerate_subgroups(spec: GroupSpec, cap: int = DEFAULT_ENUM_CAP) -> list:

@@ -10,12 +10,14 @@ Both sides use the additive lattice walk `abelian.walk_subgroups` and differ
 by predicate: stability under generator multiplication vs. conjugation by the
 circle generators.  Brute-force and closed-form tests check that the walk is
 complete.  The subgroups of (G, o) are counted from its type alone
-(`abelian.subgroup_count`).  Per gamma, `Context.conjugation_row` reads h,
-the conjugate lam alpha(g) lam^{-1} at 0, for every g off one composition,
-and tests that the conjugates are translations on the k standard generators
-only (conjugation is a homomorphism in g), or on every g when one of them
-fails: O(k |G|^2) for all rows, not O(|G|^3).  Only
-`conjugated_translation` checks elements.
+(`abelian.subgroup_count`).  Per gamma, `Context.conjugation_row` reads the
+index of h, the conjugate lam alpha(g) lam^{-1} at 0, for every g off one
+composition, and tests that the conjugates are translations on the k
+standard generators only (conjugation is a homomorphism in g), or on every
+g when one of them fails: O(k |G|^2) for all rows, not O(|G|^3).  The maps
+both sides give the walk and the rows are index tables, decoded only for
+witnesses, failure records and `conjugated_translation`, which alone checks
+elements.
 """
 
 from __future__ import annotations
@@ -92,7 +94,7 @@ class Context:
     def conjugation_row(self, n: int) -> tuple:
         """(hs, oks) over g, built once per gamma = elements[n].  With lam =
         lam(gamma) and z = lam^{-1}(0), h = lam(g + z) is the conjugate
-        lam alpha(g) lam^{-1} at 0, so the whole h row is one composition
+        lam alpha(g) lam^{-1} at 0, so the index row hs is one composition
         lam alpha(z); ok tells whether that conjugate is alpha(h), that is
         whether lam alpha(g) = alpha(h) lam.  Conjugation by any permutation
         lam is a homomorphism in g, as alpha is, so when the k standard
@@ -100,21 +102,18 @@ class Context:
         compositions of length |G|; else each g is tested on its own."""
         if n not in self._rows:
             lam = self.circle_translation_perm(self.elements[n])
-            z = self.elements[lam.index(0)]
-            hs = tuple(map(self.elements.__getitem__,
-                           perm_compose(lam, self.additive_translation_perm(z))))
-            if all(self._intertwines(lam, b, hs) for b in self.spec.basis()):
+            hs = perm_compose(lam, self.additive_translation_perm(self.elements[lam.index(0)]))
+            if all(self._intertwines(lam, self.index[b], hs) for b in self.spec.basis()):
                 oks = (True,) * len(hs)
             else:
-                oks = tuple(self._intertwines(lam, g, hs) for g in self.elements)
+                oks = tuple(self._intertwines(lam, i, hs) for i in range(len(hs)))
             self._rows[n] = (hs, oks)
         return self._rows[n]
 
-    def _intertwines(self, lam: Perm, g: Elem, hs: tuple) -> bool:
-        """Whether lam alpha(g) = alpha(h) lam for h = hs at g: two compositions."""
-        h = hs[self.index[g]]
-        return (perm_compose(lam, self.additive_translation_perm(g))
-                == perm_compose(self.additive_translation_perm(h), lam))
+    def _intertwines(self, lam: Perm, i: int, hs: tuple) -> bool:
+        """Whether lam alpha(g) = alpha(h) lam, g and h at indices i and hs[i]."""
+        return (perm_compose(lam, self.additive_translation_perm(self.elements[i]))
+                == perm_compose(self.additive_translation_perm(self.elements[hs[i]]), lam))
 
 
 def perm_compose(f: Perm, g: Perm) -> Perm:
@@ -137,10 +136,10 @@ def conjugated_translation(ctx: Context, gamma: Elem, g: Elem) -> Elem:
     hs, oks = ctx.conjugation_row(ctx.index[gamma])
     i = ctx.index[g]
     closed = abelian._add(ctx.spec, g, nilring._mul(ctx.ring, gamma, g))
-    if hs[i] != closed or not oks[i]:
+    if hs[i] != ctx.index[closed] or not oks[i]:
         raise TheoremViolation(_NOT_PREDICTED, witness={
             "gamma": list(gamma), "g": list(g),
-            "permutation_path": list(hs[i]), "closed_form": list(closed)})
+            "permutation_path": list(ctx.elements[hs[i]]), "closed_form": list(closed)})
     return closed
 
 
@@ -155,10 +154,11 @@ def holomorph_conjugation_report(ctx: Context) -> dict:
     index tables.  They, the h of gamma's conjugation row (one composition,
     with the translation test made on the standard generators, or on every g
     when one fails) and the closed form g + gamma*g are compared as whole
-    tuples, and the rows of all gamma cost O(k |G|^2); only a gamma where they disagree
-    is checked pair by pair, for the failure records.  Returns the failures.
+    index tuples, and the rows of all gamma cost O(k |G|^2); only a gamma
+    where they disagree is checked pair by pair, for the failure records.
+    Returns the failures.
     """
-    spec, elems = ctx.spec, ctx.elements
+    spec, elems, index = ctx.spec, ctx.elements, ctx.index
     failures = []
     for n, gamma in enumerate(elems):
         beta = holomorph.tau(ctx.ring, gamma)
@@ -168,11 +168,11 @@ def holomorph_conjugation_report(ctx: Context) -> dict:
             failures += [{"gamma": list(gamma), "g": list(g), "reason": reason} for g in elems]
             continue
         # beta.a + M_beta(g + beta^{-1}(0)) for every g, composed on indices
-        h_index = map(abelian._translation_perm(spec, beta.a).__getitem__,
-                      map(beta.linear_table.__getitem__, abelian._translation_perm(spec, beta_inv.a)))
-        hol = tuple(map(elems.__getitem__, h_index))
+        hol = tuple(map(abelian._translation_perm(spec, beta.a).__getitem__,
+                        map(beta.linear_table.__getitem__,
+                            abelian._translation_perm(spec, beta_inv.a))))
         hs, oks = ctx.conjugation_row(n)
-        closed = tuple(abelian._add(spec, g, nilring._mul(ctx.ring, gamma, g)) for g in elems)
+        closed = tuple(index[abelian._add(spec, g, nilring._mul(ctx.ring, gamma, g))] for g in elems)
         if hol == hs == closed and all(oks):
             continue
         for g, h_hol, h, ok, h_closed in zip(elems, hol, hs, oks, closed):
@@ -181,21 +181,21 @@ def holomorph_conjugation_report(ctx: Context) -> dict:
             elif h_hol != h:
                 failures.append({"gamma": list(gamma), "g": list(g),
                                  "reason": "holomorph-level and permutation-level h differ",
-                                 "h_holomorph": list(h_hol), "h_permutation": list(h)})
+                                 "h_holomorph": list(elems[h_hol]),
+                                 "h_permutation": list(elems[h])})
     return {"pairs_checked": len(ctx.elements) ** 2, "failures": failures}
 
 
 def _generator_products(ctx: Context) -> list:
-    """Per standard generator b, the images b*g of every g, aligned with
-    `ctx.elements`: x -> b*x is linear, so its matrix (column j is b*b_j)
-    comes from k products and all |G| images from one `abelian._linear_table`."""
+    """Per standard generator b, the index table of x -> b*x: the map is
+    linear, so its matrix (column j is b*b_j) comes from k products and all
+    |G| images from one `abelian._linear_table`."""
     spec, ring = ctx.spec, ctx.ring
     basis = spec.basis()
     tables = []
     for b in basis:
         columns = [nilring._mul(ring, b, bj) for bj in basis]
-        table = abelian._linear_table(spec, tuple(zip(*columns)))
-        tables.append(tuple(map(ctx.elements.__getitem__, table)))
+        tables.append(abelian._linear_table(spec, tuple(zip(*columns))))
     return tables
 
 
@@ -212,14 +212,14 @@ def invariant_subgroups(ctx: Context) -> list:
     """Additive subgroups J whose translation image is stable under conjugation
     by every circle translation, canonically sorted.  lam is a homomorphism on
     (G, o), so the circle generators suffice.  Each one's conjugation row
-    gives `abelian.walk_subgroups` the map g -> h - g = gamma * g, a
-    nilpotent endomorphism, so the walk is complete.  A g whose conjugate is
-    no translation maps to None, which lies in no J."""
-    spec, elems = ctx.spec, ctx.elements
+    gives `abelian.walk_subgroups` the index table of g -> h - g = gamma * g,
+    a nilpotent endomorphism, so the walk is complete.  A g whose conjugate
+    is no translation maps to None, which lies in no J."""
+    spec, elems, index = ctx.spec, ctx.elements, ctx.index
     maps = []
     for hs, oks in map(ctx.conjugation_row, ctx.circle_generators):
-        maps.append(tuple(abelian._add(spec, h, abelian._scalar_mul(spec, -1, g)) if ok else None
-                          for g, h, ok in zip(elems, hs, oks)))
+        maps.append(tuple(index[abelian._add(spec, elems[h], abelian._scalar_mul(spec, -1, g))]
+                          if ok else None for g, h, ok in zip(elems, hs, oks)))
     return abelian.walk_subgroups(spec, maps)
 
 
@@ -270,9 +270,7 @@ def lattice_report(ctx: Context) -> LatticeReport:
     """
     ideal_list = ideals(ctx)
     inv_list = invariant_subgroups(ctx)
-    ideal_sets = [s.elements for s in ideal_list]
-    inv_sets = [s.elements for s in inv_list]
-    if ideal_sets != inv_sets:
+    if ideal_list != inv_list:
         raise TheoremViolation(
             "ideal lattice differs from invariant-subgroup lattice",
             witness={

@@ -83,9 +83,10 @@ def _matrix_well_defined(spec: GroupSpec, m) -> bool:
 
 def affine_map(spec: GroupSpec, a: Elem, m) -> AffineMap:
     spec.check_elem(a)
-    mat = _reduce_matrix(spec, m)
-    if len(mat) != spec.rank or any(len(row) != spec.rank for row in mat):
+    m = tuple(map(tuple, m))
+    if len(m) != spec.rank or any(len(row) != spec.rank for row in m):
         raise InputError("matrix has wrong shape")
+    mat = _reduce_matrix(spec, m)
     if not _matrix_well_defined(spec, mat):
         raise InputError(f"matrix {mat} is not a well-defined endomorphism")
     return AffineMap(spec, a, mat)

@@ -355,15 +355,27 @@ def test_ideals_tabulate_the_generator_products(monkeypatch):
 
 def test_ideals_read_the_p_multiples_off_a_table(monkeypatch):
     # no p-th power by repeated addition (one per element: 625), and one
-    # table of p-th multiples per walk, the ideal side's and the invariant side's
+    # index table of the p-th multiples, x -> p x, per walk, the ideal
+    # side's and the invariant side's; the ideal side also tabulates its
+    # k = 4 generator products, and the invariant side no other map
     ctx = Context(primitive_structure(5, 4))
+    p_identity = tuple(tuple(5 * c for c in row) for row in ctx.spec.basis())
     powers = _counted(monkeypatch, abelian, "p_power")
-    tables = _counted(monkeypatch, abelian, "_p_multiples")
+    matrices = []
+    linear_table = abelian._linear_table
+
+    def recorded(spec, m):
+        matrices.append(tuple(map(tuple, m)))
+        return linear_table(spec, m)
+
+    monkeypatch.setattr(abelian, "_linear_table", recorded)
     assert len(ideals(ctx)) == 5
     assert powers == []
-    assert len(tables) == 1
+    assert matrices.count(p_identity) == 1
+    assert len(matrices) == 4 + 1
     assert len(invariant_subgroups(ctx)) == 5
-    assert len(tables) == 2
+    assert matrices.count(p_identity) == 2
+    assert len(matrices) == 4 + 2
 
 
 def test_verify_primitive_computes_no_generators(monkeypatch):

@@ -75,6 +75,14 @@ def test_affine_map_validation():
         affine_map(spec, spec.zero(), ((1, 1), (0, 1)))
 
 
+def test_affine_map_checks_the_shape_before_reducing():
+    # an extra row is a wrong shape, not dropped to leave the identity
+    with pytest.raises(InputError):
+        affine_map(C2C2, (0, 0), [[1, 0], [0, 1], [5, 5]])
+    with pytest.raises(InputError):
+        affine_map(C2C2, (0, 0), [[1, 0, 0], [0, 1, 0]])
+
+
 def test_tau_trivial_is_translation():
     A = trivial_structure(C2C2)
     for g in C2C2.elements():

@@ -143,7 +143,8 @@ def assert_rows_match_the_oracle(ctx, planted=None):
             lam = {x: elems[i] for x, i in zip(elems, planted[1])}
         else:
             lam = circle_translation(ctx.ring, gamma)
-        assert ctx.conjugation_row(n) == conjugation_row(ctx.spec, plus, lam), gamma
+        hs, oks = ctx.conjugation_row(n)
+        assert (tuple(map(elems.__getitem__, hs)), oks) == conjugation_row(ctx.spec, plus, lam), gamma
 
 
 def catalogue_structures():
@@ -210,17 +211,49 @@ def test_ideals_match_brute_force(spec):
 
 
 @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=str)
-def test_walk_tables_match_the_element_api(spec):
-    # the ideal side's product maps and the p-th multiples, tabulated on
-    # indices, against one checked kernel call per element
+def test_walk_tables_match_the_element_api(spec, monkeypatch):
+    # the ideal side's product maps and the walk's p-th multiples, index
+    # tables decoded to elements, against one checked kernel call per element
     elems = spec.elements()
     for A in enumerate_structures(spec):
         ctx = Context(A)
         tables = _generator_products(ctx)
         assert len(tables) == spec.rank
         for b, table in zip(spec.basis(), tables):
-            assert table == tuple(mul(A, b, g) for g in elems)
-    assert abelian._p_multiples(spec) == tuple(scalar_mul(spec, spec.p, g) for g in elems)
+            assert tuple(map(elems.__getitem__, table)) == tuple(mul(A, b, g) for g in elems)
+    built = []
+    linear_table = abelian._linear_table
+
+    def recorded(*args):
+        built.append(linear_table(*args))
+        return built[-1]
+
+    monkeypatch.setattr(abelian, "_linear_table", recorded)
+    abelian.walk_subgroups(spec)
+    assert len(built) == 1
+    assert tuple(map(elems.__getitem__, built[0])) == tuple(scalar_mul(spec, spec.p, g) for g in elems)
+
+
+C4C2 = GroupSpec(2, (2, 1))
+
+
+@pytest.mark.parametrize("matrix, image, stable_count", [
+    # x -> 2x: every subgroup is stable
+    ([[2, 0], [0, 2]], lambda g: scalar_mul(C4C2, 2, g), 8),
+    # (a, b) -> (2b, a): nilpotent, and not every subgroup is stable
+    ([[0, 2], [1, 0]], lambda g: add(C4C2, scalar_mul(C4C2, g[0], (0, 1)),
+                                     scalar_mul(C4C2, g[1], (2, 0))), 4),
+], ids=["double", "shift"])
+def test_walk_takes_the_index_table_of_a_nilpotent_endomorphism(matrix, image, stable_count):
+    # nilpotent endomorphisms of C4 x C2 that are no products of a ring: the
+    # walk on the index table keeps exactly the subgroups that the element
+    # API shows the map sends into themselves
+    table = abelian._linear_table(C4C2, matrix)
+    assert table == tuple(C4C2.element_index[image(g)] for g in C4C2.elements())
+    stable = [sub for sub in enumerate_subgroups(C4C2)
+              if all(image(g) in sub.elements for g in sub.elements)]
+    assert abelian.walk_subgroups(C4C2, [table]) == stable
+    assert len(stable) == stable_count
 
 
 @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=str)

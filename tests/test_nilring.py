@@ -95,6 +95,14 @@ def test_validate_symmetry_and_order_condition():
     assert any(v.axiom == "well-defined" for v in validate(bad_order))
 
 
+def test_make_structure_rejects_a_constant_of_the_wrong_length():
+    # a third coordinate is an input error, not cut off to a valid (0, 1)
+    with pytest.raises(InputError):
+        make_structure(C2C2, [[(0, 1, 7), (0, 0)], [(0, 0), (0, 0)]])
+    with pytest.raises(InputError):
+        make_structure(C2C2, [[(0,), (0, 0)], [(0, 0), (0, 0)]])
+
+
 def test_nilpotency_index_examples():
     with pytest.raises(InputError):
         nilpotency_index(RingStructure(Z4, (((5,),),)))
