@@ -124,6 +124,11 @@ class GroupSpec:
         return " x ".join(f"C{m}" for m in self.moduli)
 
 
+def _elementary(p: int, n: int) -> GroupSpec:
+    """C_p^n; GroupSpec rejects every n >= 63, so n is cut to 63 first."""
+    return GroupSpec(p, (1,) * min(n, 63))
+
+
 def _add(spec: GroupSpec, a: Elem, b: Elem) -> Elem:
     return tuple(map(operator.mod, map(operator.add, a, b), spec.moduli))
 

@@ -84,12 +84,10 @@ def _parse_spec(args, cyclic_n=False) -> GroupSpec:
     if args.exp is not None and args.n is not None:
         raise InputError("--exp conflicts with --n")
     if args.exp is not None:
-        exps = tuple(_parse_int(x, "--exp entry") for x in args.exp.split(","))
-    elif args.n is not None:
-        exps = (args.n,) if cyclic_n else (1,) * args.n
-    else:
-        raise InputError("one of --exp or --n is required")
-    return GroupSpec(args.p, exps)
+        return GroupSpec(args.p, tuple(_parse_int(x, "--exp entry") for x in args.exp.split(",")))
+    if args.n is not None:
+        return GroupSpec(args.p, (args.n,)) if cyclic_n else abelian._elementary(args.p, args.n)
+    raise InputError("one of --exp or --n is required")
 
 
 def _resolve_structures(args, family, cyclic_n=False):
@@ -129,7 +127,8 @@ def _resolve_structures(args, family, cyclic_n=False):
         if ":" in family:
             ds = [_parse_int(family.split(":", 1)[1], "cyclic family parameter d")]
         elif args.all_d:
-            ds = range(args.p ** (args.n - 1))
+            # d = 0 runs the spec's range check before p^(n-1) = |G|/p
+            ds = range(nilring.cyclic_structure(args.p, args.n, 0).spec.order // args.p)
         elif args.d is not None:
             ds = [args.d]
         else:

@@ -234,10 +234,16 @@ class LatticeReport:
 
     ideals: tuple  # Subgroups, canonical order
     invariant_subgroups: tuple  # Subgroups, canonical order
-    inclusion_edges: tuple  # (i, j) with ideals[i] strictly contained in ideals[j]
     gamma_subgroup_count: int
     strong_ftgt: bool
     circle_type: tuple
+
+    @cached_property
+    def inclusion_edges(self) -> tuple:
+        """(i, j) with ideals[i] strictly inside ideals[j], compared on first
+        read; the invariant subgroups are the same list, with the same edges."""
+        sets = [set(s.elements) for s in self.ideals]
+        return tuple((i, j) for i, a in enumerate(sets) for j, b in enumerate(sets) if a < b)
 
     def to_json(self) -> dict:
         return {
@@ -250,23 +256,12 @@ class LatticeReport:
         }
 
 
-def _strict_inclusions(subs) -> tuple:
-    edges = []
-    sets = [set(s.elements) for s in subs]
-    for i, a in enumerate(sets):
-        for j, b in enumerate(sets):
-            if i != j and a < b:
-                edges.append((i, j))
-    return tuple(edges)
-
-
 def lattice_report(ctx: Context) -> LatticeReport:
     """Compare the ideal lattice with the invariant-subgroup lattice.
 
     The two sides share the lattice walk but not the predicate (stability
     under generator multiplication vs. permutation conjugation).  Lattices
-    with different members raise TheoremViolation; equal member lists have
-    the same inclusion edges, so the edges are read off the ideals only.
+    with different members raise TheoremViolation.
     """
     ideal_list = ideals(ctx)
     inv_list = invariant_subgroups(ctx)
@@ -283,7 +278,6 @@ def lattice_report(ctx: Context) -> LatticeReport:
     return LatticeReport(
         ideals=tuple(ideal_list),
         invariant_subgroups=tuple(inv_list),
-        inclusion_edges=_strict_inclusions(ideal_list),
         gamma_subgroup_count=gamma_count,
         strong_ftgt=(len(ideal_list) == gamma_count),
         circle_type=ctx.circle_type,

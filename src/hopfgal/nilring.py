@@ -9,6 +9,8 @@ whose isomorphism type plays the role of the Galois group.
 `correspondence.Context`, which caps and validates a structure first.
 The element kernel runs on sparse terms: the nonzero generator products,
 listed once per structure on first use.
+`enumerate_structures` fills the table row by row: row i is the map
+x -> b_i x, kept when it is nilpotent and commutes with the rows before it.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from functools import cached_property
 
 from . import abelian
 from .abelian import Elem, GroupSpec
-from .errors import CapExceeded, InputError
+from .errors import CapExceeded, InputError, TheoremViolation
 
 DEFAULT_SEARCH_CAP = 1 << 24
 
@@ -215,7 +217,7 @@ def primitive_structure(p: int, n: int) -> RingStructure:
     """One-generator structure on F_p^n: basis z, z^2, ..., z^n with z^{n+1} = 0."""
     if n < 1:
         raise InputError("n must be >= 1")
-    spec = GroupSpec(p, (1,) * n)
+    spec = abelian._elementary(p, n)
     zero = spec.zero()
     basis = spec.basis()
     constants = []
@@ -234,9 +236,9 @@ def cyclic_structure(p: int, n: int, d: int) -> RingStructure:
         raise InputError("cyclic family requires an odd prime")
     if n < 1:
         raise InputError("n must be >= 1")
+    spec = GroupSpec(p, (n,))  # its range check comes before p^(n-1)
     if not (0 <= d < p ** (n - 1)):
         raise InputError(f"d must lie in [0, p^(n-1)) = [0, {p ** (n - 1)})")
-    spec = GroupSpec(p, (n,))
     return RingStructure(spec, ((( (p * d) % p**n ,),),))
 
 
@@ -250,54 +252,45 @@ def _entry_ranges(spec: GroupSpec, i: int, j: int) -> list:
     ]
 
 
-def _associativity_triples(k: int) -> list:
-    """Generator triples (i, j, l) whose associativity implies all others.
+def _apply(spec: GroupSpec, row, x: Elem) -> Elem:
+    """L(x) = sum_t x_t row[t], reduced: row holds the products b b_t of
+    the generators with some b, and L is x -> b x."""
+    acc = [0] * len(x)
+    for xt, image in zip(x, row):
+        if xt:
+            for u, c in enumerate(image):
+                acc[u] += xt * c
+    return tuple(map(operator.mod, acc, spec.moduli))
 
-    For a commutative bilinear product, assoc(x, y, z) = (xy)z - x(yz)
-    vanishes when x = z, is antisymmetric in x and z, and for distinct
-    a, b, c satisfies assoc(a, c, b) = assoc(a, b, c) - assoc(b, a, c).
-    So the triples with i < l and j <= l imply all k^3 of them.
-    """
-    return [(i, j, l) for l in range(k) for i in range(l) for j in range(l + 1)]
+
+def _commute(spec: GroupSpec, row, other) -> bool:
+    """Whether the maps of two rows commute, on the generators: L(L'(b_t))
+    = L'(L(b_t)) with L(b_t) = row[t] and L'(b_t) = other[t]."""
+    return all(_apply(spec, row, y) == _apply(spec, other, x) for x, y in zip(row, other))
 
 
-def _nilpotent(spec: GroupSpec, rows) -> bool:
-    """Whether every n-fold composite of the maps x -> sum_t x_t row[t]
-    (row in rows) is 0, |G| = p^n: for rows = c, the constants table, that
-    is A^{n+1} = 0 (the degree-m monomials times each b_i give those of
-    degree m+1); for rows = (c[0],) it is L_0^n = 0, L_0 = (x -> b_0 x)."""
-    moduli = spec.moduli
-    gens = range(spec.rank)
+def _nilpotent(spec: GroupSpec, row) -> bool:
+    """Whether L^n = 0, |G| = p^n, for the map L of `row` (`_apply`): the
+    images L^m(b_t) of the generators, from L(b_t) = row[t], all reach 0."""
     zero = spec.zero()
-    vectors = {x for row in rows for x in row if x != zero}  # generator images
+    vectors = set(row) - {zero}
     for _ in range(spec.n - 1):
-        if not vectors:
-            return True
-        products = (
-            tuple(sum(s[t] * row[t][u] for t in gens) % mod for u, mod in enumerate(moduli))
-            for s in vectors
-            for row in rows
-        )
-        vectors = {x for x in products if x != zero}
+        vectors = {_apply(spec, row, x) for x in vectors} - {zero}
     return not vectors
 
 
-def _passes_int_checks(spec: GroupSpec, c, triples) -> bool:
-    """Associativity on `triples` and nilpotency of the constants table c
-    (symmetric, entries satisfying the order condition), on plain ints.
-
-    Accepts exactly the tables that `validate` accepts; it is the cheap
-    filter before `validate` in `enumerate_structures`.
-    """
-    moduli = spec.moduli
-    gens = range(spec.rank)
-    # (b_i b_j) b_l = sum_t (c_ij)_t c_tl  vs  b_i (b_j b_l) = sum_t (c_jl)_t c_it
-    for i, j, l in triples:
-        cij, cjl, ci = c[i][j], c[j][l], c[i]
-        for u, mod in enumerate(moduli):
-            if sum(cij[t] * c[t][l][u] - cjl[t] * ci[t][u] for t in gens) % mod:
-                return False
-    return _nilpotent(spec, c)
+def _kept_tables(spec: GroupSpec, candidates, rows):
+    """The tables that extend the kept `rows` by rows that commute with every
+    earlier row and are nilpotent; candidates[i] lists row i's entries j >= i."""
+    i = len(rows)
+    if i == spec.rank:
+        yield rows
+        return
+    head = tuple(row[i] for row in rows)
+    for tail in itertools.product(*candidates[i]):
+        row = head + tail
+        if all(_commute(spec, row, earlier) for earlier in rows) and _nilpotent(spec, row):
+            yield from _kept_tables(spec, candidates, rows + (row,))
 
 
 def enumerate_structures(
@@ -305,38 +298,41 @@ def enumerate_structures(
 ) -> list:
     """Every valid structure on spec, exactly once, ordered by constants tensor.
 
-    Brute force over the free entries (i <= j) of the symmetric constants
-    table, each entry drawn from the constants that satisfy the order
-    condition.  The search space (tensors) is compared with search_cap
-    before any candidate is built.  Row 0 (the free entries (0, j)) is
-    screened once per assignment: L_0 = (x -> b_0 x) must be nilpotent.
-    Each tensor is then tested by integer associativity and nilpotency
-    checks on the table; only tensors that pass them are built as
-    structures, and `validate` certifies each one before it is returned.
+    A backtrack over the rows of the symmetric constants table c.  Row i
+    takes c[i][j], j < i, from the rows already fixed, and each c[i][j],
+    j >= i, from the constants that satisfy the order condition.  Row i is
+    the map L_i = (x -> b_i x); it is kept when L_i commutes with every
+    earlier L_j and is nilpotent.  The prune is exact:
+
+    - (xy)z = L_z L_x y and x(yz) = L_x L_z y, so a commutative product is
+      associative iff the maps L commute, and by bilinearity iff the L_i
+      commute on the generators.
+    - Commuting nilpotent L_i generate a nilpotent algebra R of maps, and
+      A^(m+1) = R A^m, so A > A^2 > ... falls strictly until it reaches 0:
+      A^(n+1) = 0, |G| = p^n.  A valid structure has nilpotent L_i.
+
+    The search space (the product of the candidate counts, in tensors) is
+    compared with search_cap as it is multiplied up, before any candidate
+    is built.  `validate` certifies each full table before it is returned.
+    Rows and candidates are tried in lexicographic order, so the tables come
+    out sorted.
     """
     k = spec.rank
-    free = [(i, j) for i in range(k) for j in range(i, k)]
-    ranges = [_entry_ranges(spec, i, j) for i, j in free]
     space = 1
-    for entry in ranges:
-        for r in entry:
-            space *= len(r)
-    if space > search_cap:
-        raise CapExceeded(f"search space {space} exceeds cap {search_cap}")
-    candidates = [list(itertools.product(*entry)) for entry in ranges]
-    slot = [[free.index((min(i, j), max(i, j))) for j in range(k)] for i in range(k)]
-    triples = _associativity_triples(k)
+    for i in range(k):
+        for j in range(i, k):
+            for r in _entry_ranges(spec, i, j):
+                space *= len(r)
+                if space > search_cap:
+                    raise CapExceeded(f"search space exceeds cap {search_cap}")
+    candidates = [
+        [list(itertools.product(*_entry_ranges(spec, i, j))) for j in range(i, k)]
+        for i in range(k)
+    ]
     out = []
-    for row0 in itertools.product(*candidates[:k]):  # free[:k] is row 0
-        if not _nilpotent(spec, (row0,)):
-            continue
-        for rest in itertools.product(*candidates[k:]):
-            assignment = row0 + rest
-            table = tuple(tuple(assignment[n] for n in row) for row in slot)
-            if not _passes_int_checks(spec, table, triples):
-                continue
-            A = RingStructure(spec, table)
-            if not validate(A):
-                out.append(A)
-    out.sort(key=RingStructure.sort_key)
+    for table in _kept_tables(spec, candidates, ()):
+        A = RingStructure(spec, table)
+        if validate(A):
+            raise TheoremViolation("search kept an invalid structure", witness=A.to_json())
+        out.append(A)
     return out

@@ -331,6 +331,45 @@ def test_large_p_is_decided_at_once(p, code):
     assert result.returncode == code, result.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ("enumerate", "--p", "2", "--n", "30"),
+    ("enumerate", "--p", "2", "--n", "31"),
+    ("verify", "elementary", "--p", "5", "--n", "23"),
+    ("verify", "lattice", "--family", "enumerate", "--p", "3", "--n", "26"),
+])
+def test_search_cap_stops_before_the_search_space_is_printed(argv):
+    # search spaces of 4 000 digits and more: no int-to-str limit, no long line
+    result = run_cli(*argv)
+    assert result.returncode == 3, result.stderr
+    assert result.stderr == "cap exceeded: search space exceeds cap 16777216\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "lattice", "--family", "cyclic", "--p", "3", "--n", "100000000", "--all-d"),
+    ("report", "--family", "cyclic:0", "--p", "3", "--n", "100000000"),
+])
+def test_cyclic_family_checks_the_range_before_p_to_the_n(argv):
+    result = subprocess.run([sys.executable, "-m", "hopfgal.cli", *argv],
+                            capture_output=True, text=True, timeout=10)
+    assert result.returncode == 2, result.stderr
+    assert result.stderr == "input error: group order exceeds 64-bit range\n"
+
+
+@pytest.mark.parametrize("command", [
+    ("enumerate",), ("verify", "elementary"), ("verify", "lattice", "--family", "trivial"),
+    ("verify", "primitive"),
+])
+def test_n_is_range_checked_before_the_exponents_are_built(command):
+    tracemalloc.start()
+    try:
+        code, out, err = _main([*command, "--p", "2", "--n", "1000000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out, err) == (cli.EXIT_INPUT, "", "input error: group order exceeds 64-bit range\n")
+    assert peak < 1 << 20
+
+
 def test_cap_exceeded_exit_code():
     result = run_cli("enumerate", "--p", "2", "--exp", "1,1", "--cap-search", "2")
     assert result.returncode == 3

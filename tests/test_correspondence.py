@@ -210,6 +210,15 @@ def test_lattice_report_primitive_chains():
     )
 
 
+def test_lattice_report_compares_inclusions_on_first_read():
+    report = lattice_report(Context(primitive_structure(2, 3)))
+    assert "inclusion_edges" not in vars(report)  # no inclusion compared yet
+    edges = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+    assert report.inclusion_edges == edges
+    assert vars(report)["inclusion_edges"] == edges  # compared once, then kept
+    assert report.to_json()["inclusion_edges"] == [list(e) for e in edges]
+
+
 def test_cyclic_family_strong_everywhere():
     for n in (2, 3):
         for d in range(3 ** (n - 1)):

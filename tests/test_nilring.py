@@ -1,17 +1,17 @@
+import ast
 import itertools
 import tracemalloc
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from hopfgal import abelian
+from hopfgal import abelian, nilring
 from hopfgal.abelian import GroupSpec, add, enumerate_subgroups, scalar_mul
 from hopfgal.correspondence import Context, ideals
-from hopfgal.errors import CapExceeded, InputError
+from hopfgal.errors import CapExceeded, InputError, TheoremViolation
 from hopfgal.nilring import (
     RingStructure,
-    _associativity_triples,
-    _nilpotent,
-    _passes_int_checks,
     circle,
     circle_inverse,
     cyclic_structure,
@@ -333,17 +333,53 @@ def _all_tensors(spec):
     ],
 )
 def test_int_checks_accept_exactly_what_validate_accepts(spec):
-    triples = _associativity_triples(spec.rank)
-    tried = accepted = 0
-    for table in _all_tensors(spec):
-        expected = not validate(RingStructure(spec, table))
-        assert _passes_int_checks(spec, table, triples) == expected, table
-        # the row-0 screen of enumerate_structures keeps every valid table
-        assert _nilpotent(spec, (table[0],)) or not expected, table
-        tried += 1
-        accepted += expected
-    assert accepted == len(enumerate_structures(spec))
-    assert 0 < accepted < tried
+    # the search's row checks (commuting, nilpotent multiplication maps) keep
+    # exactly the tables that validate accepts, in sorted order
+    tables = list(_all_tensors(spec))
+    accepted = sorted(table for table in tables if not validate(RingStructure(spec, table)))
+    assert [A.constants for A in enumerate_structures(spec)] == accepted
+    assert 0 < len(accepted) < len(tables)
+
+
+@pytest.mark.parametrize("p, search_cap", [(2, nilring.DEFAULT_SEARCH_CAP), (3, 3**18)])
+def test_structures_on_f_p_cubed_by_dim_a_squared(p, search_cap):
+    # closed form by dim A^2: A^2 = 0 is one structure, dim 1 gives
+    # (p^2+p+1)(p^3-1) and dim 2 gives |GL_3(F_p)|/((p-1)p^2); 92 and 963 in all
+    spec = GroupSpec(p, (1, 1, 1))
+    gl3 = (p**3 - 1) * (p**3 - p) * (p**3 - p**2)
+    expected = {1: 1, p: (p**2 + p + 1) * (p**3 - 1), p**2: gl3 // ((p - 1) * p**2)}
+    squares = Counter(
+        len(abelian.additive_closure(spec, [c for row in A.constants for c in row]))
+        for A in enumerate_structures(spec, search_cap)
+    )
+    assert squares == expected
+    assert sum(expected.values()) == {2: 92, 3: 963}[p]
+
+
+def test_search_raises_on_a_kept_table_that_validate_rejects(monkeypatch):
+    # on Z/4 the table 1*1 = 1 passes every check but nilpotency
+    monkeypatch.setattr(nilring, "_nilpotent", lambda spec, row: True)
+    with pytest.raises(TheoremViolation, match="search kept an invalid structure"):
+        enumerate_structures(Z4)
+
+
+def test_validate_runs_no_helper_of_the_search():
+    # validate certifies what the search keeps, so it must not reach, through
+    # any function of the module, the row checks the search prunes by
+    tree = ast.parse(Path(nilring.__file__).read_text())
+    calls = {
+        node.name: {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+        for node in tree.body if isinstance(node, ast.FunctionDef)
+    }
+    reached, todo = set(), ["validate", "nilpotency_index"]
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo.extend(calls[name] & calls.keys())
+    prune = {"_apply", "_commute", "_nilpotent", "_kept_tables", "enumerate_structures"}
+    assert prune <= calls.keys()
+    assert not reached & prune
 
 
 def test_structure_json_round_trip():
