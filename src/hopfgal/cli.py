@@ -71,11 +71,22 @@ def _reject_unread(args, reader, reads, options=_UNSET):
             raise InputError(f"{reader} does not read --{dest.replace('_', '-')}")
 
 
+_ECHO = 32  # characters of a rejected value that its error message repeats
+
+
 def _parse_int(text, what) -> int:
+    """int(text), else InputError, echoing at most _ECHO characters of text.
+    Python's int-from-str digit limit raises the same ValueError as a
+    malformed text, so a text longer than that limit is called too long."""
     try:
         return int(text)
     except ValueError:
-        raise InputError(f"{what} must be an integer, got {text!r}") from None
+        shown = repr(text) if len(text) <= _ECHO else f"{text[:_ECHO]!r}... ({len(text)} characters)"
+        limit = sys.get_int_max_str_digits()
+        if limit and len(text) > limit:
+            raise InputError(f"{what} is too long for an integer of at most {limit} digits, "
+                             f"got {shown}") from None
+        raise InputError(f"{what} must be an integer, got {shown}") from None
 
 
 def _parse_spec(args, cyclic_n=False) -> GroupSpec:

@@ -14,7 +14,11 @@ complete.  The subgroups of (G, o) are counted from its type alone
 index of h, the conjugate lam alpha(g) lam^{-1} at 0, for every g off one
 composition, and tests that the conjugates are translations on the k
 standard generators only (conjugation is a homomorphism in g), or on every
-g when one of them fails: O(k |G|^2) for all rows, not O(|G|^3).  The maps
+g when one of them fails: O(k |G|^2) for all rows, not O(|G|^3).  The
+conjugation report first builds every lam(gamma) by closure from the circle
+generators' (`Context.close_circle_translations`, which checks regularity),
+and the closed form g + gamma*g as one linear index table per gamma from the
+structure constants, so it makes no element-level product per pair.  The maps
 both sides give the walk and the rows are index tables, decoded only for
 witnesses, failure records and `conjugated_translation`, which alone checks
 elements.
@@ -91,6 +95,36 @@ class Context:
                     span |= coset
         return tuple(gens)
 
+    def close_circle_translations(self) -> None:
+        """Cache lam(gamma) for every gamma.  Only the circle generators' lam
+        is tabulated from circle products; the rest are their products,
+        found breadth-first from the identity, each keyed by its image of 0,
+        as lam(gamma o g) = lam(gamma) lam(g): |G| compositions per
+        generator.  Regularity is checked on the way: two products with one
+        image of 0 must be equal, and there must be |G| of them, else
+        TheoremViolation.  A table already cached is kept."""
+        elems = self.elements
+        gens = [self.circle_translation_perm(elems[n]) for n in self.circle_generators]
+        found = {0: tuple(range(len(elems)))}
+        frontier = list(found.values())
+        for mu in frontier:  # grows as the loop runs: breadth-first
+            for lam in gens:
+                nu = perm_compose(lam, mu)
+                known = found.get(nu[0])
+                if known is None:
+                    found[nu[0]] = nu
+                    frontier.append(nu)
+                elif known != nu:
+                    x = next(x for x, (a, b) in enumerate(zip(known, nu)) if a != b)
+                    raise TheoremViolation("circle translations do not act regularly", witness={
+                        "gamma": list(elems[nu[0]]), "x": list(elems[x]),
+                        "images": [list(elems[known[x]]), list(elems[nu[x]])]})
+        if len(found) != len(elems):
+            raise TheoremViolation("circle translations do not act regularly",
+                                   witness={"orbit_of_0": len(found), "order": len(elems)})
+        for n, lam in found.items():
+            self._lambda_cache.setdefault(elems[n], lam)
+
     def conjugation_row(self, n: int) -> tuple:
         """(hs, oks) over g, built once per gamma = elements[n].  With lam =
         lam(gamma) and z = lam^{-1}(0), h = lam(g + z) is the conjugate
@@ -148,17 +182,24 @@ def holomorph_conjugation_report(ctx: Context) -> dict:
 
     For each (gamma, g): conjugating the additive translation by g with
     the circle translation by gamma must give an additive translation by
-    the same h on both levels.  Per gamma, beta = tau(gamma), its inverse and
-    the linear part M_beta M_beta^{-1} of every conjugate are built once, and
-    the translation parts beta(g + beta^{-1}(0)) of all g are composed from
-    index tables.  They, the h of gamma's conjugation row (one composition,
-    with the translation test made on the standard generators, or on every g
-    when one fails) and the closed form g + gamma*g are compared as whole
-    index tuples, and the rows of all gamma cost O(k |G|^2); only a gamma
-    where they disagree is checked pair by pair, for the failure records.
-    Returns the failures.
+    the same h on both levels.  The three h rows share no derivation:
+    - Hol(G): per gamma, beta = tau(gamma), its inverse and the linear part
+      M_beta M_beta^{-1} of every conjugate are built once, and the
+      translation parts beta(g + beta^{-1}(0)) of all g are composed from
+      index tables;
+    - Perm(G): gamma's conjugation row (one composition, with the
+      translation test made on the standard generators, or on every g when
+      one fails), on lam(gamma) from `Context.close_circle_translations`,
+      which tabulates circle products for the circle generators only;
+    - the closed form g + gamma*g: one linear index table per gamma, from
+      the structure constants (`_closed_form_table`).
+    The rows are compared as whole index tuples, so the report makes no
+    element-level product per pair and costs O(k |G|^2) in index lookups;
+    only a gamma where they disagree is checked pair by pair, for the
+    failure records.  Returns the failures.
     """
-    spec, elems, index = ctx.spec, ctx.elements, ctx.index
+    spec, elems = ctx.spec, ctx.elements
+    ctx.close_circle_translations()
     failures = []
     for n, gamma in enumerate(elems):
         beta = holomorph.tau(ctx.ring, gamma)
@@ -172,7 +213,7 @@ def holomorph_conjugation_report(ctx: Context) -> dict:
                         map(beta.linear_table.__getitem__,
                             abelian._translation_perm(spec, beta_inv.a))))
         hs, oks = ctx.conjugation_row(n)
-        closed = tuple(index[abelian._add(spec, g, nilring._mul(ctx.ring, gamma, g))] for g in elems)
+        closed = _closed_form_table(ctx, gamma)
         if hol == hs == closed and all(oks):
             continue
         for g, h_hol, h, ok, h_closed in zip(elems, hol, hs, oks, closed):
@@ -184,6 +225,16 @@ def holomorph_conjugation_report(ctx: Context) -> dict:
                                  "h_holomorph": list(elems[h_hol]),
                                  "h_permutation": list(elems[h])})
     return {"pairs_checked": len(ctx.elements) ** 2, "failures": failures}
+
+
+def _closed_form_table(ctx: Context, gamma: Elem) -> tuple:
+    """The index table of g -> g + gamma*g, from the structure constants c
+    alone: the map is linear, with matrix I + M, M[i][j] = sum_t gamma_t
+    c[t][j][i] the coordinate i of gamma * b_j."""
+    spec, c = ctx.spec, ctx.ring.constants
+    return abelian._linear_table(spec, [
+        [((i == j) + sum(gt * c[t][j][i] for t, gt in enumerate(gamma))) % mod
+         for j in range(spec.rank)] for i, mod in enumerate(spec.moduli)])
 
 
 def _generator_products(ctx: Context) -> list:

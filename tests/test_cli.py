@@ -344,6 +344,29 @@ def test_search_cap_stops_before_the_search_space_is_printed(argv):
     assert result.stderr == "cap exceeded: search space exceeds cap 16777216\n"
 
 
+@pytest.mark.parametrize("argv, what", [
+    (("report", "--family", "cyclic:" + "9" * 5000, "--p", "3", "--n", "3"),
+     "cyclic family parameter d"),
+    (("enumerate", "--p", "2", "--exp", "9" * 5000), "--exp entry"),
+])
+def test_an_integer_above_the_digit_limit_is_too_long(argv, what):
+    # int() raises the same ValueError for a text above Python's digit
+    # limit as for a malformed one; the message says which, on one short line
+    limit = sys.get_int_max_str_digits()
+    assert 0 < limit < 5000
+    assert _main(list(argv)) == (cli.EXIT_INPUT, "", (
+        f"input error: {what} is too long for an integer of at most {limit} digits, "
+        f"got '{'9' * 32}'... (5000 characters)\n"))
+
+
+def test_a_malformed_integer_is_echoed_short():
+    assert _main(["enumerate", "--p", "2", "--exp", "1,x"]) == (
+        cli.EXIT_INPUT, "", "input error: --exp entry must be an integer, got 'x'\n")
+    assert _main(["enumerate", "--p", "2", "--exp", "x" * 100]) == (
+        cli.EXIT_INPUT, "",
+        f"input error: --exp entry must be an integer, got '{'x' * 32}'... (100 characters)\n")
+
+
 @pytest.mark.parametrize("argv", [
     ("verify", "lattice", "--family", "cyclic", "--p", "3", "--n", "100000000", "--all-d"),
     ("report", "--family", "cyclic:0", "--p", "3", "--n", "100000000"),

@@ -139,6 +139,24 @@ def test_conjugation_report_permutation_failures():
     assert [s.elements for s in invariant_subgroups(ctx)] == [((0,),)]
 
 
+def test_conjugation_report_checks_the_closure_is_regular():
+    # the non-regular stand-in for lam((1,)) above makes (1,) and (3,) the
+    # circle generators; two products of theirs agree at 0 but differ
+    ctx = Context(trivial_structure(GroupSpec(2, (3,))))
+    ctx._lambda_cache[(1,)] = (1, 2, 5, 4, 3, 6, 7, 0)
+    with pytest.raises(TheoremViolation, match="do not act regularly") as info:
+        holomorph_conjugation_report(ctx)
+    assert ctx.circle_generators == (1, 3)
+    assert set(info.value.witness) == {"gamma", "x", "images"}
+    # with the identity planted for every gamma, the closure finds lam(0) only
+    ctx = Context(trivial_structure(GroupSpec(2, (3,))))
+    for gamma in ctx.elements:
+        ctx._lambda_cache[gamma] = tuple(range(8))
+    with pytest.raises(TheoremViolation, match="do not act regularly") as info:
+        holomorph_conjugation_report(ctx)
+    assert info.value.witness == {"orbit_of_0": 1, "order": 8}
+
+
 def _patch_inverse(monkeypatch, change):
     """holomorph.inverse, with `change` applied to the inverse of tau((1, 0))."""
     inverse = holomorph.inverse
@@ -401,7 +419,9 @@ def test_each_pair_is_conjugated_once(monkeypatch):
     # lattice and conjugation sides: one Hol(G) compose per gamma, and per
     # gamma one permutation compose for the whole h row plus two for each of
     # the k = 2 standard generators' basis test, (2k + 1) |G| = 5 * 16 = 80
-    # (testing every pair by itself takes 2 |G|^2 = 512)
+    # (testing every pair by itself takes 2 |G|^2 = 512).  The report also
+    # builds every lam(gamma) by closure: one compose per member of (G, o)
+    # and circle generator, |G| r = 16 * 2 = 32, so 112 in all
     ctx = _c4c4_context()
     order = ctx.spec.order
     composes = _counted(monkeypatch, holomorph, "compose")
@@ -409,7 +429,36 @@ def test_each_pair_is_conjugated_once(monkeypatch):
     lattice_report(ctx)
     assert not holomorph_conjugation_report(ctx)["failures"]
     assert len(composes) <= order
-    assert len(perm_composes) == (2 * ctx.spec.rank + 1) * order == 80
+    assert len(ctx.circle_generators) == 2
+    assert len(perm_composes) == (2 * ctx.spec.rank + 1 + 2) * order == 112
+
+
+def test_conjugation_report_makes_no_product_per_pair(monkeypatch):
+    # circle products only for lam of the r = 2 circle generators, |G| each,
+    # and ring products only for tau's k = 2 matrix columns per gamma; the
+    # closed form reads the structure constants (one of each per pair would
+    # be |G|^2 = 256)
+    ctx = _c4c4_context()
+    order = ctx.spec.order
+    circles = _counted(monkeypatch, nilring, "_circle")
+    muls = _counted(monkeypatch, nilring, "_mul")
+    assert not holomorph_conjugation_report(ctx)["failures"]
+    assert len(ctx.circle_generators) == 2
+    assert len(circles) <= order * 2
+    assert len(muls) <= ctx.spec.rank * order
+
+
+def test_closed_form_reads_neither_tau_nor_the_product(monkeypatch):
+    ctx = _c4c4_context()
+    expected = [tuple(ctx.index[add(ctx.spec, g, nilring.mul(ctx.ring, gamma, g))]
+                      for g in ctx.elements) for gamma in ctx.elements]
+
+    def forbidden(*args):
+        raise AssertionError("the closed form called tau or _mul")
+
+    monkeypatch.setattr(holomorph, "tau", forbidden)
+    monkeypatch.setattr(nilring, "_mul", forbidden)
+    assert [correspondence._closed_form_table(ctx, gamma) for gamma in ctx.elements] == expected
 
 
 def test_lattice_side_conjugates_by_the_circle_generators_only(monkeypatch):

@@ -11,7 +11,10 @@ filter of every additive subgroup through the full table of
 `oracles.conjugation_row`, which tests every conjugate point by point, and
 `Context.conjugation_row`, which tests the standard generators only when they
 pass, is checked against that row on the benchmark catalogue and on planted
-circle translations that fail."""
+circle translations that fail.  On the catalogue, every circle translation the
+closure of `Context.close_circle_translations` gives is checked against
+`oracles.circle_translation`, and every closed-form table g + gamma*g against
+`add` and `mul`, pair by pair."""
 
 import ast
 import itertools
@@ -25,6 +28,7 @@ from hopfgal import abelian, nilring
 from hopfgal.abelian import GroupSpec, add, enumerate_subgroups, scalar_mul, subgroup_count
 from hopfgal.correspondence import (
     Context,
+    _closed_form_table,
     _generator_products,
     circle_subgroup_count,
     gaussian_subspace_count,
@@ -159,6 +163,34 @@ def test_conjugation_rows_match_the_oracle_on_the_catalogue():
     count = 0
     for A in catalogue_structures():
         assert_rows_match_the_oracle(Context(A))
+        count += 1
+    assert count == 217
+
+
+def test_closure_gives_every_circle_translation_on_the_catalogue():
+    # only the circle generators' lam is tabulated from circle products; every
+    # other lam(gamma) is a product found by the closure
+    count = 0
+    for A in catalogue_structures():
+        ctx = Context(A)
+        ctx.close_circle_translations()
+        elems = ctx.elements
+        assert len(ctx._lambda_cache) == len(elems)
+        for gamma in elems:
+            lam = ctx._lambda_cache[gamma]
+            assert {x: elems[i] for x, i in zip(elems, lam)} == circle_translation(A, gamma)
+        count += 1
+    assert count == 217
+
+
+def test_closed_form_tables_match_the_products_on_the_catalogue():
+    count = 0
+    for A in catalogue_structures():
+        ctx = Context(A)
+        spec, elems = ctx.spec, ctx.elements
+        for gamma in elems:
+            closed = tuple(map(elems.__getitem__, _closed_form_table(ctx, gamma)))
+            assert closed == tuple(add(spec, g, mul(A, gamma, g)) for g in elems), gamma
         count += 1
     assert count == 217
 
