@@ -84,10 +84,13 @@ class GroupSpec:
     def zero(self) -> Elem:
         return (0,) * self.rank
 
+    @cached_property
+    def _basis(self) -> tuple:
+        """Standard generators: the unit vector of each cyclic factor, built once."""
+        return tuple(tuple(int(j == i) for j in range(self.rank)) for i in range(self.rank))
+
     def basis(self) -> list:
-        """Standard generators: the unit vector of each cyclic factor."""
-        k = self.rank
-        return [tuple(1 if j == i else 0 for j in range(k)) for i in range(k)]
+        return list(self._basis)
 
     def reduce_coords(self, coords) -> Elem:
         if len(coords) != self.rank:

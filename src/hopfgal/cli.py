@@ -49,18 +49,18 @@ _READS = {
 
 
 def _add_common(parser):
-    parser.add_argument("--p", type=int, help="the prime")
+    parser.add_argument("--p", type=_int_option, help="the prime")
     parser.add_argument("--exp", type=str, help="comma-separated exponents, e.g. 2,1")
-    parser.add_argument("--n", type=int, help="shorthand: n cyclic factors C_p (or the cyclic exponent for the cyclic family)")
+    parser.add_argument("--n", type=_int_option, help="shorthand: n cyclic factors C_p (or the cyclic exponent for the cyclic family)")
     parser.add_argument("--family", type=str, help="trivial | primitive | cyclic:d | enumerate | fixture:klein")
-    parser.add_argument("--d", type=int, help="parameter of the cyclic family")
+    parser.add_argument("--d", type=_int_option, help="parameter of the cyclic family")
     parser.add_argument("--all-d", action="store_true", help="scan every d in [0, p^(n-1))")
     parser.add_argument("--all-structures", action="store_true", help="scan every enumerated structure on the spec")
     parser.add_argument("--format", choices=["json", "table"], default="json")
     parser.add_argument("--out", type=str, help="output path (default: stdout)")
-    parser.add_argument("--cap-enum", type=int, default=_UNSET["cap_enum"])
-    parser.add_argument("--cap-search", type=int, default=_UNSET["cap_search"])
-    parser.add_argument("--cap-hol", type=int, default=_UNSET["cap_hol"])
+    parser.add_argument("--cap-enum", type=_int_option, default=_UNSET["cap_enum"])
+    parser.add_argument("--cap-search", type=_int_option, default=_UNSET["cap_search"])
+    parser.add_argument("--cap-hol", type=_int_option, default=_UNSET["cap_hol"])
 
 
 def _reject_unread(args, reader, reads, options=_UNSET):
@@ -87,6 +87,15 @@ def _parse_int(text, what) -> int:
             raise InputError(f"{what} is too long for an integer of at most {limit} digits, "
                              f"got {shown}") from None
         raise InputError(f"{what} must be an integer, got {shown}") from None
+
+
+def _int_option(text) -> int:
+    """`_parse_int` as an argparse type: argparse prints an ArgumentTypeError
+    as it is, with its usage line and exit 2, but echoes a ValueError's text."""
+    try:
+        return _parse_int(text, "value")
+    except InputError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _parse_spec(args, cyclic_n=False) -> GroupSpec:
@@ -393,6 +402,9 @@ def main(argv=None) -> int:
     try:
         command = f"verify {args.check}" if args.command == "verify" else args.command
         _reject_unread(args, command, _READS[command])
+        for dest in ("cap_enum", "cap_search", "cap_hol"):
+            if getattr(args, dest) < 0:
+                raise InputError(f"--{dest.replace('_', '-')} must be >= 0")
         return args.func(args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)

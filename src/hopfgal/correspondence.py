@@ -137,7 +137,7 @@ class Context:
         if n not in self._rows:
             lam = self.circle_translation_perm(self.elements[n])
             hs = perm_compose(lam, self.additive_translation_perm(self.elements[lam.index(0)]))
-            if all(self._intertwines(lam, self.index[b], hs) for b in self.spec.basis()):
+            if all(self._intertwines(lam, self.index[b], hs) for b in self.spec._basis):
                 oks = (True,) * len(hs)
             else:
                 oks = tuple(self._intertwines(lam, i, hs) for i in range(len(hs)))
@@ -183,10 +183,10 @@ def holomorph_conjugation_report(ctx: Context) -> dict:
     For each (gamma, g): conjugating the additive translation by g with
     the circle translation by gamma must give an additive translation by
     the same h on both levels.  The three h rows share no derivation:
-    - Hol(G): per gamma, beta = tau(gamma), its inverse and the linear part
-      M_beta M_beta^{-1} of every conjugate are built once, and the
-      translation parts beta(g + beta^{-1}(0)) of all g are composed from
-      index tables;
+    - Hol(G): per gamma, beta = tau(gamma) (by the unchecked `_tau`), its
+      inverse and the linear part M_beta M_beta^{-1} of every conjugate are
+      built once, and the translation parts beta(g + beta^{-1}(0)) of all g
+      are composed from beta's table and the Context's translations;
     - Perm(G): gamma's conjugation row (one composition, with the
       translation test made on the standard generators, or on every g when
       one fails), on lam(gamma) from `Context.close_circle_translations`,
@@ -198,20 +198,20 @@ def holomorph_conjugation_report(ctx: Context) -> dict:
     only a gamma where they disagree is checked pair by pair, for the
     failure records.  Returns the failures.
     """
-    spec, elems = ctx.spec, ctx.elements
+    elems = ctx.elements
     ctx.close_circle_translations()
     failures = []
     for n, gamma in enumerate(elems):
-        beta = holomorph.tau(ctx.ring, gamma)
+        beta = holomorph._tau(ctx.ring, gamma)
         beta_inv = holomorph.inverse(beta)
         if not holomorph.compose(beta, beta_inv).is_translation():
             reason = "holomorph conjugate is not a translation"
             failures += [{"gamma": list(gamma), "g": list(g), "reason": reason} for g in elems]
             continue
-        # beta.a + M_beta(g + beta^{-1}(0)) for every g, composed on indices
-        hol = tuple(map(abelian._translation_perm(spec, beta.a).__getitem__,
+        # beta(0) + M_beta(g + beta^{-1}(0)) for every g, composed on indices
+        hol = tuple(map(ctx.additive_translation_perm(beta.a).__getitem__,
                         map(beta.linear_table.__getitem__,
-                            abelian._translation_perm(spec, beta_inv.a))))
+                            ctx.additive_translation_perm(beta_inv.a))))
         hs, oks = ctx.conjugation_row(n)
         closed = _closed_form_table(ctx, gamma)
         if hol == hs == closed and all(oks):
@@ -264,13 +264,20 @@ def invariant_subgroups(ctx: Context) -> list:
     by every circle translation, canonically sorted.  lam is a homomorphism on
     (G, o), so the circle generators suffice.  Each one's conjugation row
     gives `abelian.walk_subgroups` the index table of g -> h - g = gamma * g,
-    a nilpotent endomorphism, so the walk is complete.  A g whose conjugate
-    is no translation maps to None, which lies in no J."""
+    a nilpotent endomorphism, so the walk is complete.  If every conjugate
+    in the row is a translation, g -> h is additive and the table linear,
+    with column j h - b_j; else a g whose conjugate is no translation maps
+    to None, which lies in no J."""
     spec, elems, index = ctx.spec, ctx.elements, ctx.index
     maps = []
     for hs, oks in map(ctx.conjugation_row, ctx.circle_generators):
-        maps.append(tuple(index[abelian._add(spec, elems[h], abelian._scalar_mul(spec, -1, g))]
-                          if ok else None for g, h, ok in zip(elems, hs, oks)))
+        if all(oks):
+            columns = [abelian._add(spec, elems[hs[index[b]]], abelian._scalar_mul(spec, -1, b))
+                       for b in spec._basis]
+            maps.append(abelian._linear_table(spec, tuple(zip(*columns))))
+        else:
+            maps.append(tuple(index[abelian._add(spec, elems[h], abelian._scalar_mul(spec, -1, g))]
+                              if ok else None for g, h, ok in zip(elems, hs, oks)))
     return abelian.walk_subgroups(spec, maps)
 
 

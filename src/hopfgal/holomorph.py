@@ -5,10 +5,11 @@ column j of m the image of the j-th standard generator.  Includes the
 embedding of the circle group into Hol(G), both directions of the
 structure/regular-subgroup correspondence, and brute-force regular
 subgroup enumeration for tiny holomorphs.  `AffineMap.apply`, `tau`,
-`translation` and `affine_map` check their elements; the rest is unchecked.
+`translation` and `affine_map` check their elements; the rest is unchecked,
+and the package's own loops build circle translations with `_tau`.
 Each map tabulates its linear part on element indices once, on first use:
-`AffineMap.linear_table` serves `_apply`, `is_invertible`, `inverse` and
-the index permutations.
+`AffineMap.linear_table` serves `_apply`, the image count that `is_invertible`
+and `inverse` read, and the index permutations.
 """
 
 from __future__ import annotations
@@ -55,8 +56,13 @@ class AffineMap:
         use and kept on the map, outside the dataclass fields."""
         return abelian._linear_table(self.spec, self.m)
 
+    @cached_property
+    def _bijective(self) -> bool:
+        """Whether `linear_table` has |G| distinct entries, counted once."""
+        return len(set(self.linear_table)) == self.spec.order
+
     def is_translation(self) -> bool:
-        return self.m == tuple(self.spec.basis())
+        return self.m == self.spec._basis
 
     def sort_key(self):
         return (self.a, self.m)
@@ -95,12 +101,12 @@ def affine_map(spec: GroupSpec, a: Elem, m) -> AffineMap:
 def translation(spec: GroupSpec, g: Elem) -> AffineMap:
     """The left regular representation of (G, +): x -> g + x."""
     spec.check_elem(g)
-    return AffineMap(spec, g, tuple(spec.basis()))
+    return AffineMap(spec, g, spec._basis)
 
 
 def is_invertible(f: AffineMap) -> bool:
     """Bijectivity of the linear part, by counting its image indices."""
-    return len(set(f.linear_table)) == f.spec.order
+    return f._bijective
 
 
 def compose(f: AffineMap, g: AffineMap) -> AffineMap:
@@ -120,26 +126,26 @@ def inverse(f: AffineMap) -> AffineMap:
     """Inverse map x -> m^{-1}(x - a); requires an invertible linear part.  The
     preimages of the generators and of a are read off the linear table."""
     spec = f.spec
-    if not is_invertible(f):
+    if not f._bijective:
         raise InputError("linear part is not invertible")
     elems, index, table = spec.elements(), spec.element_index, f.linear_table
-    *cols, a = [elems[table.index(index[y])] for y in spec.basis() + [f.a]]
+    *cols, a = [elems[table.index(index[y])] for y in spec._basis + (f.a,)]
     return AffineMap(spec, abelian._scalar_mul(spec, -1, a), _reduce_matrix(spec, zip(*cols)))
 
 
 def tau(A: RingStructure, g: Elem) -> AffineMap:
-    """The affine map x -> g o x realizing left circle translation by g."""
+    """The affine map x -> g o x realizing left circle translation by g; the
+    package's loops over `spec.elements()` call `_tau`, which skips the check."""
+    A.spec.check_elem(g)
+    return _tau(A, g)
+
+
+def _tau(A: RingStructure, g: Elem) -> AffineMap:
+    """tau for a reduced g; column j, b_j + g*b_j, is reduced by `_add`."""
     spec = A.spec
-    spec.check_elem(g)
-    k = spec.rank
-    basis = spec.basis()
-    cols = [
-        abelian._add(spec, basis[j], nilring._mul(A, g, basis[j]))
-        for j in range(k)
-    ]
-    m = tuple(tuple(cols[j][i] for j in range(k)) for i in range(k))
-    f = AffineMap(spec, g, _reduce_matrix(spec, m))
-    if not is_invertible(f):
+    cols = [abelian._add(spec, b, nilring._mul(A, g, b)) for b in spec._basis]
+    f = AffineMap(spec, g, tuple(zip(*cols)))
+    if not f._bijective:
         raise InputError(f"circle translation by {g} is not invertible: invalid structure")
     return f
 
@@ -233,7 +239,7 @@ def is_abelian(T: RegularSubgroup) -> bool:
 def regular_subgroup_from_ring(A: RingStructure) -> RegularSubgroup:
     """Image of the circle group inside Hol(G): {x -> g o x : g in G}."""
     spec = A.spec
-    maps = [tau(A, g) for g in spec.elements()]
+    maps = [_tau(A, g) for g in spec.elements()]
     return _regular_from_maps(spec, maps)
 
 

@@ -367,6 +367,42 @@ def test_a_malformed_integer_is_echoed_short():
         f"input error: --exp entry must be an integer, got '{'x' * 32}'... (100 characters)\n")
 
 
+@pytest.mark.parametrize("option", ["--p", "--n", "--d", "--cap-enum", "--cap-search", "--cap-hol"])
+def test_an_integer_option_is_echoed_short(option):
+    # argparse's usage line and exit 2 stay; a text above the digit limit is
+    # called too long and echoed cut short (whole, it was 5 361 bytes)
+    limit = sys.get_int_max_str_digits()
+    result = run_cli("report", "--family", "trivial", "--p", "3", "--n", "3", option, "9" * 5000)
+    assert result.returncode == 2
+    assert result.stderr.startswith("usage: hopfgal report") and len(result.stderr.encode()) < 1000
+    assert result.stderr.endswith(
+        f"error: argument {option}: value is too long for an integer of at most {limit} digits, "
+        f"got '{'9' * 32}'... (5000 characters)\n")
+    result = run_cli("report", "--family", "trivial", "--p", "3", "--n", "3", option, "x")
+    assert result.returncode == 2
+    assert result.stderr.endswith(f"error: argument {option}: value must be an integer, got 'x'\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("enumerate", "--p", "2", "--exp", "1", "--cap-search", "-1"),
+    ("verify", "lattice", "--family", "trivial", "--p", "2", "--n", "2", "--cap-enum", "-1"),
+    ("enumerate", "--p", "2", "--exp", "1", "--cap-hol", "-1"),
+])
+def test_a_negative_cap_is_an_input_error(argv):
+    # the first two exited 3 with "cap exceeded ... cap -1", and --cap-hol -1
+    # skipped the Hol(G) cross-check without a word
+    assert _main(list(argv)) == (cli.EXIT_INPUT, "", f"input error: {argv[-2]} must be >= 0\n")
+
+
+def test_cap_hol_zero_skips_the_cross_check():
+    code, out, err = _main(["enumerate", "--p", "2", "--exp", "1", "--cap-hol", "0"])
+    assert (code, err) == (cli.EXIT_OK, "")
+    payload = json.loads(out)
+    assert payload["structure_count"] == 1
+    assert [payload[key] for key in ("regular_subgroup_count", "abelian_regular_subgroup_count",
+                                     "counts_match")] == [None, None, None]
+
+
 @pytest.mark.parametrize("argv", [
     ("verify", "lattice", "--family", "cyclic", "--p", "3", "--n", "100000000", "--all-d"),
     ("report", "--family", "cyclic:0", "--p", "3", "--n", "100000000"),

@@ -384,7 +384,8 @@ def test_ideals_read_the_p_multiples_off_a_table(monkeypatch):
     # no p-th power by repeated addition (one per element: 625), and one
     # index table of the p-th multiples, x -> p x, per walk, the ideal
     # side's and the invariant side's; the ideal side also tabulates its
-    # k = 4 generator products, and the invariant side no other map
+    # k = 4 generator products, and the invariant side one map g -> h - g
+    # per circle generator, r = 4 here, as each row passes its basis test
     ctx = Context(primitive_structure(5, 4))
     p_identity = tuple(tuple(5 * c for c in row) for row in ctx.spec.basis())
     powers = _counted(monkeypatch, abelian, "p_power")
@@ -401,8 +402,9 @@ def test_ideals_read_the_p_multiples_off_a_table(monkeypatch):
     assert matrices.count(p_identity) == 1
     assert len(matrices) == 4 + 1
     assert len(invariant_subgroups(ctx)) == 5
+    assert len(ctx.circle_generators) == 4
     assert matrices.count(p_identity) == 2
-    assert len(matrices) == 4 + 2
+    assert len(matrices) == 4 + 2 + 4
 
 
 def test_verify_primitive_computes_no_generators(monkeypatch):
@@ -490,6 +492,49 @@ def test_each_row_tabulates_at_most_2k_plus_1_translations(monkeypatch):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["verify", "cyclic", "--p", "3", "--n", "5", "--all-d"]) == cli.EXIT_OK
     assert 0 < len(translations) <= 3 * 81
+
+
+def test_the_holomorph_row_reads_the_context_translations(monkeypatch):
+    # after lattice_report, the report tabulates only the |G| - 5 = 11
+    # additive translations no row has cached yet: the Hol(G) row reads its
+    # translations by beta(0) and beta^{-1}(0) off the Context, where two
+    # fresh tables per gamma made 2 |G| = 32 more (43)
+    ctx = _c4c4_context()
+    lattice_report(ctx)
+    translations = _counted(monkeypatch, abelian, "_translation_perm")
+    assert not holomorph_conjugation_report(ctx)["failures"]
+    assert len(translations) == 11
+    assert len(ctx._alpha_cache) == ctx.spec.order
+
+
+def test_the_invariant_side_tabulates_each_passing_row(monkeypatch):
+    # both rows of the r = 2 circle generators pass their basis test, so each
+    # map g -> h - g is one linear table from its k = 2 columns: 2 * 2 = 4
+    # negations (one per element: 2 |G| = 32), and 6 tables in all, the
+    # ideal side's 2 products and p-th multiples, and the invariant side's
+    # p-th multiples and 2 maps (4 when the maps were built g by g)
+    ctx = _c4c4_context()
+    negations = _counted(monkeypatch, abelian, "_scalar_mul")
+    tables = _counted(monkeypatch, abelian, "_linear_table")
+    lattice_report(ctx)
+    assert len(ctx.circle_generators) == 2
+    assert (len(negations), len(tables)) == (4, 6)
+
+
+def test_each_tau_counts_its_images_once(monkeypatch):
+    # the image count of tau(gamma), made for its invertibility check, is
+    # kept on the map and read again by the inverse: one set per gamma (two
+    # when the inverse counted again: 2 |G| = 32)
+    ctx = _c4c4_context()
+    counts = []
+
+    def counted_set(*args):
+        counts.append(None)
+        return set(*args)
+
+    monkeypatch.setattr(holomorph, "set", counted_set, raising=False)
+    assert not holomorph_conjugation_report(ctx)["failures"]
+    assert len(counts) == ctx.spec.order
 
 
 def test_each_map_is_scanned_once(monkeypatch):

@@ -97,6 +97,22 @@ def test_tau_primitive_matrix():
     assert tau(A, A.spec.zero()) == identity_map(A.spec)
 
 
+def test_tau_checks_its_element_and_the_structure():
+    # tau checks g, and _tau, which takes g from spec.elements(), still
+    # checks the map is invertible: z*z = z on C2 is no nilpotent structure,
+    # and 1 o x = 1 for every x
+    A = primitive_structure(2, 2)
+    for g in [(2, 0), (0, -1), (1,), (1, 0, 0)]:
+        with pytest.raises(InputError, match="element"):
+            tau(A, g)
+    B = make_structure(GroupSpec(2, (1,)), (((1,),),))
+    for build in (tau, holomorph._tau):
+        with pytest.raises(InputError, match="not invertible: invalid structure"):
+            build(B, (1,))
+    with pytest.raises(InputError, match="not invertible: invalid structure"):
+        regular_subgroup_from_ring(B)
+
+
 @pytest.mark.parametrize(
     "A",
     [

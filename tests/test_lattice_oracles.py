@@ -24,7 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from hopfgal import abelian, nilring
+from hopfgal import abelian, holomorph, nilring
 from hopfgal.abelian import GroupSpec, add, enumerate_subgroups, scalar_mul, subgroup_count
 from hopfgal.correspondence import (
     Context,
@@ -195,20 +195,87 @@ def test_closed_form_tables_match_the_products_on_the_catalogue():
     assert count == 217
 
 
-@pytest.mark.parametrize("gamma, planted", [
-    ((0,), (0, 1, 4, 3, 2, 5, 6, 7)),
-    ((1,), (1, 2, 5, 4, 3, 6, 7, 0)),
-])
+# stand-ins for lam(gamma) on Z/8, those of
+# test_conjugation_report_permutation_failures
+PLANTED = [((0,), (0, 1, 4, 3, 2, 5, 6, 7)), ((1,), (1, 2, 5, 4, 3, 6, 7, 0))]
+
+
+@pytest.mark.parametrize("gamma, planted", PLANTED)
 def test_conjugation_rows_match_the_oracle_on_planted_translations(gamma, planted):
-    # the stand-ins for lam(gamma) on Z/8 of
-    # test_conjugation_report_permutation_failures: the conjugate of the
-    # standard generator's translation is no translation, so the row tests
-    # every g by itself
+    # the conjugate of the standard generator's translation is no
+    # translation, so the row tests every g by itself
     ctx = Context(trivial_structure(GroupSpec(2, (3,))))
     ctx._lambda_cache[gamma] = planted
     _, oks = ctx.conjugation_row(ctx.index[gamma])
     assert not oks[ctx.index[(1,)]]
     assert_rows_match_the_oracle(ctx, (gamma, planted))
+
+
+def per_g_invariant_maps(ctx):
+    """Each circle generator's map g -> h - g off its conjugation row, built
+    g by g through the element API, None where the conjugate is no
+    translation."""
+    spec, elems, index = ctx.spec, ctx.elements, ctx.index
+    maps = []
+    for hs, oks in map(ctx.conjugation_row, ctx.circle_generators):
+        maps.append(tuple(index[add(spec, elems[h], scalar_mul(spec, -1, g))] if ok else None
+                          for g, h, ok in zip(elems, hs, oks)))
+    return maps
+
+
+@pytest.fixture
+def walked(monkeypatch):
+    """The maps each `abelian.walk_subgroups` call is given, in call order."""
+    calls = []
+    walk = abelian.walk_subgroups
+
+    def recorded(spec, maps=()):
+        calls.append(list(maps))
+        return walk(spec, maps)
+
+    monkeypatch.setattr(abelian, "walk_subgroups", recorded)
+    return calls
+
+
+def test_invariant_maps_match_the_per_g_maps_on_the_catalogue(walked):
+    # every row of a valid structure passes, so each map is one linear table
+    count = 0
+    for A in catalogue_structures():
+        ctx = Context(A)
+        walked.clear()
+        invariant_subgroups(ctx)
+        assert walked == [per_g_invariant_maps(ctx)]
+        assert None not in itertools.chain(*walked[0])
+        count += 1
+    assert count == 217
+
+
+@pytest.mark.parametrize("gamma, planted", PLANTED)
+def test_invariant_maps_match_the_per_g_maps_on_planted_translations(walked, gamma, planted):
+    # the planted lam((1,)) is a circle generator's, and its row falls back to
+    # the test of every g: the map is built g by g, None where it fails
+    ctx = Context(trivial_structure(GroupSpec(2, (3,))))
+    ctx._lambda_cache[gamma] = planted
+    invariant_subgroups(ctx)
+    assert walked == [per_g_invariant_maps(ctx)]
+    fails = gamma in map(ctx.elements.__getitem__, ctx.circle_generators)
+    assert (None in walked[0][0]) is fails
+    if fails:
+        assert walked[0][0][ctx.index[(4,)]] is None
+
+
+def test_tau_unchecked_matches_tau_on_the_catalogue():
+    # the unchecked _tau that the package's loops call builds tau's map, and
+    # the map sends each x to g o x
+    count = 0
+    for A in catalogue_structures():
+        elems = A.spec.elements()
+        for g in elems:
+            f = holomorph._tau(A, g)
+            assert f == holomorph.tau(A, g)
+            assert tuple(map(f._apply, elems)) == tuple(circle(A, g, x) for x in elems)
+        count += 1
+    assert count == 217
 
 
 @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=str)
