@@ -10,7 +10,9 @@ The public ops check their arguments and call the unchecked kernel
 An element's index is its position in `GroupSpec.elements()`; the index
 tables of `_translation_perm` and `_linear_table` are built per coordinate.
 The one lattice walk is additive and runs on indices; `subgroup_count`
-reads a type alone.
+reads a type alone.  `_grow_by_cosets` grows a span by its cosets under one
+commuting map, for the circle generators, the circle type and
+`holomorph.is_abelian`.
 """
 
 from __future__ import annotations
@@ -52,7 +54,9 @@ class GroupSpec:
     exponents: tuple
 
     def __post_init__(self):
-        exps = tuple(int(e) for e in self.exponents)
+        if not all(isinstance(v, int) for v in (self.p, *self.exponents)):
+            raise InputError(f"p and the exponents must be integers: {self.p}, {self.exponents}")
+        exps = tuple(map(int, self.exponents))
         object.__setattr__(self, "exponents", exps)
         if not exps or any(e < 1 for e in exps):
             raise InputError(f"exponents must be positive: {exps}")
@@ -95,7 +99,9 @@ class GroupSpec:
     def reduce_coords(self, coords) -> Elem:
         if len(coords) != self.rank:
             raise InputError(f"element {coords} has wrong length for {self}")
-        return tuple(int(c) % m for c, m in zip(coords, self.moduli))
+        if not all(isinstance(c, int) for c in coords):
+            raise InputError(f"element {coords} has a non-integer coordinate")
+        return tuple(c % m for c, m in zip(coords, self.moduli))
 
     @cached_property
     def _elements(self) -> tuple:
@@ -113,7 +119,7 @@ class GroupSpec:
     def check_elem(self, a: Elem) -> None:
         if len(a) != self.rank:
             raise InputError(f"element {a} has wrong length for {self}")
-        if any(not (0 <= c < m) for c, m in zip(a, self.moduli)):
+        if any(not (isinstance(c, int) and 0 <= c < m) for c, m in zip(a, self.moduli)):
             raise InputError(f"element {a} not reduced for moduli {self.moduli}")
 
     def to_json(self) -> dict:
@@ -155,6 +161,17 @@ def _linear_table(spec: GroupSpec, m) -> tuple:
         multiples = [[c * t for t in range(mj)] for c, mj in zip(row, spec.moduli)]
         coords.append(map(operator.mod, map(sum, itertools.product(*multiples)), itertools.repeat(mod)))
     return tuple(map(spec.element_index.__getitem__, zip(*coords)))
+
+
+def _grow_by_cosets(span: set, step) -> set:
+    """span, grown in place by its images under the powers of the map `step`,
+    up to the first image inside it.  When span is a group H of permutations,
+    or the orbit of one, and step commutes with H, the images are the cosets
+    step^k H, so span becomes <H, step>, or its orbit."""
+    coset = span
+    while not (coset := set(map(step, coset))) <= span:
+        span |= coset
+    return span
 
 
 def add(spec: GroupSpec, a: Elem, b: Elem) -> Elem:
@@ -245,8 +262,8 @@ def minimal_generators(spec: GroupSpec, elements: frozenset) -> tuple:
 
 def subgroup_from_elements(spec: GroupSpec, elements) -> Subgroup:
     elems = frozenset(elements)
-    if set(map(len, elems)) - {spec.rank}:
-        raise InputError(f"an element has wrong length for {spec}")
+    for x in elems:
+        spec.check_elem(x)
     return Subgroup(spec, tuple(sorted(elems)))
 
 
@@ -255,14 +272,6 @@ def subgroup_generated(spec: GroupSpec, gens) -> Subgroup:
     for g in gens:
         spec.check_elem(g)
     return subgroup_from_elements(spec, additive_closure(spec, gens))
-
-
-def p_power(op, x, p):
-    """x op x op ... op x, with p factors."""
-    y = x
-    for _ in range(p - 1):
-        y = op(y, x)
-    return y
 
 
 def walk_subgroups(spec: GroupSpec, maps=()) -> list:
@@ -337,29 +346,3 @@ def subgroup_count(p: int, exponents) -> int:
             total += math.prod(p ** (b * (c - a)) * _gaussian_binomial(p, c - b, a - b)
                                for c, a, b in zip(lc, mc, mc[1:] + (0,)))
     return total
-
-
-def power_type(elements, op, p) -> list:
-    """Cyclic invariants (nonincreasing exponents) of the abelian p-group
-    (elements, op), from the sizes of its iterated p-th power subgroups
-    |p^k G|: the number of cyclic factors of exponent > k is
-    log_p |p^k G| - log_p |p^(k+1) G|.  Each layer is the image of the one
-    before under x -> x^p, so this takes at most p |G| operations.
-    """
-    layer = set(elements)
-    logs = []
-    while True:
-        size, k = len(layer), 0
-        while size % p == 0:
-            size //= p
-            k += 1
-        if size != 1:
-            raise InputError(f"order {len(layer)} is not a power of {p}")
-        if logs and k == logs[-1]:
-            raise InputError("p-th power map is a bijection: not a p-group")
-        logs.append(k)
-        if k == 0:
-            break
-        layer = {p_power(op, x, p) for x in layer}
-    counts = [a - b for a, b in zip(logs, logs[1:])]  # factors of exponent > k
-    return [sum(1 for c in counts if c >= j) for j in range(1, max(counts, default=0) + 1)]

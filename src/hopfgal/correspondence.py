@@ -21,13 +21,15 @@ and the closed form g + gamma*g as one linear index table per gamma from the
 structure constants, so it makes no element-level product per pair.  The maps
 both sides give the walk and the rows are index tables, decoded only for
 witnesses, failure records and `conjugated_translation`, which alone checks
-elements.
+elements.  The type of (G, o) is read off the circle generators' lam tables:
+the orbit of 0 under their p^j-th powers is (G, o)^(p^j).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property, reduce
 
 from . import abelian, holomorph, nilring
 from .abelian import Elem, GroupSpec
@@ -76,10 +78,20 @@ class Context:
 
     @cached_property
     def circle_type(self) -> tuple:
-        """Cyclic invariants of (G, o), from the iterated circle p-th power
-        map (`abelian.power_type`): at most p |G| circle products, no table."""
-        return tuple(abelian.power_type(self.elements, partial(nilring._circle, self.ring),
-                                        self.spec.p))
+        """Cyclic invariants of (G, o), from the circle generators' lam tables.
+        x -> x^p is an endomorphism of the abelian group (G, o), so G^(p^j) is
+        the orbit of 0 under the lam(gamma)^(p^j), gamma a circle generator, and
+        log_p |G^(p^j)| / |G^(p^(j+1))| factors have exponent > j."""
+        p, sizes = self.spec.p, [self.spec.order]
+        layer = [self.circle_translation_perm(self.elements[n]) for n in self.circle_generators]
+        while sizes[-1] > 1:
+            layer = [mu for mu in (reduce(perm_compose, [lam] * p) for lam in layer) if mu[0]]
+            orbit = {0}
+            for mu in layer:
+                abelian._grow_by_cosets(orbit, mu.__getitem__)
+            sizes.append(len(orbit))
+        counts = [round(math.log(a // b, p)) for a, b in zip(sizes, sizes[1:])]
+        return tuple(sum(1 for c in counts if c >= i) for i in range(1, counts[0] + 1))
 
     @cached_property
     def circle_generators(self) -> tuple:
@@ -90,9 +102,7 @@ class Context:
         for n, gamma in enumerate(self.elements):
             if n not in span:
                 gens.append(n)
-                lam, coset = self.circle_translation_perm(gamma), span
-                while not (coset := {lam[x] for x in coset}) <= span:
-                    span |= coset
+                abelian._grow_by_cosets(span, self.circle_translation_perm(gamma).__getitem__)
         return tuple(gens)
 
     def close_circle_translations(self) -> None:

@@ -9,7 +9,9 @@ subgroup enumeration for tiny holomorphs.  `AffineMap.apply`, `tau`,
 and the package's own loops build circle translations with `_tau`.
 Each map tabulates its linear part on element indices once, on first use:
 `AffineMap.linear_table` serves `_apply`, the image count that `is_invertible`
-and `inverse` read, and the index permutations.
+and `inverse` read, and the index permutations.  `is_abelian` grows the span
+of its commuting generators by cosets; `closure_under_composition` serves the
+regular-subgroup search.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 from . import abelian, nilring
 from .abelian import Elem, GroupSpec
@@ -92,6 +94,8 @@ def affine_map(spec: GroupSpec, a: Elem, m) -> AffineMap:
     m = tuple(map(tuple, m))
     if len(m) != spec.rank or any(len(row) != spec.rank for row in m):
         raise InputError("matrix has wrong shape")
+    if not all(isinstance(v, int) for row in m for v in row):
+        raise InputError(f"matrix {m} has a non-integer entry")
     mat = _reduce_matrix(spec, m)
     if not _matrix_well_defined(spec, mat):
         raise InputError(f"matrix {mat} is not a well-defined endomorphism")
@@ -224,7 +228,8 @@ def is_abelian(T: RegularSubgroup) -> bool:
     """Whether the members of T pairwise commute, tested on generators: a
     member joins S only if it lies outside <S>, and only after it commutes
     with every member of S.  Then T lies in <S> = <T>, so T pairwise
-    commutes iff S does, for any finite set of maps."""
+    commutes iff S does, for any finite set of maps.  A joining member
+    commutes with <S>, so <S> grows by its cosets under it."""
     gens, span = [], {tuple(range(T.spec.order))}
     for a in _index_perms(T.spec, T.elements):
         if a in span:
@@ -232,7 +237,7 @@ def is_abelian(T: RegularSubgroup) -> bool:
         if any(_perm_compose(a, b) != _perm_compose(b, a) for b in gens):
             return False
         gens.append(a)
-        span = closure_under_composition(gens)
+        abelian._grow_by_cosets(span, partial(_perm_compose, a))
     return True
 
 

@@ -4,7 +4,8 @@ Each oracle works from first principles: a full operation table, trial
 division, affine maps and permutations applied point by point, or subgroups
 grown one element at a time.  From `hopfgal` they import only the element
 API (`test_oracles_import_only_the_element_api` keeps it that way), never
-the lattice walk, `power_type`, the subgroup-count formulas or `Context`.
+the lattice walk, the subgroup-count formulas or `Context`, whose circle type
+`isomorphism_type` and `omega_type` check from a full operation table.
 """
 
 from hopfgal.abelian import add
@@ -61,7 +62,7 @@ def omega_type(elements, op, identity, p) -> list:
     """Cyclic invariants (nonincreasing exponents) of the abelian p-group
     (elements, op), from |Omega_k| = #{x : x^(p^k) = e} = p^(sum_i min(e_i, k)):
     the number of invariants >= k is log_p |Omega_k| - log_p |Omega_(k-1)|.
-    It counts solutions, where `abelian.power_type` takes image layers."""
+    It counts solutions, where `Context.circle_type` takes image layers."""
     n = _log(len(elements), p)
     powers, logs = list(elements), [0]  # powers[x] = x^(p^k)
     while logs[-1] < n:

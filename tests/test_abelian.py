@@ -10,7 +10,6 @@ from hopfgal.abelian import (
     is_prime,
     neg,
     order_of,
-    power_type,
     scalar_mul,
     subgroup_from_elements,
     subgroup_generated,
@@ -69,6 +68,19 @@ def test_spec_validation():
     with pytest.raises(InputError):
         GroupSpec(3, (10**6,))
     assert GroupSpec(2, (62,)).order == 2**62
+    # not integers: (1.5,) was cut down to C2, ("2",) read as C4, and
+    # p = 2.0 raised TypeError
+    for p, exponents in ((2, (1.5,)), (2, ("2",)), (2.0, (1,))):
+        with pytest.raises(InputError):
+            GroupSpec(p, exponents)
+
+
+def test_subgroup_from_elements_rejects_an_unreduced_element():
+    # (5,) on C4 was kept beside (1,), its reduction
+    with pytest.raises(InputError):
+        subgroup_from_elements(Z4, [(0,), (5,)])
+    with pytest.raises(InputError):
+        subgroup_from_elements(Z4, [(0,), (2.0,)])
 
 
 def test_add_examples():
@@ -84,12 +96,20 @@ def test_add_rejects_mismatched_elements():
         add(C2C2, (1,), (0, 1))
     with pytest.raises(InputError):
         add(Z4, (5,), (0,))
-    # the other public element ops check their arguments the same way
+    # a coordinate that is no integer: add returned (2.5,) here
+    with pytest.raises(InputError):
+        add(Z4, (1.5,), (1,))
+    # the other public element ops check their arguments the same way; on
+    # (0.5, 0), the circle translation raised KeyError and order_of TypeError
     A = primitive_structure(2, 2)  # on C2 x C2
     ctx = Context(A)
     f = translation(C2C2, (1, 0))
-    for bad in [(1,), (2, 0), (0, -1), (1, 0, 0)]:
+    for bad in [(1,), (2, 0), (0, -1), (1, 0, 0), (0.5, 0)]:
         calls = [
+            lambda: add(C2C2, (1, 0), bad),
+            lambda: neg(C2C2, bad),
+            lambda: scalar_mul(C2C2, 3, bad),
+            lambda: order_of(C2C2, bad),
             lambda: mul(A, bad, (1, 0)),
             lambda: mul(A, (1, 0), bad),
             lambda: circle(A, bad, (0, 1)),
@@ -206,14 +226,6 @@ def test_isomorphism_type_recovers_spec(spec):
     assert isomorphism_type(elems, lambda a, b: add(spec, a, b)) == list(
         spec.exponents
     )
-    assert power_type(elems, lambda a, b: add(spec, a, b), spec.p) == list(spec.exponents)
-
-
-def test_power_type_rejects_non_p_groups():
-    with pytest.raises(InputError, match="not a power of 2"):
-        power_type(range(6), lambda a, b: (a + b) % 6, 2)
-    with pytest.raises(InputError, match="bijection"):
-        power_type([0, 1], lambda a, b: a, 2)
 
 
 def test_is_prime_matches_trial_division():

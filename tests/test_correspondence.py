@@ -381,14 +381,12 @@ def test_ideals_tabulate_the_generator_products(monkeypatch):
 
 
 def test_ideals_read_the_p_multiples_off_a_table(monkeypatch):
-    # no p-th power by repeated addition (one per element: 625), and one
-    # index table of the p-th multiples, x -> p x, per walk, the ideal
+    # one index table of the p-th multiples, x -> p x, per walk, the ideal
     # side's and the invariant side's; the ideal side also tabulates its
     # k = 4 generator products, and the invariant side one map g -> h - g
     # per circle generator, r = 4 here, as each row passes its basis test
     ctx = Context(primitive_structure(5, 4))
     p_identity = tuple(tuple(5 * c for c in row) for row in ctx.spec.basis())
-    powers = _counted(monkeypatch, abelian, "p_power")
     matrices = []
     linear_table = abelian._linear_table
 
@@ -398,13 +396,29 @@ def test_ideals_read_the_p_multiples_off_a_table(monkeypatch):
 
     monkeypatch.setattr(abelian, "_linear_table", recorded)
     assert len(ideals(ctx)) == 5
-    assert powers == []
     assert matrices.count(p_identity) == 1
     assert len(matrices) == 4 + 1
     assert len(invariant_subgroups(ctx)) == 5
     assert len(ctx.circle_generators) == 4
     assert matrices.count(p_identity) == 2
     assert len(matrices) == 4 + 2 + 4
+
+
+def test_circle_type_reads_the_lattice_walks_circle_tables(monkeypatch):
+    # the invariant side tabulates lam for the r = 5 circle generators, r |G|
+    # circle products, and the circle type reads those tables with no circle
+    # product of its own (by iterated p-th powers: up to p |G| = 729)
+    ctx = Context(primitive_structure(3, 5))
+    circles = _counted(monkeypatch, nilring, "_circle")
+    ideals(ctx)
+    invariant_subgroups(ctx)
+    assert len(ctx.circle_generators) == 5
+    assert len(circles) == 5 * ctx.spec.order
+    circles.clear()
+    assert ctx.circle_type == (2, 1, 1, 1)
+    assert circles == []
+    assert lattice_report(ctx).circle_type == (2, 1, 1, 1)
+    assert circles == []
 
 
 def test_verify_primitive_computes_no_generators(monkeypatch):
@@ -423,7 +437,9 @@ def test_each_pair_is_conjugated_once(monkeypatch):
     # the k = 2 standard generators' basis test, (2k + 1) |G| = 5 * 16 = 80
     # (testing every pair by itself takes 2 |G|^2 = 512).  The report also
     # builds every lam(gamma) by closure: one compose per member of (G, o)
-    # and circle generator, |G| r = 16 * 2 = 32, so 112 in all
+    # and circle generator, |G| r = 16 * 2 = 32.  The circle type, C8 x C2,
+    # takes p - 1 = 1 compose per p-th power of a non-identity lam: the 2
+    # generators' squares, then 2 fourth and 1 eighth power, 5.  So 117 in all
     ctx = _c4c4_context()
     order = ctx.spec.order
     composes = _counted(monkeypatch, holomorph, "compose")
@@ -432,7 +448,7 @@ def test_each_pair_is_conjugated_once(monkeypatch):
     assert not holomorph_conjugation_report(ctx)["failures"]
     assert len(composes) <= order
     assert len(ctx.circle_generators) == 2
-    assert len(perm_composes) == (2 * ctx.spec.rank + 1 + 2) * order == 112
+    assert len(perm_composes) == (2 * ctx.spec.rank + 1 + 2) * order + 5 == 117
 
 
 def test_conjugation_report_makes_no_product_per_pair(monkeypatch):
@@ -467,12 +483,15 @@ def test_lattice_side_conjugates_by_the_circle_generators_only(monkeypatch):
     # the invariant side reads the rows of the circle generators only, at
     # most log_3 |G| = 5 of them; each row is one permutation compose for its
     # h and two for each of the 5 standard generators of C3^5 in the basis
-    # test, 11 per circle generator (the full table of 243 rows takes 2673)
+    # test, 11 per circle generator (the full table of 243 rows takes 2673).
+    # The circle type, (2, 1, 1, 1), takes p - 1 = 2 composes per p-th power
+    # of a non-identity lam: the 5 generators' cubes, then the 1 cube left
+    # that is not the identity cubed again, 2 * (5 + 1) = 12
     ctx = Context(primitive_structure(3, 5))
     perm_composes = _counted(monkeypatch, correspondence, "perm_compose")
     lattice_report(ctx)
     assert len(ctx.circle_generators) == 5
-    assert len(perm_composes) == 11 * 5 == 55
+    assert len(perm_composes) == 11 * 5 + 2 * (5 + 1) == 67
 
 
 def test_each_row_tabulates_at_most_2k_plus_1_translations(monkeypatch):

@@ -73,6 +73,8 @@ def test_affine_map_validation():
     with pytest.raises(InputError):
         # image of the order-2 generator must have order dividing 2
         affine_map(spec, spec.zero(), ((1, 1), (0, 1)))
+    with pytest.raises(InputError):
+        affine_map(C2C2, (0, 0), [[1.5, 0], [0, 1]])  # was stored as 1
 
 
 def test_affine_map_checks_the_shape_before_reducing():
@@ -319,6 +321,19 @@ def test_is_abelian_on_sets_that_are_not_closed():
         assert not is_closed(maps)
         assert _commute_pairwise(maps) is expected
         assert is_abelian(holomorph.RegularSubgroup(spec, tuple(maps))) is expected
+
+
+@pytest.mark.parametrize("spec,abelian", [(GroupSpec(2, (3,)), 4), (GroupSpec(2, (2, 1)), 12)])
+def test_is_abelian_grows_its_span_by_cosets(monkeypatch, spec, abelian):
+    # a joining member commutes with the span, which grows by its cosets
+    # under it; no closure over all the members so far is rerun
+    regs = enumerate_regular_subgroups(spec)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("is_abelian called closure_under_composition")
+
+    monkeypatch.setattr(holomorph, "closure_under_composition", forbidden)
+    assert sum(map(is_abelian, regs)) == len(enumerate_structures(spec)) == abelian
 
 
 def test_linear_image_scan_does_not_change_identity():

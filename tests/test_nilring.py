@@ -103,6 +103,12 @@ def test_make_structure_rejects_a_constant_of_the_wrong_length():
         make_structure(C2C2, [[(0,), (0, 0)], [(0, 0), (0, 0)]])
 
 
+def test_make_structure_rejects_a_non_integer_constant():
+    # 2.9 was stored as 2
+    with pytest.raises(InputError):
+        make_structure(Z4, [[(2.9,)]])
+
+
 def test_nilpotency_index_examples():
     with pytest.raises(InputError):
         nilpotency_index(RingStructure(Z4, (((5,),),)))
