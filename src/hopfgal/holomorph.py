@@ -3,15 +3,15 @@
 Elements are stored as (translation, matrix) pairs: x -> a + m(x), with
 column j of m the image of the j-th standard generator.  Includes the
 embedding of the circle group into Hol(G), both directions of the
-structure/regular-subgroup correspondence, and brute-force regular
-subgroup enumeration for tiny holomorphs.  `AffineMap.apply`, `tau`,
-`translation` and `affine_map` check their elements; the rest is unchecked,
-and the package's own loops build circle translations with `_tau`.
+structure/regular-subgroup correspondence, and the regular-subgroup search
+for small holomorphs.  `AffineMap.apply`, `tau`, `translation` and
+`affine_map` check their elements; the rest is unchecked, and the package's
+own loops build circle translations with `_tau`.
 Each map tabulates its linear part on element indices once, on first use:
 `AffineMap.linear_table` serves `_apply`, the image count that `is_invertible`
-and `inverse` read, and the index permutations.  `is_abelian` grows the span
-of its commuting generators by cosets; `closure_under_composition` serves the
-regular-subgroup search.
+and `inverse` read, and the index permutations.  The search builds those of
+the fixed-point-free maps alone, and grows subgroups by cosets (`_extend`,
+as `closure_under_composition` does); `is_abelian` grows its span by cosets.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property, partial, reduce
 
 from . import abelian, nilring
 from .abelian import Elem, GroupSpec
@@ -198,30 +198,39 @@ def _index_perms(spec: GroupSpec, maps) -> list:
     return out
 
 
+def _extend(group: list, gens: tuple, limit=None, admit=None):
+    """The members of <gens>, for gens generating a group that contains H, the
+    group listed in `group`, by Dimino's cosets (Butler, LNCS 559, 1991): for
+    g in gens outside them, the coset H g joins whole, then H (g g') for g'
+    in gens, until the members are closed under the generators.  None once
+    the order would pass limit, or at the first new member that fails `admit`."""
+    out, inside, reps = list(group), set(group), list(gens)
+    for r in reps:  # reps grows while it is read
+        if r in inside:
+            continue
+        if limit is not None and len(out) + len(group) > limit:
+            return None
+        for h in group:
+            y = _perm_compose(h, r)
+            if admit is not None and not admit(y):
+                return None
+            out.append(y)
+        inside.update(out[-len(group):])
+        reps.extend(_perm_compose(r, g) for g in gens)
+    return out
+
+
 def closure_under_composition(perms, size_limit=None):
     """Subgroup generated by index permutations of G (see `_index_perms`),
-    by breadth-first products with the generators.
+    by `_extend` from {id}, whose cosets are single products.
 
     Returns None if a size_limit is given and exceeded.
     """
-    gens = list(perms)
+    gens = tuple(perms)
     if not gens:
         return frozenset()
-    ident = tuple(range(len(gens[0])))
-    elems = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = _perm_compose(x, g)
-                if y not in elems:
-                    elems.add(y)
-                    nxt.append(y)
-                    if size_limit is not None and len(elems) > size_limit:
-                        return None
-        frontier = nxt
-    return frozenset(elems)
+    group = _extend([tuple(range(len(gens[0])))], gens, size_limit)
+    return None if group is None else frozenset(group)
 
 
 def is_abelian(T: RegularSubgroup) -> bool:
@@ -313,10 +322,10 @@ def automorphism_count(spec: GroupSpec) -> int:
     return count
 
 
-def holomorph_elements(spec: GroupSpec, cap: int = DEFAULT_HOL_CAP) -> list:
-    """Every x -> a + m(x) with m in Aut(G).  |Hol(G)| is compared with cap
-    by `automorphism_count` before any automorphism is enumerated, and the
-    enumeration must then match that closed form."""
+def _automorphisms(spec: GroupSpec, cap: int) -> list:
+    """Aut(G) as maps x -> m(x), each tabulated at most once.  |Hol(G)| is
+    compared with cap by `automorphism_count` before any automorphism is
+    enumerated, and the enumeration must then match that closed form."""
     size = spec.order * automorphism_count(spec)
     if size > cap:
         raise CapExceeded(f"|Hol(G)| = {size} exceeds holomorph cap {cap}")
@@ -324,9 +333,36 @@ def holomorph_elements(spec: GroupSpec, cap: int = DEFAULT_HOL_CAP) -> list:
     if spec.order * len(auts) != size:
         raise TheoremViolation("|Aut(G)| enumerated differs from the closed form",
                                witness={"spec": spec.to_json(), "enumerated": len(auts)})
-    return [
-        AffineMap(spec, a, m) for a in spec.elements() for m in auts
-    ]
+    return [AffineMap(spec, spec.zero(), m) for m in auts]
+
+
+def holomorph_elements(spec: GroupSpec, cap: int = DEFAULT_HOL_CAP) -> list:
+    """Every x -> a + m(x) with m in Aut(G), within cap (`_automorphisms`)."""
+    auts = _automorphisms(spec, cap)
+    return [AffineMap(spec, a, f.m) for a in spec.elements() for f in auts]
+
+
+def _fixed_point_free(spec: GroupSpec, auts):
+    """(m, f) for each fixed-point-free x -> a + m(x), m over the maps `auts`,
+    f its index permutation (f[0] indexes a).  a + m(x) = x iff a = (1 - m)(x),
+    so the a outside the image of 1 - m, one linear table, are m's candidates."""
+    shifts = [abelian._translation_perm(spec, a) for a in spec.elements()]
+    for aut in auts:
+        one_minus_m = [map(operator.sub, b, row) for b, row in zip(spec._basis, aut.m)]
+        fixing = set(abelian._linear_table(spec, _reduce_matrix(spec, one_minus_m)))
+        for a, shift in enumerate(shifts):
+            if a not in fixing:
+                yield aut.m, _perm_compose(shift, aut.linear_table)
+
+
+def _p_power_order(f: tuple, p: int, n: int) -> bool:
+    """Whether the index permutation f has f^(p^j) = id for some j <= n, by
+    p-th powers up to the first identity: at most n (p - 1) compositions."""
+    ident = tuple(range(len(f)))
+    for _ in range(n):
+        if (f := reduce(_perm_compose, [f] * p)) == ident:
+            return True
+    return False
 
 
 def enumerate_regular_subgroups(
@@ -335,52 +371,28 @@ def enumerate_regular_subgroups(
     """All regular subgroups of Hol(G), by growing subgroups one generator
     at a time from {id}.
 
-    Every element of Hol(G) is turned once into a permutation of element
-    indices.  Every non-identity element of a regular subgroup is
-    fixed-point-free with p-power order, so only those are candidates.
+    The members of a regular subgroup other than id are fixed-point-free with
+    f^(p^n) = id, |G| = p^n, so only those are candidates, as permutations
+    of element indices (`_fixed_point_free`, `_p_power_order`).
     A regular R containing a subgroup S has exactly one element sending 0
     to each point, so S grows only by the candidates f with f(0) = x, for
     x the least point outside the orbit S(0): every R above S contains one
-    of them, and the search stays complete.  Each grown subgroup is kept
-    if its order is at most |G| and its non-identity elements are all
-    fixed-point-free.  Such a subgroup acts semiregularly, so its orbit of
-    0 has as many points as it has elements: those of order |G| are regular.
-    Only the returned subgroups are mapped back to affine maps.
+    of them, and the search stays complete.  <S, f> grows from S by cosets
+    (`_extend`), dropped at its first new member that is no candidate or
+    once its order would pass |G|.  A kept subgroup acts semiregularly, so
+    its orbit of 0 has as many points as it has elements: those of order
+    |G| are regular.  Only the returned subgroups become affine maps.
     """
-    hol = holomorph_elements(spec, cap)
     order = spec.order
-    as_map = dict(zip(_index_perms(spec, hol), hol))
     ident = tuple(range(order))
-    fixed_point_free = [
-        f for f in as_map if all(image != x for x, image in enumerate(f))
-    ]
-    allowed = set(fixed_point_free) | {ident}
-
-    def p_power_order(f):
-        count = 1
-        g = f
-        while g != ident:
-            g = _perm_compose(g, f)
-            count += 1
-            if count > order:
-                return None
-        return count
-
-    by_base = {}  # candidates by the image of 0 (index 0)
-    for f in fixed_point_free:
-        f_order = p_power_order(f)
-        if f_order is not None and order % f_order == 0:
+    matrix, by_base = {ident: spec._basis}, {}  # by the image of 0 (index 0)
+    for m, f in _fixed_point_free(spec, _automorphisms(spec, cap)):
+        if _p_power_order(f, spec.p, spec.n):
+            matrix[f] = m
             by_base.setdefault(f[0], []).append(f)
-
-    def grow(gens):
-        sub = closure_under_composition(gens, size_limit=order)
-        if sub is None or not sub <= allowed:
-            return None
-        return sub
-
     seen = set()
     regulars = []
-    frontier = [((), frozenset({ident}))]
+    frontier = [((), [ident])]
     while frontier:
         nxt = []
         for gens, sub in frontier:
@@ -390,11 +402,13 @@ def enumerate_regular_subgroups(
             orbit = {t[0] for t in sub}  # orbit of 0 (index 0)
             base = next(x for x in range(order) if x not in orbit)
             for f in by_base.get(base, ()):
-                grown = grow(gens + (f,))
-                if grown is not None and grown not in seen:
-                    seen.add(grown)
+                grown = _extend(sub, gens + (f,), order, matrix.__contains__)
+                if grown is not None and (key := frozenset(grown)) not in seen:
+                    seen.add(key)
                     nxt.append((gens + (f,), grown))
         frontier = nxt
-    out = [_regular_from_maps(spec, [as_map[t] for t in sub]) for sub in regulars]
+    elements = spec.elements()
+    out = [_regular_from_maps(spec, [AffineMap(spec, elements[t[0]], matrix[t]) for t in sub])
+           for sub in regulars]
     out.sort(key=lambda T: tuple(t.sort_key() for t in T.elements))
     return out

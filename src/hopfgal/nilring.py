@@ -121,9 +121,14 @@ def nilpotency_index(A: RingStructure) -> int:
     valid structures have m <= n + 1.  By bilinearity the products b_i * g
     of the generators g of A^m generate A^(m+1), so A^m = 0 exactly when
     no nonzero generator is left."""
-    spec = A.spec
     for c in itertools.chain.from_iterable(A.constants):
-        spec.check_elem(c)
+        A.spec.check_elem(c)
+    return _nilpotency_index(A)
+
+
+def _nilpotency_index(A: RingStructure) -> int:
+    """`nilpotency_index` for constants already checked, as `validate` has."""
+    spec = A.spec
     zero = spec.zero()
     basis = spec.basis()
     gens = {c for row in A.constants for c in row} - {zero}  # of A^2
@@ -172,7 +177,7 @@ def validate(A: RingStructure) -> list:
                     out.append(Violation("associativity", (i, j, l)))
     if out:
         return out
-    if nilpotency_index(A) > spec.n + 1:
+    if _nilpotency_index(A) > spec.n + 1:
         witness = next(
             (c for row in A.constants for c in row if c != spec.zero()),
             spec.zero(),
@@ -270,12 +275,14 @@ def _commute(spec: GroupSpec, row, other) -> bool:
 
 
 def _nilpotent(spec: GroupSpec, row) -> bool:
-    """Whether L^n = 0, |G| = p^n, for the map L of `row` (`_apply`): the
-    images L^m(b_t) of the generators, from L(b_t) = row[t], all reach 0."""
-    zero = spec.zero()
-    vectors = set(row) - {zero}
-    for _ in range(spec.n - 1):
-        vectors = {_apply(spec, row, x) for x in vectors} - {zero}
+    """Whether the map L of `row` (`_apply`) is nilpotent, decided on G/pG =
+    F_p^k, k the rank: L commutes with x -> px, so L^k(G) in pG gives L^(ke)(G)
+    = 0, e the largest exponent.  The images of the generators, from L(b_t) =
+    row[t], are followed k - 1 steps, each dropped once it lies in pG."""
+    p = spec.p
+    vectors = {x for x in row if any(c % p for c in x)}
+    for _ in range(spec.rank - 1):
+        vectors = {y for y in (_apply(spec, row, x) for x in vectors) if any(c % p for c in y)}
     return not vectors
 
 
@@ -310,6 +317,8 @@ def enumerate_structures(
     - Commuting nilpotent L_i generate a nilpotent algebra R of maps, and
       A^(m+1) = R A^m, so A > A^2 > ... falls strictly until it reaches 0:
       A^(n+1) = 0, |G| = p^n.  A valid structure has nilpotent L_i.
+    - L_i commutes with x -> px, so it is nilpotent iff the map it induces
+      on G/pG is, which `_nilpotent` decides in rank - 1 steps mod p.
 
     The search space (the product of the candidate counts, in tensors) is
     compared with search_cap as it is multiplied up, before any candidate

@@ -157,3 +157,50 @@ def conjugation_row(spec, plus, lam) -> tuple:
     oks = tuple(all(lam[plus[g, x]] == plus[h, lam[x]] for x in elems)
                 for g, h in zip(elems, hs))
     return hs, oks
+
+
+def perm_order(f, limit):
+    """The order of the index permutation f, by composing f with itself up
+    to `limit` times; None past limit."""
+    ident, g, order = tuple(range(len(f))), f, 1
+    while g != ident:
+        g, order = tuple(g[x] for x in f), order + 1
+        if order > limit:
+            return None
+    return order
+
+
+def closure_by_products(perms, size_limit=None):
+    """The group generated by index permutations, from {id} by breadth-first
+    products with the generators; None once it passes size_limit."""
+    gens = list(perms)
+    if not gens:
+        return frozenset()
+    ident = tuple(range(len(gens[0])))
+    elems, frontier = {ident}, [ident]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = tuple(x[i] for i in g)
+                if y not in elems:
+                    elems.add(y)
+                    nxt.append(y)
+                    if size_limit is not None and len(elems) > size_limit:
+                        return None
+        frontier = nxt
+    return frozenset(elems)
+
+
+def nilpotent_on_g(spec, row) -> bool:
+    """Whether the map L of G with L(b_t) = row[t] has L^n = 0, |G| = p^n:
+    the images of the generators under n - 1 more steps of L, all in G."""
+    def apply(x):
+        return tuple(sum(xt * image[u] for xt, image in zip(x, row)) % mod
+                     for u, mod in enumerate(spec.moduli))
+
+    zero = tuple(0 for _ in spec.moduli)
+    vectors = set(row) - {zero}
+    for _ in range(spec.n - 1):
+        vectors = {apply(x) for x in vectors} - {zero}
+    return not vectors

@@ -1,14 +1,18 @@
 import itertools
+import random
 
 import pytest
 
+import oracles
+
 from hopfgal.abelian import GroupSpec
-from hopfgal.errors import CapExceeded, InputError
+from hopfgal.errors import CapExceeded, InputError, TheoremViolation
 from hopfgal import holomorph
 from hopfgal.holomorph import (
     AffineMap,
     affine_map,
     automorphism_count,
+    closure_under_composition,
     compose,
     enumerate_automorphisms,
     enumerate_regular_subgroups,
@@ -176,8 +180,64 @@ def test_holomorph_cap_checked_before_enumeration(monkeypatch):
         raise AssertionError("Aut(G) enumerated before the cap was compared")
 
     monkeypatch.setattr(holomorph, "enumerate_automorphisms", refuse)
-    with pytest.raises(CapExceeded):  # |Hol(C5 x C5)| = 25 * 480
-        holomorph_elements(GroupSpec(5, (1, 1)), cap=1000)
+    for build in (holomorph_elements, enumerate_regular_subgroups):
+        with pytest.raises(CapExceeded):  # |Hol(C5 x C5)| = 25 * 480
+            build(GroupSpec(5, (1, 1)), cap=1000)
+
+
+@pytest.mark.parametrize("build", [holomorph_elements, enumerate_regular_subgroups])
+def test_enumerated_automorphisms_must_match_the_closed_form(monkeypatch, build):
+    count = holomorph.automorphism_count
+    monkeypatch.setattr(holomorph, "automorphism_count", lambda spec: count(spec) + 1)
+    with pytest.raises(TheoremViolation, match="closed form"):
+        build(GroupSpec(2, (2, 1)))
+
+
+FPF_SPECS = [GroupSpec(p, e) for p, e in [(2, (1, 1, 1)), (2, (2, 1)), (3, (1, 1)), (3, (3,)), (5, (2,))]]
+
+
+@pytest.mark.parametrize("spec", FPF_SPECS, ids=str)
+def test_candidates_match_brute_force(spec):
+    # a + m(x) fixes a point iff a lies in (1 - m)(G), so the maps built per
+    # automorphism are exactly the fixed-point-free members of Hol(G); and
+    # f^(p^j) = id for some j <= n iff the order walk finds an order dividing |G|
+    hol = holomorph_elements(spec)
+    auts = holomorph._automorphisms(spec, holomorph.DEFAULT_HOL_CAP)
+    built = [(AffineMap(spec, spec.elements()[f[0]], m), f)
+             for m, f in holomorph._fixed_point_free(spec, auts)]
+    maps = [f for f, _ in built]
+    assert len(set(maps)) == len(maps)
+    assert set(maps) == {f for f in hol if is_fixed_point_free(f)}
+    assert [perm for _, perm in built] == holomorph._index_perms(spec, maps)
+    verdicts = []
+    for f in holomorph._index_perms(spec, hol):
+        order = oracles.perm_order(f, spec.order)
+        verdicts.append(holomorph._p_power_order(f, spec.p, spec.n))
+        assert verdicts[-1] is (order is not None and spec.order % order == 0)
+    prime_to_p = len(hol)
+    while prime_to_p % spec.p == 0:
+        prime_to_p //= spec.p
+    assert any(verdicts) and all(verdicts) is (prime_to_p == 1)  # Hol(G) a p-group
+
+
+@pytest.mark.parametrize("spec", [GroupSpec(2, (2, 1)), GroupSpec(3, (1, 1))], ids=str)
+def test_closure_by_cosets_matches_breadth_first_products(spec):
+    # the coset extension gives the same group as products from {id}, and
+    # None exactly when that group passes size_limit
+    perms = holomorph._index_perms(spec, holomorph_elements(spec))
+    rng = random.Random(23)
+    refused = 0
+    for size in (1, 2, 3):
+        for _ in range(30):
+            gens = rng.sample(perms, size)
+            expected = oracles.closure_by_products(gens)
+            assert closure_under_composition(gens) == expected
+            for limit in (len(expected) - 1, len(expected), spec.order):
+                got = closure_under_composition(gens, size_limit=limit)
+                assert got == oracles.closure_by_products(gens, limit)
+                refused += got is None
+    assert closure_under_composition([]) == oracles.closure_by_products([]) == frozenset()
+    assert refused
 
 
 def test_is_regular_cases():
@@ -302,6 +362,7 @@ def _commute_pairwise(maps):
 
 @pytest.mark.parametrize("spec,regular,abelian", [
     (GroupSpec(2, (3,)), 6, 4), (GroupSpec(2, (1, 1, 1)), 232, 92),
+    (GroupSpec(2, (2, 1)), 28, 12), (GroupSpec(3, (1, 1)), 9, 9), (GroupSpec(3, (3,)), 9, 9),
 ])
 def test_is_abelian_matches_pairwise_oracle(spec, regular, abelian):
     regs = enumerate_regular_subgroups(spec)

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import oracles
 from hopfgal import abelian, nilring
 from hopfgal.abelian import GroupSpec, add, enumerate_subgroups, scalar_mul
 from hopfgal.correspondence import Context, ideals
@@ -367,6 +368,32 @@ def test_search_raises_on_a_kept_table_that_validate_rejects(monkeypatch):
     monkeypatch.setattr(nilring, "_nilpotent", lambda spec, row: True)
     with pytest.raises(TheoremViolation, match="search kept an invalid structure"):
         enumerate_structures(Z4)
+
+
+@pytest.mark.parametrize("spec", [GroupSpec(p, e) for p, e in [
+    (2, (3, 2)), (3, (2, 1)), (2, (2, 1, 1)), (2, (6,))]], ids=str)
+def test_nilpotency_on_g_mod_p_matches_n_steps_on_g(spec):
+    # L commutes with x -> px, so L^k(G) in pG forces L^(ke)(G) = 0: the
+    # rank - 1 steps mod p decide what n - 1 steps over G decide, on every
+    # candidate for row 0
+    entries = [itertools.product(*nilring._entry_ranges(spec, 0, j)) for j in range(spec.rank)]
+    verdicts = Counter()
+    for row in itertools.product(*entries):
+        verdict = nilring._nilpotent(spec, row)
+        assert verdict is oracles.nilpotent_on_g(spec, row), row
+        verdicts[verdict] += 1
+    assert verdicts[True] and verdicts[False]
+
+
+def test_validate_checks_each_constant_once(monkeypatch):
+    # the shape check runs check_elem on every constant, so the nilpotency
+    # index validate reads does not check them again
+    checked = []
+    check = GroupSpec.check_elem
+    monkeypatch.setattr(GroupSpec, "check_elem", lambda spec, a: checked.append(a) or check(spec, a))
+    A = primitive_structure(3, 3)
+    assert validate(A) == []
+    assert sorted(checked) == sorted(c for row in A.constants for c in row)
 
 
 def test_validate_runs_no_helper_of_the_search():
