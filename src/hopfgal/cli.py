@@ -181,16 +181,15 @@ def cmd_enumerate(args) -> int:
         "structures": [A.to_json() for A in structures],
     }
     try:
-        regs = holomorph.enumerate_regular_subgroups(spec, args.cap_hol)
+        regular, abelian_regular = holomorph.regular_subgroup_counts(spec, args.cap_hol)
     except CapExceeded:  # |Hol(G)| above --cap-hol: no cross-check
         payload["regular_subgroup_count"] = None
         payload["abelian_regular_subgroup_count"] = None
         payload["counts_match"] = None
     else:
-        abelian_regs = [T for T in regs if holomorph.is_abelian(T)]
-        payload["regular_subgroup_count"] = len(regs)
-        payload["abelian_regular_subgroup_count"] = len(abelian_regs)
-        payload["counts_match"] = len(abelian_regs) == len(structures)
+        payload["regular_subgroup_count"] = regular
+        payload["abelian_regular_subgroup_count"] = abelian_regular
+        payload["counts_match"] = abelian_regular == len(structures)
         if not payload["counts_match"]:
             raise TheoremViolation(
                 "structure count differs from regular-subgroup count",

@@ -9,9 +9,11 @@ for small holomorphs.  `AffineMap.apply`, `tau`, `translation` and
 own loops build circle translations with `_tau`.
 Each map tabulates its linear part on element indices once, on first use:
 `AffineMap.linear_table` serves `_apply`, the image count that `is_invertible`
-and `inverse` read, and the index permutations.  The search builds those of
-the fixed-point-free maps alone, and grows subgroups by cosets (`_extend`,
-as `closure_under_composition` does); `is_abelian` grows its span by cosets.
+and `inverse` read, and the index permutations.  The search tests p-power
+order once per automorphism m: Hol(G) -> Aut(G) has kernel the translations,
+a p-group, so x -> a + m(x) has p-power order iff m does.  It builds
+fixed-point-free maps for those m alone, grows subgroups by cosets
+(`_extend`), and counts a subgroup abelian if its generators commute.
 """
 
 from __future__ import annotations
@@ -291,21 +293,22 @@ def ring_from_regular_subgroup(T: RegularSubgroup) -> RingStructure:
     return A
 
 
-def enumerate_automorphisms(spec: GroupSpec) -> list:
-    """All additive automorphisms, as matrices (invertibility by image count)."""
+def _automorphism_maps(spec: GroupSpec) -> list:
+    """Aut(G) as maps x -> m(x), each keeping the table its image count read."""
     k = spec.rank
     col_ranges = []
     for i in range(k):
         for j in range(k):
             step = spec.p ** max(0, spec.exponents[i] - spec.exponents[j])
             col_ranges.append(range(0, spec.moduli[i], step))
-    out = []
-    for flat in itertools.product(*col_ranges):
-        m = tuple(tuple(flat[i * k + j] for j in range(k)) for i in range(k))
-        f = AffineMap(spec, spec.zero(), m)
-        if is_invertible(f):
-            out.append(m)
-    return out
+    maps = (AffineMap(spec, spec.zero(), tuple(zip(*[iter(flat)] * k)))
+            for flat in itertools.product(*col_ranges))
+    return [f for f in maps if is_invertible(f)]
+
+
+def enumerate_automorphisms(spec: GroupSpec) -> list:
+    """All additive automorphisms, as matrices (`_automorphism_maps`)."""
+    return [f.m for f in _automorphism_maps(spec)]
 
 
 def automorphism_count(spec: GroupSpec) -> int:
@@ -323,17 +326,17 @@ def automorphism_count(spec: GroupSpec) -> int:
 
 
 def _automorphisms(spec: GroupSpec, cap: int) -> list:
-    """Aut(G) as maps x -> m(x), each tabulated at most once.  |Hol(G)| is
-    compared with cap by `automorphism_count` before any automorphism is
-    enumerated, and the enumeration must then match that closed form."""
+    """Aut(G) as maps x -> m(x), each tabulated once.  |Hol(G)| is compared
+    with cap by `automorphism_count` before any automorphism is enumerated,
+    and the enumeration must then match that closed form."""
     size = spec.order * automorphism_count(spec)
     if size > cap:
         raise CapExceeded(f"|Hol(G)| = {size} exceeds holomorph cap {cap}")
-    auts = enumerate_automorphisms(spec)
+    auts = _automorphism_maps(spec)
     if spec.order * len(auts) != size:
         raise TheoremViolation("|Aut(G)| enumerated differs from the closed form",
                                witness={"spec": spec.to_json(), "enumerated": len(auts)})
-    return [AffineMap(spec, spec.zero(), m) for m in auts]
+    return auts
 
 
 def holomorph_elements(spec: GroupSpec, cap: int = DEFAULT_HOL_CAP) -> list:
@@ -343,11 +346,13 @@ def holomorph_elements(spec: GroupSpec, cap: int = DEFAULT_HOL_CAP) -> list:
 
 
 def _fixed_point_free(spec: GroupSpec, auts):
-    """(m, f) for each fixed-point-free x -> a + m(x), m over the maps `auts`,
-    f its index permutation (f[0] indexes a).  a + m(x) = x iff a = (1 - m)(x),
-    so the a outside the image of 1 - m, one linear table, are m's candidates."""
+    """(m, f) for each fixed-point-free x -> a + m(x) of p-power order, m over
+    the maps `auts`, f its index permutation (f[0] indexes a).  It has p-power
+    order iff m does, as Hol(G) -> Aut(G) has a p-group kernel, the translations,
+    and then f^(p^n) = id, as each cycle of p^n points has length p^j, j <= n.
+    It fixes x iff a = (1 - m)(x): the a outside (1 - m)(G) are m's candidates."""
     shifts = [abelian._translation_perm(spec, a) for a in spec.elements()]
-    for aut in auts:
+    for aut in (f for f in auts if _p_power_order(f.linear_table, spec.p, spec.n)):
         one_minus_m = [map(operator.sub, b, row) for b, row in zip(spec._basis, aut.m)]
         fixing = set(abelian._linear_table(spec, _reduce_matrix(spec, one_minus_m)))
         for a, shift in enumerate(shifts):
@@ -365,39 +370,22 @@ def _p_power_order(f: tuple, p: int, n: int) -> bool:
     return False
 
 
-def enumerate_regular_subgroups(
-    spec: GroupSpec, cap: int = DEFAULT_HOL_CAP
-) -> list:
-    """All regular subgroups of Hol(G), by growing subgroups one generator
-    at a time from {id}.
-
-    The members of a regular subgroup other than id are fixed-point-free with
-    f^(p^n) = id, |G| = p^n, so only those are candidates, as permutations
-    of element indices (`_fixed_point_free`, `_p_power_order`).
-    A regular R containing a subgroup S has exactly one element sending 0
-    to each point, so S grows only by the candidates f with f(0) = x, for
-    x the least point outside the orbit S(0): every R above S contains one
-    of them, and the search stays complete.  <S, f> grows from S by cosets
-    (`_extend`), dropped at its first new member that is no candidate or
-    once its order would pass |G|.  A kept subgroup acts semiregularly, so
-    its orbit of 0 has as many points as it has elements: those of order
-    |G| are regular.  Only the returned subgroups become affine maps.
-    """
+def _regular_search(spec: GroupSpec, cap: int):
+    """(matrix, found): found holds each regular subgroup of Hol(G) as (gens, <gens>)
+    in index permutations, matrix each candidate's m (`enumerate_regular_subgroups`)."""
     order = spec.order
     ident = tuple(range(order))
     matrix, by_base = {ident: spec._basis}, {}  # by the image of 0 (index 0)
     for m, f in _fixed_point_free(spec, _automorphisms(spec, cap)):
-        if _p_power_order(f, spec.p, spec.n):
-            matrix[f] = m
-            by_base.setdefault(f[0], []).append(f)
-    seen = set()
-    regulars = []
+        matrix[f] = m
+        by_base.setdefault(f[0], []).append(f)
+    seen, found = set(), []
     frontier = [((), [ident])]
     while frontier:
         nxt = []
         for gens, sub in frontier:
             if len(sub) == order:
-                regulars.append(sub)
+                found.append((gens, sub))
                 continue
             orbit = {t[0] for t in sub}  # orbit of 0 (index 0)
             base = next(x for x in range(order) if x not in orbit)
@@ -407,8 +395,31 @@ def enumerate_regular_subgroups(
                     seen.add(key)
                     nxt.append((gens + (f,), grown))
         frontier = nxt
+    return matrix, found
+
+
+def enumerate_regular_subgroups(spec: GroupSpec, cap: int = DEFAULT_HOL_CAP) -> list:
+    """All regular subgroups of Hol(G), grown one generator at a time from {id}
+    (`_regular_search`).  Their members but id are fixed-point-free of p-power
+    order, the candidates, as index permutations (`_fixed_point_free`, which
+    tests the order once per automorphism m: x -> a + m(x) has it iff m has).
+    A regular R above a subgroup S has one member sending 0 to each point, so
+    S grows only by the candidates f with f(0) the least point outside the
+    orbit S(0), and the search stays complete.  <S, f> grows from S by cosets
+    (`_extend`), dropped at its first new member that is no candidate or once
+    its order would pass |G|.  A kept subgroup acts semiregularly, so it is
+    regular at order |G|.  Only the returned subgroups become affine maps."""
+    matrix, found = _regular_search(spec, cap)
     elements = spec.elements()
     out = [_regular_from_maps(spec, [AffineMap(spec, elements[t[0]], matrix[t]) for t in sub])
-           for sub in regulars]
+           for _, sub in found]
     out.sort(key=lambda T: tuple(t.sort_key() for t in T.elements))
     return out
+
+
+def regular_subgroup_counts(spec: GroupSpec, cap: int = DEFAULT_HOL_CAP) -> tuple:
+    """(regular, abelian) subgroup counts of Hol(G), from `_regular_search`: each
+    is <gens> for the generators it was grown from, so abelian iff they commute."""
+    found = _regular_search(spec, cap)[1]
+    return len(found), sum(all(_perm_compose(f, g) == _perm_compose(g, f)
+                               for f, g in itertools.combinations(gens, 2)) for gens, _ in found)

@@ -41,6 +41,18 @@ def test_enumerate_c2_cubed_bijection():
     assert payload["counts_match"] is True
 
 
+def test_enumerate_c4_c2_c2_counts_above_the_default_cap():
+    # |Hol(C4 x C2 x C2)| = 3072: 3 152 regular subgroups, of which the 352
+    # abelian ones match the 352 structures
+    result = run_cli("enumerate", "--p", "2", "--exp", "2,1,1", "--cap-hol", "4000")
+    assert result.returncode == 0, result.stderr
+    payload = json.loads(result.stdout)
+    assert payload["structure_count"] == 352
+    assert payload["regular_subgroup_count"] == 3152
+    assert payload["abelian_regular_subgroup_count"] == 352
+    assert payload["counts_match"] is True
+
+
 def test_enumerate_z4_contains_fixture_tensor():
     result = run_cli("enumerate", "--p", "2", "--exp", "2")
     payload = json.loads(result.stdout)

@@ -5,6 +5,7 @@ import pytest
 
 import oracles
 
+from hopfgal import abelian
 from hopfgal.abelian import GroupSpec
 from hopfgal.errors import CapExceeded, InputError, TheoremViolation
 from hopfgal import holomorph
@@ -20,6 +21,7 @@ from hopfgal.holomorph import (
     inverse,
     is_abelian,
     is_invertible,
+    regular_subgroup_counts,
     regular_subgroup_from_ring,
     ring_from_regular_subgroup,
     tau,
@@ -180,12 +182,14 @@ def test_holomorph_cap_checked_before_enumeration(monkeypatch):
         raise AssertionError("Aut(G) enumerated before the cap was compared")
 
     monkeypatch.setattr(holomorph, "enumerate_automorphisms", refuse)
-    for build in (holomorph_elements, enumerate_regular_subgroups):
+    monkeypatch.setattr(holomorph, "_automorphism_maps", refuse)
+    for build in (holomorph_elements, enumerate_regular_subgroups, regular_subgroup_counts):
         with pytest.raises(CapExceeded):  # |Hol(C5 x C5)| = 25 * 480
             build(GroupSpec(5, (1, 1)), cap=1000)
 
 
-@pytest.mark.parametrize("build", [holomorph_elements, enumerate_regular_subgroups])
+@pytest.mark.parametrize("build", [holomorph_elements, enumerate_regular_subgroups,
+                                   regular_subgroup_counts])
 def test_enumerated_automorphisms_must_match_the_closed_form(monkeypatch, build):
     count = holomorph.automorphism_count
     monkeypatch.setattr(holomorph, "automorphism_count", lambda spec: count(spec) + 1)
@@ -194,21 +198,49 @@ def test_enumerated_automorphisms_must_match_the_closed_form(monkeypatch, build)
 
 
 FPF_SPECS = [GroupSpec(p, e) for p, e in [(2, (1, 1, 1)), (2, (2, 1)), (3, (1, 1)), (3, (3,)), (5, (2,))]]
+# (automorphisms, automorphisms of p-power order, candidates)
+FPF_WORK = {"C2 x C2 x C2": (168, 64, 301), "C4 x C2": (8, 8, 45), "C3 x C3": (48, 9, 56),
+            "C27": (18, 9, 182), "C25": (20, 5, 104)}
 
 
 @pytest.mark.parametrize("spec", FPF_SPECS, ids=str)
-def test_candidates_match_brute_force(spec):
-    # a + m(x) fixes a point iff a lies in (1 - m)(G), so the maps built per
-    # automorphism are exactly the fixed-point-free members of Hol(G); and
-    # f^(p^j) = id for some j <= n iff the order walk finds an order dividing |G|
+def test_candidates_match_brute_force(monkeypatch, spec):
+    # the maps built are exactly the fixed-point-free members of Hol(G) of
+    # order dividing |G|.  x -> a + m(x) has p-power order iff m does, so the
+    # order is tested once per automorphism, and only an m that passes gets
+    # its 1 - m table; the tested maps keep the linear tables of Aut(G)
     hol = holomorph_elements(spec)
+    perms = dict(zip(hol, holomorph._index_perms(spec, hol)))
+
+    def divides_order(f):
+        order = oracles.perm_order(perms[f], spec.order)
+        return order is not None and spec.order % order == 0
+
     auts = holomorph._automorphisms(spec, holomorph.DEFAULT_HOL_CAP)
+    assert all("linear_table" in vars(aut) for aut in auts)  # kept from the invertibility test
+    for aut in auts:
+        verdict = holomorph._p_power_order(aut.linear_table, spec.p, spec.n)
+        assert all(divides_order(AffineMap(spec, a, aut.m)) is verdict for a in spec.elements())
+    verdicts, tables = [], []
+    p_power_order, linear_table = holomorph._p_power_order, abelian._linear_table
+    monkeypatch.setattr(holomorph, "_p_power_order",
+                        lambda f, p, n: verdicts.append(p_power_order(f, p, n)) or verdicts[-1])
+    monkeypatch.setattr(abelian, "_linear_table",
+                        lambda spec, m: tables.append(m) or linear_table(spec, m))
     built = [(AffineMap(spec, spec.elements()[f[0]], m), f)
              for m, f in holomorph._fixed_point_free(spec, auts)]
+    assert (len(auts), sum(verdicts), len(built)) == FPF_WORK[str(spec)]
+    assert len(verdicts) == len(auts) and len(tables) == sum(verdicts)
     maps = [f for f, _ in built]
     assert len(set(maps)) == len(maps)
-    assert set(maps) == {f for f in hol if is_fixed_point_free(f)}
+    assert set(maps) == {f for f in hol if is_fixed_point_free(f) and divides_order(f)}
     assert [perm for _, perm in built] == holomorph._index_perms(spec, maps)
+
+
+@pytest.mark.parametrize("spec", FPF_SPECS, ids=str)
+def test_p_power_order_matches_the_order_walk(spec):
+    # f^(p^j) = id for some j <= n iff the order walk finds an order dividing |G|
+    hol = holomorph_elements(spec)
     verdicts = []
     for f in holomorph._index_perms(spec, hol):
         order = oracles.perm_order(f, spec.order)
@@ -369,6 +401,20 @@ def test_is_abelian_matches_pairwise_oracle(spec, regular, abelian):
     verdicts = [is_abelian(T) for T in regs]
     assert verdicts == [_commute_pairwise(T.elements) for T in regs]
     assert (len(regs), sum(verdicts)) == (regular, abelian)
+
+
+# the specs within the default cap that `enumerate` cross-checks in the search
+# workload (perfbench/workloads.py), and C2^3
+COUNT_SPECS = [GroupSpec(p, e) for p, e in [
+    (3, (1,)), (2, (1, 1)), (2, (2,)), (2, (3,)), (3, (2,)), (2, (4,)), (5, (2,)), (3, (3,)),
+    (2, (2, 1)), (3, (1, 1)), (2, (1, 1, 1)),
+]]
+
+
+@pytest.mark.parametrize("spec", COUNT_SPECS, ids=str)
+def test_generator_commutation_counts_the_abelian_subgroups(spec):
+    regs = enumerate_regular_subgroups(spec)
+    assert regular_subgroup_counts(spec) == (len(regs), sum(map(is_abelian, regs)))
 
 
 def test_is_abelian_on_sets_that_are_not_closed():
