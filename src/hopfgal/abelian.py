@@ -11,8 +11,8 @@ An element's index is its position in `GroupSpec.elements()`; the index
 tables of `_translation_perm` and `_linear_table` are built per coordinate.
 The one lattice walk is additive and runs on indices; `subgroup_count`
 reads a type alone.  `_grow_by_cosets` grows a span by its cosets under one
-commuting map, for the circle generators, the circle type and
-`holomorph.is_abelian`.
+commuting map: `additive_closure`, `minimal_generators`, the circle
+generators, type and translations, and `holomorph.is_abelian` run on it.
 """
 
 from __future__ import annotations
@@ -165,9 +165,10 @@ def _linear_table(spec: GroupSpec, m) -> tuple:
 
 def _grow_by_cosets(span: set, step) -> set:
     """span, grown in place by its images under the powers of the map `step`,
-    up to the first image inside it.  When span is a group H of permutations,
-    or the orbit of one, and step commutes with H, the images are the cosets
-    step^k H, so span becomes <H, step>, or its orbit."""
+    up to the first image inside it.  When span is a group H of permutations
+    (or of elements, step a translation), or the orbit of one, and step
+    commutes with H, the images are the cosets step^k H, so span becomes
+    <H, step>, or its orbit."""
     coset = span
     while not (coset := set(map(step, coset))) <= span:
         span |= coset
@@ -224,19 +225,14 @@ class Subgroup:
 
 
 def additive_closure(spec: GroupSpec, gens) -> frozenset:
-    """Closure of gens under addition.  Coordinates are reduced as they are
-    added; a gen of the wrong length raises (its multiples never reach 0)."""
-    zero = spec.zero()
-    elems = {zero}
+    """Closure of gens under addition: {0} grown by each gen's cosets, reduced
+    as they are added.  A gen of the wrong length raises InputError."""
+    elems = {spec.zero()}
     for g in gens:
         if len(g) != spec.rank:
             raise InputError(f"element {g} has wrong length for {spec}")
-        if g in elems:
-            continue
-        multiples = [g]
-        while multiples[-1] != zero:
-            multiples.append(_add(spec, multiples[-1], g))
-        elems = {_add(spec, s, mg) for s in elems for mg in multiples}
+        if g not in elems:  # else its first coset is the span itself
+            _grow_by_cosets(elems, lambda x: _add(spec, x, g))
     return frozenset(elems)
 
 
@@ -245,18 +241,14 @@ def minimal_generators(spec: GroupSpec, elements: frozenset) -> tuple:
 
     Picks representatives whose images are independent in J/pJ, which by
     the Burnside basis theorem yields a generating set of minimal size.
+    The span starts at the subgroup pJ and grows by each joining x's cosets.
     """
-    if len(elements) == 1:
-        return ()
-    p_multiples = frozenset(_scalar_mul(spec, spec.p, x) for x in elements)
     gens = []
-    span = set(p_multiples)
+    span = {_scalar_mul(spec, spec.p, x) for x in elements}
     for x in sorted(elements):
         if x not in span:
             gens.append(x)
-            span = set(additive_closure(spec, list(p_multiples) + gens))
-            if len(span) == len(elements):
-                break
+            _grow_by_cosets(span, lambda y: _add(spec, y, x))
     return tuple(gens)
 
 

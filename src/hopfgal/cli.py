@@ -114,17 +114,21 @@ def _resolve_structures(args, family, cyclic_n=False):
     """(label, structure) pairs selected by family / --all-structures; the
     cyclic family's are built one at a time, so a cap stops them at the first.
     An --all-structures beside another family, or a --family other than the
-    one the caller asks for, is an input error, and so is an --exp, --d or
-    --all-d that the family does not read."""
+    one the caller asks for, is an input error, and so is a --p, --exp, --n,
+    --d, --all-d or --cap-search that a known family does not read (with
+    cyclic_n, the caller reads --p and --n itself, for Z/p^n)."""
     if args.all_structures:
         if family not in (None, "enumerate"):
             raise InputError(f"--all-structures conflicts with family {family}")
         family = "enumerate"
     if args.family is not None and args.family != family:
         raise InputError(f"--family {args.family} conflicts with family {family}")
-    reads = {"trivial": {"exp"}, "enumerate": {"exp"},
-             "cyclic": {"all_d"} if args.all_d else {"d"}}.get(family, set())
-    _reject_unread(args, f"family {family}", reads, ("exp", "d", "all_d"))
+    reads = {"fixture:klein": {"p", "n"} if cyclic_n else set(), "trivial": {"p", "exp", "n"},
+             "enumerate": {"p", "exp", "n", "cap_search"}, "primitive": {"p", "n"}}
+    if family is not None and family.startswith("cyclic"):
+        reads[family] = {"p", "n"} | (set() if ":" in family else {"all_d" if args.all_d else "d"})
+    if family in reads:
+        _reject_unread(args, f"family {family}", reads[family], ("p", "exp", "n", "d", "all_d", "cap_search"))
     if family == "fixture:klein":
         return [("fixture:klein", correspondence.klein_four_fixture().ring)]
     if family == "enumerate":
@@ -342,7 +346,7 @@ def cmd_verify(args) -> int:
 
 def cmd_report(args) -> int:
     rows = []
-    for label, A in _resolve_structures(args, args.family, cyclic_n=args.family is not None and args.family.startswith("cyclic")):
+    for label, A in _resolve_structures(args, args.family):
         ctx = Context(A, args.cap_enum)
         ideal_list = correspondence.ideals(ctx)
         subfields = correspondence.circle_subgroup_count(ctx)

@@ -15,13 +15,13 @@ index of h, the conjugate lam alpha(g) lam^{-1} at 0, for every g off one
 composition, and tests that the conjugates are translations on the k
 standard generators only (conjugation is a homomorphism in g), or on every
 g when one of them fails: O(k |G|^2) for all rows, not O(|G|^3).  The
-conjugation report first builds every lam(gamma) by closure from the circle
-generators' (`Context.close_circle_translations`, which checks regularity),
-and the closed form g + gamma*g as one linear index table per gamma from the
-structure constants, so it makes no element-level product per pair.  The maps
-both sides give the walk and the rows are index tables, decoded only for
-witnesses, failure records and `conjugated_translation`, which alone checks
-elements.  The type of (G, o) is read off the circle generators' lam tables:
+conjugation report first builds every lam(gamma) from the circle generators'
+by cosets (`Context.close_circle_translations`, which checks that they commute
+and act regularly), and the closed form g + gamma*g as one linear index table
+per gamma from the structure constants, so it makes no element-level product
+per pair.  The maps both sides give the walk and the rows are index tables,
+decoded only for witnesses, failure records and `conjugated_translation`,
+which alone checks elements.  The type of (G, o) is read off the circle generators' lam tables:
 the orbit of 0 under their p^j-th powers is (G, o)^(p^j).
 """
 
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, partial, reduce
 
 from . import abelian, holomorph, nilring
 from .abelian import Elem, GroupSpec
@@ -107,28 +107,30 @@ class Context:
 
     def close_circle_translations(self) -> None:
         """Cache lam(gamma) for every gamma.  Only the circle generators' lam
-        is tabulated from circle products; the rest are their products,
-        found breadth-first from the identity, each keyed by its image of 0,
-        as lam(gamma o g) = lam(gamma) lam(g): |G| compositions per
-        generator.  Regularity is checked on the way: two products with one
-        image of 0 must be equal, and there must be |G| of them, else
-        TheoremViolation.  A table already cached is kept."""
+        is tabulated from circle products; the rest are their products, as
+        lam(gamma o g) = lam(gamma) lam(g).  (G, o) is abelian, so the tables
+        must commute (r(r - 1) compositions); then they grow the identity by
+        cosets.  In sorted order, two products with one image of 0 must be
+        equal, and |G| must be found, else TheoremViolation.  A table already
+        cached is kept."""
         elems = self.elements
+
+        def check(mu, nu):  # two tables that must be equal, compared at every x
+            if mu != nu:
+                x = next(x for x, (a, b) in enumerate(zip(mu, nu)) if a != b)
+                raise TheoremViolation("circle translations do not act regularly", witness={
+                    "gamma": list(elems[nu[0]]), "x": list(elems[x]),
+                    "images": [list(elems[mu[x]]), list(elems[nu[x]])]})
         gens = [self.circle_translation_perm(elems[n]) for n in self.circle_generators]
-        found = {0: tuple(range(len(elems)))}
-        frontier = list(found.values())
-        for mu in frontier:  # grows as the loop runs: breadth-first
-            for lam in gens:
-                nu = perm_compose(lam, mu)
-                known = found.get(nu[0])
-                if known is None:
-                    found[nu[0]] = nu
-                    frontier.append(nu)
-                elif known != nu:
-                    x = next(x for x, (a, b) in enumerate(zip(known, nu)) if a != b)
-                    raise TheoremViolation("circle translations do not act regularly", witness={
-                        "gamma": list(elems[nu[0]]), "x": list(elems[x]),
-                        "images": [list(elems[known[x]]), list(elems[nu[x]])]})
+        for i, lam in enumerate(gens):
+            for mu in gens[:i]:
+                check(perm_compose(mu, lam), perm_compose(lam, mu))
+        span = {tuple(range(len(elems)))}
+        for lam in gens:
+            abelian._grow_by_cosets(span, partial(perm_compose, lam))
+        found = {}
+        for nu in sorted(span):
+            check(found.setdefault(nu[0], nu), nu)
         if len(found) != len(elems):
             raise TheoremViolation("circle translations do not act regularly",
                                    witness={"orbit_of_0": len(found), "order": len(elems)})

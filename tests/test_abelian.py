@@ -1,7 +1,10 @@
+import hashlib
 import itertools
+import json
 
 import pytest
 
+from hopfgal import abelian
 from hopfgal.abelian import (
     GroupSpec,
     add,
@@ -174,6 +177,34 @@ def test_minimal_generators_regenerate(spec):
         while spec.p**rank < quotient:
             rank += 1
         assert len(sub.generators) == rank
+
+
+def test_minimal_generators_reruns_no_closure(monkeypatch):
+    # the span starts at pJ and grows by each joining generator's cosets
+    subgroups = enumerate_subgroups(GroupSpec(2, (2, 1, 1)))
+
+    def closure(spec, gens):
+        raise AssertionError("additive_closure called")
+
+    monkeypatch.setattr(abelian, "additive_closure", closure)
+    assert max(len(s.generators) for s in subgroups) == 3  # the rank
+
+
+@pytest.mark.parametrize(
+    "p,exponents,count,digest",
+    [
+        (2, (1,) * 6, 2825, "30d71d698b1d29ed59703993793495883e70d5f0984ccb26a5bd1e2a11dedba2"),
+        (3, (1,) * 4, 212, "48425f00ad23d1f7d672fe763c638f981362ce76f0f6665acb70263bd710d31e"),
+        (2, (3, 2, 1, 1), 380, "3403c4194bdd359670ffae1617954408054014d1d3b5f56087f420f559e44a07"),
+    ],
+)
+def test_generators_of_every_subgroup_are_pinned(p, exponents, count, digest):
+    # sha256 of the JSON of every subgroup, generators included: which
+    # generators are chosen must not depend on how their span is grown
+    subgroups = enumerate_subgroups(GroupSpec(p, exponents))
+    text = json.dumps([s.to_json() for s in subgroups], sort_keys=True)
+    assert len(subgroups) == count
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize(

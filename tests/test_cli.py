@@ -244,6 +244,10 @@ def test_conflicting_structure_selections_are_input_errors(argv):
         ("enumerate", "--p", "2", "--exp", "1,1", "--cap-enum", "5"),
         ("verify", "cyclic", "--p", "3", "--n", "2", "--d", "1", "--all-d"),
         ("report", "--family", "cyclic:1", "--p", "3", "--n", "2", "--d", "0"),
+        ("report", "--family", "fixture:klein", "--p", "3", "--n", "5"),
+        ("verify", "conjugation", "--family", "fixture:klein", "--cap-search", "7"),
+        ("verify", "lattice", "--family", "primitive", "--p", "2", "--n", "3", "--cap-search", "5"),
+        ("verify", "lattice", "--family", "cyclic:1", "--p", "3", "--n", "2", "--cap-search", "3"),
     ],
 )
 def test_unread_options_are_input_errors(argv):

@@ -157,6 +157,19 @@ def test_conjugation_report_checks_the_closure_is_regular():
     assert info.value.witness == {"orbit_of_0": 1, "order": 8}
 
 
+def test_conjugation_report_checks_the_circle_generators_commute():
+    # on C2 x C2, the transposition (0 1) and the 3-cycle (0 2 3) as lam of
+    # the circle generators (0, 1) and (1, 0); their two products send 0 to
+    # 2 and to 1, so they do not commute, and the check says where
+    ctx = Context(trivial_structure(GroupSpec(2, (1, 1))))
+    ctx._lambda_cache[(0, 1)] = (1, 0, 2, 3)
+    ctx._lambda_cache[(1, 0)] = (2, 1, 3, 0)
+    with pytest.raises(TheoremViolation, match="do not act regularly") as info:
+        holomorph_conjugation_report(ctx)
+    assert ctx.circle_generators == (1, 2)
+    assert info.value.witness == {"gamma": [0, 1], "x": [0, 0], "images": [[1, 0], [0, 1]]}
+
+
 def _patch_inverse(monkeypatch, change):
     """holomorph.inverse, with `change` applied to the inverse of tau((1, 0))."""
     inverse = holomorph.inverse
@@ -436,10 +449,12 @@ def test_each_pair_is_conjugated_once(monkeypatch):
     # gamma one permutation compose for the whole h row plus two for each of
     # the k = 2 standard generators' basis test, (2k + 1) |G| = 5 * 16 = 80
     # (testing every pair by itself takes 2 |G|^2 = 512).  The report also
-    # builds every lam(gamma) by closure: one compose per member of (G, o)
-    # and circle generator, |G| r = 16 * 2 = 32.  The circle type, C8 x C2,
-    # takes p - 1 = 1 compose per p-th power of a non-identity lam: the 2
-    # generators' squares, then 2 fourth and 1 eighth power, 5.  So 117 in all
+    # builds every lam(gamma) by closure: r (r - 1) = 2 composes to test that
+    # the r = 2 circle generators' tables commute, then one per member of
+    # each coset as the identity grows under them, 4 for the first (order 4)
+    # and 4 cosets of 4 for the second, 22.  The circle type, C8 x C2, takes
+    # p - 1 = 1 compose per p-th power of a non-identity lam: the 2
+    # generators' squares, then 2 fourth and 1 eighth power, 5.  So 107 in all
     ctx = _c4c4_context()
     order = ctx.spec.order
     composes = _counted(monkeypatch, holomorph, "compose")
@@ -448,7 +463,7 @@ def test_each_pair_is_conjugated_once(monkeypatch):
     assert not holomorph_conjugation_report(ctx)["failures"]
     assert len(composes) <= order
     assert len(ctx.circle_generators) == 2
-    assert len(perm_composes) == (2 * ctx.spec.rank + 1 + 2) * order + 5 == 117
+    assert len(perm_composes) == (2 * ctx.spec.rank + 1) * order + 22 + 5 == 107
 
 
 def test_conjugation_report_makes_no_product_per_pair(monkeypatch):
