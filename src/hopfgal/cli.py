@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 input/config error, 3 cap exceeded,
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -376,7 +377,10 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser `main` reads, built once per process on first use (about
+    a millisecond), not at import; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="hopfgal",
         description="Exact verification of the ideal / invariant-subgroup correspondence for nilpotent structures on abelian p-groups.",
@@ -400,8 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         command = f"verify {args.check}" if args.command == "verify" else args.command
         _reject_unread(args, command, _READS[command])

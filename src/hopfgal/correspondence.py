@@ -14,15 +14,20 @@ complete.  The subgroups of (G, o) are counted from its type alone
 index of h, the conjugate lam alpha(g) lam^{-1} at 0, for every g off one
 composition, and tests that the conjugates are translations on the k
 standard generators only (conjugation is a homomorphism in g), or on every
-g when one of them fails: O(k |G|^2) for all rows, not O(|G|^3).  The
-conjugation report first builds every lam(gamma) from the circle generators'
-by cosets (`Context.close_circle_translations`, which checks that they commute
-and act regularly), and the closed form g + gamma*g as one linear index table
-per gamma from the structure constants, so it makes no element-level product
-per pair.  The maps both sides give the walk and the rows are index tables,
-decoded only for witnesses, failure records and `conjugated_translation`,
-which alone checks elements.  The type of (G, o) is read off the circle generators' lam tables:
-the orbit of 0 under their p^j-th powers is (G, o)^(p^j).
+g when one of them fails: 2k + 1 compositions of length |G| per row, where
+testing every g takes 2 |G|.  The conjugation report first builds every
+lam(gamma) from the circle generators' by cosets
+(`Context.close_circle_translations`, which checks that they commute and act
+regularly), then compares the three h rows (Hol(G), Perm(G) and the closed
+form g + gamma*g, one linear index table from the structure constants) for
+the r circle generators only: each row is a homomorphism in gamma, so the
+generators certify all |G|^2 pairs.  Every gamma is scanned when a generator
+fails or a cached lam table is not the closure's product.  The report makes
+no element-level product per pair.  The maps both sides give the walk and
+the rows are index tables, decoded only for witnesses, failure records and
+`conjugated_translation`, which alone checks elements.  The type of (G, o) is
+read off the circle generators' lam tables: the orbit of 0 under their p^j-th
+powers is (G, o)^(p^j).
 """
 
 from __future__ import annotations
@@ -112,7 +117,8 @@ class Context:
         must commute (r(r - 1) compositions); then they grow the identity by
         cosets.  In sorted order, two products with one image of 0 must be
         equal, and |G| must be found, else TheoremViolation.  A table already
-        cached is kept."""
+        cached is kept; returns the indices of the gamma whose cached table
+        is not the product with image gamma at 0 (the strays)."""
         elems = self.elements
 
         def check(mu, nu):  # two tables that must be equal, compared at every x
@@ -134,8 +140,8 @@ class Context:
         if len(found) != len(elems):
             raise TheoremViolation("circle translations do not act regularly",
                                    witness={"orbit_of_0": len(found), "order": len(elems)})
-        for n, lam in found.items():
-            self._lambda_cache.setdefault(elems[n], lam)
+        return [n for n, lam in sorted(found.items())
+                if self._lambda_cache.setdefault(elems[n], lam) != lam]
 
     def conjugation_row(self, n: int) -> tuple:
         """(hs, oks) over g, built once per gamma = elements[n].  With lam =
@@ -205,38 +211,61 @@ def holomorph_conjugation_report(ctx: Context) -> dict:
       which tabulates circle products for the circle generators only;
     - the closed form g + gamma*g: one linear index table per gamma, from
       the structure constants (`_closed_form_table`).
-    The rows are compared as whole index tuples, so the report makes no
-    element-level product per pair and costs O(k |G|^2) in index lookups;
-    only a gamma where they disagree is checked pair by pair, for the
-    failure records.  Returns the failures.
+    Each row is a homomorphism in gamma from (G, o): lam(gamma o delta) =
+    lam(gamma) lam(delta) on the tables the closure built, tau(gamma o
+    delta) = tau(gamma) tau(delta), and (I + M_gamma)(I + M_delta) =
+    I + M_{gamma o delta}, the last two by the associativity `Context`
+    validated.  So the rows are built for the r circle generators only
+    (`_gamma_failures`); each gets the Hol(G) translation test, its row's
+    translation test on the standard generators and the comparison of the
+    three rows.  A generator that passes, with no stray table, has lam(gamma)
+    = (x -> gamma o x): lam alpha(x) = alpha(x + gamma x) lam gives lam(x) =
+    lam(0) + x + gamma x, and lam(0) = gamma.  So each product the closure
+    filed under an image of 0 is that element's lam, and the rows agree on
+    all |G|^2 pairs.  Every gamma is scanned, by the same step, when a
+    generator fails or a cached lam table is a stray (not the product filed
+    under its gamma): a stray generator's own rows can pass while its
+    products fail.  The closure's commutation and regularity checks run
+    every time.  The rows are compared as whole index tuples, so the report
+    makes no element-level product per pair; only a gamma where they
+    disagree is checked pair by pair, for the failure records.  Returns the
+    failures.
     """
-    elems = ctx.elements
-    ctx.close_circle_translations()
+    strays = ctx.close_circle_translations()
     failures = []
-    for n, gamma in enumerate(elems):
-        beta = holomorph._tau(ctx.ring, gamma)
-        beta_inv = holomorph.inverse(beta)
-        if not holomorph.compose(beta, beta_inv).is_translation():
-            reason = "holomorph conjugate is not a translation"
-            failures += [{"gamma": list(gamma), "g": list(g), "reason": reason} for g in elems]
-            continue
-        # beta(0) + M_beta(g + beta^{-1}(0)) for every g, composed on indices
-        hol = tuple(map(ctx.additive_translation_perm(beta.a).__getitem__,
-                        map(beta.linear_table.__getitem__,
-                            ctx.additive_translation_perm(beta_inv.a))))
-        hs, oks = ctx.conjugation_row(n)
-        closed = _closed_form_table(ctx, gamma)
-        if hol == hs == closed and all(oks):
-            continue
-        for g, h_hol, h, ok, h_closed in zip(elems, hol, hs, oks, closed):
-            if h != h_closed or not ok:
-                failures.append({"gamma": list(gamma), "g": list(g), "reason": _NOT_PREDICTED})
-            elif h_hol != h:
-                failures.append({"gamma": list(gamma), "g": list(g),
-                                 "reason": "holomorph-level and permutation-level h differ",
-                                 "h_holomorph": list(elems[h_hol]),
-                                 "h_permutation": list(elems[h])})
+    if strays or any(_gamma_failures(ctx, n) for n in ctx.circle_generators):
+        # the records of every gamma, in order
+        failures = [f for n in range(len(ctx.elements)) for f in _gamma_failures(ctx, n)]
     return {"pairs_checked": len(ctx.elements) ** 2, "failures": failures}
+
+
+def _gamma_failures(ctx: Context, n: int) -> list:
+    """The failure records of gamma = elements[n] over every g, from its
+    three h rows (see `holomorph_conjugation_report`)."""
+    elems, gamma = ctx.elements, ctx.elements[n]
+    beta = holomorph._tau(ctx.ring, gamma)
+    beta_inv = holomorph.inverse(beta)
+    if not holomorph.compose(beta, beta_inv).is_translation():
+        reason = "holomorph conjugate is not a translation"
+        return [{"gamma": list(gamma), "g": list(g), "reason": reason} for g in elems]
+    # beta(0) + M_beta(g + beta^{-1}(0)) for every g, composed on indices
+    hol = tuple(map(ctx.additive_translation_perm(beta.a).__getitem__,
+                    map(beta.linear_table.__getitem__,
+                        ctx.additive_translation_perm(beta_inv.a))))
+    hs, oks = ctx.conjugation_row(n)
+    closed = _closed_form_table(ctx, gamma)
+    if hol == hs == closed and all(oks):
+        return []
+    failures = []
+    for g, h_hol, h, ok, h_closed in zip(elems, hol, hs, oks, closed):
+        if h != h_closed or not ok:
+            failures.append({"gamma": list(gamma), "g": list(g), "reason": _NOT_PREDICTED})
+        elif h_hol != h:
+            failures.append({"gamma": list(gamma), "g": list(g),
+                             "reason": "holomorph-level and permutation-level h differ",
+                             "h_holomorph": list(elems[h_hol]),
+                             "h_permutation": list(elems[h])})
+    return failures
 
 
 def _closed_form_table(ctx: Context, gamma: Elem) -> tuple:

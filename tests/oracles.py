@@ -11,7 +11,7 @@ the lattice walk, the subgroup-count formulas or `Context`, whose circle type
 from hopfgal.abelian import add
 from hopfgal.errors import InputError
 from hopfgal.holomorph import AffineMap, compose
-from hopfgal.nilring import circle
+from hopfgal.nilring import circle, mul
 
 
 def is_prime(n: int) -> bool:
@@ -157,6 +157,37 @@ def conjugation_row(spec, plus, lam) -> tuple:
     oks = tuple(all(lam[plus[g, x]] == plus[h, lam[x]] for x in elems)
                 for g, h in zip(elems, hs))
     return hs, oks
+
+
+def conjugation_report(A, lams=None, inverses=None, marked=()) -> dict:
+    """The report of `holomorph_conjugation_report`, made pair by pair from
+    `add`, `circle` and `mul`.  For each (gamma, g): the Hol(G) conjugate
+    x -> beta(g + beta^{-1}(x)) of alpha(g), beta = (x -> gamma o x), tested
+    at every x to be a translation, by its value h_hol at 0; the
+    permutation-level h and its translation test from `conjugation_row`;
+    and the closed form g + gamma*g.  Stand-ins, dicts keyed by gamma:
+    `lams` for lam(gamma) (else `circle_translation`), `inverses` for
+    beta^{-1} (else beta inverted); a (gamma, g) in `marked` is taken as a
+    conjugate that is no translation."""
+    spec, lams, inverses = A.spec, lams or {}, inverses or {}
+    elems, zero, plus = spec.elements(), spec.zero(), addition_table(spec)
+    failures = []
+    for gamma in elems:
+        beta = circle_translation(A, gamma)
+        beta_inv = inverses.get(gamma) or {y: x for x, y in beta.items()}
+        hs, oks = conjugation_row(spec, plus, lams.get(gamma, beta))
+        for g, h, ok in zip(elems, hs, oks):
+            record = {"gamma": list(gamma), "g": list(g)}
+            h_hol = beta[plus[g, beta_inv[zero]]]
+            if any(beta[plus[g, beta_inv[x]]] != plus[h_hol, x] for x in elems):
+                failures.append({**record, "reason": "holomorph conjugate is not a translation"})
+            elif h != add(spec, g, mul(A, gamma, g)) or not ok or (gamma, g) in marked:
+                failures.append({**record, "reason": "conjugation of an additive translation "
+                                                     "is not the predicted translation"})
+            elif h_hol != h:
+                failures.append({**record, "reason": "holomorph-level and permutation-level h differ",
+                                 "h_holomorph": list(h_hol), "h_permutation": list(h)})
+    return {"pairs_checked": len(elems) ** 2, "failures": failures}
 
 
 def perm_order(f, limit):

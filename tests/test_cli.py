@@ -118,6 +118,28 @@ def test_verify_elementary_validates_once_per_structure(monkeypatch):
     assert len(validations) == 18
 
 
+def test_the_parser_is_built_once_on_first_use():
+    # main reads one parser per process, where each call built its own
+    # (about a millisecond); importing the CLI builds none, and a rejected
+    # argument list leaves the parser as it was
+    probe = "import hopfgal.cli as c; print(c.build_parser.cache_info().currsize)"
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert result.stdout == "0\n", result.stderr
+    runs = []
+    for argv in (["report", "--family", "fixture:klein"], ["report", "--p", "x"],
+                 ["report", "--family", "fixture:klein"]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        runs.append((code, out.getvalue(), err.getvalue()))
+    assert runs[0] == runs[2] and runs[0][0] == cli.EXIT_OK
+    assert runs[1][0] == cli.EXIT_INPUT
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_verify_cyclic_leaves_args_unchanged():
     args = cli.build_parser().parse_args(["verify", "cyclic", "--p", "3", "--n", "2", "--d", "1"])
     before = dict(vars(args))

@@ -157,6 +157,25 @@ def test_conjugation_report_checks_the_closure_is_regular():
     assert info.value.witness == {"orbit_of_0": 1, "order": 8}
 
 
+def test_conjugation_report_scans_every_gamma_for_a_stray_table():
+    # on Z/9 with r * s = 3rs, lam(gamma) is x -> gamma + (1 + 3 gamma) x;
+    # a stand-in x -> 2 + 4x for lam((1,)), the one circle generator's, has
+    # the right linear part but 2 at 0.  Its own three rows agree (each
+    # conjugates alpha(g) to alpha(4g)), so it fails nothing by itself, but
+    # the closure keys its powers by their image of 0: the table it files
+    # under gamma = 2 is the stand-in itself, of linear part 4 where the
+    # closed form has 1 + 3 * 2 = 7, and so on.  The stand-in is not the
+    # product filed under (1,), so it is a stray, and every gamma is scanned:
+    # those with a wrong linear part fail at every g outside 3Z/9
+    ctx = Context(cyclic_structure(3, 2, 1))
+    ctx._lambda_cache[(1,)] = tuple((2 + 4 * x) % 9 for x in range(9))
+    assert ctx.circle_generators == (1,)
+    report = holomorph_conjugation_report(ctx)
+    assert ctx.close_circle_translations() == [1]
+    assert report["failures"] == [{"gamma": [gamma], "g": [g], "reason": PERM_REASON}
+                                  for gamma in (2, 4, 5, 7, 8) for g in (1, 2, 4, 5, 7, 8)]
+
+
 def test_conjugation_report_checks_the_circle_generators_commute():
     # on C2 x C2, the transposition (0 1) and the 3-cycle (0 2 3) as lam of
     # the circle generators (0, 1) and (1, 0); their two products send 0 to
@@ -444,26 +463,27 @@ def test_verify_primitive_computes_no_generators(monkeypatch):
 
 
 def test_each_pair_is_conjugated_once(monkeypatch):
-    # across both reports, each gamma's row is built once and shared by the
-    # lattice and conjugation sides: one Hol(G) compose per gamma, and per
-    # gamma one permutation compose for the whole h row plus two for each of
-    # the k = 2 standard generators' basis test, (2k + 1) |G| = 5 * 16 = 80
-    # (testing every pair by itself takes 2 |G|^2 = 512).  The report also
-    # builds every lam(gamma) by closure: r (r - 1) = 2 composes to test that
-    # the r = 2 circle generators' tables commute, then one per member of
-    # each coset as the identity grows under them, 4 for the first (order 4)
-    # and 4 cosets of 4 for the second, 22.  The circle type, C8 x C2, takes
+    # both reports read the rows of the r = 2 circle generators only, each
+    # built once and shared by the lattice and conjugation sides: one Hol(G)
+    # compose per generator, and per generator one permutation compose for
+    # the whole h row plus two for each of the k = 2 standard generators'
+    # basis test, (2k + 1) r = 5 * 2 = 10 (a row per gamma took (2k + 1) |G|
+    # = 80, and testing every pair by itself 2 |G|^2 = 512).  The report
+    # also builds every lam(gamma) by closure: r (r - 1) = 2 composes to
+    # test that the generators' tables commute, then one per member of each
+    # coset as the identity grows under them, 4 for the first (order 4) and
+    # 4 cosets of 4 for the second, 22.  The circle type, C8 x C2, takes
     # p - 1 = 1 compose per p-th power of a non-identity lam: the 2
-    # generators' squares, then 2 fourth and 1 eighth power, 5.  So 107 in all
+    # generators' squares, then 2 fourth and 1 eighth power, 5.  So 37 in all
     ctx = _c4c4_context()
-    order = ctx.spec.order
+    r = len(ctx.circle_generators)
     composes = _counted(monkeypatch, holomorph, "compose")
     perm_composes = _counted(monkeypatch, correspondence, "perm_compose")
     lattice_report(ctx)
     assert not holomorph_conjugation_report(ctx)["failures"]
-    assert len(composes) <= order
-    assert len(ctx.circle_generators) == 2
-    assert len(perm_composes) == (2 * ctx.spec.rank + 1) * order + 22 + 5 == 107
+    assert r == 2
+    assert len(composes) == r
+    assert len(perm_composes) == (2 * ctx.spec.rank + 1) * r + 22 + 5 == 37
 
 
 def test_conjugation_report_makes_no_product_per_pair(monkeypatch):
@@ -529,16 +549,21 @@ def test_each_row_tabulates_at_most_2k_plus_1_translations(monkeypatch):
 
 
 def test_the_holomorph_row_reads_the_context_translations(monkeypatch):
-    # after lattice_report, the report tabulates only the |G| - 5 = 11
-    # additive translations no row has cached yet: the Hol(G) row reads its
-    # translations by beta(0) and beta^{-1}(0) off the Context, where two
-    # fresh tables per gamma made 2 |G| = 32 more (43)
+    # after lattice_report, the report tabulates no additive translation: it
+    # builds the Hol(G) rows of the r = 2 circle generators only, and each
+    # reads its translations by beta(0) = gamma and beta^{-1}(0) = z off the
+    # Context, where the lattice side's rows cached them (z is the row's
+    # lam^{-1}(0), and both generators here are standard generators, which
+    # the basis test reads).  So the cache keeps the 5 translations those
+    # two rows tabulated; a Hol(G) row per gamma made the |G| - 5 = 11 others
     ctx = _c4c4_context()
     lattice_report(ctx)
+    cached = dict(ctx._alpha_cache)
     translations = _counted(monkeypatch, abelian, "_translation_perm")
     assert not holomorph_conjugation_report(ctx)["failures"]
-    assert len(translations) == 11
-    assert len(ctx._alpha_cache) == ctx.spec.order
+    assert translations == []
+    assert [ctx.elements[n] for n in ctx.circle_generators] == ctx.spec.basis()[::-1]
+    assert ctx._alpha_cache == cached and len(cached) == 5
 
 
 def test_the_invariant_side_tabulates_each_passing_row(monkeypatch):
@@ -557,8 +582,9 @@ def test_the_invariant_side_tabulates_each_passing_row(monkeypatch):
 
 def test_each_tau_counts_its_images_once(monkeypatch):
     # the image count of tau(gamma), made for its invertibility check, is
-    # kept on the map and read again by the inverse: one set per gamma (two
-    # when the inverse counted again: 2 |G| = 32)
+    # kept on the map and read again by the inverse: one set per circle
+    # generator, r = 2 (one per gamma when the report built tau for every
+    # gamma: |G| = 16; two per gamma when the inverse counted again: 32)
     ctx = _c4c4_context()
     counts = []
 
@@ -568,7 +594,7 @@ def test_each_tau_counts_its_images_once(monkeypatch):
 
     monkeypatch.setattr(holomorph, "set", counted_set, raising=False)
     assert not holomorph_conjugation_report(ctx)["failures"]
-    assert len(counts) == ctx.spec.order
+    assert len(counts) == len(ctx.circle_generators) == 2
 
 
 def test_each_map_is_scanned_once(monkeypatch):
@@ -604,15 +630,19 @@ def test_additive_translations_are_tabulated_without_the_kernel(monkeypatch):
 
 
 def test_conjugation_report_reads_the_row_checks():
-    # a conjugation row whose h all match the closed form, with one conjugate
-    # marked as no translation: the report must not pass gamma as a whole
-    ctx = Context(primitive_structure(3, 2))
-    n, i = 4, 5
-    hs, oks = ctx.conjugation_row(n)
-    ctx._rows[n] = (hs, oks[:i] + (False,) + oks[i + 1:])
-    report = holomorph_conjugation_report(ctx)
-    assert report["failures"] == [
-        {"gamma": list(ctx.elements[n]), "g": list(ctx.elements[i]), "reason": PERM_REASON}]
+    # a circle generator's conjugation row whose h all match the closed form,
+    # with one conjugate marked as no translation: the report must not pass
+    # gamma as a whole.  Only the generators' rows are read when they pass,
+    # so the row is planted on each generator of primitive(3, 2) in turn
+    for n in (1, 3):
+        ctx = Context(primitive_structure(3, 2))
+        assert ctx.circle_generators == (1, 3)
+        i = 5
+        hs, oks = ctx.conjugation_row(n)
+        ctx._rows[n] = (hs, oks[:i] + (False,) + oks[i + 1:])
+        report = holomorph_conjugation_report(ctx)
+        assert report["failures"] == [
+            {"gamma": list(ctx.elements[n]), "g": list(ctx.elements[i]), "reason": PERM_REASON}]
 
 
 def test_lattice_report_counts_elementary_circle_groups_in_closed_form(monkeypatch):

@@ -14,7 +14,10 @@ pass, is checked against that row on the benchmark catalogue and on planted
 circle translations that fail.  On the catalogue, every circle translation the
 closure of `Context.close_circle_translations` gives is checked against
 `oracles.circle_translation`, and every closed-form table g + gamma*g against
-`add` and `mul`, pair by pair."""
+`add` and `mul`, pair by pair.  The conjugation report, which builds its rows
+for the circle generators only, is checked against `oracles.conjugation_report`,
+made pair by pair, on the catalogue and on every planted failure of
+test_correspondence."""
 
 import ast
 import itertools
@@ -32,6 +35,7 @@ from hopfgal.correspondence import (
     _generator_products,
     circle_subgroup_count,
     gaussian_subspace_count,
+    holomorph_conjugation_report,
     ideals,
     invariant_subgroups,
     klein_four_fixture,
@@ -40,6 +44,7 @@ from hopfgal.errors import InputError
 from hopfgal.nilring import (
     RingStructure,
     circle,
+    cyclic_structure,
     enumerate_structures,
     make_structure,
     mul,
@@ -50,6 +55,7 @@ from oracles import (
     addition_table,
     circle_subgroups,
     circle_translation,
+    conjugation_report,
     conjugation_row,
     isomorphism_type,
     omega_type,
@@ -209,6 +215,86 @@ def test_conjugation_rows_match_the_oracle_on_planted_translations(gamma, plante
     _, oks = ctx.conjugation_row(ctx.index[gamma])
     assert not oks[ctx.index[(1,)]]
     assert_rows_match_the_oracle(ctx, (gamma, planted))
+
+
+def test_conjugation_report_matches_the_per_pair_oracle_on_the_catalogue():
+    # the report builds its rows for the circle generators only, the oracle
+    # tests every pair point by point
+    count = 0
+    for A in catalogue_structures():
+        report = holomorph_conjugation_report(Context(A))
+        assert report == conjugation_report(A), A.to_json()
+        assert report == {"pairs_checked": A.spec.order ** 2, "failures": []}
+        count += 1
+    assert count == 217
+
+
+def _stray_lam_on_z8(monkeypatch):
+    # the stand-in for lam((0,)) of test_conjugation_report_permutation_failures
+    ctx = Context(trivial_structure(GroupSpec(2, (3,))))
+    ctx._lambda_cache[(0,)] = (0, 1, 4, 3, 2, 5, 6, 7)
+    return ctx, {}
+
+
+def _stray_generator_on_z9(monkeypatch):
+    # the stand-in x -> 2 + 4x for the one circle generator's lam((1,)), of
+    # test_conjugation_report_scans_every_gamma_for_a_stray_table
+    ctx = Context(cyclic_structure(3, 2, 1))
+    ctx._lambda_cache[(1,)] = tuple((2 + 4 * x) % 9 for x in range(9))
+    return ctx, {}
+
+
+def _plant_inverse(monkeypatch, change, stand_in):
+    """On primitive(3, 2), holomorph.inverse with `change` applied to the
+    inverse of tau((1, 0)), as in test_correspondence; the oracle gets
+    `stand_in` applied to the true inverse, as a dict."""
+    inverse = holomorph.inverse
+    monkeypatch.setattr(holomorph, "inverse",
+                        lambda f: change(inverse(f)) if f.a == (1, 0) else inverse(f))
+    A = primitive_structure(3, 2)
+    beta = circle_translation(A, (1, 0))
+    return Context(A), {"inverses": {(1, 0): stand_in(A.spec, {y: x for x, y in beta.items()})}}
+
+
+def _inverse_without_its_matrix(monkeypatch):
+    return _plant_inverse(
+        monkeypatch,
+        lambda inv: holomorph.AffineMap(inv.spec, inv.a, tuple(inv.spec.basis())),
+        lambda spec, inv: {x: add(spec, inv[spec.zero()], x) for x in inv})
+
+
+def _inverse_shifted(monkeypatch):
+    return _plant_inverse(
+        monkeypatch,
+        lambda inv: holomorph.AffineMap(inv.spec, add(inv.spec, inv.a, (0, 1)), inv.m),
+        lambda spec, inv: {x: add(spec, y, (0, 1)) for x, y in inv.items()})
+
+
+def _planted_row(n):
+    def plant(monkeypatch):
+        # one ok flag of a circle generator's row set false, as in
+        # test_conjugation_report_reads_the_row_checks
+        ctx = Context(primitive_structure(3, 2))
+        hs, oks = ctx.conjugation_row(n)
+        ctx._rows[n] = (hs, oks[:5] + (False,) + oks[6:])
+        return ctx, {"marked": {(ctx.elements[n], ctx.elements[5])}}
+    return plant
+
+
+@pytest.mark.parametrize("plant", [
+    _stray_lam_on_z8, _stray_generator_on_z9, _inverse_without_its_matrix, _inverse_shifted,
+    _planted_row(1), _planted_row(3)])
+def test_conjugation_report_matches_the_per_pair_oracle_on_planted_failures(monkeypatch, plant):
+    # the oracle conjugates by the lam tables the report ended with, planted
+    # or grown by its closure, and is given the other stand-ins as they were
+    # planted; the failure lists must be equal, in order
+    ctx, stand_ins = plant(monkeypatch)
+    report = holomorph_conjugation_report(ctx)
+    elems = ctx.elements
+    lams = {gamma: {x: elems[i] for x, i in zip(elems, lam)}
+            for gamma, lam in ctx._lambda_cache.items()}
+    assert report["failures"]
+    assert report == conjugation_report(ctx.ring, lams=lams, **stand_ins)
 
 
 def per_g_invariant_maps(ctx):
