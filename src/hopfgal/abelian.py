@@ -127,7 +127,7 @@ class GroupSpec:
 
     @staticmethod
     def from_json(data: dict) -> "GroupSpec":
-        return GroupSpec(int(data["p"]), tuple(data["exponents"]))
+        return GroupSpec(data["p"], tuple(data["exponents"]))
 
     def __str__(self):
         return " x ".join(f"C{m}" for m in self.moduli)

@@ -286,8 +286,11 @@ def _verify_cyclic(args) -> dict:
     if args.p == 2:
         raise InputError("cyclic verification requires an odd prime")
     spec = GroupSpec(args.p, (args.n,))
-    subgroups = abelian.enumerate_subgroups(spec, args.cap_enum)
-    sub_sets = [s.elements for s in subgroups]
+    if spec.order > args.cap_enum:
+        raise CapExceeded(f"|G| = {spec.order} exceeds enumeration cap {args.cap_enum}")
+    # the subgroups of Z/p^n, in closed form: the chain p^j Z/p^n, j = n, ..., 0
+    sub_sets = [tuple((x,) for x in range(0, spec.order, args.p**j))
+                for j in range(args.n, -1, -1)]
     rows = []
     family = "cyclic" if args.family is None and not args.all_structures else args.family
     for label, A in _resolve_structures(args, family, cyclic_n=True):

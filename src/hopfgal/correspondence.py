@@ -115,28 +115,24 @@ class Context:
         is tabulated from circle products; the rest are their products, as
         lam(gamma o g) = lam(gamma) lam(g).  (G, o) is abelian, so the tables
         must commute (r(r - 1) compositions); then they grow the identity by
-        cosets.  In sorted order, two products with one image of 0 must be
-        equal, and |G| must be found, else TheoremViolation.  A table already
-        cached is kept; returns the indices of the gamma whose cached table
-        is not the product with image gamma at 0 (the strays)."""
+        cosets into an abelian group, which is regular iff its products reach
+        all |G| images of 0, else TheoremViolation.  A table already cached is
+        kept; returns the indices of the gamma whose cached table is not the
+        product with image gamma at 0 (the strays)."""
         elems = self.elements
-
-        def check(mu, nu):  # two tables that must be equal, compared at every x
-            if mu != nu:
-                x = next(x for x, (a, b) in enumerate(zip(mu, nu)) if a != b)
-                raise TheoremViolation("circle translations do not act regularly", witness={
-                    "gamma": list(elems[nu[0]]), "x": list(elems[x]),
-                    "images": [list(elems[mu[x]]), list(elems[nu[x]])]})
         gens = [self.circle_translation_perm(elems[n]) for n in self.circle_generators]
         for i, lam in enumerate(gens):
             for mu in gens[:i]:
-                check(perm_compose(mu, lam), perm_compose(lam, mu))
+                ml, lm = perm_compose(mu, lam), perm_compose(lam, mu)
+                if ml != lm:
+                    x = next(x for x, (a, b) in enumerate(zip(ml, lm)) if a != b)
+                    raise TheoremViolation("circle translations do not act regularly", witness={
+                        "gamma": list(elems[lm[0]]), "x": list(elems[x]),
+                        "images": [list(elems[ml[x]]), list(elems[lm[x]])]})
         span = {tuple(range(len(elems)))}
         for lam in gens:
             abelian._grow_by_cosets(span, partial(perm_compose, lam))
-        found = {}
-        for nu in sorted(span):
-            check(found.setdefault(nu[0], nu), nu)
+        found = {nu[0]: nu for nu in span}
         if len(found) != len(elems):
             raise TheoremViolation("circle translations do not act regularly",
                                    witness={"orbit_of_0": len(found), "order": len(elems)})
@@ -279,24 +275,18 @@ def _closed_form_table(ctx: Context, gamma: Elem) -> tuple:
 
 
 def _generator_products(ctx: Context) -> list:
-    """Per standard generator b, the index table of x -> b*x: the map is
-    linear, so its matrix (column j is b*b_j) comes from k products and all
-    |G| images from one `abelian._linear_table`."""
-    spec, ring = ctx.spec, ctx.ring
-    basis = spec.basis()
-    tables = []
-    for b in basis:
-        columns = [nilring._mul(ring, b, bj) for bj in basis]
-        tables.append(abelian._linear_table(spec, tuple(zip(*columns))))
-    return tables
+    """Per standard generator b_i, the index table of x -> b_i*x: the map is
+    linear, its matrix (column j is b_i*b_j) is row i of the structure
+    constants, and all |G| images come from one `abelian._linear_table`."""
+    return [abelian._linear_table(ctx.spec, tuple(zip(*row))) for row in ctx.ring.constants]
 
 
 def ideals(ctx: Context) -> list:
     """All ideals of the structure, canonically sorted: the additive subgroups
     stable under the product with each generator (enough, by bilinearity),
     from `abelian.walk_subgroups`, which is complete for a nilpotent ring.
-    The products are read off index tables (`_generator_products`), and
-    generators stay lazy."""
+    The products are read off index tables, one per row of the structure
+    constants (`_generator_products`), and generators stay lazy."""
     return abelian.walk_subgroups(ctx.spec, _generator_products(ctx))
 
 

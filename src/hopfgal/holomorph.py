@@ -372,29 +372,28 @@ def _p_power_order(f: tuple, p: int, n: int) -> bool:
 
 def _regular_search(spec: GroupSpec, cap: int):
     """(matrix, found): found holds each regular subgroup of Hol(G) as (gens, <gens>)
-    in index permutations, matrix each candidate's m (`enumerate_regular_subgroups`)."""
+    in index permutations, matrix each candidate's m (`enumerate_regular_subgroups`).
+    The subgroups are grown depth first from one stack; each is kept once, by its
+    member set, in whatever order the search reaches it."""
     order = spec.order
     ident = tuple(range(order))
     matrix, by_base = {ident: spec._basis}, {}  # by the image of 0 (index 0)
     for m, f in _fixed_point_free(spec, _automorphisms(spec, cap)):
         matrix[f] = m
         by_base.setdefault(f[0], []).append(f)
-    seen, found = set(), []
-    frontier = [((), [ident])]
-    while frontier:
-        nxt = []
-        for gens, sub in frontier:
-            if len(sub) == order:
-                found.append((gens, sub))
-                continue
-            orbit = {t[0] for t in sub}  # orbit of 0 (index 0)
-            base = next(x for x in range(order) if x not in orbit)
-            for f in by_base.get(base, ()):
-                grown = _extend(sub, gens + (f,), order, matrix.__contains__)
-                if grown is not None and (key := frozenset(grown)) not in seen:
-                    seen.add(key)
-                    nxt.append((gens + (f,), grown))
-        frontier = nxt
+    seen, found, stack = set(), [], [((), [ident])]
+    while stack:
+        gens, sub = stack.pop()
+        if len(sub) == order:
+            found.append((gens, sub))
+            continue
+        orbit = {t[0] for t in sub}  # orbit of 0 (index 0)
+        base = next(x for x in range(order) if x not in orbit)
+        for f in by_base.get(base, ()):
+            grown = _extend(sub, gens + (f,), order, matrix.__contains__)
+            if grown is not None and (key := frozenset(grown)) not in seen:
+                seen.add(key)
+                stack.append((gens + (f,), grown))
     return matrix, found
 
 

@@ -471,3 +471,24 @@ def test_cap_exceeded_exit_code():
     result = run_cli("enumerate", "--p", "2", "--exp", "1,1", "--cap-search", "2")
     assert result.returncode == 3
     assert "cap" in result.stderr
+
+
+def test_verify_conjugation_checks_that_translations_compose(monkeypatch):
+    # alpha((3, 3)) on C4 x C4 with the images of 0 and 1 swapped; the
+    # report reads only the translations its rows need, none of them (3, 3),
+    # so it passes, and the additive check fails first at g + b = (3, 3)
+    # the Context tabulates its additive translations by this kernel function
+    original = correspondence.abelian._translation_perm
+
+    def patched(spec, g):
+        table = original(spec, g)
+        return (table[1], table[0], *table[2:]) if g == (3, 3) else table
+
+    monkeypatch.setattr(correspondence.abelian, "_translation_perm", patched)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(["verify", "conjugation", "--family", "trivial", "--p", "2", "--exp", "2,2"])
+    assert code == cli.EXIT_VIOLATION
+    message, _, witness = err.getvalue().partition("\n")
+    assert message == "verified identity failed: additive translations do not compose additively"
+    assert json.loads(witness) == {"b": [1, 0], "g": [2, 3]}

@@ -157,6 +157,18 @@ def test_conjugation_report_checks_the_closure_is_regular():
     assert info.value.witness == {"orbit_of_0": 1, "order": 8}
 
 
+def test_conjugation_report_counts_the_images_of_0_for_regularity():
+    # on Z/4, the transposition of 1 and 2 planted as lam for every gamma != 0:
+    # the tables commute, their span is {id, (1 2)}, and both fix 0, so the
+    # closure reaches one image of 0 out of 4
+    ctx = Context(trivial_structure(Z4))
+    for gamma in ctx.elements[1:]:
+        ctx._lambda_cache[gamma] = (0, 2, 1, 3)
+    with pytest.raises(TheoremViolation, match="do not act regularly") as info:
+        holomorph_conjugation_report(ctx)
+    assert info.value.witness == {"orbit_of_0": 1, "order": 4}
+
+
 def test_conjugation_report_scans_every_gamma_for_a_stray_table():
     # on Z/9 with r * s = 3rs, lam(gamma) is x -> gamma + (1 + 3 gamma) x;
     # a stand-in x -> 2 + 4x for lam((1,)), the one circle generator's, has

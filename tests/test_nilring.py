@@ -420,6 +420,18 @@ def test_structure_json_round_trip():
     assert RingStructure.from_json(A.to_json()) == A
 
 
+@pytest.mark.parametrize("p", [2.9, "3", 3.0])
+def test_from_json_rejects_a_non_integer_p(p):
+    # p is passed on as it is read, so the spec's own check rejects it, as
+    # it does any other non-integer, alone and inside a structure's JSON
+    spec = {"p": p, "exponents": [1]}
+    with pytest.raises(InputError, match="must be integers"):
+        GroupSpec.from_json(spec)
+    with pytest.raises(InputError, match="must be integers"):
+        RingStructure.from_json({"spec": spec, "constants": [[[0]]]})
+    assert GroupSpec.from_json(GroupSpec(3, (1,)).to_json()) == GroupSpec(3, (1,))
+
+
 def _dense_product(A, a, b):
     """Reference product, independent of the package kernel: the sum over
     every (i, j) of a_i b_j c_ij, reduced modulo the factor orders."""
