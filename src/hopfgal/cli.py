@@ -126,7 +126,7 @@ def _resolve_structures(args, family, cyclic_n=False):
         raise InputError(f"--family {args.family} conflicts with family {family}")
     reads = {"fixture:klein": {"p", "n"} if cyclic_n else set(), "trivial": {"p", "exp", "n"},
              "enumerate": {"p", "exp", "n", "cap_search"}, "primitive": {"p", "n"}}
-    if family is not None and family.startswith("cyclic"):
+    if family is not None and family.partition(":")[0] == "cyclic":
         reads[family] = {"p", "n"} | (set() if ":" in family else {"all_d" if args.all_d else "d"})
     if family in reads:
         _reject_unread(args, f"family {family}", reads[family], ("p", "exp", "n", "d", "all_d", "cap_search"))
@@ -144,7 +144,7 @@ def _resolve_structures(args, family, cyclic_n=False):
         if args.p is None or args.n is None:
             raise InputError("primitive family requires --p and --n")
         return [("primitive", nilring.primitive_structure(args.p, args.n))]
-    if family is not None and family.startswith("cyclic"):
+    if family is not None and family.partition(":")[0] == "cyclic":
         if args.p is None or args.n is None:
             raise InputError("cyclic family requires --p and --n")
         if args.n < 1:

@@ -5,8 +5,9 @@ column j of m the image of the j-th standard generator.  Includes the
 embedding of the circle group into Hol(G), both directions of the
 structure/regular-subgroup correspondence, and the regular-subgroup search
 for small holomorphs.  `AffineMap.apply`, `tau`, `translation` and
-`affine_map` check their elements; the rest is unchecked, and the package's
-own loops build circle translations with `_tau`.
+`affine_map` check their elements, and `regular_subgroup_from_ring` its ring;
+the rest is unchecked, and the package's own loops build circle translations
+with `_tau`.  The ring comes back off the maps' matrices, no map evaluated.
 Each map tabulates its linear part on element indices once, on first use:
 `AffineMap.linear_table` serves `_apply`, the image count that `is_invertible`
 and `inverse` read, and the index permutations.  The search tests p-power
@@ -174,10 +175,6 @@ class RegularSubgroup:
         return [t.to_json() for t in self.elements]
 
 
-def _regular_from_maps(spec: GroupSpec, maps) -> RegularSubgroup:
-    return RegularSubgroup(spec, tuple(sorted(maps, key=AffineMap.sort_key)))
-
-
 def _perm_compose(f: tuple, g: tuple) -> tuple:
     """(f o g)(x) = f(g(x)) on index permutations."""
     return tuple(map(f.__getitem__, g))
@@ -186,18 +183,8 @@ def _perm_compose(f: tuple, g: tuple) -> tuple:
 def _index_perms(spec: GroupSpec, maps) -> list:
     """Each map x -> a + m(x) as an index permutation: the tuple of the
     indices, in spec.elements() order, of its images of the elements.
-    It is translation by a after m; each a and each m is tabulated once,
-    m by the `linear_table` of the first map that has it.
-    """
-    linear, shift = {}, {}
-    out = []
-    for f in maps:
-        if f.m not in linear:
-            linear[f.m] = f.linear_table
-        if f.a not in shift:
-            shift[f.a] = abelian._translation_perm(spec, f.a)
-        out.append(_perm_compose(shift[f.a], linear[f.m]))
-    return out
+    It is translation by a after m, read off the map's `linear_table`."""
+    return [_perm_compose(abelian._translation_perm(spec, f.a), f.linear_table) for f in maps]
 
 
 def _extend(group: list, gens: tuple, limit=None, admit=None):
@@ -253,14 +240,18 @@ def is_abelian(T: RegularSubgroup) -> bool:
 
 
 def regular_subgroup_from_ring(A: RingStructure) -> RegularSubgroup:
-    """Image of the circle group inside Hol(G): {x -> g o x : g in G}."""
-    spec = A.spec
-    maps = [_tau(A, g) for g in spec.elements()]
-    return _regular_from_maps(spec, maps)
+    """Image of the circle group inside Hol(G): {x -> g o x : g in G}, in (a, m)
+    order, as tau(g) sends 0 to g.  A is validated (InputError) once every tau
+    is built, so a circle translation that is not invertible is reported first."""
+    T = RegularSubgroup(A.spec, tuple(_tau(A, g) for g in A.spec.elements()))
+    if violations := nilring.validate(A):
+        raise InputError(f"invalid structure: {violations[0].axiom}")
+    return T
 
 
 def ring_from_regular_subgroup(T: RegularSubgroup) -> RingStructure:
-    """Recover the structure with g * h = t_g(h) - g - h, t_g(0) = g.
+    """Recover the structure with g * h = t_g(h) - g - h, t_g(0) = g: for g = b_i
+    and h = b_j that is m(b_j) - b_j, column j of t_g's matrix less b_j.
 
     Requires an abelian T: only abelian regular subgroups carry a
     commutative structure (Hol(Z/8) already has dihedral and quaternion
@@ -270,19 +261,11 @@ def ring_from_regular_subgroup(T: RegularSubgroup) -> RingStructure:
     spec = T.spec
     if not is_abelian(T):
         raise InputError("regular subgroup is non-abelian: no commutative structure")
-    basis = spec.basis()
-    k = spec.rank
-    constants = []
-    for i in range(k):
-        t_i = T.element_with_base_image(basis[i])
-        row = []
-        for j in range(k):
-            minus_g_h = abelian._scalar_mul(spec, -1, abelian._add(spec, basis[i], basis[j]))
-            row.append(abelian._add(spec, t_i._apply(basis[j]), minus_g_h))
-        constants.append(tuple(row))
-    A = RingStructure(spec, tuple(constants))
-    violations = nilring.validate(A)
-    if violations:
+    A = RingStructure(spec, tuple(
+        tuple(abelian._add(spec, col, map(operator.neg, b))
+              for col, b in zip(zip(*T.element_with_base_image(g).m), spec._basis))
+        for g in spec._basis))
+    if violations := nilring.validate(A):
         raise TheoremViolation(
             "regular subgroup does not induce a valid nilpotent structure",
             witness={
@@ -410,8 +393,8 @@ def enumerate_regular_subgroups(spec: GroupSpec, cap: int = DEFAULT_HOL_CAP) -> 
     regular at order |G|.  Only the returned subgroups become affine maps."""
     matrix, found = _regular_search(spec, cap)
     elements = spec.elements()
-    out = [_regular_from_maps(spec, [AffineMap(spec, elements[t[0]], matrix[t]) for t in sub])
-           for _, sub in found]
+    out = [RegularSubgroup(spec, tuple(sorted((AffineMap(spec, elements[t[0]], matrix[t]) for t in sub),
+                                              key=AffineMap.sort_key))) for _, sub in found]
     out.sort(key=lambda T: tuple(t.sort_key() for t in T.elements))
     return out
 

@@ -225,6 +225,9 @@ def test_input_error_exit_code():
         ("report", "--family", "cyclic:1", "--n", "2"),
         ("verify", "lattice", "--family", "cyclic", "--n", "3", "--all-d"),
         ("verify", "lattice", "--family", "cyclic", "--p", "3", "--n", "0", "--all-d"),
+        ("report", "--family", "cyclicfoo", "--p", "3", "--n", "2", "--d", "1"),
+        ("verify", "lattice", "--family", "cyclic_typo", "--p", "3", "--n", "2", "--all-d"),
+        ("verify", "cyclic", "--family", "cyclicz", "--p", "3", "--n", "2", "--d", "1"),
     ],
 )
 def test_malformed_input_exit_code(argv):

@@ -297,7 +297,7 @@ def test_regular_subgroup_from_ring():
 
 
 @pytest.mark.parametrize(
-    "spec", [C2C2, Z4, Z9, GroupSpec(2, (3,)), GroupSpec(3, (1, 1))]
+    "spec", [C2C2, Z4, Z9, GroupSpec(2, (3,)), GroupSpec(3, (1, 1)), GroupSpec(2, (2, 1))]
 )
 def test_round_trip_ring_to_subgroup_to_ring(spec):
     for A in enumerate_structures(spec):
@@ -311,6 +311,28 @@ def test_round_trip_subgroup_to_ring_to_subgroup(spec):
     for T in enumerate_regular_subgroups(spec):
         A = ring_from_regular_subgroup(T)
         assert regular_subgroup_from_ring(A).elements == T.elements
+
+
+def test_round_trip_subgroup_to_ring_to_subgroup_on_mixed_exponents():
+    # on C4 x C2 each constant is reduced by its own coordinate's modulus; Hol(G)
+    # also has non-abelian regular subgroups, which carry no structure
+    spec = GroupSpec(2, (2, 1))
+    abelian_regs = [T for T in enumerate_regular_subgroups(spec) if is_abelian(T)]
+    assert len(abelian_regs) == len(enumerate_structures(spec)) == 12
+    for T in abelian_regs:
+        A = ring_from_regular_subgroup(T)
+        assert regular_subgroup_from_ring(A).elements == T.elements
+
+
+def test_regular_subgroup_from_ring_rejects_a_non_associative_ring():
+    # b2*b2 = b3, b3*b3 = b1 on C2^3: (b2*b2)*b3 = b1 but b2*(b2*b3) = 0, yet
+    # every circle translation is bijective, so only validation catches it
+    spec = GroupSpec(2, (1, 1, 1))
+    z = spec.zero()
+    A = make_structure(spec, ((z, z, z), (z, (0, 0, 1), z), (z, z, (1, 0, 0))))
+    assert all(is_invertible(tau(A, g)) for g in spec.elements())
+    with pytest.raises(InputError, match="invalid structure: associativity"):
+        regular_subgroup_from_ring(A)
 
 
 def test_regular_subgroup_counts():
