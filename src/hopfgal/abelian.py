@@ -225,12 +225,10 @@ class Subgroup:
 
 
 def additive_closure(spec: GroupSpec, gens) -> frozenset:
-    """Closure of gens under addition: {0} grown by each gen's cosets, reduced
-    as they are added.  A gen of the wrong length raises InputError."""
+    """Closure of gens under addition: {0} grown by each gen's cosets.  Each gen
+    is read by `GroupSpec.reduce_coords`, which checks its length and type."""
     elems = {spec.zero()}
-    for g in gens:
-        if len(g) != spec.rank:
-            raise InputError(f"element {g} has wrong length for {spec}")
+    for g in map(spec.reduce_coords, gens):
         if g not in elems:  # else its first coset is the span itself
             _grow_by_cosets(elems, lambda x: _add(spec, x, g))
     return frozenset(elems)

@@ -15,15 +15,15 @@ index of h, the conjugate lam alpha(g) lam^{-1} at 0, for every g off one
 composition, and tests that the conjugates are translations on the k
 standard generators only (conjugation is a homomorphism in g), or on every
 g when one of them fails: 2k + 1 compositions of length |G| per row, where
-testing every g takes 2 |G|.  The conjugation report first builds every
-lam(gamma) from the circle generators' by cosets
-(`Context.close_circle_translations`, which checks that they commute and act
-regularly), then compares the three h rows (Hol(G), Perm(G) and the closed
-form g + gamma*g, one linear index table from the structure constants) for
-the r circle generators only: each row is a homomorphism in gamma, so the
-generators certify all |G|^2 pairs.  Every gamma is scanned when a generator
-fails or a cached lam table is not the closure's product.  The report makes
-no element-level product per pair.  The maps both sides give the walk and
+testing every g takes 2 |G|.  The conjugation report compares the three h
+rows (Hol(G), Perm(G) and the closed form g + gamma*g, one linear index table
+from the structure constants) of the r circle generators, on their own lam
+tables.  Each row is a homomorphism in gamma, so when every such table sends
+0 to its gamma and its rows agree, and no other lam is held, the generators
+certify all |G|^2 pairs.  Otherwise every lam(gamma) is built by cosets
+(`Context.close_circle_translations`, which checks that the tables commute
+and act regularly) and every gamma is scanned.  The report makes no
+element-level product per pair.  The maps both sides give the walk and
 the rows are index tables, decoded only for witnesses, failure records and
 `conjugated_translation`, which alone checks elements.  The type of (G, o) is
 read off the circle generators' lam tables: the orbit of 0 under their p^j-th
@@ -111,14 +111,13 @@ class Context:
         return tuple(gens)
 
     def close_circle_translations(self) -> None:
-        """Cache lam(gamma) for every gamma.  Only the circle generators' lam
-        is tabulated from circle products; the rest are their products, as
-        lam(gamma o g) = lam(gamma) lam(g).  (G, o) is abelian, so the tables
-        must commute (r(r - 1) compositions); then they grow the identity by
-        cosets into an abelian group, which is regular iff its products reach
-        all |G| images of 0, else TheoremViolation.  A table already cached is
-        kept; returns the indices of the gamma whose cached table is not the
-        product with image gamma at 0 (the strays)."""
+        """Cache lam(gamma) for every gamma; only a failing conjugation report
+        calls it.  Only the circle generators' lam is tabulated from circle
+        products; the rest are their products, as lam(gamma o g) = lam(gamma)
+        lam(g).  (G, o) is abelian, so the tables must commute (r(r - 1)
+        compositions); then they grow the identity by cosets into an abelian
+        group, which is regular iff its products reach all |G| images of 0,
+        else TheoremViolation.  A table already cached is kept."""
         elems = self.elements
         gens = [self.circle_translation_perm(elems[n]) for n in self.circle_generators]
         for i, lam in enumerate(gens):
@@ -136,8 +135,8 @@ class Context:
         if len(found) != len(elems):
             raise TheoremViolation("circle translations do not act regularly",
                                    witness={"orbit_of_0": len(found), "order": len(elems)})
-        return [n for n, lam in sorted(found.items())
-                if self._lambda_cache.setdefault(elems[n], lam) != lam]
+        for n, lam in found.items():
+            self._lambda_cache.setdefault(elems[n], lam)
 
     def conjugation_row(self, n: int) -> tuple:
         """(hs, oks) over g, built once per gamma = elements[n].  With lam =
@@ -203,34 +202,31 @@ def holomorph_conjugation_report(ctx: Context) -> dict:
       are composed from beta's table and the Context's translations;
     - Perm(G): gamma's conjugation row (one composition, with the
       translation test made on the standard generators, or on every g when
-      one fails), on lam(gamma) from `Context.close_circle_translations`,
-      which tabulates circle products for the circle generators only;
+      one fails), on the lam(gamma) table the Context holds;
     - the closed form g + gamma*g: one linear index table per gamma, from
       the structure constants (`_closed_form_table`).
-    Each row is a homomorphism in gamma from (G, o): lam(gamma o delta) =
-    lam(gamma) lam(delta) on the tables the closure built, tau(gamma o
-    delta) = tau(gamma) tau(delta), and (I + M_gamma)(I + M_delta) =
-    I + M_{gamma o delta}, the last two by the associativity `Context`
-    validated.  So the rows are built for the r circle generators only
-    (`_gamma_failures`); each gets the Hol(G) translation test, its row's
-    translation test on the standard generators and the comparison of the
-    three rows.  A generator that passes, with no stray table, has lam(gamma)
-    = (x -> gamma o x): lam alpha(x) = alpha(x + gamma x) lam gives lam(x) =
-    lam(0) + x + gamma x, and lam(0) = gamma.  So each product the closure
-    filed under an image of 0 is that element's lam, and the rows agree on
-    all |G|^2 pairs.  Every gamma is scanned, by the same step, when a
-    generator fails or a cached lam table is a stray (not the product filed
-    under its gamma): a stray generator's own rows can pass while its
-    products fail.  The closure's commutation and regularity checks run
-    every time.  The rows are compared as whole index tuples, so the report
-    makes no element-level product per pair; only a gamma where they
-    disagree is checked pair by pair, for the failure records.  Returns the
-    failures.
+    The report passes when each circle generator's held lam table sends 0 to
+    its gamma and passes its three rows (`_gamma_failures`: the Hol(G)
+    translation test, its row's test on the standard generators and their
+    comparison), and no lam table is held for any other gamma.  Such a table
+    is the true circle translation: lam alpha(x) = alpha(x + gamma x) lam
+    gives lam(x) = lam(0) + x + gamma x = gamma o x.  Each row is a
+    homomorphism in gamma from (G, o): lam(gamma o delta) = lam(gamma)
+    lam(delta), tau(gamma o delta) = tau(gamma) tau(delta), and (I +
+    M_gamma)(I + M_delta) = I + M_{gamma o delta}, the last two by the
+    associativity `Context` validated, so the r generators certify all
+    |G|^2 pairs.  Otherwise `Context.close_circle_translations` runs (its
+    checks cannot fail on true circle translations) and every gamma is
+    scanned by the same step.  The rows are compared as whole index tuples,
+    so the report makes no element-level product per pair; only a gamma
+    where they disagree is checked pair by pair, for the failure records.
+    Returns the failures.
     """
-    strays = ctx.close_circle_translations()
+    gens, held = ctx.circle_generators, ctx._lambda_cache
     failures = []
-    if strays or any(_gamma_failures(ctx, n) for n in ctx.circle_generators):
-        # the records of every gamma, in order
+    if len(held) > len(gens) or any(held[ctx.elements[n]][0] != n or _gamma_failures(ctx, n)
+                                    for n in gens):
+        ctx.close_circle_translations()
         failures = [f for n in range(len(ctx.elements)) for f in _gamma_failures(ctx, n)]
     return {"pairs_checked": len(ctx.elements) ** 2, "failures": failures}
 
@@ -414,6 +410,8 @@ def gaussian_subspace_count(p: int, n: int) -> int:
     in exact integers.  The sum deliberately starts at r = 1, so the zero
     subspace is not counted (callers add 1 to get the full subgroup count
     of an elementary abelian group)."""
+    if not all(isinstance(v, int) for v in (p, n)):
+        raise InputError(f"p and n must be integers: {p!r}, {n!r}")
     if not abelian.is_prime(p):
         raise InputError(f"p = {p} is not prime")
     if n < 0:

@@ -220,6 +220,8 @@ def trivial_structure(spec: GroupSpec) -> RingStructure:
 
 def primitive_structure(p: int, n: int) -> RingStructure:
     """One-generator structure on F_p^n: basis z, z^2, ..., z^n with z^{n+1} = 0."""
+    if not isinstance(n, int):
+        raise InputError(f"n must be an integer: {n!r}")
     if n < 1:
         raise InputError("n must be >= 1")
     spec = abelian._elementary(p, n)
@@ -239,6 +241,8 @@ def cyclic_structure(p: int, n: int, d: int) -> RingStructure:
     """Structure A_d on Z/p^n (p odd): r * s = r*s*p*d."""
     if p == 2:
         raise InputError("cyclic family requires an odd prime")
+    if not all(isinstance(v, int) for v in (n, d)):
+        raise InputError(f"n and d must be integers: {n!r}, {d!r}")
     if n < 1:
         raise InputError("n must be >= 1")
     spec = GroupSpec(p, (n,))  # its range check comes before p^(n-1)

@@ -304,6 +304,14 @@ def test_subgroup_from_elements_trivial():
     assert sub.size == 1
 
 
+@pytest.mark.parametrize("gen", [(1.0, 0), ("a", 0)])
+def test_additive_closure_rejects_a_non_integer_coordinate(gen):
+    # (1.0, 0) was grown into the float elements (1.0, 0) and (2.0, 0), and
+    # ("a", 0) raised TypeError
+    with pytest.raises(InputError, match="non-integer coordinate"):
+        additive_closure(GroupSpec(3, (1, 1)), [gen])
+
+
 def test_additive_closure_rejects_wrong_length():
     # a short gen's multiples never equal the zero of the full rank
     with pytest.raises(InputError):

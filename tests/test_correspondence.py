@@ -173,19 +173,39 @@ def test_conjugation_report_scans_every_gamma_for_a_stray_table():
     # on Z/9 with r * s = 3rs, lam(gamma) is x -> gamma + (1 + 3 gamma) x;
     # a stand-in x -> 2 + 4x for lam((1,)), the one circle generator's, has
     # the right linear part but 2 at 0.  Its own three rows agree (each
-    # conjugates alpha(g) to alpha(4g)), so it fails nothing by itself, but
-    # the closure keys its powers by their image of 0: the table it files
-    # under gamma = 2 is the stand-in itself, of linear part 4 where the
-    # closed form has 1 + 3 * 2 = 7, and so on.  The stand-in is not the
-    # product filed under (1,), so it is a stray, and every gamma is scanned:
-    # those with a wrong linear part fail at every g outside 3Z/9
+    # conjugates alpha(g) to alpha(4g)), but it sends 0 to 2, not to its own
+    # gamma, so the report runs the closure and scans every gamma.  The
+    # closure keeps the stand-in and keys its powers by their image of 0:
+    # the table it files under gamma = 2 is the stand-in itself, of linear
+    # part 4 where the closed form has 1 + 3 * 2 = 7, and so on.  Those with
+    # a wrong linear part fail at every g outside 3Z/9
     ctx = Context(cyclic_structure(3, 2, 1))
     ctx._lambda_cache[(1,)] = tuple((2 + 4 * x) % 9 for x in range(9))
     assert ctx.circle_generators == (1,)
     report = holomorph_conjugation_report(ctx)
-    assert ctx.close_circle_translations() == [1]
+    assert ctx._lambda_cache[(1,)] == tuple((2 + 4 * x) % 9 for x in range(9))
     assert report["failures"] == [{"gamma": [gamma], "g": [g], "reason": PERM_REASON}
                                   for gamma in (2, 4, 5, 7, 8) for g in (1, 2, 4, 5, 7, 8)]
+
+
+def test_passing_conjugation_report_holds_the_circle_generators_tables_only():
+    # a passing report reads the r = 2 generators' own tables and builds no
+    # lam for the other 14 gamma
+    ctx = _c4c4_context()
+    assert holomorph_conjugation_report(ctx)["failures"] == []
+    assert list(ctx._lambda_cache) == [ctx.elements[n] for n in ctx.circle_generators]
+    assert len(ctx._lambda_cache) == 2
+
+
+def test_conjugation_report_scans_every_gamma_when_another_table_is_held():
+    # a true lam cached for a gamma that is no circle generator takes the
+    # full path: the closure fills the cache, and nothing fails
+    ctx = _c4c4_context()
+    gamma = (1, 1)
+    assert ctx.index[gamma] not in ctx.circle_generators
+    conjugated_translation(ctx, gamma, (1, 0))
+    assert holomorph_conjugation_report(ctx)["failures"] == []
+    assert len(ctx._lambda_cache) == ctx.spec.order
 
 
 def test_conjugation_report_checks_the_circle_generators_commute():
@@ -480,13 +500,11 @@ def test_each_pair_is_conjugated_once(monkeypatch):
     # compose per generator, and per generator one permutation compose for
     # the whole h row plus two for each of the k = 2 standard generators'
     # basis test, (2k + 1) r = 5 * 2 = 10 (a row per gamma took (2k + 1) |G|
-    # = 80, and testing every pair by itself 2 |G|^2 = 512).  The report
-    # also builds every lam(gamma) by closure: r (r - 1) = 2 composes to
-    # test that the generators' tables commute, then one per member of each
-    # coset as the identity grows under them, 4 for the first (order 4) and
-    # 4 cosets of 4 for the second, 22.  The circle type, C8 x C2, takes
-    # p - 1 = 1 compose per p-th power of a non-identity lam: the 2
-    # generators' squares, then 2 fourth and 1 eighth power, 5.  So 37 in all
+    # = 80, and testing every pair by itself 2 |G|^2 = 512).  A passing
+    # report holds no other lam(gamma), so it runs no closure.  The circle
+    # type, C8 x C2, takes p - 1 = 1 compose per p-th power of a
+    # non-identity lam: the 2 generators' squares, then 2 fourth and 1
+    # eighth power, 5.  So 15 in all
     ctx = _c4c4_context()
     r = len(ctx.circle_generators)
     composes = _counted(monkeypatch, holomorph, "compose")
@@ -495,7 +513,7 @@ def test_each_pair_is_conjugated_once(monkeypatch):
     assert not holomorph_conjugation_report(ctx)["failures"]
     assert r == 2
     assert len(composes) == r
-    assert len(perm_composes) == (2 * ctx.spec.rank + 1) * r + 22 + 5 == 37
+    assert len(perm_composes) == (2 * ctx.spec.rank + 1) * r + 5 == 15
 
 
 def test_conjugation_report_makes_no_product_per_pair(monkeypatch):

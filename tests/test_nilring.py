@@ -9,7 +9,7 @@ import pytest
 import oracles
 from hopfgal import abelian, nilring
 from hopfgal.abelian import GroupSpec, add, enumerate_subgroups, scalar_mul
-from hopfgal.correspondence import Context, ideals
+from hopfgal.correspondence import Context, gaussian_subspace_count, ideals
 from hopfgal.errors import CapExceeded, InputError, TheoremViolation
 from hopfgal.nilring import (
     RingStructure,
@@ -430,6 +430,17 @@ def test_from_json_rejects_a_non_integer_p(p):
     with pytest.raises(InputError, match="must be integers"):
         RingStructure.from_json({"spec": spec, "constants": [[[0]]]})
     assert GroupSpec.from_json(GroupSpec(3, (1,)).to_json()) == GroupSpec(3, (1,))
+
+
+@pytest.mark.parametrize("build, args", [
+    (cyclic_structure, (3, 2, 1.0)), (cyclic_structure, (3, 2, "1")),
+    (cyclic_structure, (3, "2", 1)), (primitive_structure, (3, 2.0)),
+    (gaussian_subspace_count, (3.0, 2)), (gaussian_subspace_count, (3, 2.0))])
+def test_constructors_reject_a_non_integer_parameter(build, args):
+    # cyclic_structure(3, 2, 1.0) built the float constant (3.0,) and
+    # gaussian_subspace_count(3.0, 2) returned 5.0; the others raised TypeError
+    with pytest.raises(InputError, match="integer"):
+        build(*args)
 
 
 def _dense_product(A, a, b):
