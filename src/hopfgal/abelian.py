@@ -187,6 +187,8 @@ def neg(spec: GroupSpec, a: Elem) -> Elem:
 
 
 def scalar_mul(spec: GroupSpec, m: int, a: Elem) -> Elem:
+    if not isinstance(m, int):
+        raise InputError(f"multiplier {m!r} is not an integer")
     spec.check_elem(a)
     return _scalar_mul(spec, m, a)
 
@@ -287,7 +289,7 @@ def walk_subgroups(spec: GroupSpec, maps=()) -> list:
         for J in level:
             covered = set(J)
             for g, (g_p, g_images) in enumerate(zip(multiples, images)):
-                if g in covered or g_p not in J or any(x not in J for x in g_images):
+                if g in covered or g_p not in J or not J.issuperset(g_images):
                     continue
                 coset, cover, step = J, set(J), elements[g]
                 for _ in range(spec.p - 1):

@@ -11,6 +11,8 @@ The element kernel runs on sparse terms: the nonzero generator products,
 listed once per structure on first use.
 `enumerate_structures` fills the table row by row: row i is the map
 x -> b_i x, kept when it is nilpotent and commutes with the rows before it.
+Nilpotency is decided once per residue class of a row mod p, and `validate`
+checks associativity on the triples i < l, which commutativity leaves.
 """
 
 from __future__ import annotations
@@ -121,6 +123,9 @@ def nilpotency_index(A: RingStructure) -> int:
     valid structures have m <= n + 1.  By bilinearity the products b_i * g
     of the generators g of A^m generate A^(m+1), so A^m = 0 exactly when
     no nonzero generator is left."""
+    k = A.spec.rank
+    if len(A.constants) != k or any(len(row) != k for row in A.constants):
+        raise InputError(f"constants table must be {k}x{k}")
     for c in itertools.chain.from_iterable(A.constants):
         A.spec.check_elem(c)
     return _nilpotency_index(A)
@@ -143,40 +148,41 @@ def validate(A: RingStructure) -> list:
     """All axiom violations (empty iff A is a valid nilpotent structure).
 
     Never raises: each violation names the failing axiom and a witness.
+    Associativity is checked once the product is commutative, on the triples
+    i < l: (b_l b_j) b_i = b_i (b_j b_l) and b_l (b_j b_i) = (b_i b_j) b_l, so
+    (l, j, i) is (i, j, l) with its sides swapped, and (i, j, i) holds.  A
+    failing (i, j, l) is listed with (l, j, i), all in lexicographic order.
     """
     spec = A.spec
     k = spec.rank
     out = []
     if len(A.constants) != k or any(len(row) != k for row in A.constants):
         return [Violation("shape", (len(A.constants),))]
-    for i in range(k):
-        for j in range(k):
-            try:
-                spec.check_elem(A.constants[i][j])
-            except InputError:
-                return [Violation("shape", (i, j, A.constants[i][j]))]
-    for i in range(k):
-        for j in range(i + 1, k):
-            if A.constants[i][j] != A.constants[j][i]:
-                out.append(Violation("symmetry", (i, j)))
+    for i, j in itertools.product(range(k), repeat=2):
+        try:
+            spec.check_elem(A.constants[i][j])
+        except InputError:
+            return [Violation("shape", (i, j, A.constants[i][j]))]
+    for i, j in itertools.combinations(range(k), 2):
+        if A.constants[i][j] != A.constants[j][i]:
+            out.append(Violation("symmetry", (i, j)))
     # bilinearity must respect the generator orders
-    for i in range(k):
-        for j in range(k):
-            killer = spec.p ** min(spec.exponents[i], spec.exponents[j])
-            if abelian._scalar_mul(spec, killer, A.constants[i][j]) != spec.zero():
-                out.append(Violation("well-defined", (i, j)))
+    for i, j in itertools.product(range(k), repeat=2):
+        killer = spec.p ** min(spec.exponents[i], spec.exponents[j])
+        if abelian._scalar_mul(spec, killer, A.constants[i][j]) != spec.zero():
+            out.append(Violation("well-defined", (i, j)))
     if out:
         return out
     basis = spec.basis()
-    for i in range(k):
-        for j in range(k):
-            for l in range(k):
-                lhs = _mul(A, A.constants[i][j], basis[l])
-                rhs = _mul(A, basis[i], A.constants[j][l])
-                if lhs != rhs:
-                    out.append(Violation("associativity", (i, j, l)))
-    if out:
-        return out
+    failed = sorted(
+        triple
+        for i, l in itertools.combinations(range(k), 2)
+        for j in range(k)
+        if _mul(A, A.constants[i][j], basis[l]) != _mul(A, basis[i], A.constants[j][l])
+        for triple in ((i, j, l), (l, j, i))
+    )
+    if failed:
+        return [Violation("associativity", triple) for triple in failed]
     if _nilpotency_index(A) > spec.n + 1:
         witness = next(
             (c for row in A.constants for c in row if c != spec.zero()),
@@ -213,9 +219,7 @@ def circle_inverse(A: RingStructure, a: Elem) -> Elem:
 
 def trivial_structure(spec: GroupSpec) -> RingStructure:
     """The structure with all products zero (A^2 = 0)."""
-    zero = spec.zero()
-    k = spec.rank
-    return RingStructure(spec, tuple(tuple(zero for _ in range(k)) for _ in range(k)))
+    return RingStructure(spec, ((spec.zero(),) * spec.rank,) * spec.rank)
 
 
 def primitive_structure(p: int, n: int) -> RingStructure:
@@ -225,16 +229,9 @@ def primitive_structure(p: int, n: int) -> RingStructure:
     if n < 1:
         raise InputError("n must be >= 1")
     spec = abelian._elementary(p, n)
-    zero = spec.zero()
-    basis = spec.basis()
-    constants = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            deg = i + j + 2  # generator index i stands for z^{i+1}
-            row.append(basis[deg - 1] if deg <= n else zero)
-        constants.append(tuple(row))
-    return RingStructure(spec, tuple(constants))
+    # generator index i stands for z^(i+1), so b_i b_j = z^(i+j+2) is b_(i+j+1), or 0
+    powers = spec.basis() + [spec.zero()] * n
+    return RingStructure(spec, tuple(tuple(powers[i + j + 1] for j in range(n)) for i in range(n)))
 
 
 def cyclic_structure(p: int, n: int, d: int) -> RingStructure:
@@ -290,9 +287,11 @@ def _nilpotent(spec: GroupSpec, row) -> bool:
     return not vectors
 
 
-def _kept_tables(spec: GroupSpec, candidates, rows):
+def _kept_tables(spec: GroupSpec, candidates, rows, verdicts):
     """The tables that extend the kept `rows` by rows that commute with every
-    earlier row and are nilpotent; candidates[i] lists row i's entries j >= i."""
+    earlier row and are nilpotent; candidates[i] lists row i's entries j >= i.
+    `verdicts` holds `_nilpotent`'s verdict per residue class of a row mod p;
+    a row of a class known to fail is dropped before the commute test."""
     i = len(rows)
     if i == spec.rank:
         yield rows
@@ -300,8 +299,13 @@ def _kept_tables(spec: GroupSpec, candidates, rows):
     head = tuple(row[i] for row in rows)
     for tail in itertools.product(*candidates[i]):
         row = head + tail
-        if all(_commute(spec, row, earlier) for earlier in rows) and _nilpotent(spec, row):
-            yield from _kept_tables(spec, candidates, rows + (row,))
+        key = tuple(c % spec.p for x in row for c in x)
+        if verdicts.get(key) is False or not all(_commute(spec, row, earlier) for earlier in rows):
+            continue
+        if key not in verdicts:
+            verdicts[key] = _nilpotent(spec, row)
+        if verdicts[key]:
+            yield from _kept_tables(spec, candidates, rows + (row,), verdicts)
 
 
 def enumerate_structures(
@@ -322,7 +326,10 @@ def enumerate_structures(
       A^(m+1) = R A^m, so A > A^2 > ... falls strictly until it reaches 0:
       A^(n+1) = 0, |G| = p^n.  A valid structure has nilpotent L_i.
     - L_i commutes with x -> px, so it is nilpotent iff the map it induces
-      on G/pG is, which `_nilpotent` decides in rank - 1 steps mod p.
+      on G/pG is, which `_nilpotent` decides in rank - 1 steps mod p.  That
+      map, and the class mod pG of each image, depend on row i mod p alone,
+      so the verdict is computed once per residue class and search, and a
+      row of a class already known to fail needs no commute test.
 
     The search space (the product of the candidate counts, in tensors) is
     compared with search_cap as it is multiplied up, before any candidate
@@ -343,7 +350,7 @@ def enumerate_structures(
         for i in range(k)
     ]
     out = []
-    for table in _kept_tables(spec, candidates, ()):
+    for table in _kept_tables(spec, candidates, (), {}):
         A = RingStructure(spec, table)
         if validate(A):
             raise TheoremViolation("search kept an invalid structure", witness=A.to_json())

@@ -235,3 +235,17 @@ def nilpotent_on_g(spec, row) -> bool:
     for _ in range(spec.n - 1):
         vectors = {apply(x) for x in vectors} - {zero}
     return not vectors
+
+
+def associativity_violations(A) -> list:
+    """Every triple (i, j, l) with (b_i b_j) b_l != b_i (b_j b_l), in
+    lexicographic order: all k^3 triples, with no use of commutativity."""
+    basis = A.spec.basis()
+    k = len(basis)
+    return [
+        (i, j, l)
+        for i in range(k)
+        for j in range(k)
+        for l in range(k)
+        if mul(A, A.constants[i][j], basis[l]) != mul(A, basis[i], A.constants[j][l])
+    ]

@@ -129,6 +129,13 @@ def test_add_rejects_mismatched_elements():
                 call()
 
 
+@pytest.mark.parametrize("m", [1.5, 2.0, "2", None])
+def test_scalar_mul_rejects_a_non_integer_multiplier(m):
+    # 1.5 gave the float element (1.5, 0.0), as add did for a float coordinate
+    with pytest.raises(InputError, match="not an integer"):
+        scalar_mul(GroupSpec(3, (1, 1)), m, (1, 0))
+
+
 def test_scalar_mul_examples():
     assert scalar_mul(Z4, 2, (1,)) == (2,)
     assert scalar_mul(C2C2, 2, (1, 1)) == (0, 0)

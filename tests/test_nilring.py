@@ -1,5 +1,6 @@
 import ast
 import itertools
+import json
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -117,6 +118,20 @@ def test_nilpotency_index_examples():
     assert nilpotency_index(primitive_structure(2, 3)) == 4
     assert nilpotency_index(cyclic_structure(3, 2, 1)) == 3
     assert nilpotency_index(cyclic_structure(3, 2, 2)) == 3
+
+
+@pytest.mark.parametrize("rows", [3, 1])
+def test_nilpotency_index_rejects_a_table_that_is_not_k_by_k(rows):
+    # a 3-row table on C2 x C2 raised IndexError, a 1-row one gave index 2;
+    # validate reports its shape and make_structure rejects it alike
+    constants = [[[1, 0], [0, 1]]] * rows
+    for A in (RingStructure(C2C2, tuple(tuple(map(tuple, row)) for row in constants)),
+              RingStructure.from_json({"spec": C2C2.to_json(), "constants": constants})):
+        assert [v.axiom for v in validate(A)] == ["shape"]
+        with pytest.raises(InputError, match="constants table must be 2x2"):
+            nilpotency_index(A)
+    with pytest.raises(InputError, match="constants table must be 2x2"):
+        make_structure(C2C2, constants)
 
 
 def test_nilpotency_index_builds_no_additive_closure(monkeypatch):
@@ -325,20 +340,13 @@ def _all_tensors(spec):
         yield tuple(tuple(row) for row in table)
 
 
+INT_CHECK_SPECS = [C2C2, Z4, GroupSpec(2, (3,)), GroupSpec(3, (1, 1)), Z9,
+                   GroupSpec(2, (2, 1)), GroupSpec(2, (2, 2))]
+
+
 # On C2^2 and C3^2 (|G| = p^2) nilpotency alone forces associativity, and
 # C4 x C2 has no tensor that fails only triple (0, 1, 1); C4 x C4 has one.
-@pytest.mark.parametrize(
-    "spec",
-    [
-        C2C2,
-        Z4,
-        GroupSpec(2, (3,)),
-        GroupSpec(3, (1, 1)),
-        Z9,
-        GroupSpec(2, (2, 1)),
-        GroupSpec(2, (2, 2)),
-    ],
-)
+@pytest.mark.parametrize("spec", INT_CHECK_SPECS)
 def test_int_checks_accept_exactly_what_validate_accepts(spec):
     # the search's row checks (commuting, nilpotent multiplication maps) keep
     # exactly the tables that validate accepts, in sorted order
@@ -346,6 +354,95 @@ def test_int_checks_accept_exactly_what_validate_accepts(spec):
     accepted = sorted(table for table in tables if not validate(RingStructure(spec, table)))
     assert [A.constants for A in enumerate_structures(spec)] == accepted
     assert 0 < len(accepted) < len(tables)
+
+
+def _associativity_witnesses(A):
+    return [v.witness for v in validate(A) if v.axiom == "associativity"]
+
+
+@pytest.mark.parametrize("spec", INT_CHECK_SPECS, ids=str)
+def test_associativity_violations_match_the_all_triples_scan(spec):
+    # validate scans the triples i < l of a commutative table and reports
+    # each failure as (i, j, l) and (l, j, i); the list is the full scan's
+    failing = 0
+    for table in _all_tensors(spec):
+        A = RingStructure(spec, table)
+        expected = oracles.associativity_violations(A)
+        assert _associativity_witnesses(A) == expected, table
+        failing += bool(expected)
+    assert failing or spec.rank == 1
+
+
+@pytest.mark.parametrize("spec, constants, witnesses", [
+    # b2*b2 = b3, b3*b3 = b1 on C2^3
+    (GroupSpec(2, (1, 1, 1)),
+     (((0, 0, 0),) * 3, ((0, 0, 0), (0, 0, 1), (0, 0, 0)), ((0, 0, 0),) * 2 + ((1, 0, 0),)),
+     [(1, 1, 2), (2, 1, 1)]),
+    # b1*b2 = b2, b2*b2 = b1 on C4 x C4
+    (GroupSpec(2, (2, 2)), (((0, 0), (0, 1)), ((0, 1), (1, 0))),
+     [(0, 0, 1), (0, 1, 1), (1, 0, 0), (1, 1, 0)]),
+], ids=["C2^3", "C4xC4"])
+def test_planted_associativity_violations_match_the_all_triples_scan(spec, constants, witnesses):
+    A = make_structure(spec, constants)
+    assert _associativity_witnesses(A) == oracles.associativity_violations(A) == witnesses
+    assert [v.axiom for v in validate(A)] == ["associativity"] * len(witnesses)
+
+
+def _kept_tables_row_by_row(spec, candidates, rows=()):
+    """The row backtrack of the search with no shared verdicts: `_nilpotent`
+    runs on every row that commutes with the rows before it."""
+    i = len(rows)
+    if i == spec.rank:
+        yield rows
+        return
+    head = tuple(row[i] for row in rows)
+    for tail in itertools.product(*candidates[i]):
+        row = head + tail
+        if all(nilring._commute(spec, row, earlier) for earlier in rows) and nilring._nilpotent(spec, row):
+            yield from _kept_tables_row_by_row(spec, candidates, rows + (row,))
+
+
+def _row_by_row_search(spec):
+    k = spec.rank
+    candidates = [
+        [list(itertools.product(*nilring._entry_ranges(spec, i, j))) for j in range(i, k)]
+        for i in range(k)
+    ]
+    return list(_kept_tables_row_by_row(spec, candidates))
+
+
+def _catalogue_specs():
+    """The groups of the benchmark catalogue, read only."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "catalogue.json"
+    return [GroupSpec(g["p"], tuple(g["exponents"])) for g in json.loads(path.read_text())["groups"]]
+
+
+@pytest.mark.parametrize("spec", _catalogue_specs() + [GroupSpec(2, (1, 1, 1))], ids=str)
+def test_shared_nilpotency_verdicts_keep_the_row_by_row_tables(spec):
+    # a row's nilpotency is decided by its residues mod p, so deciding each
+    # residue class once keeps exactly the tables of deciding every row
+    assert [A.constants for A in enumerate_structures(spec)] == _row_by_row_search(spec)
+
+
+@pytest.mark.parametrize("spec, decided, evaluated, kept, commute_tests", [
+    (GroupSpec(2, (1, 1, 1)), 924, 512, 92, (5184, 2704)),
+    (GroupSpec(2, (3, 2)), 864, 8, 288, (2048, 1025)),
+], ids=["C2^3", "C8xC4"])
+def test_nilpotency_is_evaluated_once_per_residue_class(monkeypatch, spec, decided, evaluated,
+                                                        kept, commute_tests):
+    # rows that pass the commute test reach the nilpotency decision; the
+    # search evaluates one of them per residue class of the row mod p, and
+    # drops a row of a class known to fail before its commute test
+    calls = {"_nilpotent": [], "_commute": []}
+    for name, log in calls.items():
+        check = getattr(nilring, name)
+        monkeypatch.setattr(nilring, name, lambda *args, log=log, check=check: log.append(1) or check(*args))
+    tables = _row_by_row_search(spec)
+    assert (len(calls["_nilpotent"]), len(calls["_commute"])) == (decided, commute_tests[0])
+    for log in calls.values():
+        log.clear()
+    assert len(enumerate_structures(spec)) == len(tables) == kept
+    assert (len(calls["_nilpotent"]), len(calls["_commute"])) == (evaluated, commute_tests[1])
 
 
 @pytest.mark.parametrize("p, search_cap", [(2, nilring.DEFAULT_SEARCH_CAP), (3, 3**18)])
