@@ -7,13 +7,14 @@ structure/regular-subgroup correspondence, and the regular-subgroup search
 for small holomorphs.  `AffineMap.apply`, `tau`, `translation` and
 `affine_map` check their elements, and `regular_subgroup_from_ring` its ring;
 the rest is unchecked, and the package's own loops build circle translations
-with `_tau`.  The ring comes back off the maps' matrices, no map evaluated.
-Each map tabulates its linear part on element indices once, on first use:
-`AffineMap.linear_table` serves `_apply`, the image count that `is_invertible`
-and `inverse` read, and the index permutations.  The search tests p-power
-order once per automorphism m: Hol(G) -> Aut(G) has kernel the translations,
-a p-group, so x -> a + m(x) has p-power order iff m does.  It builds
-fixed-point-free maps for those m alone, grows subgroups by cosets
+with `_tau`.  The round trip runs on the matrices: a reduced, well-defined
+(a, m) is its map, so no map there is evaluated or tabulated.  Elsewhere a
+map tabulates its linear part on element indices once, on first use:
+`AffineMap.linear_table` serves the image count that `is_invertible` and
+`inverse` read, the conjugation report and the search.  The search tests
+p-power order once per automorphism m: Hol(G) -> Aut(G) has kernel the
+translations, a p-group, so x -> a + m(x) has p-power order iff m does.  It
+builds fixed-point-free maps for those m alone, grows subgroups by cosets
 (`_extend`), and counts a subgroup abelian if its generators commute.
 """
 
@@ -39,11 +40,6 @@ class AffineMap:
     spec: GroupSpec
     a: Elem
     m: tuple  # k x k tuple of rows of ints
-
-    def _apply(self, x: Elem) -> Elem:
-        """a + m(x), read off `linear_table`; `apply` evaluates the matrix."""
-        spec = self.spec
-        return abelian._add(spec, self.a, spec.elements()[self.linear_table[spec.element_index[x]]])
 
     def apply(self, x: Elem) -> Elem:
         self.spec.check_elem(x)
@@ -117,16 +113,14 @@ def is_invertible(f: AffineMap) -> bool:
 
 
 def compose(f: AffineMap, g: AffineMap) -> AffineMap:
-    """(f o g)(x) = f(g(x))."""
+    """(f o g)(x) = f(g(x)) = f.a + f.m(g.a) + f.m g.m(x): f.m times the
+    augmented matrix [g.m | g.a], then f.a added, with no map evaluated."""
     if f.spec != g.spec:
         raise InputError("affine maps over different specs")
     spec = f.spec
-    cols = tuple(zip(*g.m))
-    m = tuple(
-        tuple(sum(map(operator.mul, row, col)) % mod for col in cols)
-        for row, mod in zip(f.m, spec.moduli)
-    )
-    return AffineMap(spec, f._apply(g.a), m)
+    *cols, a = (tuple(sum(map(operator.mul, row, col)) % mod for row, mod in zip(f.m, spec.moduli))
+                for col in (*zip(*g.m), g.a))
+    return AffineMap(spec, abelian._add(spec, f.a, a), tuple(zip(*cols)))
 
 
 def inverse(f: AffineMap) -> AffineMap:
@@ -141,20 +135,24 @@ def inverse(f: AffineMap) -> AffineMap:
 
 
 def tau(A: RingStructure, g: Elem) -> AffineMap:
-    """The affine map x -> g o x realizing left circle translation by g; the
-    package's loops over `spec.elements()` call `_tau`, which skips the check."""
+    """The affine map x -> g o x realizing left circle translation by g.  A is
+    not validated here, so the map's image count is checked: InputError if
+    it is not invertible.  The package's loops over `spec.elements()`, on a
+    validated ring, call `_tau`, which skips both checks."""
     A.spec.check_elem(g)
-    return _tau(A, g)
-
-
-def _tau(A: RingStructure, g: Elem) -> AffineMap:
-    """tau for a reduced g; column j, b_j + g*b_j, is reduced by `_add`."""
-    spec = A.spec
-    cols = [abelian._add(spec, b, nilring._mul(A, g, b)) for b in spec._basis]
-    f = AffineMap(spec, g, tuple(zip(*cols)))
+    f = _tau(A, g)
     if not f._bijective:
         raise InputError(f"circle translation by {g} is not invertible: invalid structure")
     return f
+
+
+def _tau(A: RingStructure, g: Elem) -> AffineMap:
+    """tau for a reduced g and a valid A; column j, b_j + g*b_j, is reduced by
+    `_add`.  The map is x -> g + (I + M_g)(x), M_g multiplication by g, which
+    is nilpotent on a valid A, so I + M_g is invertible and nothing is checked."""
+    spec = A.spec
+    cols = [abelian._add(spec, b, nilring._mul(A, g, b)) for b in spec._basis]
+    return AffineMap(spec, g, tuple(zip(*cols)))
 
 
 @dataclass(frozen=True)
@@ -180,13 +178,6 @@ def _perm_compose(f: tuple, g: tuple) -> tuple:
     return tuple(map(f.__getitem__, g))
 
 
-def _index_perms(spec: GroupSpec, maps) -> list:
-    """Each map x -> a + m(x) as an index permutation: the tuple of the
-    indices, in spec.elements() order, of its images of the elements.
-    It is translation by a after m, read off the map's `linear_table`."""
-    return [_perm_compose(abelian._translation_perm(spec, f.a), f.linear_table) for f in maps]
-
-
 def _extend(group: list, gens: tuple, limit=None, admit=None):
     """The members of <gens>, for gens generating a group that contains H, the
     group listed in `group`, by Dimino's cosets (Butler, LNCS 559, 1991): for
@@ -210,7 +201,7 @@ def _extend(group: list, gens: tuple, limit=None, admit=None):
 
 
 def closure_under_composition(perms, size_limit=None):
-    """Subgroup generated by index permutations of G (see `_index_perms`),
+    """Subgroup generated by index permutations of G (tuples of image indices),
     by `_extend` from {id}, whose cosets are single products.
 
     Returns None if a size_limit is given and exceeded.
@@ -227,26 +218,28 @@ def is_abelian(T: RegularSubgroup) -> bool:
     member joins S only if it lies outside <S>, and only after it commutes
     with every member of S.  Then T lies in <S> = <T>, so T pairwise
     commutes iff S does, for any finite set of maps.  A joining member
-    commutes with <S>, so <S> grows by its cosets under it."""
-    gens, span = [], {tuple(range(T.spec.order))}
-    for a in _index_perms(T.spec, T.elements):
+    commutes with <S>, so <S> grows by its cosets under it.  The maps are
+    compared and composed as (a, m) pairs: a reduced, well-defined pair is
+    the map, so no map is tabulated."""
+    spec = T.spec
+    gens, span = [], {AffineMap(spec, spec.zero(), spec._basis)}
+    for a in T.elements:
         if a in span:
             continue
-        if any(_perm_compose(a, b) != _perm_compose(b, a) for b in gens):
+        if any(compose(a, b) != compose(b, a) for b in gens):
             return False
         gens.append(a)
-        abelian._grow_by_cosets(span, partial(_perm_compose, a))
+        abelian._grow_by_cosets(span, partial(compose, a))
     return True
 
 
 def regular_subgroup_from_ring(A: RingStructure) -> RegularSubgroup:
     """Image of the circle group inside Hol(G): {x -> g o x : g in G}, in (a, m)
-    order, as tau(g) sends 0 to g.  A is validated (InputError) once every tau
-    is built, so a circle translation that is not invertible is reported first."""
-    T = RegularSubgroup(A.spec, tuple(_tau(A, g) for g in A.spec.elements()))
+    order, as tau(g) sends 0 to g.  A is validated first (InputError), so
+    every tau is built by `_tau` on a valid ring and is invertible."""
     if violations := nilring.validate(A):
         raise InputError(f"invalid structure: {violations[0].axiom}")
-    return T
+    return RegularSubgroup(A.spec, tuple(_tau(A, g) for g in A.spec.elements()))
 
 
 def ring_from_regular_subgroup(T: RegularSubgroup) -> RingStructure:

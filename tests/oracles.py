@@ -8,6 +8,8 @@ the lattice walk, the subgroup-count formulas or `Context`, whose circle type
 `isomorphism_type` and `omega_type` check from a full operation table.
 """
 
+import itertools
+
 from hopfgal.abelian import add
 from hopfgal.errors import InputError
 from hopfgal.holomorph import AffineMap, compose
@@ -129,6 +131,16 @@ def is_regular(maps) -> bool:
         raise InputError("map set is not closed under composition")
     orbit = {t.apply(spec.zero()) for t in maps}
     return len(maps) == spec.order and len(orbit) == spec.order
+
+
+def index_perm(f: AffineMap) -> tuple:
+    """x -> a + m(x) as the indices of its images, the points of G listed in
+    lexicographic order, each image written out with no package code."""
+    moduli = f.spec.moduli
+    points = list(itertools.product(*map(range, moduli)))
+    index = {x: n for n, x in enumerate(points)}
+    return tuple(index[tuple((a + sum(r * c for r, c in zip(row, x))) % mod
+                             for a, row, mod in zip(f.a, f.m, moduli))] for x in points)
 
 
 def is_fixed_point_free(f: AffineMap) -> bool:

@@ -639,9 +639,9 @@ def test_each_map_is_scanned_once(monkeypatch):
 
 
 def test_certification_tabulates_no_map_element_by_element(monkeypatch):
-    # the conjugation report and the round trip evaluate affine maps through
-    # their index tables only: no linear_apply call, where one scan per map
-    # makes at least 2 |G|^2 = 512
+    # the conjugation report evaluates affine maps through their index tables
+    # only, and the round trip runs on their matrices and evaluates none: no
+    # linear_apply call, where one scan per map makes at least 2 |G|^2 = 512
     ctx = _c4c4_context()
     scans = _counted(monkeypatch, holomorph.AffineMap, "linear_apply")
     assert not holomorph_conjugation_report(ctx)["failures"]

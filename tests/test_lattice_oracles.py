@@ -359,9 +359,30 @@ def test_tau_unchecked_matches_tau_on_the_catalogue():
         for g in elems:
             f = holomorph._tau(A, g)
             assert f == holomorph.tau(A, g)
-            assert tuple(map(f._apply, elems)) == tuple(circle(A, g, x) for x in elems)
+            assert tuple(map(f.apply, elems)) == tuple(circle(A, g, x) for x in elems)
         count += 1
     assert count == 217
+
+
+def test_round_trip_tabulates_no_map(monkeypatch):
+    # ring -> regular subgroup -> ring runs on the (a, m) pairs: no additive
+    # translation and no linear table, where tabulating each member took |G|
+    # of each, and no member of T keeps a table
+    calls = []
+    for name in ("_translation_perm", "_linear_table"):
+        original = getattr(abelian, name)
+        monkeypatch.setattr(abelian, name,
+                            lambda *args, name=name, f=original: calls.append(name) or f(*args))
+    rings = {}
+    for A in catalogue_structures():
+        if A.spec.exponents in ((2, 2), (3,)) and not A.is_trivial():
+            rings.setdefault(A.spec.exponents, A)
+    assert len(rings) == 2
+    for A in rings.values():
+        T = holomorph.regular_subgroup_from_ring(A)
+        assert holomorph.ring_from_regular_subgroup(T) == A
+        assert calls == []
+        assert not any("linear_table" in vars(f) for f in T.elements)
 
 
 @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=str)
