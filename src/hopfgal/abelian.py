@@ -11,8 +11,8 @@ An element's index is its position in `GroupSpec.elements()`; the index
 tables of `_translation_perm` and `_linear_table` are built per coordinate.
 The one lattice walk is additive and runs on indices; `subgroup_count`
 reads a type alone.  `_grow_by_cosets` grows a span by its cosets under one
-commuting map: `additive_closure`, `minimal_generators`, the circle
-generators, type and translations, and `holomorph.is_abelian` run on it.
+commuting map: every closure runs on it, the walk's covers included, and
+`_greedy_generators` picks every generating set with it.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cache, cached_property, partial, reduce
 
 from .errors import CapExceeded, InputError
 
@@ -226,13 +226,22 @@ class Subgroup:
         return (self.size, self.elements)
 
 
+def _greedy_generators(items, span: set, step) -> list:
+    """The items outside the span of those before them, in order; each joining
+    x grows `span` in place by its cosets under step(x) (`_grow_by_cosets`)."""
+    gens = []
+    for x in items:
+        if x not in span:
+            gens.append(x)
+            _grow_by_cosets(span, step(x))
+    return gens
+
+
 def additive_closure(spec: GroupSpec, gens) -> frozenset:
-    """Closure of gens under addition: {0} grown by each gen's cosets.  Each gen
-    is read by `GroupSpec.reduce_coords`, which checks its length and type."""
+    """Closure of gens under addition: {0} grown by `_greedy_generators`.  Each
+    gen is read by `GroupSpec.reduce_coords`, which checks its length and type."""
     elems = {spec.zero()}
-    for g in map(spec.reduce_coords, gens):
-        if g not in elems:  # else its first coset is the span itself
-            _grow_by_cosets(elems, lambda x: _add(spec, x, g))
+    _greedy_generators(map(spec.reduce_coords, gens), elems, lambda g: partial(_add, spec, g))
     return frozenset(elems)
 
 
@@ -240,16 +249,11 @@ def minimal_generators(spec: GroupSpec, elements: frozenset) -> tuple:
     """Minimal-size generating list for a subgroup given by its elements.
 
     Picks representatives whose images are independent in J/pJ, which by
-    the Burnside basis theorem yields a generating set of minimal size.
-    The span starts at the subgroup pJ and grows by each joining x's cosets.
+    the Burnside basis theorem yields a generating set of minimal size:
+    `_greedy_generators` over the sorted elements, from the span pJ.
     """
-    gens = []
     span = {_scalar_mul(spec, spec.p, x) for x in elements}
-    for x in sorted(elements):
-        if x not in span:
-            gens.append(x)
-            _grow_by_cosets(span, lambda y: _add(spec, y, x))
-    return tuple(gens)
+    return tuple(_greedy_generators(sorted(elements), span, lambda x: partial(_add, spec, x)))
 
 
 def subgroup_from_elements(spec: GroupSpec, elements) -> Subgroup:
@@ -270,31 +274,30 @@ def walk_subgroups(spec: GroupSpec, maps=()) -> list:
     """Every additive subgroup of `spec` that each map in `maps`
     (endomorphisms) sends into itself, canonically sorted.  Each map is an
     index table like `_linear_table`'s, m[n] the index of the image of
-    elements[n]; the walk tabulates the p-th multiples as one such table.
+    elements[n]; the walk tabulates x -> px as one more such table.
 
-    Each cover J < I has index p: I is the union of the cosets kg + J,
-    k < p, for any g in I - J, and pg and each m(g) lie in J.  This holds
-    for subgroups of a p-group, and for ideals of a nilpotent ring with the
-    generator products as `maps` (such a ring acts trivially on simple
-    modules).  For each J, a g inside a cover already found is skipped.
+    Each cover J < I has index p: I is J + <g> for any g in I - J, and pg and
+    each m(g) lie in J.  This holds for subgroups of a p-group, and for ideals
+    of a nilpotent ring with the generator products as `maps` (such a ring acts
+    trivially on simple modules).  For each J, a g inside a cover already found
+    is skipped; else J grows by `_grow_by_cosets` under g's translation table,
+    built once per call, into g + J, ..., (p - 1)g + J, as pg + J = J.
     Subgroups are walked as sets of indices and decoded only when returned.
     """
-    elements, index = spec.elements(), spec.element_index
+    elements = spec.elements()
     multiples = _linear_table(spec, [[spec.p * c for c in row] for row in spec.basis()])
-    images = tuple(zip(*maps)) if maps else ((),) * len(elements)
+    shift = cache(lambda g: _translation_perm(spec, elements[g]).__getitem__)
+    images = tuple(zip(multiples, *maps))
     level = [frozenset({0})]
     found = list(level)
     while level:
         covers = {}  # insertion-ordered, so the walk is deterministic
         for J in level:
             covered = set(J)
-            for g, (g_p, g_images) in enumerate(zip(multiples, images)):
-                if g in covered or g_p not in J or not J.issuperset(g_images):
+            for g, g_images in enumerate(images):
+                if g in covered or not J.issuperset(g_images):
                     continue
-                coset, cover, step = J, set(J), elements[g]
-                for _ in range(spec.p - 1):
-                    coset = {index[_add(spec, step, elements[x])] for x in coset}
-                    cover |= coset
+                cover = _grow_by_cosets(set(J), shift(g))
                 covered |= cover
                 covers[frozenset(cover)] = None
         level = list(covers)

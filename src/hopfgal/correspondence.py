@@ -100,15 +100,12 @@ class Context:
 
     @cached_property
     def circle_generators(self) -> tuple:
-        """Indices of generators of (G, o), grown greedily: an element joins
-        when it lies outside the span of those before it, so at most
-        log_p |G| join.  The span grows by cosets under lam(gamma)."""
-        gens, span = [], {0}
-        for n, gamma in enumerate(self.elements):
-            if n not in span:
-                gens.append(n)
-                abelian._grow_by_cosets(span, self.circle_translation_perm(gamma).__getitem__)
-        return tuple(gens)
+        """Indices of generators of (G, o), by `abelian._greedy_generators`
+        under the lam tables: an element joins when it lies outside the span
+        of those before it, so at most log_p |G| join."""
+        return tuple(abelian._greedy_generators(
+            range(len(self.elements)), {0},
+            lambda n: self.circle_translation_perm(self.elements[n]).__getitem__))
 
     def close_circle_translations(self) -> None:
         """Cache lam(gamma) for every gamma; only a failing conjugation report
@@ -129,8 +126,7 @@ class Context:
                         "gamma": list(elems[lm[0]]), "x": list(elems[x]),
                         "images": [list(elems[ml[x]]), list(elems[lm[x]])]})
         span = {tuple(range(len(elems)))}
-        for lam in gens:
-            abelian._grow_by_cosets(span, partial(perm_compose, lam))
+        abelian._greedy_generators(gens, span, lambda lam: partial(perm_compose, lam))
         found = {nu[0]: nu for nu in span}
         if len(found) != len(elems):
             raise TheoremViolation("circle translations do not act regularly",

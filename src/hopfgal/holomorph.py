@@ -214,23 +214,17 @@ def closure_under_composition(perms, size_limit=None):
 
 
 def is_abelian(T: RegularSubgroup) -> bool:
-    """Whether the members of T pairwise commute, tested on generators: a
-    member joins S only if it lies outside <S>, and only after it commutes
-    with every member of S.  Then T lies in <S> = <T>, so T pairwise
-    commutes iff S does, for any finite set of maps.  A joining member
-    commutes with <S>, so <S> grows by its cosets under it.  The maps are
-    compared and composed as (a, m) pairs: a reduced, well-defined pair is
-    the map, so no map is tabulated."""
+    """Whether the members of T pairwise commute, tested on the generators
+    `abelian._greedy_generators` picks, pairwise after its loop.  If they
+    commute, each grew a group it commutes with by cosets, so the span is
+    <T>, abelian; else T is not.  The loop ends, as compose keeps its reduced
+    results in the finite Hol(G).  The maps are compared and composed as
+    (a, m) pairs: a reduced, well-defined pair is the map, so no map is
+    tabulated."""
     spec = T.spec
-    gens, span = [], {AffineMap(spec, spec.zero(), spec._basis)}
-    for a in T.elements:
-        if a in span:
-            continue
-        if any(compose(a, b) != compose(b, a) for b in gens):
-            return False
-        gens.append(a)
-        abelian._grow_by_cosets(span, partial(compose, a))
-    return True
+    span = {AffineMap(spec, spec.zero(), spec._basis)}
+    gens = abelian._greedy_generators(T.elements, span, lambda a: partial(compose, a))
+    return all(compose(a, b) == compose(b, a) for a, b in itertools.combinations(gens, 2))
 
 
 def regular_subgroup_from_ring(A: RingStructure) -> RegularSubgroup:

@@ -17,7 +17,7 @@ from hopfgal.abelian import (
     subgroup_from_elements,
     subgroup_generated,
 )
-from hopfgal.correspondence import Context, conjugated_translation
+from hopfgal.correspondence import Context, conjugated_translation, lattice_report
 from hopfgal.errors import CapExceeded, InputError
 from hopfgal.holomorph import tau, translation
 from hopfgal.nilring import circle, mul, primitive_structure
@@ -212,6 +212,52 @@ def test_generators_of_every_subgroup_are_pinned(p, exponents, count, digest):
     text = json.dumps([s.to_json() for s in subgroups], sort_keys=True)
     assert len(subgroups) == count
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def _calls_per_walk(monkeypatch, name):
+    """The argument tuples of the abelian.<name> calls made inside each
+    `abelian.walk_subgroups` call, one list per walk."""
+    walks, walk, original = [], abelian.walk_subgroups, getattr(abelian, name)
+
+    def counted(*args):
+        walks[-1].append(args)
+        return original(*args)
+
+    def counted_walk(*args):
+        walks.append([])
+        monkeypatch.setattr(abelian, name, counted)
+        try:
+            return walk(*args)
+        finally:
+            monkeypatch.setattr(abelian, name, original)
+
+    monkeypatch.setattr(abelian, "walk_subgroups", counted_walk)
+    return walks
+
+
+# per walk, the translation tables it builds: on C2^4 every g != 0 spans
+# a cover of {0}, so all |G| - 1 = 15 are tabulated, each once
+_WALKS = [
+    ("C2^4", lambda: enumerate_subgroups(GroupSpec(2, (1,) * 4)), [15]),
+    ("C5^2", lambda: enumerate_subgroups(GroupSpec(5, (1, 1))), [6]),
+    ("primitive(3, 3)", lambda: lattice_report(Context(primitive_structure(3, 3))), [3, 3]),
+]
+
+
+@pytest.mark.parametrize("run,tables", [w[1:] for w in _WALKS], ids=[w[0] for w in _WALKS])
+def test_the_walk_makes_no_element_addition(monkeypatch, run, tables):
+    # each cover grows by cosets on a translation table; the coset step
+    # that added element by element made 765 additions on C2^4
+    walks = _calls_per_walk(monkeypatch, "_add")
+    run()
+    assert walks == [[]] * len(tables)
+
+
+@pytest.mark.parametrize("run,tables", [w[1:] for w in _WALKS], ids=[w[0] for w in _WALKS])
+def test_the_walk_tabulates_each_translation_once(monkeypatch, run, tables):
+    walks = _calls_per_walk(monkeypatch, "_translation_perm")
+    run()
+    assert [len(calls) for calls in walks] == [len({g for _, g in calls}) for calls in walks] == tables
 
 
 @pytest.mark.parametrize(

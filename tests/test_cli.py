@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from hopfgal import cli, correspondence, nilring
+from hopfgal import abelian, cli, correspondence, nilring
+from hopfgal.abelian import GroupSpec
 
 GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "golden.json"
 
@@ -495,3 +496,60 @@ def test_verify_conjugation_checks_that_translations_compose(monkeypatch):
     message, _, witness = err.getvalue().partition("\n")
     assert message == "verified identity failed: additive translations do not compose additively"
     assert json.loads(witness) == {"b": [1, 0], "g": [2, 3]}
+
+
+# index permutations of the 4 elements (0, 0), (0, 1), (1, 0), (1, 1) of C2 x C2
+_ID, _SWAP_01, _SWAP_12, _CYCLE_012 = (0, 1, 2, 3), (1, 0, 2, 3), (0, 2, 1, 3), (1, 2, 0, 3)
+
+
+def _additive_check_on(monkeypatch, alpha_1_0, alpha_0_1):
+    """`verify conjugation` on trivial C2 x C2, with the Context's additive
+    translations replaced after the report: alpha(0) the identity, the two
+    given tables, and alpha(1, 1) = alpha(0, 1) alpha(1, 0), so that every
+    pair (g - b_g, b_g) holds whatever the two tables are."""
+    report = correspondence.holomorph_conjugation_report
+
+    def patched(ctx):
+        out = report(ctx)
+        compose = correspondence.perm_compose
+        ctx._alpha_cache.clear()
+        ctx._alpha_cache.update({(0, 0): _ID, (0, 1): alpha_0_1, (1, 0): alpha_1_0,
+                                 (1, 1): compose(alpha_0_1, alpha_1_0)})
+        return out
+
+    monkeypatch.setattr(correspondence, "holomorph_conjugation_report", patched)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(["verify", "conjugation", "--family", "trivial", "--p", "2", "--exp", "1,1"])
+    message, _, witness = err.getvalue().partition("\n")
+    return code, message, json.loads(witness)
+
+
+def test_verify_conjugation_checks_that_the_generators_translations_commute(monkeypatch):
+    # two involutions that do not commute: every (g - b_g, b_g) and
+    # ((m_i - 1) b_i, b_i) pair holds, and only (b_0, b_1) fails
+    code, message, witness = _additive_check_on(monkeypatch, _SWAP_01, _SWAP_12)
+    assert code == cli.EXIT_VIOLATION
+    assert message == "verified identity failed: additive translations do not compose additively"
+    assert witness == {"g": [1, 0], "b": [0, 1]}
+
+
+def test_verify_conjugation_checks_the_order_of_each_generators_translation(monkeypatch):
+    # alpha(b_0) a 3-cycle, alpha(b_1) the identity: the pairs (g - b_g, b_g)
+    # and (b_0, b_1) hold, and only alpha(b_0)^2 = alpha(0) fails
+    code, message, witness = _additive_check_on(monkeypatch, _CYCLE_012, _ID)
+    assert code == cli.EXIT_VIOLATION
+    assert message == "verified identity failed: additive translations do not compose additively"
+    assert witness == {"g": [1, 0], "b": [1, 0]}
+
+
+@pytest.mark.parametrize("exponents", [(1,), (3,), (1, 1), (2, 1), (2, 2, 1), (1, 1, 1, 1)])
+def test_spanning_pairs_are_fewer_than_k_times_the_order(exponents):
+    # |G| - 1 + k(k - 1)/2 + k of the k |G| pairs (g, b): the first |G| - 1
+    # sum to the nonzero elements in element order, each b a generator
+    spec = GroupSpec(2, exponents)
+    pairs = list(cli._spanning_pairs(spec))
+    k, basis = spec.rank, spec.basis()
+    assert len(pairs) == spec.order - 1 + k * (k - 1) // 2 + k
+    assert all(g in spec.elements() and b in basis for g, b in pairs)
+    assert [abelian.add(spec, g, b) for g, b in pairs[:spec.order - 1]] == list(spec.elements()[1:])

@@ -571,11 +571,23 @@ def test_each_row_tabulates_at_most_2k_plus_1_translations(monkeypatch):
             ctx.conjugation_row(n)
             assert len(translations) <= 2 * ctx.spec.rank + 1
     # 81 structures on Z/243, each with one circle generator: at most 3 each
-    # (each Context tabulated all 243 translations: 19 683)
+    # tabulated by the Context, counted as misses of its cache (each Context
+    # tabulated all 243 translations: 19 683).  The lattice walks tabulate
+    # their own tables, at most one per cover: 2 walks of 5 covers each
+    misses = []
+    original = Context.additive_translation_perm
+
+    def counted(self, g):
+        if g not in self._alpha_cache:
+            misses.append(g)
+        return original(self, g)
+
+    monkeypatch.setattr(Context, "additive_translation_perm", counted)
     translations.clear()
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["verify", "cyclic", "--p", "3", "--n", "5", "--all-d"]) == cli.EXIT_OK
-    assert 0 < len(translations) <= 3 * 81
+    assert 0 < len(misses) <= 3 * 81
+    assert len(translations) - len(misses) <= 2 * 5 * 81
 
 
 def test_the_holomorph_row_reads_the_context_translations(monkeypatch):
