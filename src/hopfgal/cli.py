@@ -7,6 +7,9 @@ Subcommands:
               (lattice | conjugation | elementary | primitive | cyclic)
   report      counting table: sub-Hopf avatars vs intermediate-field avatars
 
+JSON output (the payload and the exit-4 witness) is the bytes of json.dumps(
+indent=2, sort_keys=True), written by `_json_text`, not json's indenting encoder.
+
 Exit codes: 0 success, 2 input/config error, 3 cap exceeded,
 4 verified identity failed (witness on stderr).
 """
@@ -18,6 +21,7 @@ import functools
 import itertools
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import abelian, correspondence, holomorph, nilring
 from .abelian import GroupSpec
@@ -162,9 +166,41 @@ def _resolve_structures(args, family, cyclic_n=False):
     raise InputError(f"cannot resolve structures from family={family!r}")
 
 
+def _json_text(obj) -> str:
+    """json.dumps(obj, indent=2, sort_keys=True), byte for byte, by joins, not
+    json's pure-Python indenting encoder.  A float, a dict with a key that is
+    not a str and any other type are left to json, indented to their depth (JSON
+    text has no raw newline in a string).  A tuple's text is built once per depth
+    and call, keyed by its identity and kept with it: by value, (True,) is (1,)."""
+    memo = {}
+
+    def write(x, indent):
+        if isinstance(x, str):
+            return encode_basestring_ascii(x)
+        if x is None or x is True or x is False:
+            return "null" if x is None else "true" if x else "false"
+        if isinstance(x, int):
+            return int.__repr__(x)
+        if isinstance(x, tuple):
+            if (id(x), indent) not in memo:
+                memo[id(x), indent] = x, write(list(x), indent)
+            return memo[id(x), indent][1]
+        inner = indent + "  "
+        if isinstance(x, list):
+            items, ends = [inner + write(v, inner) for v in x], "[]"
+        elif isinstance(x, dict) and all(isinstance(k, str) for k in x):
+            items = [f"{inner}{encode_basestring_ascii(k)}: {write(v, inner)}" for k, v in sorted(x.items())]
+            ends = "{}"
+        else:
+            return json.dumps(x, indent=2, sort_keys=True).replace("\n", "\n" + indent)
+        return f"{ends[0]}\n" + ",\n".join(items) + f"\n{indent}{ends[1]}" if items else ends
+
+    return write(obj, "")
+
+
 def _emit(args, payload, table_lines):
     if args.format == "json":
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        text = _json_text(payload) + "\n"
     else:
         text = "\n".join(table_lines) + "\n"
     if args.out:
@@ -384,15 +420,15 @@ def cmd_report(args) -> int:
             }
         )
     payload = {"rows": rows}
-    header = f"{'family':<16}{'spec':<16}{'circle type':<14}{'subHopf':>8}{'subfields':>10}{'strong':>8}  method"
-    lines = [header, "-" * len(header)]
-    for r in rows:
-        spec_txt = "x".join(str(e) for e in r["spec"]["exponents"])
-        lines.append(
-            f"{r['family']:<16}{'p=' + str(r['spec']['p']) + ' exp=' + spec_txt:<16}"
-            f"{str(r['circle_type']):<14}{r['subhopf_count']:>8}{r['subfield_count']:>10}"
-            f"{str(r['strong_ftgt']):>8}  {r['count_method']}"
-        )
+    table = [["family", "spec", "circle type", "subHopf", "subfields", "strong", "method"]] + [
+        [r["family"], f"p={r['spec']['p']} exp=" + "x".join(map(str, r["spec"]["exponents"])),
+         *map(str, (r["circle_type"], r["subhopf_count"], r["subfield_count"], r["strong_ftgt"])),
+         r["count_method"]] for r in rows]
+    # each column as wide as its default or its longest cell plus one
+    widths = [max(w, *(len(texts[i]) + 1 for texts in table)) for i, w in enumerate((16, 16, 14, 8, 10, 8))]
+    formats = [align + str(w) for align, w in zip("<<<>>>", widths)]
+    lines = ["".join(map(format, texts, formats)) + "  " + texts[-1] for texts in table]
+    lines.insert(1, "-" * len(lines[0]))
     _emit(args, payload, lines)
     return EXIT_OK
 
@@ -441,7 +477,7 @@ def main(argv=None) -> int:
     except TheoremViolation as exc:
         print(f"verified identity failed: {exc}", file=sys.stderr)
         if exc.witness is not None:
-            print(json.dumps(exc.witness, indent=2, sort_keys=True), file=sys.stderr)
+            print(_json_text(exc.witness), file=sys.stderr)
         return EXIT_VIOLATION
 
 

@@ -46,10 +46,8 @@ class RingStructure:
         return all(c == zero for row in self.constants for c in row)
 
     def to_json(self) -> dict:
-        return {
-            "spec": self.spec.to_json(),
-            "constants": [[list(c) for c in row] for row in self.constants],
-        }
+        # JSON encoders write the constants' tuples as arrays
+        return {"spec": self.spec.to_json(), "constants": self.constants}
 
     @staticmethod
     def from_json(data: dict) -> "RingStructure":
@@ -287,25 +285,27 @@ def _nilpotent(spec: GroupSpec, row) -> bool:
     return not vectors
 
 
-def _kept_tables(spec: GroupSpec, candidates, rows, verdicts):
+def _kept_tables(spec: GroupSpec, candidates, residues, rows, verdicts):
     """The tables that extend the kept `rows` by rows that commute with every
-    earlier row and are nilpotent; candidates[i] lists row i's entries j >= i.
-    `verdicts` holds `_nilpotent`'s verdict per residue class of a row mod p;
-    a row of a class known to fail is dropped before the commute test."""
+    earlier row and are nilpotent; candidates[i] lists row i's entries j >= i,
+    residues[i] the same mod p.  `verdicts` holds `_nilpotent`'s verdict per
+    residue class of a row mod p, keyed by the entries' residues at every
+    depth; a row of a class known to fail is dropped before the commute test."""
     i = len(rows)
     if i == spec.rank:
         yield rows
         return
     head = tuple(row[i] for row in rows)
-    for tail in itertools.product(*candidates[i]):
+    head_key = tuple(tuple(c % spec.p for c in x) for x in head)
+    for tail, tail_key in zip(itertools.product(*candidates[i]), itertools.product(*residues[i])):
         row = head + tail
-        key = tuple(c % spec.p for x in row for c in x)
+        key = head_key + tail_key
         if verdicts.get(key) is False or not all(_commute(spec, row, earlier) for earlier in rows):
             continue
         if key not in verdicts:
             verdicts[key] = _nilpotent(spec, row)
         if verdicts[key]:
-            yield from _kept_tables(spec, candidates, rows + (row,), verdicts)
+            yield from _kept_tables(spec, candidates, residues, rows + (row,), verdicts)
 
 
 def enumerate_structures(
@@ -349,8 +349,9 @@ def enumerate_structures(
         [list(itertools.product(*_entry_ranges(spec, i, j))) for j in range(i, k)]
         for i in range(k)
     ]
+    residues = [[[tuple(c % spec.p for c in x) for x in entry] for entry in row] for row in candidates]
     out = []
-    for table in _kept_tables(spec, candidates, (), {}):
+    for table in _kept_tables(spec, candidates, residues, (), {}):
         A = RingStructure(spec, table)
         if validate(A):
             raise TheoremViolation("search kept an invalid structure", witness=A.to_json())

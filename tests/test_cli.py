@@ -332,6 +332,42 @@ def test_verify_cyclic_accepts_every_structure_on_the_cyclic_group(argv):
     assert json.loads(out)["status"] == "pass"
 
 
+_SHARED = (1, (2, [3]))  # one tuple at two depths; it holds a list, so it is unhashable
+
+
+@pytest.mark.parametrize("obj", [
+    {}, [], (), {"a": {}, "b": [], "c": ()}, [[], (), {}],
+    _SHARED, [_SHARED, [_SHARED]],
+    [True, 1, (True,), (1,), {"f": False, "z": 0}],  # (True,) == (1,) in Python
+    None, [None, (None,)],
+    [-7, 10**39 + 3],
+    "\u00e9\u2603\n\"\\\x00", {"\u00e9\u2603\n\"\\\x00": ["\x00"]},
+    1.5, [{"x": [0.1, -2.0]}],  # floats: json's own text, indented
+    {1: "a", 2: [3]}, [{1: {"b": [4]}}],  # an int key: json's own text, indented
+    nilring.primitive_structure(3, 2).to_json(),
+], ids=repr)
+def test_json_text_is_what_json_dumps_writes(obj):
+    assert cli._json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+def test_json_text_writes_a_whole_enumerate_payload(monkeypatch):
+    payloads = []
+    monkeypatch.setattr(cli, "_emit", lambda args, payload, lines: payloads.append(payload))
+    assert _main(["enumerate", "--p", "2", "--exp", "2,1"])[0] == cli.EXIT_OK
+    [payload] = payloads
+    assert payload["structure_count"] == 12
+    assert cli._json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+
+def test_report_table_widens_a_column_that_a_cell_fills():
+    # the spec p=2 exp=1x1x1x1x1 is 17 characters, one more than the column's default
+    code, out, _ = _main(["report", "--family", "trivial", "--p", "2", "--n", "5", "--format", "table"])
+    assert code == cli.EXIT_OK
+    header, _, row = out.splitlines()
+    assert "p=2 exp=1x1x1x1x1 [1, 1, 1, 1, 1]" in row
+    assert row.index("[") == header.index("circle type")
+
+
 def test_golden_cli_output():
     # every frozen CLI verdict of the benchmark: exit code and stdout digest
     golden = json.loads(GOLDEN.read_text())["cli"]
@@ -496,6 +532,7 @@ def test_verify_conjugation_checks_that_translations_compose(monkeypatch):
     message, _, witness = err.getvalue().partition("\n")
     assert message == "verified identity failed: additive translations do not compose additively"
     assert json.loads(witness) == {"b": [1, 0], "g": [2, 3]}
+    assert witness == json.dumps({"b": [1, 0], "g": [2, 3]}, indent=2, sort_keys=True) + "\n"
 
 
 # index permutations of the 4 elements (0, 0), (0, 1), (1, 0), (1, 1) of C2 x C2

@@ -427,7 +427,9 @@ def test_shared_nilpotency_verdicts_keep_the_row_by_row_tables(spec):
 @pytest.mark.parametrize("spec, decided, evaluated, kept, commute_tests", [
     (GroupSpec(2, (1, 1, 1)), 924, 512, 92, (5184, 2704)),
     (GroupSpec(2, (3, 2)), 864, 8, 288, (2048, 1025)),
-], ids=["C2^3", "C8xC4"])
+    (GroupSpec(3, (2, 1)), 306, 27, 45, (243, 83)),
+    (GroupSpec(5, (1, 1)), 690, 625, 25, (625, 341)),
+], ids=["C2^3", "C8xC4", "C9xC3", "C5xC5"])
 def test_nilpotency_is_evaluated_once_per_residue_class(monkeypatch, spec, decided, evaluated,
                                                         kept, commute_tests):
     # rows that pass the commute test reach the nilpotency decision; the
