@@ -32,6 +32,11 @@ DEFAULT_ENUM_CAP = 10_000
 _MAX_ORDER = 2**63 - 1  # order must fit in a signed 64-bit integer
 
 
+def _is_int(v) -> bool:
+    """An int that is no bool: JSON's true and false are not integers here."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def is_prime(p: int) -> bool:
     """Deterministic Miller-Rabin on the prime bases 2..37, exact below
     3.18 * 10^23 (GroupSpec checks p < 2^63 first)."""
@@ -54,7 +59,7 @@ class GroupSpec:
     exponents: tuple
 
     def __post_init__(self):
-        if not all(isinstance(v, int) for v in (self.p, *self.exponents)):
+        if not all(map(_is_int, (self.p, *self.exponents))):
             raise InputError(f"p and the exponents must be integers: {self.p}, {self.exponents}")
         exps = tuple(map(int, self.exponents))
         object.__setattr__(self, "exponents", exps)
@@ -99,7 +104,7 @@ class GroupSpec:
     def reduce_coords(self, coords) -> Elem:
         if len(coords) != self.rank:
             raise InputError(f"element {coords} has wrong length for {self}")
-        if not all(isinstance(c, int) for c in coords):
+        if not all(map(_is_int, coords)):
             raise InputError(f"element {coords} has a non-integer coordinate")
         return tuple(c % m for c, m in zip(coords, self.moduli))
 
@@ -119,7 +124,7 @@ class GroupSpec:
     def check_elem(self, a: Elem) -> None:
         if len(a) != self.rank:
             raise InputError(f"element {a} has wrong length for {self}")
-        if any(not (isinstance(c, int) and 0 <= c < m) for c, m in zip(a, self.moduli)):
+        if any(not (_is_int(c) and 0 <= c < m) for c, m in zip(a, self.moduli)):
             raise InputError(f"element {a} not reduced for moduli {self.moduli}")
 
     def to_json(self) -> dict:
@@ -187,7 +192,7 @@ def neg(spec: GroupSpec, a: Elem) -> Elem:
 
 
 def scalar_mul(spec: GroupSpec, m: int, a: Elem) -> Elem:
-    if not isinstance(m, int):
+    if not _is_int(m):
         raise InputError(f"multiplier {m!r} is not an integer")
     spec.check_elem(a)
     return _scalar_mul(spec, m, a)

@@ -25,16 +25,19 @@ certify all |G|^2 pairs.  Otherwise every lam(gamma) is built by cosets
 and act regularly) and every gamma is scanned.  The report makes no
 element-level product per pair.  The maps both sides give the walk and
 the rows are index tables, decoded only for witnesses, failure records and
-`conjugated_translation`, which alone checks elements.  The type of (G, o) is
-read off the circle generators' lam tables: the orbit of 0 under their p^j-th
-powers is (G, o)^(p^j).
+`conjugated_translation`, which alone checks elements.  lam is read point by
+point: each gamma o x is computed on its first read and kept, and a whole
+lam table is completed from those points only for a conjugation row, the
+report or the closure.  The circle generators and the type of (G, o) read
+no whole table: the orbit of 0 under the generators' p^j-th powers, applied
+point by point, is (G, o)^(p^j).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial, reduce
+from functools import cached_property, partial
 
 from . import abelian, holomorph, nilring
 from .abelian import Elem, GroupSpec
@@ -48,7 +51,8 @@ Perm = tuple
 class Context:
     """The per-structure model, and the one place a structure is capped
     (before any validation work) and validated for lattice work; it caches
-    permutations, circle type, circle generators and conjugation rows."""
+    permutations, the circle products read so far, circle type, circle
+    generators and conjugation rows."""
 
     def __init__(self, ring: RingStructure, cap: int = abelian.DEFAULT_ENUM_CAP):
         if ring.spec.order > cap:
@@ -61,18 +65,33 @@ class Context:
         self.elements = self.spec.elements()
         self.index = self.spec.element_index
         self._lambda_cache = {}
+        self._points = {}
         self._alpha_cache = {}
         self._rows = {}
 
     def circle_translation_perm(self, gamma: Elem) -> Perm:
-        """Left translation by gamma in (G, o): delta -> gamma o delta."""
+        """Left translation by gamma in (G, o): delta -> gamma o delta, the
+        whole table, completed from the points `_circle_translation` holds."""
         if gamma not in self._lambda_cache:
             self.spec.check_elem(gamma)
-            self._lambda_cache[gamma] = tuple(
-                self.index[nilring._circle(self.ring, gamma, d)]
-                for d in self.elements
-            )
+            self._lambda_cache[gamma] = tuple(map(self._circle_translation(gamma),
+                                                  range(len(self.elements))))
+            self._points.pop(gamma, None)
         return self._lambda_cache[gamma]
+
+    def _circle_translation(self, gamma: Elem):
+        """lam(gamma) as a map on indices: its held table's lookup, else gamma o x
+        computed at the first read of each x and kept for the table."""
+        if gamma in self._lambda_cache:
+            return self._lambda_cache[gamma].__getitem__
+        points, elems, index = self._points.setdefault(gamma, {}), self.elements, self.index
+
+        def lam(i):
+            j = points.get(i)
+            if j is None:
+                j = points[i] = index[nilring._circle(self.ring, gamma, elems[i])]
+            return j
+        return lam
 
     def additive_translation_perm(self, g: Elem) -> Perm:
         """Translation by g in (G, +), regarded as a permutation of the set."""
@@ -83,17 +102,19 @@ class Context:
 
     @cached_property
     def circle_type(self) -> tuple:
-        """Cyclic invariants of (G, o), from the circle generators' lam tables.
-        x -> x^p is an endomorphism of the abelian group (G, o), so G^(p^j) is
-        the orbit of 0 under the lam(gamma)^(p^j), gamma a circle generator, and
-        log_p |G^(p^j)| / |G^(p^(j+1))| factors have exponent > j."""
+        """Cyclic invariants of (G, o), read point by point off the circle
+        generators' lam.  x -> x^p is an endomorphism of the abelian group
+        (G, o), so G^(p^j) is the orbit of 0 under the lam(gamma)^(p^j), gamma
+        a circle generator, each applied p^j times to a point, and
+        log_p |G^(p^j)| / |G^(p^(j+1))| factors have exponent > j.  No table
+        is completed or composed."""
         p, sizes = self.spec.p, [self.spec.order]
-        layer = [self.circle_translation_perm(self.elements[n]) for n in self.circle_generators]
+        layer = [self._circle_translation(self.elements[n]) for n in self.circle_generators]
         while sizes[-1] > 1:
-            layer = [mu for mu in (reduce(perm_compose, [lam] * p) for lam in layer) if mu[0]]
+            layer = [mu for mu in (partial(_power, lam, p) for lam in layer) if mu(0)]
             orbit = {0}
             for mu in layer:
-                abelian._grow_by_cosets(orbit, mu.__getitem__)
+                abelian._grow_by_cosets(orbit, mu)
             sizes.append(len(orbit))
         counts = [round(math.log(a // b, p)) for a, b in zip(sizes, sizes[1:])]
         return tuple(sum(1 for c in counts if c >= i) for i in range(1, counts[0] + 1))
@@ -101,11 +122,12 @@ class Context:
     @cached_property
     def circle_generators(self) -> tuple:
         """Indices of generators of (G, o), by `abelian._greedy_generators`
-        under the lam tables: an element joins when it lies outside the span
-        of those before it, so at most log_p |G| join."""
+        under lam read point by point: an element joins when it lies outside
+        the span of those before it, so at most log_p |G| join, and lam of a
+        joiner is evaluated on the span it grows, no table completed."""
         return tuple(abelian._greedy_generators(
             range(len(self.elements)), {0},
-            lambda n: self.circle_translation_perm(self.elements[n]).__getitem__))
+            lambda n: self._circle_translation(self.elements[n])))
 
     def close_circle_translations(self) -> None:
         """Cache lam(gamma) for every gamma; only a failing conjugation report
@@ -164,6 +186,13 @@ def perm_compose(f: Perm, g: Perm) -> Perm:
     return tuple(map(f.__getitem__, g))
 
 
+def _power(f, e: int, x: int) -> int:
+    """f applied e times to x."""
+    for _ in range(e):
+        x = f(x)
+    return x
+
+
 _NOT_PREDICTED = "conjugation of an additive translation is not the predicted translation"
 
 
@@ -204,7 +233,8 @@ def holomorph_conjugation_report(ctx: Context) -> dict:
     The report passes when each circle generator's held lam table sends 0 to
     its gamma and passes its three rows (`_gamma_failures`: the Hol(G)
     translation test, its row's test on the standard generators and their
-    comparison), and no lam table is held for any other gamma.  Such a table
+    comparison), and no lam table is held for any other gamma, which is
+    tested after the generators' tables are completed.  Such a table
     is the true circle translation: lam alpha(x) = alpha(x + gamma x) lam
     gives lam(x) = lam(0) + x + gamma x = gamma o x.  Each row is a
     homomorphism in gamma from (G, o): lam(gamma o delta) = lam(gamma)
@@ -219,9 +249,10 @@ def holomorph_conjugation_report(ctx: Context) -> dict:
     Returns the failures.
     """
     gens, held = ctx.circle_generators, ctx._lambda_cache
+    lams = [ctx.circle_translation_perm(ctx.elements[n]) for n in gens]
     failures = []
-    if len(held) > len(gens) or any(held[ctx.elements[n]][0] != n or _gamma_failures(ctx, n)
-                                    for n in gens):
+    if len(held) > len(gens) or any(lam[0] != n or _gamma_failures(ctx, n)
+                                    for n, lam in zip(gens, lams)):
         ctx.close_circle_translations()
         failures = [f for n in range(len(ctx.elements)) for f in _gamma_failures(ctx, n)]
     return {"pairs_checked": len(ctx.elements) ** 2, "failures": failures}
@@ -406,7 +437,7 @@ def gaussian_subspace_count(p: int, n: int) -> int:
     in exact integers.  The sum deliberately starts at r = 1, so the zero
     subspace is not counted (callers add 1 to get the full subgroup count
     of an elementary abelian group)."""
-    if not all(isinstance(v, int) for v in (p, n)):
+    if not all(map(abelian._is_int, (p, n))):
         raise InputError(f"p and n must be integers: {p!r}, {n!r}")
     if not abelian.is_prime(p):
         raise InputError(f"p = {p} is not prime")

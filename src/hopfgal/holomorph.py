@@ -93,7 +93,7 @@ def affine_map(spec: GroupSpec, a: Elem, m) -> AffineMap:
     m = tuple(map(tuple, m))
     if len(m) != spec.rank or any(len(row) != spec.rank for row in m):
         raise InputError("matrix has wrong shape")
-    if not all(isinstance(v, int) for row in m for v in row):
+    if not all(abelian._is_int(v) for row in m for v in row):
         raise InputError(f"matrix {m} has a non-integer entry")
     mat = _reduce_matrix(spec, m)
     if not _matrix_well_defined(spec, mat):

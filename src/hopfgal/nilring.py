@@ -222,7 +222,7 @@ def trivial_structure(spec: GroupSpec) -> RingStructure:
 
 def primitive_structure(p: int, n: int) -> RingStructure:
     """One-generator structure on F_p^n: basis z, z^2, ..., z^n with z^{n+1} = 0."""
-    if not isinstance(n, int):
+    if not abelian._is_int(n):
         raise InputError(f"n must be an integer: {n!r}")
     if n < 1:
         raise InputError("n must be >= 1")
@@ -236,7 +236,7 @@ def cyclic_structure(p: int, n: int, d: int) -> RingStructure:
     """Structure A_d on Z/p^n (p odd): r * s = r*s*p*d."""
     if p == 2:
         raise InputError("cyclic family requires an odd prime")
-    if not all(isinstance(v, int) for v in (n, d)):
+    if not all(map(abelian._is_int, (n, d))):
         raise InputError(f"n and d must be integers: {n!r}, {d!r}")
     if n < 1:
         raise InputError("n must be >= 1")

@@ -136,6 +136,21 @@ def test_scalar_mul_rejects_a_non_integer_multiplier(m):
         scalar_mul(GroupSpec(3, (1, 1)), m, (1, 0))
 
 
+def test_elements_reject_a_boolean_coordinate():
+    # True passed as the coordinate 1: add gave (1, 1), the closure grew
+    # {(0, 0), (True, 0)}, and 3 * True was the multiple 3
+    with pytest.raises(InputError, match="not reduced"):
+        add(C2C2, (True, 0), (0, 1))
+    with pytest.raises(InputError, match="non-integer coordinate"):
+        GroupSpec(3, (1, 1)).reduce_coords((True, 0))
+    with pytest.raises(InputError, match="non-integer coordinate"):
+        additive_closure(GroupSpec(3, (1, 1)), [(True, 0)])
+    with pytest.raises(InputError, match="not an integer"):
+        scalar_mul(GroupSpec(3, (1, 1)), True, (1, 0))
+    with pytest.raises(InputError, match="must be integers"):
+        GroupSpec(2, (True,))
+
+
 def test_scalar_mul_examples():
     assert scalar_mul(Z4, 2, (1,)) == (2,)
     assert scalar_mul(C2C2, 2, (1, 1)) == (0, 0)

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -13,6 +14,10 @@ from hopfgal import abelian, cli, correspondence, nilring
 from hopfgal.abelian import GroupSpec
 
 GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "golden.json"
+# child interpreters import hopfgal from this checkout's src/, as pytest does
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+CHILD_ENV = {**os.environ,
+             "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
 
 
 def run_cli(*argv):
@@ -20,6 +25,7 @@ def run_cli(*argv):
         [sys.executable, "-m", "hopfgal.cli", *argv],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
 
 
@@ -124,7 +130,8 @@ def test_the_parser_is_built_once_on_first_use():
     # (about a millisecond); importing the CLI builds none, and a rejected
     # argument list leaves the parser as it was
     probe = "import hopfgal.cli as c; print(c.build_parser.cache_info().currsize)"
-    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env=CHILD_ENV)
     assert result.stdout == "0\n", result.stderr
     runs = []
     for argv in (["report", "--family", "fixture:klein"], ["report", "--p", "x"],
@@ -405,7 +412,7 @@ def test_verify_primitive_reads_the_one_cap_and_input_check():
 ])
 def test_large_p_is_decided_at_once(p, code):
     result = subprocess.run([sys.executable, "-m", "hopfgal.cli", "enumerate", "--p", p, "--exp", "1"],
-                            capture_output=True, text=True, timeout=10)
+                            capture_output=True, text=True, timeout=10, env=CHILD_ENV)
     assert result.returncode == code, result.stderr
 
 
@@ -487,7 +494,7 @@ def test_cap_hol_zero_skips_the_cross_check():
 ])
 def test_cyclic_family_checks_the_range_before_p_to_the_n(argv):
     result = subprocess.run([sys.executable, "-m", "hopfgal.cli", *argv],
-                            capture_output=True, text=True, timeout=10)
+                            capture_output=True, text=True, timeout=10, env=CHILD_ENV)
     assert result.returncode == 2, result.stderr
     assert result.stderr == "input error: group order exceeds 64-bit range\n"
 

@@ -208,6 +208,19 @@ def test_conjugation_report_scans_every_gamma_when_another_table_is_held():
     assert len(ctx._lambda_cache) == ctx.spec.order
 
 
+def test_conjugation_report_scans_every_gamma_for_a_table_held_before_the_generators():
+    # on a fresh Context, a true lam held for (1, 1), no circle generator,
+    # before any generator's table is complete: the report completes the
+    # generators' tables first and then sees the third table
+    ctx = _c4c4_context()
+    gamma = (1, 1)
+    ctx.circle_translation_perm(gamma)
+    assert list(ctx._lambda_cache) == [gamma]
+    assert ctx.index[gamma] not in ctx.circle_generators
+    assert holomorph_conjugation_report(ctx)["failures"] == []
+    assert len(ctx._lambda_cache) == ctx.spec.order
+
+
 def test_conjugation_report_checks_the_circle_generators_commute():
     # on C2 x C2, the transposition (0 1) and the 3-cycle (0 2 3) as lam of
     # the circle generators (0, 1) and (1, 0); their two products send 0 to
@@ -470,8 +483,8 @@ def test_ideals_read_the_p_multiples_off_a_table(monkeypatch):
 
 def test_circle_type_reads_the_lattice_walks_circle_tables(monkeypatch):
     # the invariant side tabulates lam for the r = 5 circle generators, r |G|
-    # circle products, and the circle type reads those tables with no circle
-    # product of its own (by iterated p-th powers: up to p |G| = 729)
+    # circle products, and the circle type reads those tables point by point
+    # with no circle product of its own
     ctx = Context(primitive_structure(3, 5))
     circles = _counted(monkeypatch, nilring, "_circle")
     ideals(ctx)
@@ -483,6 +496,45 @@ def test_circle_type_reads_the_lattice_walks_circle_tables(monkeypatch):
     assert circles == []
     assert lattice_report(ctx).circle_type == (2, 1, 1, 1)
     assert circles == []
+
+
+def test_report_evaluates_the_circle_translations_point_by_point(monkeypatch):
+    # report reads only the type of (G, o) = C5^4: the greedy span of the
+    # r = 4 circle generators evaluates each one's lam on the span it grows,
+    # 5 + 25 + 125 + 625 = 780 circle products, and the p-th powers are read
+    # off those points (r full lam tables took r |G| = 2 500)
+    circles = _counted(monkeypatch, nilring, "_circle")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["report", "--family", "primitive", "--p", "5", "--n", "4"]) == cli.EXIT_OK
+    assert len(circles) == 5 + 25 + 125 + 625 == 780
+
+
+def test_circle_type_completes_no_table(monkeypatch):
+    # the circle type holds points of the generators' lam, no whole table,
+    # and composes none
+    for A in (primitive_structure(3, 5), cyclic_structure(3, 5, 1), _c4c4_context().ring):
+        ctx = Context(A)
+        perm_composes = _counted(monkeypatch, correspondence, "perm_compose")
+        ctx.circle_type
+        assert ctx._lambda_cache == {}
+        assert perm_composes == []
+        assert set(ctx._points) == {ctx.elements[n] for n in ctx.circle_generators}
+
+
+def test_circle_points_are_computed_once(monkeypatch):
+    # the circle type evaluates each of the r = 5 generators' lam on the span
+    # it grows, 3 + 9 + 27 + 81 + 243 = 363 points; they are kept and read
+    # again when the lattice and conjugation reports complete the tables:
+    # r |G| circle products in all, each point once
+    ctx = Context(primitive_structure(3, 5))
+    circles = _counted(monkeypatch, nilring, "_circle")
+    assert ctx.circle_type == (2, 1, 1, 1)
+    assert len(circles) == 3 + 9 + 27 + 81 + 243 == 363
+    lattice_report(ctx)
+    assert not holomorph_conjugation_report(ctx)["failures"]
+    assert len(ctx.circle_generators) == 5
+    assert len(circles) == 5 * 243 == 1215
+    assert ctx._points == {}
 
 
 def test_verify_primitive_computes_no_generators(monkeypatch):
@@ -502,9 +554,8 @@ def test_each_pair_is_conjugated_once(monkeypatch):
     # basis test, (2k + 1) r = 5 * 2 = 10 (a row per gamma took (2k + 1) |G|
     # = 80, and testing every pair by itself 2 |G|^2 = 512).  A passing
     # report holds no other lam(gamma), so it runs no closure.  The circle
-    # type, C8 x C2, takes p - 1 = 1 compose per p-th power of a
-    # non-identity lam: the 2 generators' squares, then 2 fourth and 1
-    # eighth power, 5.  So 15 in all
+    # type, C8 x C2, applies each lam point by point and composes no table
+    # (by p-th powers of tables it took 5 more, 15 in all)
     ctx = _c4c4_context()
     r = len(ctx.circle_generators)
     composes = _counted(monkeypatch, holomorph, "compose")
@@ -513,7 +564,7 @@ def test_each_pair_is_conjugated_once(monkeypatch):
     assert not holomorph_conjugation_report(ctx)["failures"]
     assert r == 2
     assert len(composes) == r
-    assert len(perm_composes) == (2 * ctx.spec.rank + 1) * r + 5 == 15
+    assert len(perm_composes) == (2 * ctx.spec.rank + 1) * r == 10
 
 
 def test_conjugation_report_makes_no_product_per_pair(monkeypatch):
@@ -549,14 +600,13 @@ def test_lattice_side_conjugates_by_the_circle_generators_only(monkeypatch):
     # most log_3 |G| = 5 of them; each row is one permutation compose for its
     # h and two for each of the 5 standard generators of C3^5 in the basis
     # test, 11 per circle generator (the full table of 243 rows takes 2673).
-    # The circle type, (2, 1, 1, 1), takes p - 1 = 2 composes per p-th power
-    # of a non-identity lam: the 5 generators' cubes, then the 1 cube left
-    # that is not the identity cubed again, 2 * (5 + 1) = 12
+    # The circle type, (2, 1, 1, 1), applies lam point by point and composes
+    # no table (by p-th powers of tables it took 12 more, 67 in all)
     ctx = Context(primitive_structure(3, 5))
     perm_composes = _counted(monkeypatch, correspondence, "perm_compose")
     lattice_report(ctx)
     assert len(ctx.circle_generators) == 5
-    assert len(perm_composes) == 11 * 5 + 2 * (5 + 1) == 67
+    assert len(perm_composes) == 11 * 5 == 55
 
 
 def test_each_row_tabulates_at_most_2k_plus_1_translations(monkeypatch):

@@ -97,6 +97,14 @@ def test_affine_map_validation():
         affine_map(C2C2, (0, 0), [[1.5, 0], [0, 1]])  # was stored as 1
 
 
+def test_affine_map_rejects_booleans():
+    # True was stored as 1, in the matrix and in the translation part
+    with pytest.raises(InputError, match="non-integer entry"):
+        affine_map(C2C2, (0, 0), [[True, 0], [0, 1]])
+    with pytest.raises(InputError, match="not reduced"):
+        affine_map(C2C2, (True, 0), [[1, 0], [0, 1]])
+
+
 def test_affine_map_checks_the_shape_before_reducing():
     # an extra row is a wrong shape, not dropped to leave the identity
     with pytest.raises(InputError):

@@ -542,6 +542,31 @@ def test_constructors_reject_a_non_integer_parameter(build, args):
         build(*args)
 
 
+def test_json_booleans_are_no_integers():
+    # JSON's true is a Python bool, and so an int: the spec below was read as
+    # C2 x C2, and the true constant passed the shape check and was reported
+    # as a nilpotency violation (true * true = true on C2)
+    with pytest.raises(InputError, match="must be integers"):
+        GroupSpec.from_json({"p": 2, "exponents": [True, True]})
+    with pytest.raises(InputError, match="must be integers"):
+        GroupSpec.from_json({"p": True, "exponents": [1]})
+    A = RingStructure.from_json({"spec": {"p": 2, "exponents": [1]}, "constants": [[[True]]]})
+    assert [v.axiom for v in validate(A)] == ["shape"]
+    with pytest.raises(InputError, match="invalid structure: shape"):
+        Context(A)
+    with pytest.raises(InputError, match="non-integer"):
+        make_structure(GroupSpec(2, (1,)), [[(True,)]])
+
+
+@pytest.mark.parametrize("build, args", [
+    (cyclic_structure, (3, 2, True)), (cyclic_structure, (3, True, 0)),
+    (primitive_structure, (3, True)), (gaussian_subspace_count, (3, True))])
+def test_constructors_reject_a_boolean_parameter(build, args):
+    # each built the structure or count for 1 in place of True
+    with pytest.raises(InputError, match="integer"):
+        build(*args)
+
+
 def _dense_product(A, a, b):
     """Reference product, independent of the package kernel: the sum over
     every (i, j) of a_i b_j c_ij, reduced modulo the factor orders."""
