@@ -102,7 +102,7 @@ class GroupSpec:
         return list(self._basis)
 
     def reduce_coords(self, coords) -> Elem:
-        if len(coords) != self.rank:
+        if not hasattr(coords, "__len__") or len(coords) != self.rank:
             raise InputError(f"element {coords} has wrong length for {self}")
         if not all(map(_is_int, coords)):
             raise InputError(f"element {coords} has a non-integer coordinate")
@@ -122,9 +122,11 @@ class GroupSpec:
         return self._elements
 
     def check_elem(self, a: Elem) -> None:
-        if len(a) != self.rank:
+        """InputError unless a is a sequence of rank reduced ints; exact ints are checked at C level."""
+        if not hasattr(a, "__len__") or len(a) != self.rank:
             raise InputError(f"element {a} has wrong length for {self}")
-        if any(not (_is_int(c) and 0 <= c < m) for c, m in zip(a, self.moduli)):
+        if not (min(a) >= 0 and all(map(operator.lt, a, self.moduli)) if {*map(type, a)} == {int}
+                else all(_is_int(c) and 0 <= c < m for c, m in zip(a, self.moduli))):
             raise InputError(f"element {a} not reduced for moduli {self.moduli}")
 
     def to_json(self) -> dict:
@@ -132,7 +134,12 @@ class GroupSpec:
 
     @staticmethod
     def from_json(data: dict) -> "GroupSpec":
-        return GroupSpec(data["p"], tuple(data["exponents"]))
+        try:
+            return GroupSpec(data["p"], tuple(data["exponents"]))
+        except KeyError as key:
+            raise InputError(f"spec JSON has no key {key}") from None
+        except TypeError:
+            raise InputError(f"spec JSON must be {{'p': int, 'exponents': [int, ...]}}: {data!r}") from None
 
     def __str__(self):
         return " x ".join(f"C{m}" for m in self.moduli)

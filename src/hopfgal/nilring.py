@@ -8,7 +8,8 @@ whose isomorphism type plays the role of the Galois group.
 `_circle` the package runs.  The ideals and the circle type are served by
 `correspondence.Context`, which caps and validates a structure first.
 The element kernel runs on sparse terms: the nonzero generator products,
-listed once per structure on first use.
+listed once per structure on first use; `validate` and `nilpotency_index`
+run on the matrices of x -> b_i x instead, the constants' rows transposed.
 `enumerate_structures` fills the table row by row: row i is the map
 x -> b_i x, kept when it is nilpotent and commutes with the rows before it.
 Nilpotency is decided once per residue class of a row mod p, and `validate`
@@ -51,11 +52,13 @@ class RingStructure:
 
     @staticmethod
     def from_json(data: dict) -> "RingStructure":
-        spec = GroupSpec.from_json(data["spec"])
-        constants = tuple(
-            tuple(tuple(c) for c in row) for row in data["constants"]
-        )
-        return RingStructure(spec, constants)
+        try:
+            return RingStructure(GroupSpec.from_json(data["spec"]),
+                                 tuple(tuple(tuple(c) for c in row) for row in data["constants"]))
+        except KeyError as key:
+            raise InputError(f"structure JSON has no key {key}") from None
+        except TypeError:
+            raise InputError(f"malformed structure JSON, constants not rows of elements: {data!r}") from None
 
     def sort_key(self):
         return self.constants
@@ -78,16 +81,12 @@ class Violation:
     axiom: str  # "shape" | "symmetry" | "well-defined" | "associativity" | "nilpotency"
     witness: tuple
 
-    def to_json(self) -> dict:
-        return {"axiom": self.axiom, "witness": repr(self.witness)}
-
 
 def make_structure(spec: GroupSpec, constants) -> RingStructure:
-    k = spec.rank
-    tab = tuple(tuple(spec.reduce_coords(c) for c in row) for row in constants)
-    if len(tab) != k or any(len(row) != k for row in tab):
-        raise InputError(f"constants table must be {k}x{k}")
-    return RingStructure(spec, tab)
+    A = RingStructure(spec, tuple(tuple(spec.reduce_coords(c) for c in row) for row in constants))
+    if not _square(A):
+        raise InputError(f"constants table must be {spec.rank}x{spec.rank}")
+    return A
 
 
 def _product(A: RingStructure, a: Elem, b: Elem, acc: list) -> Elem:
@@ -121,23 +120,31 @@ def nilpotency_index(A: RingStructure) -> int:
     valid structures have m <= n + 1.  By bilinearity the products b_i * g
     of the generators g of A^m generate A^(m+1), so A^m = 0 exactly when
     no nonzero generator is left."""
-    k = A.spec.rank
-    if len(A.constants) != k or any(len(row) != k for row in A.constants):
-        raise InputError(f"constants table must be {k}x{k}")
+    if not _square(A):
+        raise InputError(f"constants table must be {A.spec.rank}x{A.spec.rank}")
     for c in itertools.chain.from_iterable(A.constants):
         A.spec.check_elem(c)
-    return _nilpotency_index(A)
+    return _nilpotency_index(A, [tuple(zip(*row)) for row in A.constants])
 
 
-def _nilpotency_index(A: RingStructure) -> int:
-    """`nilpotency_index` for constants already checked, as `validate` has."""
-    spec = A.spec
-    zero = spec.zero()
-    basis = spec.basis()
-    gens = {c for row in A.constants for c in row} - {zero}  # of A^2
+def _square(A: RingStructure) -> bool:
+    """Whether the constants are a k x k table of sequences."""
+    k = A.spec.rank
+    try:
+        return len(A.constants) == k and all(len(row) == k for row in A.constants)
+    except TypeError:  # a table or a row with no length
+        return False
+
+
+def _nilpotency_index(A: RingStructure, ops) -> int:
+    """`nilpotency_index` on constants already checked: b_i g is ops[i] g, for
+    the matrix ops[i][u][t] = (b_i b_t)_u of x -> b_i x (`validate`)."""
+    spec, zero = A.spec, A.spec.zero()
+    gens = set(map(tuple, itertools.chain.from_iterable(A.constants))) - {zero}  # of A^2
     m = 2
     while gens and m <= spec.n + 1:
-        gens = {_mul(A, b, g) for b in basis for g in gens} - {zero}
+        gens = {tuple([sum(map(operator.mul, row, g)) % mod for row, mod in zip(op, spec.moduli)])
+                for op in ops for g in gens} - {zero}
         m += 1
     return m
 
@@ -145,47 +152,42 @@ def _nilpotency_index(A: RingStructure) -> int:
 def validate(A: RingStructure) -> list:
     """All axiom violations (empty iff A is a valid nilpotent structure).
 
-    Never raises: each violation names the failing axiom and a witness.
+    Never raises: each violation names the failing axiom and a witness.  Every
+    product is read off the matrix ops[i][u][t] = (b_i b_t)_u of x -> b_i x:
+    (b_i b_j) b_l = ops[l] c_ij and b_i (b_j b_l) = ops[i] c_jl, by symmetry.
     Associativity is checked once the product is commutative, on the triples
     i < l: (b_l b_j) b_i = b_i (b_j b_l) and b_l (b_j b_i) = (b_i b_j) b_l, so
     (l, j, i) is (i, j, l) with its sides swapped, and (i, j, i) holds.  A
     failing (i, j, l) is listed with (l, j, i), all in lexicographic order.
     """
-    spec = A.spec
-    k = spec.rank
-    out = []
-    if len(A.constants) != k or any(len(row) != k for row in A.constants):
-        return [Violation("shape", (len(A.constants),))]
+    spec, c = A.spec, A.constants
+    k, moduli = spec.rank, spec.moduli
+    if not _square(A):
+        return [Violation("shape", (len(c) if hasattr(c, "__len__") else c,))]
     for i, j in itertools.product(range(k), repeat=2):
         try:
-            spec.check_elem(A.constants[i][j])
+            spec.check_elem(c[i][j])
         except InputError:
-            return [Violation("shape", (i, j, A.constants[i][j]))]
-    for i, j in itertools.combinations(range(k), 2):
-        if A.constants[i][j] != A.constants[j][i]:
-            out.append(Violation("symmetry", (i, j)))
-    # bilinearity must respect the generator orders
-    for i, j in itertools.product(range(k), repeat=2):
-        killer = spec.p ** min(spec.exponents[i], spec.exponents[j])
-        if abelian._scalar_mul(spec, killer, A.constants[i][j]) != spec.zero():
-            out.append(Violation("well-defined", (i, j)))
+            return [Violation("shape", (i, j, c[i][j]))]
+    out = [Violation("symmetry", (i, j)) for i, j in itertools.combinations(range(k), 2) if c[i][j] != c[j][i]]
+    # bilinearity must respect the generator orders: p^min(e_i, e_j) c_ij = min(m_i, m_j) c_ij = 0
+    out += [Violation("well-defined", (i, j)) for i, j in itertools.product(range(k), repeat=2)
+            if any(map(operator.mod, map(min(moduli[i], moduli[j]).__mul__, c[i][j]), moduli))]
     if out:
         return out
-    basis = spec.basis()
+    ops = [tuple(zip(*row)) for row in c]
     failed = sorted(
         triple
         for i, l in itertools.combinations(range(k), 2)
         for j in range(k)
-        if _mul(A, A.constants[i][j], basis[l]) != _mul(A, basis[i], A.constants[j][l])
+        if any((sum(map(operator.mul, row_l, c[i][j])) - sum(map(operator.mul, row_i, c[j][l]))) % m
+               for row_l, row_i, m in zip(ops[l], ops[i], moduli))
         for triple in ((i, j, l), (l, j, i))
     )
     if failed:
         return [Violation("associativity", triple) for triple in failed]
-    if _nilpotency_index(A) > spec.n + 1:
-        witness = next(
-            (c for row in A.constants for c in row if c != spec.zero()),
-            spec.zero(),
-        )
+    if _nilpotency_index(A, ops) > spec.n + 1:
+        witness = next((x for row in c for x in row if x != spec.zero()), spec.zero())
         out.append(Violation("nilpotency", (witness,)))
     return out
 

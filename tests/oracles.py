@@ -261,3 +261,43 @@ def associativity_violations(A) -> list:
         for l in range(k)
         if mul(A, A.constants[i][j], basis[l]) != mul(A, basis[i], A.constants[j][l])
     ]
+
+
+def validation(A) -> list:
+    """(axiom, witness) for each violation `validate` reports, in its order,
+    built on `mul` and `add` alone: the shape by hand, then symmetry, the
+    order condition by adding c_ij to itself p^min(e_i, e_j) times, the k^3
+    triples of `associativity_violations`, and nilpotency from every product
+    of n + 1 generators, taken left to right."""
+    spec, table = A.spec, A.constants
+    k, moduli, zero = len(spec.exponents), spec.moduli, spec.zero()
+    if not hasattr(table, "__len__"):
+        return [("shape", (table,))]
+    if len(table) != k or any(not hasattr(row, "__len__") or len(row) != k for row in table):
+        return [("shape", (len(table),))]
+    for i in range(k):
+        for j in range(k):
+            c = table[i][j]
+            if not (hasattr(c, "__len__") and len(c) == k and all(
+                    type(x) is not bool and isinstance(x, int) and 0 <= x < m for x, m in zip(c, moduli))):
+                return [("shape", (i, j, c))]
+    out = [("symmetry", (i, j)) for i in range(k) for j in range(i + 1, k) if table[i][j] != table[j][i]]
+    for i in range(k):
+        for j in range(k):
+            total = zero
+            for _ in range(spec.p ** min(spec.exponents[i], spec.exponents[j])):
+                total = add(spec, total, table[i][j])
+            if total != zero:
+                out.append(("well-defined", (i, j)))
+    if out:
+        return out
+    failed = associativity_violations(A)
+    if failed:
+        return [("associativity", triple) for triple in failed]
+    basis = spec.basis()
+    products = set(basis)
+    for _ in range(spec.n):
+        products = {mul(A, x, b) for x in products for b in basis}
+    if any(x != zero for x in products):
+        return [("nilpotency", (next((c for row in table for c in row if c != zero), zero),))]
+    return []

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from hopfgal import abelian
+from hopfgal import abelian, nilring
 from hopfgal.abelian import (
     GroupSpec,
     add,
@@ -389,3 +389,61 @@ def test_additive_closure_rejects_wrong_length():
     with pytest.raises(InputError):
         subgroup_from_elements(C2C2, {(0, 0), (1,)})
     assert additive_closure(Z4, [(5,)]) == frozenset(Z4.elements())
+
+
+class _Int(int):
+    """An int subclass: an integer coordinate that is not exactly int."""
+
+
+def _reduced_by_the_per_coordinate_test(spec, a):
+    """The check_elem rule before its exact-int fast path: the right length,
+    then each coordinate an int that is no bool, in [0, m)."""
+    return len(a) == spec.rank and all(
+        isinstance(c, int) and not isinstance(c, bool) and 0 <= c < m for c, m in zip(a, spec.moduli))
+
+
+@pytest.mark.parametrize("spec", [GroupSpec(2, (2, 1)), GroupSpec(3, (1,))], ids=str)
+def test_check_elem_accepts_exactly_what_the_per_coordinate_test_accepts(spec):
+    # ints in and out of range, negatives, bools, floats and an int subclass,
+    # alone and mixed, as tuples and lists and at every length up to rank + 1
+    values = [0, 1, 2, 3, 4, -1, -4, True, False, 1.0, 0.0, _Int(1), _Int(3), _Int(-1), 2**70]
+    verdicts = set()
+    for length in range(spec.rank + 2):
+        for a in itertools.product(values, repeat=length):
+            for elem in (a, list(a)):
+                expected = _reduced_by_the_per_coordinate_test(spec, elem)
+                try:
+                    spec.check_elem(elem)
+                    got = True
+                except InputError:
+                    got = False
+                assert got is expected, elem
+                verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("call", [
+    lambda: add(C2C2, 5, (0, 1)),
+    lambda: add(C2C2, (0, 1), None),
+    lambda: mul(primitive_structure(2, 2), (1, 0), 7),
+    lambda: nilring.nilpotency_index(nilring.RingStructure(GroupSpec(2, (1,)), ((5,),))),
+    lambda: nilring.make_structure(GroupSpec(2, (1,)), [[5]]),
+    lambda: additive_closure(C2C2, [None]),
+], ids=["add-int", "add-None", "mul", "nilpotency_index", "make_structure", "additive_closure"])
+def test_an_element_with_no_length_is_an_input_error(call):
+    # len(5) raised TypeError, a traceback where the CLI's contract is exit 2;
+    # check_elem and reduce_coords both read the length
+    with pytest.raises(InputError, match="wrong length"):
+        call()
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"exponents": [1]}, "no key 'p'"),
+    ({"p": 2}, "no key 'exponents'"),
+    ({"p": 2, "exponents": 1}, "exponents"),
+    ([2, [1]], "spec JSON"),
+], ids=["no-p", "no-exponents", "exponents-int", "not-a-dict"])
+def test_spec_from_json_rejects_malformed_json(data, message):
+    # KeyError and TypeError came out raw
+    with pytest.raises(InputError, match=message):
+        GroupSpec.from_json(data)

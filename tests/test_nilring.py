@@ -1,6 +1,7 @@
 import ast
 import itertools
 import json
+import random
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -515,8 +516,9 @@ def test_validate_runs_no_helper_of_the_search():
 
 
 def test_structure_json_round_trip():
-    A = primitive_structure(2, 2)
-    assert RingStructure.from_json(A.to_json()) == A
+    for A in [primitive_structure(2, 2), *_catalogue_structures()]:
+        assert RingStructure.from_json(A.to_json()) == A
+        assert RingStructure.from_json(json.loads(json.dumps(A.to_json()))) == A
 
 
 @pytest.mark.parametrize("p", [2.9, "3", 3.0])
@@ -608,3 +610,95 @@ def test_sparse_terms_do_not_change_identity():
     assert fresh in {used} and used in {fresh} and len({used, fresh}) == 1
     assert used.to_json() == fresh.to_json() == primitive_structure(3, 3).to_json()
     assert RingStructure.from_json(used.to_json()) == fresh
+
+
+def _catalogue_structures():
+    """The 217 structures of the benchmark catalogue, read only."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "catalogue.json"
+    for group in json.loads(path.read_text())["groups"]:
+        spec = {"p": group["p"], "exponents": group["exponents"]}
+        for item in group["structures"]:
+            yield RingStructure.from_json({"spec": spec, "constants": item["constants"]})
+
+
+def _perturbations(A, rng):
+    """Seeded edits of A's table: one entry or one symmetric pair replaced by
+    a random element, and one coordinate made out of range, negative or a bool."""
+    spec, k = A.spec, A.spec.rank
+    out = []
+    for edit in range(8):
+        rows = [list(row) for row in A.constants]
+        i, j = rng.randrange(k), rng.randrange(k)
+        rows[i][j] = tuple(rng.randrange(m) for m in spec.moduli)
+        if edit % 2:
+            rows[j][i] = rows[i][j]
+        out.append(rows)
+    for bad in (spec.moduli[0], -1, True):
+        rows = [list(row) for row in A.constants]
+        i, j = rng.randrange(k), rng.randrange(k)
+        rows[i][j] = (bad,) + rows[i][j][1:]
+        out.append(rows)
+    return [RingStructure(spec, tuple(map(tuple, rows))) for rows in out]
+
+
+def test_validate_matches_the_reference_on_the_catalogue_and_perturbations():
+    # every violation list, axiom, witness and order, is the one the
+    # reference builds from mul and add alone
+    rng = random.Random(36)
+    seen, count = Counter(), 0
+    for A in _catalogue_structures():
+        assert validate(A) == []
+        for B in _perturbations(A, rng):
+            expected = oracles.validation(B)
+            assert [(v.axiom, v.witness) for v in validate(B)] == expected, B
+            seen.update({axiom for axiom, _ in expected})
+        count += 1
+    assert count == 217
+    assert set(seen) == {"shape", "symmetry", "well-defined", "associativity", "nilpotency"}, seen
+
+
+@pytest.mark.parametrize("constants, witness", [
+    (5, (5,)),
+    (None, (None,)),
+    ((5,), (1,)),
+    (((5,),), (0, 0, 5)),
+    (((None,),), (0, 0, None)),
+], ids=["table-int", "table-None", "row", "constant-int", "constant-None"])
+def test_validate_reports_a_part_that_is_not_a_sequence_as_its_shape(constants, witness):
+    # each raised TypeError ("object of type ... has no len()")
+    A = RingStructure(GroupSpec(2, (1,)), constants)
+    assert [(v.axiom, v.witness) for v in validate(A)] == [("shape", witness)]
+    assert oracles.validation(A) == [("shape", witness)]
+    with pytest.raises(InputError):
+        nilpotency_index(A)
+
+
+def test_validate_runs_no_sparse_product(monkeypatch):
+    # every product is read off the operator matrices: the sparse terms are
+    # never built and the product kernel never runs
+    calls = []
+    product = nilring._product
+    monkeypatch.setattr(nilring, "_product", lambda *args: calls.append(1) or product(*args))
+    rings = [primitive_structure(3, 3), cyclic_structure(3, 3, 4), make_structure(GroupSpec(2, (1,)), (((1,),),))]
+    rings += enumerate_structures(GroupSpec(2, (2, 1)))
+    for A in rings:
+        fresh = RingStructure(A.spec, A.constants)
+        validate(fresh)
+        nilpotency_index(fresh)
+        assert "_terms" not in vars(fresh)
+    assert calls == []
+    assert mul(rings[0], (1, 0, 0), (1, 0, 0)) == (0, 1, 0) and calls == [1]
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"spec": {"p": 2, "exponents": [1]}, "constants": [[5]]}, "constants not rows of elements"),
+    ({"spec": {"p": 2, "exponents": [1]}, "constants": 5}, "constants not rows of elements"),
+    ({"spec": {"p": 2, "exponents": [1]}}, "no key 'constants'"),
+    ({"constants": [[[0]]]}, "no key 'spec'"),
+    ({"spec": {"p": 2}, "constants": [[[0]]]}, "no key 'exponents'"),
+    ({"spec": {"p": 2, "exponents": 1}, "constants": [[[0]]]}, "exponents"),
+], ids=["constant-int", "constants-int", "no-constants", "no-spec", "no-exponents", "exponents-int"])
+def test_structure_from_json_rejects_malformed_json(data, message):
+    # each raised the raw TypeError or KeyError
+    with pytest.raises(InputError, match=message):
+        RingStructure.from_json(data)
