@@ -37,6 +37,14 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _length(x):
+    """len(x), or None for an object with no length, whose len raises TypeError."""
+    try:
+        return len(x)
+    except TypeError:
+        return None
+
+
 def is_prime(p: int) -> bool:
     """Deterministic Miller-Rabin on the prime bases 2..37, exact below
     3.18 * 10^23 (GroupSpec checks p < 2^63 first)."""
@@ -102,7 +110,7 @@ class GroupSpec:
         return list(self._basis)
 
     def reduce_coords(self, coords) -> Elem:
-        if not hasattr(coords, "__len__") or len(coords) != self.rank:
+        if _length(coords) != self.rank:
             raise InputError(f"element {coords} has wrong length for {self}")
         if not all(map(_is_int, coords)):
             raise InputError(f"element {coords} has a non-integer coordinate")
@@ -122,11 +130,10 @@ class GroupSpec:
         return self._elements
 
     def check_elem(self, a: Elem) -> None:
-        """InputError unless a is a sequence of rank reduced ints; exact ints are checked at C level."""
-        if not hasattr(a, "__len__") or len(a) != self.rank:
+        """InputError unless a is a sequence of rank ints, each in [0, its modulus)."""
+        if _length(a) != self.rank:
             raise InputError(f"element {a} has wrong length for {self}")
-        if not (min(a) >= 0 and all(map(operator.lt, a, self.moduli)) if {*map(type, a)} == {int}
-                else all(_is_int(c) and 0 <= c < m for c, m in zip(a, self.moduli))):
+        if not (all(map(_is_int, a)) and min(a) >= 0 and all(map(operator.lt, a, self.moduli))):
             raise InputError(f"element {a} not reduced for moduli {self.moduli}")
 
     def to_json(self) -> dict:

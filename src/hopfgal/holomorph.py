@@ -257,7 +257,7 @@ def ring_from_regular_subgroup(T: RegularSubgroup) -> RingStructure:
             "regular subgroup does not induce a valid nilpotent structure",
             witness={
                 "subgroup": T.to_json(),
-                "violations": [v.to_json() for v in violations],
+                "violations": [{"axiom": v.axiom, "witness": repr(v.witness)} for v in violations],
             },
         )
     return A

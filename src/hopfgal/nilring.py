@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import abelian
-from .abelian import Elem, GroupSpec
+from .abelian import Elem, GroupSpec, _length
 from .errors import CapExceeded, InputError, TheoremViolation
 
 DEFAULT_SEARCH_CAP = 1 << 24
@@ -58,7 +58,7 @@ class RingStructure:
         except KeyError as key:
             raise InputError(f"structure JSON has no key {key}") from None
         except TypeError:
-            raise InputError(f"malformed structure JSON, constants not rows of elements: {data!r}") from None
+            raise InputError(f"structure JSON must be {{'spec': ..., 'constants': [[elem, ...], ...]}}: {data!r}") from None
 
     def sort_key(self):
         return self.constants
@@ -128,12 +128,8 @@ def nilpotency_index(A: RingStructure) -> int:
 
 
 def _square(A: RingStructure) -> bool:
-    """Whether the constants are a k x k table of sequences."""
-    k = A.spec.rank
-    try:
-        return len(A.constants) == k and all(len(row) == k for row in A.constants)
-    except TypeError:  # a table or a row with no length
-        return False
+    """Whether the constants are a k x k table (`abelian._length` decides what has a length)."""
+    return _length(A.constants) == A.spec.rank and all(_length(row) == A.spec.rank for row in A.constants)
 
 
 def _nilpotency_index(A: RingStructure, ops) -> int:
@@ -160,10 +156,9 @@ def validate(A: RingStructure) -> list:
     (l, j, i) is (i, j, l) with its sides swapped, and (i, j, i) holds.  A
     failing (i, j, l) is listed with (l, j, i), all in lexicographic order.
     """
-    spec, c = A.spec, A.constants
-    k, moduli = spec.rank, spec.moduli
+    spec, c, k, moduli = A.spec, A.constants, A.spec.rank, A.spec.moduli
     if not _square(A):
-        return [Violation("shape", (len(c) if hasattr(c, "__len__") else c,))]
+        return [Violation("shape", (c if (n := _length(c)) is None else n,))]
     for i, j in itertools.product(range(k), repeat=2):
         try:
             spec.check_elem(c[i][j])
@@ -187,9 +182,8 @@ def validate(A: RingStructure) -> list:
     if failed:
         return [Violation("associativity", triple) for triple in failed]
     if _nilpotency_index(A, ops) > spec.n + 1:
-        witness = next((x for row in c for x in row if x != spec.zero()), spec.zero())
-        out.append(Violation("nilpotency", (witness,)))
-    return out
+        return [Violation("nilpotency", (next((x for row in c for x in row if any(x)), spec.zero()),))]
+    return []
 
 
 def circle(A: RingStructure, a: Elem, b: Elem) -> Elem:

@@ -263,6 +263,14 @@ def associativity_violations(A) -> list:
     ]
 
 
+def _length(x):
+    """len(x), or None where len raises TypeError (5, None, the class tuple)."""
+    try:
+        return len(x)
+    except TypeError:
+        return None
+
+
 def validation(A) -> list:
     """(axiom, witness) for each violation `validate` reports, in its order,
     built on `mul` and `add` alone: the shape by hand, then symmetry, the
@@ -271,14 +279,14 @@ def validation(A) -> list:
     of n + 1 generators, taken left to right."""
     spec, table = A.spec, A.constants
     k, moduli, zero = len(spec.exponents), spec.moduli, spec.zero()
-    if not hasattr(table, "__len__"):
+    if _length(table) is None:
         return [("shape", (table,))]
-    if len(table) != k or any(not hasattr(row, "__len__") or len(row) != k for row in table):
+    if len(table) != k or any(_length(row) != k for row in table):
         return [("shape", (len(table),))]
     for i in range(k):
         for j in range(k):
             c = table[i][j]
-            if not (hasattr(c, "__len__") and len(c) == k and all(
+            if not (_length(c) == k and all(
                     type(x) is not bool and isinstance(x, int) and 0 <= x < m for x, m in zip(c, moduli))):
                 return [("shape", (i, j, c))]
     out = [("symmetry", (i, j)) for i in range(k) for j in range(i + 1, k) if table[i][j] != table[j][i]]

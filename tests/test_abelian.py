@@ -396,8 +396,9 @@ class _Int(int):
 
 
 def _reduced_by_the_per_coordinate_test(spec, a):
-    """The check_elem rule before its exact-int fast path: the right length,
-    then each coordinate an int that is no bool, in [0, m)."""
+    """The check_elem rule one coordinate at a time, as it was written before
+    its range test ran at C level: the right length, then each coordinate an
+    int that is no bool, in [0, m)."""
     return len(a) == spec.rank and all(
         isinstance(c, int) and not isinstance(c, bool) and 0 <= c < m for c, m in zip(a, spec.moduli))
 
@@ -429,10 +430,13 @@ def test_check_elem_accepts_exactly_what_the_per_coordinate_test_accepts(spec):
     lambda: nilring.nilpotency_index(nilring.RingStructure(GroupSpec(2, (1,)), ((5,),))),
     lambda: nilring.make_structure(GroupSpec(2, (1,)), [[5]]),
     lambda: additive_closure(C2C2, [None]),
-], ids=["add-int", "add-None", "mul", "nilpotency_index", "make_structure", "additive_closure"])
+    lambda: add(C2C2, tuple, (0, 1)),
+    lambda: C2C2.reduce_coords(tuple),
+], ids=["add-int", "add-None", "mul", "nilpotency_index", "make_structure", "additive_closure", "add-class",
+        "reduce_coords-class"])
 def test_an_element_with_no_length_is_an_input_error(call):
     # len(5) raised TypeError, a traceback where the CLI's contract is exit 2;
-    # check_elem and reduce_coords both read the length
+    # check_elem and reduce_coords both read the length, as does len(tuple)
     with pytest.raises(InputError, match="wrong length"):
         call()
 

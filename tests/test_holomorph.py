@@ -8,7 +8,7 @@ import oracles
 from hopfgal import abelian
 from hopfgal.abelian import GroupSpec
 from hopfgal.errors import CapExceeded, InputError, TheoremViolation
-from hopfgal import holomorph
+from hopfgal import holomorph, nilring
 from hopfgal.holomorph import (
     AffineMap,
     affine_map,
@@ -502,3 +502,15 @@ def test_linear_image_scan_does_not_change_identity():
         assert scanned.apply(x) == fresh.apply(x) == _image(fresh, x)
     assert inverse(scanned) == inverse(fresh)
     assert "linear_table" in vars(fresh)
+
+
+def test_ring_from_regular_subgroup_reports_the_violations_it_would_contradict(monkeypatch):
+    # a validation failure on an abelian regular subgroup is a theorem
+    # violation whose witness lists each violation's axiom and witness
+    T = regular_subgroup_from_ring(primitive_structure(2, 2))
+    violation = nilring.Violation("associativity", (0, 1, 2))
+    monkeypatch.setattr(nilring, "validate", lambda A: [violation])
+    with pytest.raises(TheoremViolation, match="does not induce") as info:
+        ring_from_regular_subgroup(T)
+    assert info.value.witness["subgroup"] == T.to_json()
+    assert info.value.witness["violations"] == [{"axiom": "associativity", "witness": "(0, 1, 2)"}]

@@ -663,9 +663,14 @@ def test_validate_matches_the_reference_on_the_catalogue_and_perturbations():
     ((5,), (1,)),
     (((5,),), (0, 0, 5)),
     (((None,),), (0, 0, None)),
-], ids=["table-int", "table-None", "row", "constant-int", "constant-None"])
+    (tuple, (tuple,)),
+    ((tuple,), (1,)),
+    (((tuple,),), (0, 0, tuple)),
+], ids=["table-int", "table-None", "row", "constant-int", "constant-None", "table-class", "row-class",
+        "constant-class"])
 def test_validate_reports_a_part_that_is_not_a_sequence_as_its_shape(constants, witness):
-    # each raised TypeError ("object of type ... has no len()")
+    # each raised TypeError ("object of type ... has no len()"); a class such
+    # as tuple has a __len__ attribute, yet len(tuple) raises TypeError too
     A = RingStructure(GroupSpec(2, (1,)), constants)
     assert [(v.axiom, v.witness) for v in validate(A)] == [("shape", witness)]
     assert oracles.validation(A) == [("shape", witness)]
@@ -691,13 +696,16 @@ def test_validate_runs_no_sparse_product(monkeypatch):
 
 
 @pytest.mark.parametrize("data, message", [
-    ({"spec": {"p": 2, "exponents": [1]}, "constants": [[5]]}, "constants not rows of elements"),
-    ({"spec": {"p": 2, "exponents": [1]}, "constants": 5}, "constants not rows of elements"),
+    ({"spec": {"p": 2, "exponents": [1]}, "constants": [[5]]}, "structure JSON must be"),
+    ({"spec": {"p": 2, "exponents": [1]}, "constants": 5}, "structure JSON must be"),
+    ([{"p": 2, "exponents": [1]}, [[[0]]]], "structure JSON must be"),
+    ("constants", "structure JSON must be"),
     ({"spec": {"p": 2, "exponents": [1]}}, "no key 'constants'"),
     ({"constants": [[[0]]]}, "no key 'spec'"),
     ({"spec": {"p": 2}, "constants": [[[0]]]}, "no key 'exponents'"),
     ({"spec": {"p": 2, "exponents": 1}, "constants": [[[0]]]}, "exponents"),
-], ids=["constant-int", "constants-int", "no-constants", "no-spec", "no-exponents", "exponents-int"])
+], ids=["constant-int", "constants-int", "list", "string", "no-constants", "no-spec", "no-exponents",
+         "exponents-int"])
 def test_structure_from_json_rejects_malformed_json(data, message):
     # each raised the raw TypeError or KeyError
     with pytest.raises(InputError, match=message):
