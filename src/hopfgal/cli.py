@@ -350,10 +350,11 @@ def _verify_cyclic(args) -> dict:
         # before its lattice report; a family has one spec, so the first decides
         if A.spec != spec:
             raise InputError(f"cyclic verification requires structures on Z/p^n = {spec}")
-        if nilring.validate(A):
-            raise TheoremViolation("cyclic-family structure failed validation",
-                                   witness=A.to_json())
-        report = correspondence.lattice_report(Context(A, args.cap_enum))
+        try:  # the cap was compared above, so the Context's InputError is its validation
+            ctx = Context(A, args.cap_enum)
+        except InputError:
+            raise TheoremViolation("cyclic-family structure failed validation", witness=A.to_json()) from None
+        report = correspondence.lattice_report(ctx)
         if [s.elements for s in report.ideals] != sub_sets:
             raise TheoremViolation(
                 "ideals of the cyclic-family structure are not all additive subgroups",

@@ -8,12 +8,12 @@ whose isomorphism type plays the role of the Galois group.
 `_circle` the package runs.  The ideals and the circle type are served by
 `correspondence.Context`, which caps and validates a structure first.
 The element kernel runs on sparse terms: the nonzero generator products,
-listed once per structure on first use; `validate` and `nilpotency_index`
-run on the matrices of x -> b_i x instead, the constants' rows transposed.
-`enumerate_structures` fills the table row by row: row i is the map
-x -> b_i x, kept when it is nilpotent and commutes with the rows before it.
-Nilpotency is decided once per residue class of a row mod p, and `validate`
-checks associativity on the triples i < l, which commutativity leaves.
+listed once per structure on first use.  `validate`, `nilpotency_index` and
+the search's row tests run on the matrices of x -> b_i x, the constants' rows
+transposed.  `enumerate_structures` fills the table row by row: row i is the
+map x -> b_i x, kept when it commutes with the rows before it and is nilpotent
+on G/pG, decided once per residue class of the row mod p.  `validate` checks
+associativity on the triples i < l, and nilpotency on each matrix mod p.
 """
 
 from __future__ import annotations
@@ -117,25 +117,14 @@ def mul(A: RingStructure, a: Elem, b: Elem) -> Elem:
 
 def nilpotency_index(A: RingStructure) -> int:
     """Least m with every m-fold product zero; n + 2 if A^(n+1) != 0, where
-    valid structures have m <= n + 1.  By bilinearity the products b_i * g
-    of the generators g of A^m generate A^(m+1), so A^m = 0 exactly when
-    no nonzero generator is left."""
+    valid structures have m <= n + 1.  The products ops[i] g = b_i g of the
+    generators g of A^m generate A^(m+1), by bilinearity, so A^m = 0 exactly
+    when no nonzero generator is left (ops[i]: `validate`'s matrices)."""
     if not _square(A):
         raise InputError(f"constants table must be {A.spec.rank}x{A.spec.rank}")
     for c in itertools.chain.from_iterable(A.constants):
         A.spec.check_elem(c)
-    return _nilpotency_index(A, [tuple(zip(*row)) for row in A.constants])
-
-
-def _square(A: RingStructure) -> bool:
-    """Whether the constants are a k x k table (`abelian._length` decides what has a length)."""
-    return _length(A.constants) == A.spec.rank and all(_length(row) == A.spec.rank for row in A.constants)
-
-
-def _nilpotency_index(A: RingStructure, ops) -> int:
-    """`nilpotency_index` on constants already checked: b_i g is ops[i] g, for
-    the matrix ops[i][u][t] = (b_i b_t)_u of x -> b_i x (`validate`)."""
-    spec, zero = A.spec, A.spec.zero()
+    spec, zero, ops = A.spec, A.spec.zero(), [tuple(zip(*row)) for row in A.constants]
     gens = set(map(tuple, itertools.chain.from_iterable(A.constants))) - {zero}  # of A^2
     m = 2
     while gens and m <= spec.n + 1:
@@ -143,6 +132,11 @@ def _nilpotency_index(A: RingStructure, ops) -> int:
                 for op in ops for g in gens} - {zero}
         m += 1
     return m
+
+
+def _square(A: RingStructure) -> bool:
+    """Whether the constants are a k x k table (`abelian._length` decides what has a length)."""
+    return _length(A.constants) == A.spec.rank and all(_length(row) == A.spec.rank for row in A.constants)
 
 
 def validate(A: RingStructure) -> list:
@@ -155,8 +149,12 @@ def validate(A: RingStructure) -> list:
     i < l: (b_l b_j) b_i = b_i (b_j b_l) and b_l (b_j b_i) = (b_i b_j) b_l, so
     (l, j, i) is (i, j, l) with its sides swapped, and (i, j, i) holds.  A
     failing (i, j, l) is listed with (l, j, i), all in lexicographic order.
+    Nilpotency comes last, when the L_i = (x -> b_i x) commute: A^(n+1) = 0 iff
+    each L_i is nilpotent (L_i^n G is in A^(n+1); commuting nilpotent L_i make
+    A > A^2 > ... fall strictly to 0, |G| = p^n).  As L_i commutes with x -> px,
+    that holds iff ops[i] mod p on G/pG = F_p^k, squared s times, is 0, 2^s >= k.
     """
-    spec, c, k, moduli = A.spec, A.constants, A.spec.rank, A.spec.moduli
+    spec, c, k, moduli, p = A.spec, A.constants, A.spec.rank, A.spec.moduli, A.spec.p
     if not _square(A):
         return [Violation("shape", (c if (n := _length(c)) is None else n,))]
     for i, j in itertools.product(range(k), repeat=2):
@@ -181,8 +179,13 @@ def validate(A: RingStructure) -> list:
     )
     if failed:
         return [Violation("associativity", triple) for triple in failed]
-    if _nilpotency_index(A, ops) > spec.n + 1:
-        return [Violation("nilpotency", (next((x for row in c for x in row if any(x)), spec.zero()),))]
+    for op in ops:
+        power = [[x % p for x in row] for row in op]
+        for _ in range((k - 1).bit_length()):  # power = op^(2^s) mod p, 2^s >= k
+            if any(map(any, power)):
+                power = [[sum(map(operator.mul, row, col)) % p for col in zip(*power)] for row in power]
+        if any(map(any, power)):
+            return [Violation("nilpotency", (next((x for row in c for x in row if any(x)), spec.zero()),))]
     return []
 
 
@@ -252,32 +255,28 @@ def _entry_ranges(spec: GroupSpec, i: int, j: int) -> list:
     ]
 
 
-def _apply(spec: GroupSpec, row, x: Elem) -> Elem:
-    """L(x) = sum_t x_t row[t], reduced: row holds the products b b_t of
-    the generators with some b, and L is x -> b x."""
-    acc = [0] * len(x)
-    for xt, image in zip(x, row):
-        if xt:
-            for u, c in enumerate(image):
-                acc[u] += xt * c
-    return tuple(map(operator.mod, acc, spec.moduli))
-
-
 def _commute(spec: GroupSpec, row, other) -> bool:
-    """Whether the maps of two rows commute, on the generators: L(L'(b_t))
-    = L'(L(b_t)) with L(b_t) = row[t] and L'(b_t) = other[t]."""
-    return all(_apply(spec, row, y) == _apply(spec, other, x) for x, y in zip(row, other))
+    """Whether the maps of two rows commute, on the generators: L(L'(b_t)) =
+    L'(L(b_t)), L(b_t) = row[t], L'(b_t) = other[t], one coordinate at a time:
+    L(x)_u is x dotted with row u of L's matrix, the row transposed."""
+    ops, other_ops = tuple(zip(*row)), tuple(zip(*other))
+    for x, y in zip(row, other):
+        for op, other_op, m in zip(ops, other_ops, spec.moduli):
+            if (sum(map(operator.mul, op, y)) - sum(map(operator.mul, other_op, x))) % m:
+                return False
+    return True
 
 
 def _nilpotent(spec: GroupSpec, row) -> bool:
-    """Whether the map L of `row` (`_apply`) is nilpotent, decided on G/pG =
+    """Whether the map L of `row` (`_commute`) is nilpotent, decided on G/pG =
     F_p^k, k the rank: L commutes with x -> px, so L^k(G) in pG gives L^(ke)(G)
-    = 0, e the largest exponent.  The images of the generators, from L(b_t) =
-    row[t], are followed k - 1 steps, each dropped once it lies in pG."""
-    p = spec.p
-    vectors = {x for x in row if any(c % p for c in x)}
+    = 0, e the largest exponent.  The generators' images L(b_t) = row[t] mod p
+    are followed k - 1 steps under L's matrix mod p, each dropped once 0."""
+    p, mod_p = spec.p, spec.p.__rmod__  # mod_p(c) = c % p
+    op = [tuple(map(mod_p, col)) for col in zip(*row)]
+    vectors = {y for y in (tuple(map(mod_p, x)) for x in row) if any(y)}
     for _ in range(spec.rank - 1):
-        vectors = {y for y in (_apply(spec, row, x) for x in vectors) if any(c % p for c in y)}
+        vectors = {y for y in (tuple([sum(map(operator.mul, r, x)) % p for r in op]) for x in vectors) if any(y)}
     return not vectors
 
 

@@ -106,14 +106,30 @@ def _counted(monkeypatch, owner, name):
 
 
 def test_verify_cyclic_walks_the_ideals_once_per_structure(monkeypatch):
-    # per structure: the explicit validation, the Context's, and the one
-    # ideal walk of its lattice report, which is compared with the subgroups
+    # per structure: one validation, the Context's, which the check does not
+    # repeat, and the one ideal walk of its lattice report, which is compared
+    # with the subgroups
     validations = _counted(monkeypatch, nilring, "validate")
     walks = _counted(monkeypatch, correspondence, "ideals")
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["verify", "cyclic", "--p", "3", "--n", "3", "--all-d"]) == cli.EXIT_OK
     assert len(walks) == 9
-    assert len(validations) == 18
+    assert len(validations) == 9
+
+
+def test_verify_cyclic_reports_a_structure_that_fails_validation(monkeypatch):
+    # the Context's "invalid structure" input error is the check's theorem
+    # violation, exit 4, with the structure as its witness: 1 * 1 = 1 on Z/27
+    # is not nilpotent
+    bad = nilring.RingStructure(GroupSpec(3, (3,)), (((1,),),))
+    monkeypatch.setattr(nilring, "cyclic_structure", lambda p, n, d: bad)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(["verify", "cyclic", "--p", "3", "--n", "3", "--d", "1"])
+    assert code == cli.EXIT_VIOLATION
+    message, _, witness = err.getvalue().partition("\n")
+    assert message == "verified identity failed: cyclic-family structure failed validation"
+    assert json.loads(witness) == {"spec": {"p": 3, "exponents": [3]}, "constants": [[[1]]]}
 
 
 def test_verify_elementary_validates_once_per_structure(monkeypatch):

@@ -470,6 +470,31 @@ def test_search_raises_on_a_kept_table_that_validate_rejects(monkeypatch):
         enumerate_structures(Z4)
 
 
+def _row_map(spec, row):
+    """x -> b_0 x, tabulated over G with `mul` alone, for a table whose row 0
+    is `row` and whose other rows are 0."""
+    zero = spec.zero()
+    A = RingStructure(spec, (tuple(row),) + ((zero,) * spec.rank,) * (spec.rank - 1))
+    b0 = spec.basis()[0]
+    return {x: mul(A, b0, x) for x in spec.elements()}
+
+
+@pytest.mark.parametrize("spec", [GroupSpec(2, (2, 1)), GroupSpec(3, (1, 1)), GroupSpec(3, (2, 1))],
+                         ids=str)
+def test_commute_matches_composing_the_products(spec):
+    # on every pair of row-0 candidates, the commute test on the rows' matrices
+    # agrees with L(L'(b_t)) = L'(L(b_t)) composed from products
+    rows = list(itertools.product(*(itertools.product(*nilring._entry_ranges(spec, 0, j))
+                                    for j in range(spec.rank))))
+    maps = [_row_map(spec, row) for row in rows]
+    verdicts = Counter()
+    for (row, L), (other, M) in itertools.product(zip(rows, maps), repeat=2):
+        verdict = all(L[M[b]] == M[L[b]] for b in spec.basis())
+        assert nilring._commute(spec, row, other) is verdict, (row, other)
+        verdicts[verdict] += 1
+    assert verdicts[True] and verdicts[False]
+
+
 @pytest.mark.parametrize("spec", [GroupSpec(p, e) for p, e in [
     (2, (3, 2)), (3, (2, 1)), (2, (2, 1, 1)), (2, (6,))]], ids=str)
 def test_nilpotency_on_g_mod_p_matches_n_steps_on_g(spec):
@@ -510,7 +535,7 @@ def test_validate_runs_no_helper_of_the_search():
         if name not in reached:
             reached.add(name)
             todo.extend(calls[name] & calls.keys())
-    prune = {"_apply", "_commute", "_nilpotent", "_kept_tables", "enumerate_structures"}
+    prune = {"_commute", "_nilpotent", "_kept_tables", "enumerate_structures"}
     assert prune <= calls.keys()
     assert not reached & prune
 
@@ -655,6 +680,26 @@ def test_validate_matches_the_reference_on_the_catalogue_and_perturbations():
         count += 1
     assert count == 217
     assert set(seen) == {"shape", "symmetry", "well-defined", "associativity", "nilpotency"}, seen
+
+
+@pytest.mark.parametrize("A, expected", [
+    (make_structure(GroupSpec(2, (1, 1, 1)), [[(1, 0, 0)] + [(0, 0, 0)] * 2] + [[(0, 0, 0)] * 3] * 2),
+     [("nilpotency", ((1, 0, 0),))]),
+    (make_structure(GroupSpec(2, (2, 1)), [[(1, 0), (0, 0)], [(0, 0), (0, 0)]]),
+     [("nilpotency", ((1, 0),))]),
+    (make_structure(GroupSpec(3, (1, 1)), [[(1, 0), (0, 0)], [(0, 0), (0, 0)]]),
+     [("nilpotency", ((1, 0),))]),
+    (primitive_structure(2, 3), []),
+    (make_structure(C2C2, [[(1, 1)] * 2] * 2), []),
+], ids=["C2^3", "C4xC2", "F_3^2", "primitive(2,3)", "C2^2-square-zero"])
+def test_validate_matches_the_reference_on_planted_nilpotency_tables(A, expected):
+    # b_0 b_0 = b_0 is commutative and associative and fails only nilpotency;
+    # its matrix mod p is nonzero, so the verdict needs a matrix product.  On
+    # primitive(2, 3), x -> zx is nilpotent of index 3 = k: its matrix mod p
+    # and that matrix squared are nonzero, so the verdict needs k - 1 products.
+    # Every product b_i b_j = b_0 + b_1 on C2^2 gives matrices whose square is
+    # 2 in every entry, 0 only mod p
+    assert [(v.axiom, v.witness) for v in validate(A)] == oracles.validation(A) == expected
 
 
 @pytest.mark.parametrize("constants, witness", [
