@@ -7,7 +7,8 @@ Per workload, PAIRS pairs (seeds FIRST_SEED on) each run `perfbench/run.py`
 once in each checkout with the same seed and the run length of the change's
 BENCHMARK.json, alternating which side runs first.  These values are fixed
 so that every BENCH_*.json is made the same way.  Neither checkout may
-hold a `__pycache__` at the start, so that both sides compile alike.  Per
+hold a `__pycache__` at the start, so that both sides compile alike, and a
+run with a failed verdict stops the script before any file is written.  Per
 workload the summary holds, for every end-to-end metric, each side's median
 and quartiles and the pairs the change won and lost; every run's pass count
 and tail percentile; each job's median raw seconds per side; and, from one
@@ -48,6 +49,14 @@ def run(root, workload, seed, seconds, trace=0):
     info = json.loads(next(l for l in lines if l.startswith("# info "))[len("# info "):])
     record = json.loads((root / ".perfbench_out" / f"{workload}-seed{seed}-trace{trace}.json").read_text())
     return result, info, record
+
+
+def refuse_failures(result, workload, seed, side):
+    """Stop before any BENCH file is written if a run's verdicts failed: its
+    timings would time failures, not the work."""
+    if result["failed"]:
+        raise SystemExit(f"{workload} seed {seed} {side}: {result['failed']} of "
+                         f"{result['attempted']} verdicts failed; no BENCH file written")
 
 
 def quartiles(values):
@@ -130,6 +139,7 @@ def main(argv=None):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for s in order:
                 result, info, record = run(roots[s], workload, seed, bench["run_seconds"])
+                refuse_failures(result, workload, seed, s)
                 rows.append({"pair": i, "seed": seed, "side": s, "ran_first": s == order[0],
                              "passes": info["passes"], "tail_percentile": info["tail_percentile"],
                              "attempted": result["attempted"], "failed": result["failed"],
@@ -142,6 +152,7 @@ def main(argv=None):
         traced = {}
         for s, root in roots.items():
             result = run(root, workload, TRACE_SEED, bench["run_seconds"], trace=1)[0]
+            refuse_failures(result, workload, TRACE_SEED, s)
             traced[s] = {k: v["value"] for k, v in result["metrics"].items()
                          if v["unit"] == "count"}
         out["workloads"][workload] = summarize(rows, traced, bench["end_to_end"])

@@ -8,8 +8,8 @@ for small holomorphs.  `AffineMap.apply`, `tau`, `translation` and
 `affine_map` check their elements, and `regular_subgroup_from_ring` its ring;
 the rest is unchecked, and the package's own loops build circle translations
 with `_tau`.  The round trip runs on the matrices: a reduced, well-defined
-(a, m) is its map, so no map there is evaluated or tabulated.  Elsewhere a
-map tabulates its linear part on element indices once, on first use:
+(a, m) is its map, and the way back tests T abelian by T = tau(A), with no
+closure.  Elsewhere a map tabulates its linear part on element indices once:
 `AffineMap.linear_table` serves the image count that `is_invertible` and
 `inverse` read, the conjugation report and the search.  The search tests
 p-power order once per automorphism m: Hol(G) -> Aut(G) has kernel the
@@ -137,8 +137,8 @@ def inverse(f: AffineMap) -> AffineMap:
 def tau(A: RingStructure, g: Elem) -> AffineMap:
     """The affine map x -> g o x realizing left circle translation by g.  A is
     not validated here, so the map's image count is checked: InputError if
-    it is not invertible.  The package's loops over `spec.elements()`, on a
-    validated ring, call `_tau`, which skips both checks."""
+    it is not invertible.  The package's own loops over `spec.elements()`
+    call `_tau`, which skips both checks."""
     A.spec.check_elem(g)
     f = _tau(A, g)
     if not f._bijective:
@@ -147,12 +147,17 @@ def tau(A: RingStructure, g: Elem) -> AffineMap:
 
 
 def _tau(A: RingStructure, g: Elem) -> AffineMap:
-    """tau for a reduced g and a valid A; column j, b_j + g*b_j, is reduced by
-    `_add`.  The map is x -> g + (I + M_g)(x), M_g multiplication by g, which
-    is nilpotent on a valid A, so I + M_g is invertible and nothing is checked."""
+    """tau for a reduced g, unchecked: x -> g + (I + M_g)(x), M_g multiplication
+    by g, nilpotent on a valid A, so I + M_g is invertible there.  Column j,
+    b_j + g*b_j = b_j + sum_i g_i b_i b_j, is summed in one pass over the
+    nonzero products (`RingStructure._terms`), then reduced."""
     spec = A.spec
-    cols = [abelian._add(spec, b, nilring._mul(A, g, b)) for b in spec._basis]
-    return AffineMap(spec, g, tuple(zip(*cols)))
+    rows = list(map(list, spec._basis))  # rows[t][j]: coordinate t of column j
+    for i, j, coeffs in A._terms:
+        if gi := g[i]:
+            for t, c in coeffs:
+                rows[t][j] += gi * c
+    return AffineMap(spec, g, tuple([tuple([v % mod for v in row]) for row, mod in zip(rows, spec.moduli)]))
 
 
 @dataclass(frozen=True)
@@ -161,13 +166,6 @@ class RegularSubgroup:
 
     spec: GroupSpec
     elements: tuple  # AffineMaps, canonically sorted by (a, m)
-
-    def element_with_base_image(self, g: Elem) -> AffineMap:
-        """The unique member sending 0 to g (t(0) = t.a)."""
-        for t in self.elements:
-            if t.a == g:
-                return t
-        raise InputError(f"no element sends 0 to {g}")
 
     def to_json(self) -> list:
         return [t.to_json() for t in self.elements]
@@ -214,13 +212,13 @@ def closure_under_composition(perms, size_limit=None):
 
 
 def is_abelian(T: RegularSubgroup) -> bool:
-    """Whether the members of T pairwise commute, tested on the generators
+    """Whether the maps of T, any set, commute pairwise (no caller in the
+    package: `ring_from_regular_subgroup` tests T = tau(A)), on the generators
     `abelian._greedy_generators` picks, pairwise after its loop.  If they
     commute, each grew a group it commutes with by cosets, so the span is
     <T>, abelian; else T is not.  The loop ends, as compose keeps its reduced
     results in the finite Hol(G).  The maps are compared and composed as
-    (a, m) pairs: a reduced, well-defined pair is the map, so no map is
-    tabulated."""
+    (a, m) pairs, so no map is tabulated."""
     spec = T.spec
     span = {AffineMap(spec, spec.zero(), spec._basis)}
     gens = abelian._greedy_generators(T.elements, span, lambda a: partial(compose, a))
@@ -237,21 +235,33 @@ def regular_subgroup_from_ring(A: RingStructure) -> RegularSubgroup:
 
 
 def ring_from_regular_subgroup(T: RegularSubgroup) -> RingStructure:
-    """Recover the structure with g * h = t_g(h) - g - h, t_g(0) = g: for g = b_i
-    and h = b_j that is m(b_j) - b_j, column j of t_g's matrix less b_j.
-
-    Requires an abelian T: only abelian regular subgroups carry a
-    commutative structure (Hol(Z/8) already has dihedral and quaternion
-    regular subgroups).  For abelian T a validation failure would
-    contradict the correspondence, so it raises TheoremViolation.
+    """Recover the structure with g * h = t_g(h) - g - h, t_g the member with
+    t_g(0) = t_g.a = g: c_ij = b_i b_j = m_{b_i} b_j - b_j, column j of the
+    matrix of t_{b_i} less b_j.  T must be regular (InputError): |G| members
+    sending 0 to each element once.  Only an abelian T carries a commutative
+    structure (Hol(Z/8) has dihedral and quaternion regular subgroups), and T
+    is abelian iff (a) the t_{b_i} commute pairwise and (b) t_g = tau_A(g) for
+    every g: k(k - 1) compositions and |G| `_tau` builds, no closure.
+    (=>) Commuting t_g, t_h have equal translation parts, (m_g - I)h =
+    (m_h - I)g.  With g = b_i, h = b_j: c_ij = c_ji.  With h = b_t: column t
+    of m_g - I is (m_{b_t} - I)g = sum_i g_i c_ti = g*b_t, so t_g = tau_A(g).
+    (<=) Commuting t_{b_i}, t_{b_j} give c_ij = c_ji by their translation
+    parts and M_{b_i} M_{b_j} = M_{b_j} M_{b_i} by their linear parts, M_g
+    the map x -> g*x.  By bilinearity every M_g, M_h commute and g*h = h*g,
+    so the tau_A(g) commute pairwise.  For abelian T a validation failure
+    would contradict the correspondence, so it raises TheoremViolation.
     """
     spec = T.spec
-    if not is_abelian(T):
-        raise InputError("regular subgroup is non-abelian: no commutative structure")
+    by_base = {t.a: t for t in T.elements}
+    if len(T.elements) != spec.order or by_base.keys() != spec.element_index.keys():
+        raise InputError("not a regular subgroup: its members must send 0 to each element once")
+    gens = [by_base[b] for b in spec._basis]
     A = RingStructure(spec, tuple(
-        tuple(abelian._add(spec, col, map(operator.neg, b))
-              for col, b in zip(zip(*T.element_with_base_image(g).m), spec._basis))
-        for g in spec._basis))
+        tuple(abelian._add(spec, col, map(operator.neg, b)) for col, b in zip(zip(*t.m), spec._basis))
+        for t in gens))
+    if not (all(compose(s, t) == compose(t, s) for s, t in itertools.combinations(gens, 2))
+            and all(_tau(A, g) == t for g, t in by_base.items())):
+        raise InputError("regular subgroup is non-abelian: no commutative structure")
     if violations := nilring.validate(A):
         raise TheoremViolation(
             "regular subgroup does not induce a valid nilpotent structure",

@@ -346,6 +346,38 @@ def test_round_trip_subgroup_to_ring_to_subgroup_on_mixed_exponents():
         assert regular_subgroup_from_ring(A).elements == T.elements
 
 
+Z8 = GroupSpec(2, (3,))
+
+
+@pytest.mark.parametrize("maps", [
+    [AffineMap(Z8, (1,), ((2,),))],  # x -> 1 + 2x: once a theorem violation
+    [translation(Z8, (1,))],  # x -> x + 1: once the trivial ring on Z/8
+    [translation(Z8, (g,)) for g in range(7)] + [AffineMap(Z8, (1,), ((5,),))],  # 1 twice, 7 never
+], ids=["one-map", "one-translation", "repeated-image-of-0"])
+def test_ring_from_regular_subgroup_refuses_a_set_that_is_not_regular(maps):
+    with pytest.raises(InputError, match="not a regular subgroup"):
+        ring_from_regular_subgroup(holomorph.RegularSubgroup(Z8, tuple(maps)))
+
+
+@pytest.mark.parametrize("spec,regular,abelian", [
+    (GroupSpec(2, (3,)), 6, 4), (GroupSpec(2, (4,)), 16, 8), (GroupSpec(2, (1, 1, 1)), 232, 92),
+    (GroupSpec(2, (2, 1)), 28, 12), (GroupSpec(3, (1, 1)), 9, 9), (GroupSpec(3, (3,)), 9, 9),
+], ids=str)
+def test_ring_from_regular_subgroup_refuses_exactly_the_nonabelian_subgroups(spec, regular, abelian):
+    # T is abelian iff its generators' members commute and T = tau(A): the
+    # verdict matches the pointwise oracle, and each ring found maps back to T
+    regs = enumerate_regular_subgroups(spec)
+    rings = 0
+    for T in regs:
+        if not _commute_pairwise(T.elements):
+            with pytest.raises(InputError, match="non-abelian"):
+                ring_from_regular_subgroup(T)
+            continue
+        assert regular_subgroup_from_ring(ring_from_regular_subgroup(T)).elements == T.elements
+        rings += 1
+    assert (len(regs), rings) == (regular, abelian)
+
+
 def test_regular_subgroup_from_ring_rejects_a_non_associative_ring():
     # b2*b2 = b3, b3*b3 = b1 on C2^3: (b2*b2)*b3 = b1 but b2*(b2*b3) = 0, yet
     # every circle translation is bijective, so only validation catches it

@@ -385,6 +385,27 @@ def test_round_trip_tabulates_no_map(monkeypatch):
         assert not any("linear_table" in vars(f) for f in T.elements)
 
 
+def test_way_back_tests_abelian_by_tau_alone(monkeypatch):
+    # on a C4 x C4 ring (k = 2): the k members t_{b_i} commute, 2 compositions,
+    # and each of the |G| = 16 members is tau(g), built with no ring product;
+    # the greedy closure of is_abelian made about 2 |G| compositions
+    A = next(A for A in catalogue_structures() if A.spec.exponents == (2, 2) and not A.is_trivial())
+    T = holomorph.regular_subgroup_from_ring(A)
+    calls = {}
+    for owner, name in ((holomorph, "is_abelian"), (holomorph, "compose"), (holomorph, "_tau"),
+                        (nilring, "_mul")):
+        calls[name] = 0
+        original = getattr(owner, name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    assert holomorph.ring_from_regular_subgroup(T) == A
+    assert calls == {"is_abelian": 0, "compose": 2, "_tau": 16, "_mul": 0}
+
+
 @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=str)
 def test_invariant_subgroups_match_brute_force(spec):
     for A in enumerate_structures(spec):
