@@ -23,7 +23,7 @@ import operator
 from dataclasses import dataclass
 from functools import cache, cached_property, partial, reduce
 
-from .errors import CapExceeded, InputError
+from .errors import InputError
 
 Elem = tuple  # tuple[int, ...], one residue per cyclic factor
 
@@ -200,26 +200,11 @@ def add(spec: GroupSpec, a: Elem, b: Elem) -> Elem:
     return _add(spec, a, b)
 
 
-def neg(spec: GroupSpec, a: Elem) -> Elem:
-    spec.check_elem(a)
-    return _scalar_mul(spec, -1, a)
-
-
 def scalar_mul(spec: GroupSpec, m: int, a: Elem) -> Elem:
     if not _is_int(m):
         raise InputError(f"multiplier {m!r} is not an integer")
     spec.check_elem(a)
     return _scalar_mul(spec, m, a)
-
-
-def order_of(spec: GroupSpec, a: Elem) -> int:
-    """Least m >= 1 with m*a = 0; always a power of p."""
-    spec.check_elem(a)
-    order = 1
-    for x, mod in zip(a, spec.moduli):
-        o = mod // math.gcd(x, mod)
-        order = order * o // math.gcd(order, o)
-    return order
 
 
 @dataclass(frozen=True)
@@ -275,20 +260,6 @@ def minimal_generators(spec: GroupSpec, elements: frozenset) -> tuple:
     return tuple(_greedy_generators(sorted(elements), span, lambda x: partial(_add, spec, x)))
 
 
-def subgroup_from_elements(spec: GroupSpec, elements) -> Subgroup:
-    elems = frozenset(elements)
-    for x in elems:
-        spec.check_elem(x)
-    return Subgroup(spec, tuple(sorted(elems)))
-
-
-def subgroup_generated(spec: GroupSpec, gens) -> Subgroup:
-    gens = list(gens)
-    for g in gens:
-        spec.check_elem(g)
-    return subgroup_from_elements(spec, additive_closure(spec, gens))
-
-
 def walk_subgroups(spec: GroupSpec, maps=()) -> list:
     """Every additive subgroup of `spec` that each map in `maps`
     (endomorphisms) sends into itself, canonically sorted.  Each map is an
@@ -323,16 +294,6 @@ def walk_subgroups(spec: GroupSpec, maps=()) -> list:
         found.extend(level)
     subgroups = (Subgroup(spec, tuple(map(elements.__getitem__, sorted(e)))) for e in found)
     return sorted(subgroups, key=Subgroup.sort_key)
-
-
-def enumerate_subgroups(spec: GroupSpec, cap: int = DEFAULT_ENUM_CAP) -> list:
-    """All additive subgroups, each exactly once, canonically sorted.
-
-    The lattice walk of `walk_subgroups` with no maps.  Requires |G| <= cap.
-    """
-    if spec.order > cap:
-        raise CapExceeded(f"|G| = {spec.order} exceeds enumeration cap {cap}")
-    return walk_subgroups(spec)
 
 
 def _gaussian_binomial(p: int, n: int, r: int) -> int:

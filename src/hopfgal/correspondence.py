@@ -24,11 +24,10 @@ certify all |G|^2 pairs.  Otherwise every lam(gamma) is built by cosets
 (`Context.close_circle_translations`, which checks that the tables commute
 and act regularly) and every gamma is scanned.  The report makes no
 element-level product per pair.  The maps both sides give the walk and
-the rows are index tables, decoded only for witnesses, failure records and
-`conjugated_translation`, which alone checks elements.  lam is read point by
-point: each gamma o x is computed on its first read and kept, and a whole
-lam table is completed from those points only for a conjugation row, the
-report or the closure.  The circle generators and the type of (G, o) read
+the rows are index tables, decoded only for witnesses and failure records.
+lam is read point by point: each gamma o x is computed on its first read and
+kept, and a whole lam table is completed from those points only for a
+conjugation row, the report or the closure.  The circle generators and the type of (G, o) read
 no whole table: the orbit of 0 under the generators' p^j-th powers, applied
 point by point, is (G, o)^(p^j).
 """
@@ -196,25 +195,6 @@ def _power(f, e: int, x: int) -> int:
 _NOT_PREDICTED = "conjugation of an additive translation is not the predicted translation"
 
 
-def conjugated_translation(ctx: Context, gamma: Elem, g: Elem) -> Elem:
-    """The unique h with lam(gamma) alpha(g) lam(gamma)^{-1} = alpha(h).
-
-    Computed two independent ways: permutation conjugation, read off gamma's
-    `Context.conjugation_row`, and the closed form h = g + gamma*g.  A
-    mismatch is a theorem violation.
-    """
-    ctx.spec.check_elem(gamma)
-    ctx.spec.check_elem(g)
-    hs, oks = ctx.conjugation_row(ctx.index[gamma])
-    i = ctx.index[g]
-    closed = abelian._add(ctx.spec, g, nilring._mul(ctx.ring, gamma, g))
-    if hs[i] != ctx.index[closed] or not oks[i]:
-        raise TheoremViolation(_NOT_PREDICTED, witness={
-            "gamma": list(gamma), "g": list(g),
-            "permutation_path": list(ctx.elements[hs[i]]), "closed_form": list(closed)})
-    return closed
-
-
 def holomorph_conjugation_report(ctx: Context) -> dict:
     """Check both conjugation identities, in Hol(G) and in Perm(G).
 
@@ -349,23 +329,6 @@ class LatticeReport:
     gamma_subgroup_count: int
     strong_ftgt: bool
     circle_type: tuple
-
-    @cached_property
-    def inclusion_edges(self) -> tuple:
-        """(i, j) with ideals[i] strictly inside ideals[j], compared on first
-        read; the invariant subgroups are the same list, with the same edges."""
-        sets = [set(s.elements) for s in self.ideals]
-        return tuple((i, j) for i, a in enumerate(sets) for j, b in enumerate(sets) if a < b)
-
-    def to_json(self) -> dict:
-        return {
-            "ideals": [s.to_json() for s in self.ideals],
-            "invariant_subgroups": [s.to_json() for s in self.invariant_subgroups],
-            "inclusion_edges": [list(e) for e in self.inclusion_edges],
-            "gamma_subgroup_count": self.gamma_subgroup_count,
-            "strong_ftgt": self.strong_ftgt,
-            "circle_type": list(self.circle_type),
-        }
 
 
 def lattice_report(ctx: Context) -> LatticeReport:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property, partial, reduce
 
 from . import abelian, nilring
-from .abelian import Elem, GroupSpec
+from .abelian import Elem, GroupSpec, _length
 from .errors import CapExceeded, InputError, TheoremViolation
 from .nilring import RingStructure
 
@@ -90,9 +90,9 @@ def _matrix_well_defined(spec: GroupSpec, m) -> bool:
 
 def affine_map(spec: GroupSpec, a: Elem, m) -> AffineMap:
     spec.check_elem(a)
-    m = tuple(map(tuple, m))
-    if len(m) != spec.rank or any(len(row) != spec.rank for row in m):
+    if _length(m) != spec.rank or any(_length(row) != spec.rank for row in m):
         raise InputError("matrix has wrong shape")
+    m = tuple(map(tuple, m))
     if not all(abelian._is_int(v) for row in m for v in row):
         raise InputError(f"matrix {m} has a non-integer entry")
     mat = _reduce_matrix(spec, m)
@@ -198,19 +198,6 @@ def _extend(group: list, gens: tuple, limit=None, admit=None):
     return out
 
 
-def closure_under_composition(perms, size_limit=None):
-    """Subgroup generated by index permutations of G (tuples of image indices),
-    by `_extend` from {id}, whose cosets are single products.
-
-    Returns None if a size_limit is given and exceeded.
-    """
-    gens = tuple(perms)
-    if not gens:
-        return frozenset()
-    group = _extend([tuple(range(len(gens[0])))], gens, size_limit)
-    return None if group is None else frozenset(group)
-
-
 def is_abelian(T: RegularSubgroup) -> bool:
     """Whether the maps of T, any set, commute pairwise (no caller in the
     package: `ring_from_regular_subgroup` tests T = tau(A)), on the generators
@@ -237,11 +224,12 @@ def regular_subgroup_from_ring(A: RingStructure) -> RegularSubgroup:
 def ring_from_regular_subgroup(T: RegularSubgroup) -> RingStructure:
     """Recover the structure with g * h = t_g(h) - g - h, t_g the member with
     t_g(0) = t_g.a = g: c_ij = b_i b_j = m_{b_i} b_j - b_j, column j of the
-    matrix of t_{b_i} less b_j.  T must be regular (InputError): |G| members
-    sending 0 to each element once.  Only an abelian T carries a commutative
-    structure (Hol(Z/8) has dihedral and quaternion regular subgroups), and T
-    is abelian iff (a) the t_{b_i} commute pairwise and (b) t_g = tau_A(g) for
-    every g: k(k - 1) compositions and |G| `_tau` builds, no closure.
+    matrix of t_{b_i} less b_j.  T must be regular (InputError): |G| affine
+    maps on G sending 0 to each element once.  Only an abelian T carries a
+    commutative structure (Hol(Z/8) has dihedral and quaternion regular
+    subgroups), and T is abelian iff (a) the t_{b_i} commute pairwise and
+    (b) t_g = tau_A(g) for every g: k(k - 1) compositions and |G| `_tau`
+    builds, no closure.
     (=>) Commuting t_g, t_h have equal translation parts, (m_g - I)h =
     (m_h - I)g.  With g = b_i, h = b_j: c_ij = c_ji.  With h = b_t: column t
     of m_g - I is (m_{b_t} - I)g = sum_i g_i c_ti = g*b_t, so t_g = tau_A(g).
@@ -252,9 +240,12 @@ def ring_from_regular_subgroup(T: RegularSubgroup) -> RingStructure:
     would contradict the correspondence, so it raises TheoremViolation.
     """
     spec = T.spec
-    by_base = {t.a: t for t in T.elements}
+    # `is` first: the dataclass == builds a tuple of fields on each call
+    by_base = {t.a: t for t in T.elements
+               if isinstance(t, AffineMap) and (t.spec is spec or t.spec == spec)}
     if len(T.elements) != spec.order or by_base.keys() != spec.element_index.keys():
-        raise InputError("not a regular subgroup: its members must send 0 to each element once")
+        raise InputError("not a regular subgroup: its members must be affine maps on G "
+                         "sending 0 to each element once")
     gens = [by_base[b] for b in spec._basis]
     A = RingStructure(spec, tuple(
         tuple(abelian._add(spec, col, map(operator.neg, b)) for col, b in zip(zip(*t.m), spec._basis))

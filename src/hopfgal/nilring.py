@@ -196,24 +196,6 @@ def circle(A: RingStructure, a: Elem, b: Elem) -> Elem:
     return _circle(A, a, b)
 
 
-def circle_inverse(A: RingStructure, a: Elem) -> Elem:
-    """The unique x with a o x = 0, via the truncated geometric series."""
-    spec = A.spec
-    spec.check_elem(a)
-    x = spec.zero()
-    power = a  # (-1)^i a^i accumulated with alternating sign
-    sign = -1
-    for _ in range(spec.n + 1):
-        x = abelian._add(spec, x, abelian._scalar_mul(spec, sign, power))
-        power = _mul(A, power, a)
-        if power == spec.zero():
-            break
-        sign = -sign
-    if _circle(A, a, x) != spec.zero():
-        raise InputError(f"no circle inverse for {a}: structure is not valid")
-    return x
-
-
 def trivial_structure(spec: GroupSpec) -> RingStructure:
     """The structure with all products zero (A^2 = 0)."""
     return RingStructure(spec, ((spec.zero(),) * spec.rank,) * spec.rank)

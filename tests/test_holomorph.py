@@ -13,7 +13,6 @@ from hopfgal.holomorph import (
     AffineMap,
     affine_map,
     automorphism_count,
-    closure_under_composition,
     compose,
     enumerate_automorphisms,
     enumerate_regular_subgroups,
@@ -111,6 +110,11 @@ def test_affine_map_checks_the_shape_before_reducing():
         affine_map(C2C2, (0, 0), [[1, 0], [0, 1], [5, 5]])
     with pytest.raises(InputError):
         affine_map(C2C2, (0, 0), [[1, 0, 0], [0, 1, 0]])
+    # a matrix or row with no length raised TypeError from tuple()
+    C4 = GroupSpec(2, (2,))
+    for m in (5, (1,)):
+        with pytest.raises(InputError, match="wrong shape"):
+            affine_map(C4, (0,), m)
 
 
 def test_tau_trivial_is_translation():
@@ -276,21 +280,22 @@ def test_p_power_order_matches_the_order_walk(spec):
 
 @pytest.mark.parametrize("spec", [GroupSpec(2, (2, 1)), GroupSpec(3, (1, 1))], ids=str)
 def test_closure_by_cosets_matches_breadth_first_products(spec):
-    # the coset extension gives the same group as products from {id}, and
-    # None exactly when that group passes size_limit
+    # the coset extension from {id} lists the group of products from {id},
+    # each member once, and gives None exactly when that group passes limit
     perms = list(map(oracles.index_perm, holomorph_elements(spec)))
+    ident = [tuple(range(spec.order))]
     rng = random.Random(23)
     refused = 0
     for size in (1, 2, 3):
         for _ in range(30):
-            gens = rng.sample(perms, size)
+            gens = tuple(rng.sample(perms, size))
             expected = oracles.closure_by_products(gens)
-            assert closure_under_composition(gens) == expected
+            got = holomorph._extend(ident, gens)
+            assert len(got) == len(expected) and set(got) == expected
             for limit in (len(expected) - 1, len(expected), spec.order):
-                got = closure_under_composition(gens, size_limit=limit)
-                assert got == oracles.closure_by_products(gens, limit)
+                got = holomorph._extend(ident, gens, limit)
+                assert (got if got is None else set(got)) == oracles.closure_by_products(gens, limit)
                 refused += got is None
-    assert closure_under_composition([]) == oracles.closure_by_products([]) == frozenset()
     assert refused
 
 
@@ -353,7 +358,10 @@ Z8 = GroupSpec(2, (3,))
     [AffineMap(Z8, (1,), ((2,),))],  # x -> 1 + 2x: once a theorem violation
     [translation(Z8, (1,))],  # x -> x + 1: once the trivial ring on Z/8
     [translation(Z8, (g,)) for g in range(7)] + [AffineMap(Z8, (1,), ((5,),))],  # 1 twice, 7 never
-], ids=["one-map", "one-translation", "repeated-image-of-0"])
+    [5],  # no map: its .a raised AttributeError
+    [5] + [translation(Z8, (g,)) for g in range(7)],
+    [translation(GroupSpec(2, (4,)), (g,)) for g in range(8)],  # on Z/16, sending 0 to 0, ..., 7
+], ids=["one-map", "one-translation", "repeated-image-of-0", "no-map", "a-member-no-map", "maps-on-another-group"])
 def test_ring_from_regular_subgroup_refuses_a_set_that_is_not_regular(maps):
     with pytest.raises(InputError, match="not a regular subgroup"):
         ring_from_regular_subgroup(holomorph.RegularSubgroup(Z8, tuple(maps)))
@@ -513,9 +521,9 @@ def test_is_abelian_grows_its_span_by_cosets(monkeypatch, spec, abelian):
     regs = enumerate_regular_subgroups(spec)
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("is_abelian called closure_under_composition")
+        raise AssertionError("is_abelian called the coset closure _extend")
 
-    monkeypatch.setattr(holomorph, "closure_under_composition", forbidden)
+    monkeypatch.setattr(holomorph, "_extend", forbidden)
     assert sum(map(is_abelian, regs)) == len(enumerate_structures(spec)) == abelian
 
 

@@ -28,7 +28,7 @@ from pathlib import Path
 import pytest
 
 from hopfgal import abelian, holomorph, nilring
-from hopfgal.abelian import GroupSpec, add, enumerate_subgroups, scalar_mul, subgroup_count
+from hopfgal.abelian import GroupSpec, add, scalar_mul, subgroup_count, walk_subgroups
 from hopfgal.correspondence import (
     Context,
     _closed_form_table,
@@ -135,7 +135,7 @@ def full_table_invariant_subgroups(A):
     spec, plus = A.spec, addition_table(A.spec)
     rows = [conjugation_row(spec, plus, circle_translation(A, gamma)) for gamma in spec.elements()]
     out = []
-    for sub in enumerate_subgroups(spec):
+    for sub in walk_subgroups(spec):
         members = set(sub.elements)
         if all(oks[spec.element_index[g]] and hs[spec.element_index[g]] in members
                for hs, oks in rows for g in sub.elements):
@@ -477,7 +477,7 @@ def test_walk_takes_the_index_table_of_a_nilpotent_endomorphism(matrix, image, s
     # API shows the map sends into themselves
     table = abelian._linear_table(C4C2, matrix)
     assert table == tuple(C4C2.element_index[image(g)] for g in C4C2.elements())
-    stable = [sub for sub in enumerate_subgroups(C4C2)
+    stable = [sub for sub in walk_subgroups(C4C2)
               if all(image(g) in sub.elements for g in sub.elements)]
     assert abelian.walk_subgroups(C4C2, [table]) == stable
     assert len(stable) == stable_count
@@ -564,7 +564,7 @@ def test_circle_type_needs_at_most_p_times_order_products(monkeypatch):
 )
 def test_subgroup_count_matches_birkhoff(spec, count):
     assert subgroup_count(spec.p, spec.exponents) == count
-    assert len(enumerate_subgroups(spec)) == count
+    assert len(walk_subgroups(spec)) == count
 
 
 def types_of(n, largest=None):
@@ -582,7 +582,7 @@ def test_subgroup_count_matches_the_walk_on_every_small_type():
              for n in range(1, top + 1) for lam in types_of(n)]
     assert len(types) == 46
     for p, lam in types:
-        assert subgroup_count(p, lam) == len(enumerate_subgroups(GroupSpec(p, lam))), (p, lam)
+        assert subgroup_count(p, lam) == len(walk_subgroups(GroupSpec(p, lam))), (p, lam)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
