@@ -8,7 +8,10 @@ once in each checkout with the same seed and the run length of the change's
 BENCHMARK.json, alternating which side runs first.  These values are fixed
 so that every BENCH_*.json is made the same way.  Neither checkout may
 hold a `__pycache__` at the start, so that both sides compile alike, and a
-run with a failed verdict stops the script before any file is written.  Per
+run with a failed verdict stops the script before any file is written.  Of
+each run it keeps only what the summary reads (the metrics, the pass count,
+the tail percentile and each job's raw seconds), since a child process reads
+this script's RSS high-water mark as the start of its own `peak_rss_mb`.  Per
 workload the summary holds, for every end-to-end metric, each side's median
 and quartiles and the pairs the change won and lost; every run's pass count
 and tail percentile; each job's median raw seconds per side; and, from one
@@ -64,13 +67,22 @@ def quartiles(values):
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def job_medians(records):
-    """Median raw seconds per job, over every pass of every run."""
+def job_seconds(record):
+    """Raw seconds per job, over every pass of one run's record: the one part
+    of the record that `summarize` reads."""
     times = {}
-    for rec in records:
-        for p in rec["passes"]:
-            for j, t in zip(p["jobs"], p["job_s"]):
-                times.setdefault(rec["jobs"][j], []).append(t)
+    for p in record["passes"]:
+        for j, t in zip(p["jobs"], p["job_s"]):
+            times.setdefault(record["jobs"][j], []).append(t)
+    return times
+
+
+def job_medians(runs):
+    """Median raw seconds per job, over every pass of every run (`job_seconds`)."""
+    times = {}
+    for run_times in runs:
+        for key, v in run_times.items():
+            times.setdefault(key, []).extend(v)
     return {key: statistics.median(v) for key, v in sorted(times.items())}
 
 
@@ -99,7 +111,7 @@ def summarize(rows, traced, end_to_end):
             "change_lost": sum(sign * (c - p) > 0 for p, c in zip(pv, cv)),
             "change_over_parent": C["median"] / P["median"] if P["median"] else None,
         }
-    jobs = {s: job_medians(r["record"] for r in side[s]) for s in side}
+    jobs = {s: job_medians(r["job_s"] for r in side[s]) for s in side}
     slowest_first = sorted(jobs["parent"], key=jobs["parent"].get, reverse=True)
     passes = statistics.median_low(r["passes"] for r in side["parent"])
     tail_job = slowest_first[tail_rank(passes, len(slowest_first)) - 1]
@@ -144,8 +156,11 @@ def main(argv=None):
                              "passes": info["passes"], "tail_percentile": info["tail_percentile"],
                              "attempted": result["attempted"], "failed": result["failed"],
                              "metrics": {k: v["value"] for k, v in result["metrics"].items()},
-                             "record": record})
+                             "job_s": job_seconds(record)})
                 out["sides"].setdefault(s, {k: record["machine"][k] for k in ("git_sha", "src_sha256", "nproc")})
+                # a child reads this script's RSS high-water mark as its own
+                # peak_rss_mb, so no run's record is kept past this point
+                del record
                 print(f"{workload} seed {seed} {s}: run_s {rows[-1]['metrics']['run_s']:.3f} "
                       f"tail {rows[-1]['metrics']['verdict_s_tail']:.4f} passes {info['passes']}",
                       file=sys.stderr, flush=True)

@@ -242,8 +242,10 @@ def _greedy_generators(items, span: set, step) -> list:
 
 
 def additive_closure(spec: GroupSpec, gens) -> frozenset:
-    """Closure of gens under addition: {0} grown by `_greedy_generators`.  Each
-    gen is read by `GroupSpec.reduce_coords`, which checks its length and type."""
+    """Closure of the sequence gens under addition: {0} grown by `_greedy_generators`.
+    Each gen is read by `GroupSpec.reduce_coords`, which checks its length and type."""
+    if _length(gens) is None:
+        raise InputError(f"generators {gens!r} have wrong length: a sequence of elements is needed")
     elems = {spec.zero()}
     _greedy_generators(map(spec.reduce_coords, gens), elems, lambda g: partial(_add, spec, g))
     return frozenset(elems)

@@ -13,7 +13,9 @@ the search's row tests run on the matrices of x -> b_i x, the constants' rows
 transposed.  `enumerate_structures` fills the table row by row: row i is the
 map x -> b_i x, kept when it commutes with the rows before it and is nilpotent
 on G/pG, decided once per residue class of the row mod p.  `validate` checks
-associativity on the triples i < l, and nilpotency on each matrix mod p.
+associativity on the triples i < l, and nilpotency on each matrix mod p; the
+search's kept tables are certified by the same axioms a slice at a time
+(`_all_valid`), and a slice it rejects by `validate`, table by table.
 """
 
 from __future__ import annotations
@@ -83,10 +85,9 @@ class Violation:
 
 
 def make_structure(spec: GroupSpec, constants) -> RingStructure:
-    A = RingStructure(spec, tuple(tuple(spec.reduce_coords(c) for c in row) for row in constants))
-    if not _square(A):
-        raise InputError(f"constants table must be {spec.rank}x{spec.rank}")
-    return A
+    if not _square(RingStructure(spec, constants)):  # before a part with no length is iterated
+        raise InputError(f"constants table must be {spec.rank}x{spec.rank}: it or a row has the wrong length")
+    return RingStructure(spec, tuple(tuple(spec.reduce_coords(c) for c in row) for row in constants))
 
 
 def _product(A: RingStructure, a: Elem, b: Elem, acc: list) -> Elem:
@@ -187,6 +188,55 @@ def validate(A: RingStructure) -> list:
         if any(map(any, power)):
             return [Violation("nilpotency", (next((x for row in c for x in row if any(x)), spec.zero()),))]
     return []
+
+
+_SLICE_PRODUCTS = 1 << 16  # gathered products per slice `_all_valid` certifies: k^4 per table and squaring
+
+
+def _all_valid(spec: GroupSpec, tables: list) -> bool:
+    """Whether `validate` accepts every table, by its axioms on all the tables at
+    once and with no helper of the search.  col[i, j, t] lists c[i][j][t] of every
+    table, so a list of keys gathers one run over all of them: associativity is
+    ops[l] c_ij = ops[i] c_jl on the triples i < l, as in `validate`, and
+    nilpotency each c[i] mod p, the transpose of ops[i], squared s times to 0."""
+    k, moduli, p, n = spec.rank, spec.moduli, spec.p, len(tables)
+    try:  # a part with no length raises TypeError
+        rows = list(itertools.chain.from_iterable(tables))
+        entries = list(itertools.chain.from_iterable(rows))
+        flat = list(itertools.chain.from_iterable(entries))
+        lengths = {*map(len, tables), *map(len, rows), *map(len, entries)}
+    except TypeError:
+        return False
+    bounds = moduli * (k * k * n)
+    if lengths - {k} or not ({int} >= set(map(type, flat)) or all(map(abelian._is_int, flat))) \
+            or min(flat, default=0) < 0 or not all(map(operator.lt, flat, bounds)):
+        return False
+
+    def gather(cols, keys):
+        return itertools.chain.from_iterable(map(cols.__getitem__, keys))
+
+    pairs, cells = list(itertools.combinations(range(k), 2)), list(itertools.product(range(k), repeat=3))
+    by_entry = [entries[x::k * k] for x in range(k * k)]
+    orders = [min(moduli[i], moduli[j]) for i, j, _ in cells] * n  # the order condition, per offset
+    if list(gather(by_entry, [i * k + j for i, j in pairs])) != list(gather(by_entry, [j * k + i for i, j in pairs])) \
+            or any(map(operator.mod, map(operator.mul, flat, orders), bounds)):
+        return False
+    col = {key: flat[x::k**3] for x, key in enumerate(cells)}
+    triples = [(i, j, l, u) for i, l in pairs for j in range(k) for u in range(k)]
+    left = [map(operator.mul, gather(col, [(l, t, u) for i, j, l, u in triples]),
+                gather(col, [(i, j, t) for i, j, l, u in triples])) for t in range(k)]
+    right = [map(operator.mul, gather(col, [(i, t, u) for i, j, l, u in triples]),
+                 gather(col, [(j, l, t) for i, j, l, u in triples])) for t in range(k)]
+    differences = map(operator.sub, map(sum, zip(*left)), map(sum, zip(*right)))
+    if any(map(operator.mod, differences, gather([[m] * n for m in moduli], [u for *_, u in triples]))):
+        return False
+    power = {key: list(map(p.__rmod__, x)) for key, x in col.items()}
+    plans = [([(i, a, t) for i, a, b in cells], [(i, t, b) for i, a, b in cells]) for t in range(k)]
+    for _ in range((k - 1).bit_length()):  # power = c[i]^(2^s) mod p, 2^s >= k
+        squared = list(map(p.__rmod__, map(sum, zip(*(
+            map(operator.mul, gather(power, a), gather(power, b)) for a, b in plans)))))
+        power = {key: squared[x * n:(x + 1) * n] for x, key in enumerate(cells)}
+    return not any(map(any, power.values()))
 
 
 def circle(A: RingStructure, a: Elem, b: Elem) -> Elem:
@@ -310,9 +360,10 @@ def enumerate_structures(
 
     The search space (the product of the candidate counts, in tensors) is
     compared with search_cap as it is multiplied up, before any candidate
-    is built.  `validate` certifies each full table before it is returned.
-    Rows and candidates are tried in lexicographic order, so the tables come
-    out sorted.
+    is built.  `_all_valid` certifies the full tables a bounded slice at a
+    time; a slice it rejects raises TheoremViolation with the first table
+    `validate` rejects, or, if there is none, as a disagreement.  Rows and
+    candidates are tried in lexicographic order, so the tables come out sorted.
     """
     k = spec.rank
     space = 1
@@ -327,10 +378,12 @@ def enumerate_structures(
         for i in range(k)
     ]
     residues = [[[tuple(c % spec.p for c in x) for x in entry] for entry in row] for row in candidates]
-    out = []
-    for table in _kept_tables(spec, candidates, residues, (), {}):
-        A = RingStructure(spec, table)
-        if validate(A):
-            raise TheoremViolation("search kept an invalid structure", witness=A.to_json())
-        out.append(A)
+    out, tables = [], _kept_tables(spec, candidates, residues, (), {})
+    while batch := list(itertools.islice(tables, max(1, _SLICE_PRODUCTS // k**4))):
+        if not _all_valid(spec, batch):
+            for A in map(RingStructure, itertools.repeat(spec), batch):
+                if validate(A):
+                    raise TheoremViolation("search kept an invalid structure", witness=A.to_json())
+            raise TheoremViolation("_all_valid and validate disagree", witness=RingStructure(spec, batch[0]).to_json())
+        out += map(RingStructure, itertools.repeat(spec), batch)
     return out

@@ -404,11 +404,18 @@ def test_check_elem_accepts_exactly_what_the_per_coordinate_test_accepts(spec):
     lambda: additive_closure(C2C2, [None]),
     lambda: add(C2C2, tuple, (0, 1)),
     lambda: C2C2.reduce_coords(tuple),
+    lambda: nilring.make_structure(GroupSpec(2, (1,)), 5),
+    lambda: nilring.make_structure(GroupSpec(2, (1,)), [5]),
+    lambda: nilring.make_structure(GroupSpec(2, (1,)), None),
+    lambda: additive_closure(C2C2, 5),
 ], ids=["add-int", "add-None", "mul", "nilpotency_index", "make_structure", "additive_closure", "add-class",
-        "reduce_coords-class"])
+        "reduce_coords-class", "make_structure-table", "make_structure-row", "make_structure-None",
+        "additive_closure-gens"])
 def test_an_element_with_no_length_is_an_input_error(call):
     # len(5) raised TypeError, a traceback where the CLI's contract is exit 2;
-    # check_elem and reduce_coords both read the length, as does len(tuple)
+    # check_elem and reduce_coords both read the length, as does len(tuple);
+    # make_structure and additive_closure iterated a table, a row or a list of
+    # generators with no length before any length was read
     with pytest.raises(InputError, match="wrong length"):
         call()
 

@@ -527,15 +527,22 @@ def test_validate_runs_no_helper_of_the_search():
         node.name: {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
         for node in tree.body if isinstance(node, ast.FunctionDef)
     }
-    reached, todo = set(), ["validate", "nilpotency_index"]
-    while todo:
-        name = todo.pop()
-        if name not in reached:
-            reached.add(name)
-            todo.extend(calls[name] & calls.keys())
+
+    def reach(*roots):
+        reached, todo = set(), list(roots)
+        while todo:
+            name = todo.pop()
+            if name not in reached:
+                reached.add(name)
+                todo.extend(calls[name] & calls.keys())
+        return reached
+
     prune = {"_commute", "_nilpotent", "_kept_tables", "enumerate_structures"}
     assert prune <= calls.keys()
-    assert not reached & prune
+    assert not reach("validate", "nilpotency_index") & prune
+    # the batch certifier of the search's tables reaches neither the row
+    # checks nor validate, the certifier it stands beside
+    assert not reach("_all_valid") & (prune | {"validate"})
 
 
 def test_structure_json_round_trip():
@@ -680,7 +687,7 @@ def test_validate_matches_the_reference_on_the_catalogue_and_perturbations():
     assert set(seen) == {"shape", "symmetry", "well-defined", "associativity", "nilpotency"}, seen
 
 
-@pytest.mark.parametrize("A, expected", [
+PLANTED_NILPOTENCY = pytest.mark.parametrize("A, expected", [
     (make_structure(GroupSpec(2, (1, 1, 1)), [[(1, 0, 0)] + [(0, 0, 0)] * 2] + [[(0, 0, 0)] * 3] * 2),
      [("nilpotency", ((1, 0, 0),))]),
     (make_structure(GroupSpec(2, (2, 1)), [[(1, 0), (0, 0)], [(0, 0), (0, 0)]]),
@@ -690,6 +697,9 @@ def test_validate_matches_the_reference_on_the_catalogue_and_perturbations():
     (primitive_structure(2, 3), []),
     (make_structure(C2C2, [[(1, 1)] * 2] * 2), []),
 ], ids=["C2^3", "C4xC2", "F_3^2", "primitive(2,3)", "C2^2-square-zero"])
+
+
+@PLANTED_NILPOTENCY
 def test_validate_matches_the_reference_on_planted_nilpotency_tables(A, expected):
     # b_0 b_0 = b_0 is commutative and associative and fails only nilpotency;
     # its matrix mod p is nonzero, so the verdict needs a matrix product.  On
@@ -753,3 +763,147 @@ def test_structure_from_json_rejects_malformed_json(data, message):
     # each raised the raw TypeError or KeyError
     with pytest.raises(InputError, match=message):
         RingStructure.from_json(data)
+
+
+# -- the batch certifier of the search's tables ------------------------------
+
+def _certified(A):
+    return nilring._all_valid(A.spec, [A.constants])
+
+
+def test_batch_certifier_decides_what_validate_decides_on_the_catalogue_and_perturbations():
+    rng = random.Random(40)
+    verdicts = Counter()
+    for A in _catalogue_structures():
+        assert _certified(A)
+        for B in _perturbations(A, rng):
+            verdict = validate(B) == []
+            assert _certified(B) is verdict, B
+            verdicts[verdict] += 1
+    assert verdicts[True] and verdicts[False]
+
+
+@PLANTED_NILPOTENCY
+def test_batch_certifier_decides_what_validate_decides_on_planted_nilpotency_tables(A, expected):
+    # the nilpotency verdict needs up to k - 1 products, here ceil(log2 k) squarings
+    assert _certified(A) is (expected == [])
+
+
+@pytest.mark.parametrize("spec, constants", [
+    (C2C2, (((True, 0), (0, 0)), ((0, 0), (0, 0)))),
+    (C2C2, (((0, 0), (0, 0)), ((0, 0), (0, False)))),
+    (Z4, (((-1,),),)),
+    (Z4, (((4,),),)),
+    (GroupSpec(2, (2, 1)), (((0, 2), (0, 0)), ((0, 0), (0, 0)))),
+    (C2C2, (((0, 0), (0, 0)),)),
+    (C2C2, (((0, 0), (0, 0)), ((0, 0),))),
+    (C2C2, (((0, 0), (0, 0, 0)), ((0, 0), (0, 0)))),
+    (C2C2, (((0, 0), (0,)), ((0, 0), (0, 0)))),
+    (C2C2, (((0, 0), (0, 0)), ((0, 0), (0.0, 0)))),
+    (C2C2, (((0, 0), [0, 0]), ((0, 0), (0, 0)))),
+    (GroupSpec(2, (1,)), 5),
+    (GroupSpec(2, (1,)), None),
+    (GroupSpec(2, (1,)), (5,)),
+    (GroupSpec(2, (1,)), ((5,),)),
+    (GroupSpec(2, (1,)), ((None,),)),
+    (GroupSpec(2, (1,)), tuple),
+    (GroupSpec(2, (1,)), (tuple,)),
+    (GroupSpec(2, (1,)), ((tuple,),)),
+    (GroupSpec(2, (1,)), ((iter([0]),),)),
+], ids=["bool", "bool-False", "negative", "out-of-range", "out-of-range-second-coordinate", "one-row",
+        "short-row", "long-constant", "short-constant", "float", "list-against-tuple", "table-int",
+        "table-None", "row-int", "constant-int", "constant-None", "table-class", "row-class",
+        "constant-class", "constant-iterator"])
+def test_batch_certifier_rejects_the_malformed_tables_validate_rejects(spec, constants):
+    # each table is rejected by validate; a valid table beside it is rejected
+    # with it, and the valid table alone is accepted
+    A = RingStructure(spec, constants)
+    assert validate(A) != []
+    valid = trivial_structure(spec).constants
+    assert nilring._all_valid(spec, [constants]) is False
+    assert nilring._all_valid(spec, [valid, constants]) is False
+    assert nilring._all_valid(spec, [valid]) is True
+
+
+def _random_table(spec, rng):
+    """A symmetric table whose entries are zero or a random element, half each."""
+    k = spec.rank
+    table = [[None] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i, k):
+            table[i][j] = table[j][i] = (tuple(rng.randrange(m) for m in spec.moduli) if rng.random() < 0.5
+                                         else spec.zero())
+    return tuple(map(tuple, table))
+
+
+def _square_into_a_line(spec, rng):
+    """A valid table: b_i b_j = beta_ij b_(k-1) on the first k - 1 generators
+    for a random symmetric beta, b_(k-1) killing everything; A^3 = 0, and each
+    entry is a multiple of the order of G/pG's last factor in G."""
+    k, top = spec.rank, spec.moduli[-1] // spec.p
+    last = tuple(int(t == k - 1) * top for t in range(k))
+    table = [[spec.zero()] * k for _ in range(k)]
+    for i in range(k - 1):
+        for j in range(i, k - 1):
+            beta = rng.randrange(spec.p)
+            table[i][j] = table[j][i] = tuple(beta * x % m for x, m in zip(last, spec.moduli))
+    return tuple(map(tuple, table))
+
+
+def _edited(spec, table, rng):
+    """table with one entry, or one symmetric pair, set to a random element."""
+    k = spec.rank
+    rows = [list(row) for row in table]
+    i, j = rng.randrange(k), rng.randrange(k)
+    rows[i][j] = tuple(rng.randrange(m) for m in spec.moduli)
+    if rng.random() < 0.5:
+        rows[j][i] = rows[i][j]
+    return tuple(map(tuple, rows))
+
+
+@pytest.mark.parametrize("spec", [GroupSpec(2, (1, 1, 1)), GroupSpec(3, (1, 1, 1)), GroupSpec(2, (2, 1, 1)),
+                                  GroupSpec(2, (1, 1, 1, 1))], ids=str)
+def test_batch_certifier_decides_what_validate_decides_on_random_tables(spec):
+    # random tables, valid ones (the search's where it is fast, else tables
+    # that square into a line) and their one-entry edits, each alone; then
+    # slices of them in every mix, which are valid iff each table is
+    rng = random.Random(spec.order)
+    if spec.order <= 16 and spec.rank <= 3:
+        valid = [A.constants for A in enumerate_structures(spec)]
+    else:
+        valid = [_square_into_a_line(spec, rng) for _ in range(40)] + [primitive_structure(spec.p, spec.rank).constants]
+    tables = ([_random_table(spec, rng) for _ in range(300)] + rng.sample(valid, min(len(valid), 60))
+              + [_edited(spec, rng.choice(valid), rng) for _ in range(300)])
+    verdicts = {t: validate(RingStructure(spec, t)) == [] for t in tables}
+    assert Counter(verdicts.values())[True] >= 20 and Counter(verdicts.values())[False] >= 100
+    for t in tables:
+        assert nilring._all_valid(spec, [t]) is verdicts[t], t
+    assert nilring._all_valid(spec, valid)
+    good, mixes = [t for t in tables if verdicts[t]], Counter()
+    for size in (2, 3, 7, 40):
+        for _ in range(20):
+            batch = rng.sample(good, size - 1) + [rng.choice(tables)]
+            rng.shuffle(batch)
+            mixes[all(map(verdicts.get, batch))] += 1
+            assert nilring._all_valid(spec, batch) is all(map(verdicts.get, batch)), batch
+    assert mixes[True] and mixes[False]
+
+
+def test_search_certifies_its_tables_in_batches_with_no_validate_call(monkeypatch):
+    # the 288 tables on C8 x C4, in the order that sorting every tensor that
+    # validate accepts gives, certified by the batch certifier alone
+    spec = GroupSpec(2, (3, 2))
+    expected = sorted(t for t in _all_tensors(spec) if not validate(RingStructure(spec, t)))
+    calls = []
+    monkeypatch.setattr(nilring, "validate", lambda A: calls.append(A) or [])
+    assert [A.constants for A in enumerate_structures(spec)] == expected
+    assert len(expected) == 288 and calls == []
+
+
+def test_search_raises_when_the_two_certifiers_disagree(monkeypatch):
+    # a rejected slice goes through validate table by table; when validate
+    # accepts them all, the disagreement is a theorem violation, not a pass
+    monkeypatch.setattr(nilring, "_all_valid", lambda spec, tables: False)
+    with pytest.raises(TheoremViolation, match="_all_valid and validate disagree") as info:
+        enumerate_structures(C2C2)
+    assert info.value.witness == trivial_structure(C2C2).to_json()
