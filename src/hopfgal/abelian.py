@@ -67,6 +67,8 @@ class GroupSpec:
     exponents: tuple
 
     def __post_init__(self):
+        if _length(self.exponents) is None:
+            raise InputError(f"exponents {self.exponents!r} have wrong length: a sequence is needed")
         if not all(map(_is_int, (self.p, *self.exponents))):
             raise InputError(f"p and the exponents must be integers: {self.p}, {self.exponents}")
         exps = tuple(map(int, self.exponents))
@@ -275,8 +277,13 @@ def walk_subgroups(spec: GroupSpec, maps=()) -> list:
     is skipped; else J grows by `_grow_by_cosets` under g's translation table,
     built once per call, into g + J, ..., (p - 1)g + J, as pg + J = J.
     Subgroups are walked as sets of indices and decoded only when returned.
+    A map that is not |G| entries, each an index or None (which lies in no
+    subgroup), is an InputError.
     """
-    elements = spec.elements()
+    elements, maps = spec.elements(), tuple(maps)
+    entries = {None, *range(len(elements))}
+    if any(_length(m) != len(elements) or not entries.issuperset(m) for m in maps):
+        raise InputError(f"each map must be a table of {len(elements)} element indices or None")
     multiples = _linear_table(spec, [[spec.p * c for c in row] for row in spec.basis()])
     shift = cache(lambda g: _translation_perm(spec, elements[g]).__getitem__)
     images = tuple(zip(multiples, *maps))

@@ -34,13 +34,8 @@ EXIT_CAP = 3
 EXIT_VIOLATION = 4
 
 
-# the value each option holds when it is not given
-_UNSET = {"p": None, "exp": None, "n": None, "family": None, "d": None, "all_d": False,
-          "all_structures": False, "cap_enum": abelian.DEFAULT_ENUM_CAP,
-          "cap_search": nilring.DEFAULT_SEARCH_CAP, "cap_hol": holomorph.DEFAULT_HOL_CAP}
-
-# the options of _UNSET each command or verify check reads; --format and --out
-# are read by all
+# the options each command or verify check reads; --format and --out are
+# read by all
 _STRUCTURES = {"p", "exp", "n", "family", "d", "all_d", "all_structures", "cap_enum", "cap_search"}
 _READS = {
     "enumerate": {"p", "exp", "n", "cap_search", "cap_hol"},
@@ -53,26 +48,37 @@ _READS = {
 }
 
 
+class _Typed(argparse.Action):
+    """store, or store_true with nargs=0, that also appends the option to the
+    namespace's `typed`: an option counts as given when it is typed, even
+    at its default value."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, True if self.nargs == 0 else values)
+        namespace.typed = (*namespace.typed, self.dest)
+
+
 def _add_common(parser):
-    parser.add_argument("--p", type=_int_option, help="the prime")
-    parser.add_argument("--exp", type=str, help="comma-separated exponents, e.g. 2,1")
-    parser.add_argument("--n", type=_int_option, help="shorthand: n cyclic factors C_p (or the cyclic exponent for the cyclic family)")
-    parser.add_argument("--family", type=str, help="trivial | primitive | cyclic:d | enumerate | fixture:klein")
-    parser.add_argument("--d", type=_int_option, help="parameter of the cyclic family")
-    parser.add_argument("--all-d", action="store_true", help="scan every d in [0, p^(n-1))")
-    parser.add_argument("--all-structures", action="store_true", help="scan every enumerated structure on the spec")
+    parser.set_defaults(typed=())
+    parser.add_argument("--p", type=_int_option, action=_Typed, help="the prime")
+    parser.add_argument("--exp", type=str, action=_Typed, help="comma-separated exponents, e.g. 2,1")
+    parser.add_argument("--n", type=_int_option, action=_Typed, help="shorthand: n cyclic factors C_p (or the cyclic exponent for the cyclic family)")
+    parser.add_argument("--family", type=str, action=_Typed, help="trivial | primitive | cyclic:d | enumerate | fixture:klein")
+    parser.add_argument("--d", type=_int_option, action=_Typed, help="parameter of the cyclic family")
+    parser.add_argument("--all-d", action=_Typed, nargs=0, default=False, help="scan every d in [0, p^(n-1))")
+    parser.add_argument("--all-structures", action=_Typed, nargs=0, default=False, help="scan every enumerated structure on the spec")
     parser.add_argument("--format", choices=["json", "table"], default="json")
     parser.add_argument("--out", type=str, help="output path (default: stdout)")
-    parser.add_argument("--cap-enum", type=_int_option, default=_UNSET["cap_enum"])
-    parser.add_argument("--cap-search", type=_int_option, default=_UNSET["cap_search"])
-    parser.add_argument("--cap-hol", type=_int_option, default=_UNSET["cap_hol"])
+    parser.add_argument("--cap-enum", type=_int_option, action=_Typed, default=abelian.DEFAULT_ENUM_CAP)
+    parser.add_argument("--cap-search", type=_int_option, action=_Typed, default=nilring.DEFAULT_SEARCH_CAP)
+    parser.add_argument("--cap-hol", type=_int_option, action=_Typed, default=holomorph.DEFAULT_HOL_CAP)
 
 
-def _reject_unread(args, reader, reads, options=_UNSET):
-    """An option of `options` given to a reader that does not read it is an
-    input error; an option given at its unset value cannot be told apart."""
-    for dest in options:
-        if dest not in reads and getattr(args, dest) != _UNSET[dest]:
+def _reject_unread(args, reader, reads, options=None):
+    """The first option typed (of `options`, if given) for a reader that does
+    not read it is an input error, whatever its value."""
+    for dest in args.typed:
+        if dest not in reads and (options is None or dest in options):
             raise InputError(f"{reader} does not read --{dest.replace('_', '-')}")
 
 

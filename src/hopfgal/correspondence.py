@@ -20,16 +20,15 @@ rows (Hol(G), Perm(G) and the closed form g + gamma*g, one linear index table
 from the structure constants) of the r circle generators, on their own lam
 tables.  Each row is a homomorphism in gamma, so when every such table sends
 0 to its gamma and its rows agree, and no other lam is held, the generators
-certify all |G|^2 pairs.  Otherwise every lam(gamma) is built by cosets
-(`Context.close_circle_translations`, which checks that the tables commute
-and act regularly) and every gamma is scanned.  The report makes no
-element-level product per pair.  The maps both sides give the walk and
-the rows are index tables, decoded only for witnesses and failure records.
-lam is read point by point: each gamma o x is computed on its first read and
-kept, and a whole lam table is completed from those points only for a
-conjugation row, the report or the closure.  The circle generators and the type of (G, o) read
-no whole table: the orbit of 0 under the generators' p^j-th powers, applied
-point by point, is (G, o)^(p^j).
+certify all |G|^2 pairs.  Otherwise every gamma is scanned by the same check,
+on its lam table.  The report makes no element-level product per pair.  The
+maps both sides give the walk and the rows are index tables, decoded only for
+witnesses and failure records.  lam is read point by point: each gamma o x is
+computed on its first read and kept, and a whole lam table is completed from
+those points only for a conjugation row or the report; no lam table is built
+from others.  The circle generators and the type of (G, o) read no whole
+table: the orbit of 0 under the generators' p^j-th powers, applied point by
+point, is (G, o)^(p^j).
 """
 
 from __future__ import annotations
@@ -128,33 +127,6 @@ class Context:
             range(len(self.elements)), {0},
             lambda n: self._circle_translation(self.elements[n])))
 
-    def close_circle_translations(self) -> None:
-        """Cache lam(gamma) for every gamma; only a failing conjugation report
-        calls it.  Only the circle generators' lam is tabulated from circle
-        products; the rest are their products, as lam(gamma o g) = lam(gamma)
-        lam(g).  (G, o) is abelian, so the tables must commute (r(r - 1)
-        compositions); then they grow the identity by cosets into an abelian
-        group, which is regular iff its products reach all |G| images of 0,
-        else TheoremViolation.  A table already cached is kept."""
-        elems = self.elements
-        gens = [self.circle_translation_perm(elems[n]) for n in self.circle_generators]
-        for i, lam in enumerate(gens):
-            for mu in gens[:i]:
-                ml, lm = perm_compose(mu, lam), perm_compose(lam, mu)
-                if ml != lm:
-                    x = next(x for x, (a, b) in enumerate(zip(ml, lm)) if a != b)
-                    raise TheoremViolation("circle translations do not act regularly", witness={
-                        "gamma": list(elems[lm[0]]), "x": list(elems[x]),
-                        "images": [list(elems[ml[x]]), list(elems[lm[x]])]})
-        span = {tuple(range(len(elems)))}
-        abelian._greedy_generators(gens, span, lambda lam: partial(perm_compose, lam))
-        found = {nu[0]: nu for nu in span}
-        if len(found) != len(elems):
-            raise TheoremViolation("circle translations do not act regularly",
-                                   witness={"orbit_of_0": len(found), "order": len(elems)})
-        for n, lam in found.items():
-            self._lambda_cache.setdefault(elems[n], lam)
-
     def conjugation_row(self, n: int) -> tuple:
         """(hs, oks) over g, built once per gamma = elements[n].  With lam =
         lam(gamma) and z = lam^{-1}(0), h = lam(g + z) is the conjugate
@@ -210,10 +182,10 @@ def holomorph_conjugation_report(ctx: Context) -> dict:
       one fails), on the lam(gamma) table the Context holds;
     - the closed form g + gamma*g: one linear index table per gamma, from
       the structure constants (`_closed_form_table`).
-    The report passes when each circle generator's held lam table sends 0 to
-    its gamma and passes its three rows (`_gamma_failures`: the Hol(G)
-    translation test, its row's test on the standard generators and their
-    comparison), and no lam table is held for any other gamma, which is
+    The report passes when each circle generator's held lam table passes
+    `_gamma_failures` (it sends 0 to its gamma, then the Hol(G) translation
+    test, its row's test on the standard generators and the comparison of
+    the three rows), and no lam table is held for any other gamma, which is
     tested after the generators' tables are completed.  Such a table
     is the true circle translation: lam alpha(x) = alpha(x + gamma x) lam
     gives lam(x) = lam(0) + x + gamma x = gamma o x.  Each row is a
@@ -221,32 +193,33 @@ def holomorph_conjugation_report(ctx: Context) -> dict:
     lam(delta), tau(gamma o delta) = tau(gamma) tau(delta), and (I +
     M_gamma)(I + M_delta) = I + M_{gamma o delta}, the last two by the
     associativity `Context` validated, so the r generators certify all
-    |G|^2 pairs.  Otherwise `Context.close_circle_translations` runs (its
-    checks cannot fail on true circle translations) and every gamma is
-    scanned by the same step.  The rows are compared as whole index tuples,
-    so the report makes no element-level product per pair; only a gamma
-    where they disagree is checked pair by pair, for the failure records.
-    Returns the failures.
+    |G|^2 pairs.  Otherwise every gamma is scanned by the same step, each
+    lam table not held yet completed from circle products.  The rows are
+    compared as whole index tuples, so the report makes no element-level
+    product per pair; only a gamma where they disagree is checked pair by
+    pair, for the failure records.  Returns the failures.
     """
-    gens, held = ctx.circle_generators, ctx._lambda_cache
-    lams = [ctx.circle_translation_perm(ctx.elements[n]) for n in gens]
-    failures = []
-    if len(held) > len(gens) or any(lam[0] != n or _gamma_failures(ctx, n)
-                                    for n, lam in zip(gens, lams)):
-        ctx.close_circle_translations()
+    gens, failures = ctx.circle_generators, []
+    # each generator's check completes its table, so the held count comes last
+    if any(_gamma_failures(ctx, n) for n in gens) or len(ctx._lambda_cache) > len(gens):
         failures = [f for n in range(len(ctx.elements)) for f in _gamma_failures(ctx, n)]
     return {"pairs_checked": len(ctx.elements) ** 2, "failures": failures}
 
 
 def _gamma_failures(ctx: Context, n: int) -> list:
-    """The failure records of gamma = elements[n] over every g, from its
-    three h rows (see `holomorph_conjugation_report`)."""
+    """The failure records of gamma = elements[n] over every g: one per g if
+    its lam table does not send 0 to gamma, else from its three h rows (see
+    `holomorph_conjugation_report`)."""
     elems, gamma = ctx.elements, ctx.elements[n]
+
+    def every_g(reason):
+        return [{"gamma": list(gamma), "g": list(g), "reason": reason} for g in elems]
+    if ctx.circle_translation_perm(gamma)[0] != n:
+        return every_g("lam(gamma) does not send 0 to gamma")
     beta = holomorph._tau(ctx.ring, gamma)
     beta_inv = holomorph.inverse(beta)
     if not holomorph.compose(beta, beta_inv).is_translation():
-        reason = "holomorph conjugate is not a translation"
-        return [{"gamma": list(gamma), "g": list(g), "reason": reason} for g in elems]
+        return every_g("holomorph conjugate is not a translation")
     # beta(0) + M_beta(g + beta^{-1}(0)) for every g, composed on indices
     hol = tuple(map(ctx.additive_translation_perm(beta.a).__getitem__,
                     map(beta.linear_table.__getitem__,

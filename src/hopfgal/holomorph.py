@@ -176,7 +176,7 @@ def _perm_compose(f: tuple, g: tuple) -> tuple:
     return tuple(map(f.__getitem__, g))
 
 
-def _extend(group: list, gens: tuple, limit=None, admit=None):
+def _extend(group: list, gens: tuple, limit: int, admit):
     """The members of <gens>, for gens generating a group that contains H, the
     group listed in `group`, by Dimino's cosets (Butler, LNCS 559, 1991): for
     g in gens outside them, the coset H g joins whole, then H (g g') for g'
@@ -186,11 +186,11 @@ def _extend(group: list, gens: tuple, limit=None, admit=None):
     for r in reps:  # reps grows while it is read
         if r in inside:
             continue
-        if limit is not None and len(out) + len(group) > limit:
+        if len(out) + len(group) > limit:
             return None
         for h in group:
             y = _perm_compose(h, r)
-            if admit is not None and not admit(y):
+            if not admit(y):
                 return None
             out.append(y)
         inside.update(out[-len(group):])
@@ -240,10 +240,11 @@ def ring_from_regular_subgroup(T: RegularSubgroup) -> RingStructure:
     would contradict the correspondence, so it raises TheoremViolation.
     """
     spec = T.spec
+    members = T.elements if _length(T.elements) == spec.order else ()
     # `is` first: the dataclass == builds a tuple of fields on each call
-    by_base = {t.a: t for t in T.elements
+    by_base = {t.a: t for t in members
                if isinstance(t, AffineMap) and (t.spec is spec or t.spec == spec)}
-    if len(T.elements) != spec.order or by_base.keys() != spec.element_index.keys():
+    if by_base.keys() != spec.element_index.keys():
         raise InputError("not a regular subgroup: its members must be affine maps on G "
                          "sending 0 to each element once")
     gens = [by_base[b] for b in spec._basis]

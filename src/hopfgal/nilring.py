@@ -62,9 +62,6 @@ class RingStructure:
         except TypeError:
             raise InputError(f"structure JSON must be {{'spec': ..., 'constants': [[elem, ...], ...]}}: {data!r}") from None
 
-    def sort_key(self):
-        return self.constants
-
     @cached_property
     def _terms(self) -> tuple:
         """(i, j, ((t, c_t), ...)) for each nonzero product b_i b_j, with

@@ -180,14 +180,20 @@ def conjugation_report(A, lams=None, inverses=None, marked=()) -> dict:
     and the closed form g + gamma*g.  Stand-ins, dicts keyed by gamma:
     `lams` for lam(gamma) (else `circle_translation`), `inverses` for
     beta^{-1} (else beta inverted); a (gamma, g) in `marked` is taken as a
-    conjugate that is no translation."""
+    conjugate that is no translation.  A lam(gamma) that does not send 0 to
+    gamma fails at every g."""
     spec, lams, inverses = A.spec, lams or {}, inverses or {}
     elems, zero, plus = spec.elements(), spec.zero(), addition_table(spec)
     failures = []
     for gamma in elems:
         beta = circle_translation(A, gamma)
+        lam = lams.get(gamma, beta)
+        if lam[zero] != gamma:
+            failures += [{"gamma": list(gamma), "g": list(g),
+                          "reason": "lam(gamma) does not send 0 to gamma"} for g in elems]
+            continue
         beta_inv = inverses.get(gamma) or {y: x for x, y in beta.items()}
-        hs, oks = conjugation_row(spec, plus, lams.get(gamma, beta))
+        hs, oks = conjugation_row(spec, plus, lam)
         for g, h, ok in zip(elems, hs, oks):
             record = {"gamma": list(gamma), "g": list(g)}
             h_hol = beta[plus[g, beta_inv[zero]]]

@@ -263,6 +263,31 @@ def test_enumerate_subgroups_counts(spec, count):
     assert {frozenset(s.elements) for s in subs} == brute_force_subgroups(spec)
 
 
+C4C2 = GroupSpec(2, (2, 1))
+# x -> (x_2, 0) on C4 x C2, nilpotent: six of the eight subgroups are stable
+SHIFT = abelian._linear_table(C4C2, [[0, 0], [1, 0]])
+
+
+@pytest.mark.parametrize("maps", [
+    [SHIFT[:4]], [SHIFT + (0,)], [5], [SHIFT, None], [SHIFT[:7] + (8,)], [SHIFT[:7] + (-1,)],
+    [SHIFT[:7] + ((0,),)], [SHIFT, "abcdefgh"],
+], ids=["cut", "long", "no-length", "a-map-None", "index-8", "index-negative", "an-element", "a-string"])
+def test_walk_subgroups_refuses_a_malformed_map(maps):
+    # zip stopped at the shortest table (the cut table gave 2 stable
+    # subgroups, with no error), a map with no length raised TypeError, and
+    # an entry that is no index was never matched
+    assert len(walk_subgroups(C4C2, [SHIFT])) == 6
+    with pytest.raises(InputError, match="each map must be a table of 8 element indices or None"):
+        walk_subgroups(C4C2, maps)
+
+
+def test_walk_subgroups_takes_none_for_an_image_in_no_subgroup():
+    # None, which the per-g maps of invariant_subgroups give for a conjugate
+    # that is no translation, lies in no subgroup: with None at every g != 0,
+    # only the zero subgroup is stable
+    assert [s.elements for s in walk_subgroups(C4C2, [SHIFT[:1] + (None,) * 7])] == [((0, 0),)]
+
+
 @pytest.mark.parametrize("spec", SMALL_SPECS)
 def test_enumerate_subgroups_properties(spec):
     subs = walk_subgroups(spec)
@@ -408,9 +433,11 @@ def test_check_elem_accepts_exactly_what_the_per_coordinate_test_accepts(spec):
     lambda: nilring.make_structure(GroupSpec(2, (1,)), [5]),
     lambda: nilring.make_structure(GroupSpec(2, (1,)), None),
     lambda: additive_closure(C2C2, 5),
+    lambda: GroupSpec(2, 5),
+    lambda: abelian.subgroup_count(2, 5),
 ], ids=["add-int", "add-None", "mul", "nilpotency_index", "make_structure", "additive_closure", "add-class",
         "reduce_coords-class", "make_structure-table", "make_structure-row", "make_structure-None",
-        "additive_closure-gens"])
+        "additive_closure-gens", "GroupSpec-exponents", "subgroup_count-exponents"])
 def test_an_element_with_no_length_is_an_input_error(call):
     # len(5) raised TypeError, a traceback where the CLI's contract is exit 2;
     # check_elem and reduce_coords both read the length, as does len(tuple);

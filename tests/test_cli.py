@@ -299,6 +299,11 @@ def test_conflicting_structure_selections_are_input_errors(argv):
         ("verify", "conjugation", "--family", "fixture:klein", "--cap-search", "7"),
         ("verify", "lattice", "--family", "primitive", "--p", "2", "--n", "3", "--cap-search", "5"),
         ("verify", "lattice", "--family", "cyclic:1", "--p", "3", "--n", "2", "--cap-search", "3"),
+        # each at its default value: an option counts as given when it is typed
+        ("enumerate", "--p", "2", "--exp", "1,1", "--cap-enum", "10000"),
+        ("verify", "lattice", "--family", "trivial", "--p", "3", "--n", "2", "--cap-search", "16777216"),
+        ("verify", "elementary", "--p", "3", "--n", "2", "--cap-hol", "2000"),
+        ("report", "--family", "primitive", "--p", "3", "--n", "2", "--cap-hol", "2000"),
     ],
 )
 def test_unread_options_are_input_errors(argv):

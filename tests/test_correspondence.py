@@ -19,7 +19,7 @@ from hopfgal.correspondence import (
     lattice_report,
     perm_compose,
 )
-from hopfgal.errors import CapExceeded, InputError, TheoremViolation
+from hopfgal.errors import CapExceeded, InputError
 from hopfgal.nilring import (
     cyclic_structure,
     enumerate_structures,
@@ -144,34 +144,35 @@ def test_conjugation_report_permutation_failures():
     assert [s.elements for s in invariant_subgroups(ctx)] == [((0,),)]
 
 
-def test_conjugation_report_checks_the_closure_is_regular():
+NOT_AT_0 = "lam(gamma) does not send 0 to gamma"
+
+
+def test_conjugation_report_checks_a_non_regular_generator_table():
     # the non-regular stand-in for lam((1,)) above makes (1,) and (3,) the
-    # circle generators; two products of theirs agree at 0 but differ
+    # circle generators; it sends 0 to its gamma, and its row fails at 7 g.
+    # Every other lam is built from circle products and passes
     ctx = Context(trivial_structure(GroupSpec(2, (3,))))
     ctx._lambda_cache[(1,)] = (1, 2, 5, 4, 3, 6, 7, 0)
-    with pytest.raises(TheoremViolation, match="do not act regularly") as info:
-        holomorph_conjugation_report(ctx)
+    failures = holomorph_conjugation_report(ctx)["failures"]
     assert ctx.circle_generators == (1, 3)
-    assert set(info.value.witness) == {"gamma", "x", "images"}
-    # with the identity planted for every gamma, the closure finds lam(0) only
+    assert failures == [{"gamma": [1], "g": [g], "reason": PERM_REASON} for g in range(1, 8)]
+    # with the identity planted for every gamma, lam(gamma) sends 0 to 0, not
+    # to gamma, for each gamma != 0: one record per g at each
     ctx = Context(trivial_structure(GroupSpec(2, (3,))))
     for gamma in ctx.elements:
         ctx._lambda_cache[gamma] = tuple(range(8))
-    with pytest.raises(TheoremViolation, match="do not act regularly") as info:
-        holomorph_conjugation_report(ctx)
-    assert info.value.witness == {"orbit_of_0": 1, "order": 8}
+    assert holomorph_conjugation_report(ctx)["failures"] == [
+        {"gamma": [gamma], "g": [g], "reason": NOT_AT_0} for gamma in range(1, 8) for g in range(8)]
 
 
 def test_conjugation_report_counts_the_images_of_0_for_regularity():
     # on Z/4, the transposition of 1 and 2 planted as lam for every gamma != 0:
-    # the tables commute, their span is {id, (1 2)}, and both fix 0, so the
-    # closure reaches one image of 0 out of 4
+    # it fixes 0, so each of the three gamma has one record per g
     ctx = Context(trivial_structure(Z4))
     for gamma in ctx.elements[1:]:
         ctx._lambda_cache[gamma] = (0, 2, 1, 3)
-    with pytest.raises(TheoremViolation, match="do not act regularly") as info:
-        holomorph_conjugation_report(ctx)
-    assert info.value.witness == {"orbit_of_0": 1, "order": 4}
+    assert holomorph_conjugation_report(ctx)["failures"] == [
+        {"gamma": [gamma], "g": [g], "reason": NOT_AT_0} for gamma in (1, 2, 3) for g in range(4)]
 
 
 def test_conjugation_report_scans_every_gamma_for_a_stray_table():
@@ -179,18 +180,16 @@ def test_conjugation_report_scans_every_gamma_for_a_stray_table():
     # a stand-in x -> 2 + 4x for lam((1,)), the one circle generator's, has
     # the right linear part but 2 at 0.  Its own three rows agree (each
     # conjugates alpha(g) to alpha(4g)), but it sends 0 to 2, not to its own
-    # gamma, so the report runs the closure and scans every gamma.  The
-    # closure keeps the stand-in and keys its powers by their image of 0:
-    # the table it files under gamma = 2 is the stand-in itself, of linear
-    # part 4 where the closed form has 1 + 3 * 2 = 7, and so on.  Those with
-    # a wrong linear part fail at every g outside 3Z/9
+    # gamma, so the report scans every gamma: the stand-in fails at every g,
+    # and every other lam, built from circle products, passes
     ctx = Context(cyclic_structure(3, 2, 1))
     ctx._lambda_cache[(1,)] = tuple((2 + 4 * x) % 9 for x in range(9))
     assert ctx.circle_generators == (1,)
     report = holomorph_conjugation_report(ctx)
     assert ctx._lambda_cache[(1,)] == tuple((2 + 4 * x) % 9 for x in range(9))
-    assert report["failures"] == [{"gamma": [gamma], "g": [g], "reason": PERM_REASON}
-                                  for gamma in (2, 4, 5, 7, 8) for g in (1, 2, 4, 5, 7, 8)]
+    assert len(ctx._lambda_cache) == 9
+    assert report["failures"] == [{"gamma": [1], "g": [g], "reason": NOT_AT_0}
+                                  for g in range(9)]
 
 
 def test_passing_conjugation_report_holds_the_circle_generators_tables_only():
@@ -204,7 +203,7 @@ def test_passing_conjugation_report_holds_the_circle_generators_tables_only():
 
 def test_conjugation_report_scans_every_gamma_when_another_table_is_held():
     # a true lam cached for a gamma that is no circle generator takes the
-    # full path: the closure fills the cache, and nothing fails
+    # full path: the scan completes every lam table, and nothing fails
     ctx = _c4c4_context()
     gamma = (1, 1)
     assert ctx.index[gamma] not in ctx.circle_generators
@@ -229,14 +228,19 @@ def test_conjugation_report_scans_every_gamma_for_a_table_held_before_the_genera
 def test_conjugation_report_checks_the_circle_generators_commute():
     # on C2 x C2, the transposition (0 1) and the 3-cycle (0 2 3) as lam of
     # the circle generators (0, 1) and (1, 0); their two products send 0 to
-    # 2 and to 1, so they do not commute, and the check says where
+    # 2 and to 1, so they do not commute.  Each sends 0 to its gamma, and
+    # each fails at the g whose conjugate it does not make the predicted
+    # translation
     ctx = Context(trivial_structure(GroupSpec(2, (1, 1))))
     ctx._lambda_cache[(0, 1)] = (1, 0, 2, 3)
     ctx._lambda_cache[(1, 0)] = (2, 1, 3, 0)
-    with pytest.raises(TheoremViolation, match="do not act regularly") as info:
-        holomorph_conjugation_report(ctx)
+    assert perm_compose(ctx._lambda_cache[(0, 1)], ctx._lambda_cache[(1, 0)])[0] == 2
+    assert perm_compose(ctx._lambda_cache[(1, 0)], ctx._lambda_cache[(0, 1)])[0] == 1
+    failures = holomorph_conjugation_report(ctx)["failures"]
     assert ctx.circle_generators == (1, 2)
-    assert info.value.witness == {"gamma": [0, 1], "x": [0, 0], "images": [[1, 0], [0, 1]]}
+    assert failures == [{"gamma": list(gamma), "g": list(g), "reason": PERM_REASON}
+                        for gamma, g in [((0, 1), (1, 0)), ((0, 1), (1, 1)), ((1, 0), (0, 1)),
+                                         ((1, 0), (1, 0)), ((1, 0), (1, 1))]]
 
 
 def _patch_inverse(monkeypatch, change):
@@ -545,7 +549,7 @@ def test_each_pair_is_conjugated_once(monkeypatch):
     # the whole h row plus two for each of the k = 2 standard generators'
     # basis test, (2k + 1) r = 5 * 2 = 10 (a row per gamma took (2k + 1) |G|
     # = 80, and testing every pair by itself 2 |G|^2 = 512).  A passing
-    # report holds no other lam(gamma), so it runs no closure.  The circle
+    # report holds no other lam(gamma), so it scans no other gamma.  The circle
     # type, C8 x C2, applies each lam point by point and composes no table
     # (by p-th powers of tables it took 5 more, 15 in all)
     ctx = _c4c4_context()

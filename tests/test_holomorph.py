@@ -290,10 +290,10 @@ def test_closure_by_cosets_matches_breadth_first_products(spec):
         for _ in range(30):
             gens = tuple(rng.sample(perms, size))
             expected = oracles.closure_by_products(gens)
-            got = holomorph._extend(ident, gens)
+            got = holomorph._extend(ident, gens, len(perms), lambda y: True)
             assert len(got) == len(expected) and set(got) == expected
             for limit in (len(expected) - 1, len(expected), spec.order):
-                got = holomorph._extend(ident, gens, limit)
+                got = holomorph._extend(ident, gens, limit, lambda y: True)
                 assert (got if got is None else set(got)) == oracles.closure_by_products(gens, limit)
                 refused += got is None
     assert refused
@@ -361,10 +361,14 @@ Z8 = GroupSpec(2, (3,))
     [5],  # no map: its .a raised AttributeError
     [5] + [translation(Z8, (g,)) for g in range(7)],
     [translation(GroupSpec(2, (4,)), (g,)) for g in range(8)],  # on Z/16, sending 0 to 0, ..., 7
-], ids=["one-map", "one-translation", "repeated-image-of-0", "no-map", "a-member-no-map", "maps-on-another-group"])
+    5,  # no length: iterating it raised TypeError
+    None,
+], ids=["one-map", "one-translation", "repeated-image-of-0", "no-map", "a-member-no-map", "maps-on-another-group",
+        "members-int", "members-None"])
 def test_ring_from_regular_subgroup_refuses_a_set_that_is_not_regular(maps):
+    members = tuple(maps) if isinstance(maps, list) else maps
     with pytest.raises(InputError, match="not a regular subgroup"):
-        ring_from_regular_subgroup(holomorph.RegularSubgroup(Z8, tuple(maps)))
+        ring_from_regular_subgroup(holomorph.RegularSubgroup(Z8, members))
 
 
 @pytest.mark.parametrize("spec,regular,abelian", [

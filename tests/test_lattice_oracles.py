@@ -11,8 +11,8 @@ filter of every additive subgroup through the full table of
 `oracles.conjugation_row`, which tests every conjugate point by point, and
 `Context.conjugation_row`, which tests the standard generators only when they
 pass, is checked against that row on the benchmark catalogue and on planted
-circle translations that fail.  On the catalogue, every circle translation the
-closure of `Context.close_circle_translations` gives is checked against
+circle translations that fail.  On the catalogue, every circle translation a
+scan of the conjugation report completes is checked against
 `oracles.circle_translation`, and every closed-form table g + gamma*g against
 `add` and `mul`, pair by pair.  The conjugation report, which builds its rows
 for the circle generators only, is checked against `oracles.conjugation_report`,
@@ -173,14 +173,16 @@ def test_conjugation_rows_match_the_oracle_on_the_catalogue():
     assert count == 217
 
 
-def test_closure_gives_every_circle_translation_on_the_catalogue():
-    # only the circle generators' lam is tabulated from circle products; every
-    # other lam(gamma) is a product found by the closure
+def test_scan_gives_every_circle_translation_on_the_catalogue():
+    # a true lam held for a gamma that is no circle generator makes the
+    # report scan every gamma, which completes each lam table from circle
+    # products
     count = 0
     for A in catalogue_structures():
         ctx = Context(A)
-        ctx.close_circle_translations()
         elems = ctx.elements
+        ctx.circle_translation_perm(elems[max(set(range(len(elems))) - set(ctx.circle_generators))])
+        assert holomorph_conjugation_report(ctx)["failures"] == []
         assert len(ctx._lambda_cache) == len(elems)
         for gamma in elems:
             lam = ctx._lambda_cache[gamma]
@@ -244,6 +246,36 @@ def _stray_generator_on_z9(monkeypatch):
     return ctx, {}
 
 
+def _non_regular_generator_on_z8(monkeypatch):
+    # of test_conjugation_report_checks_a_non_regular_generator_table
+    ctx = Context(trivial_structure(GroupSpec(2, (3,))))
+    ctx._lambda_cache[(1,)] = (1, 2, 5, 4, 3, 6, 7, 0)
+    return ctx, {}
+
+
+def _identity_everywhere_on_z8(monkeypatch):
+    ctx = Context(trivial_structure(GroupSpec(2, (3,))))
+    for gamma in ctx.elements:
+        ctx._lambda_cache[gamma] = tuple(range(8))
+    return ctx, {}
+
+
+def _transposition_everywhere_on_z4(monkeypatch):
+    # of test_conjugation_report_counts_the_images_of_0_for_regularity
+    ctx = Context(trivial_structure(GroupSpec(2, (2,))))
+    for gamma in ctx.elements[1:]:
+        ctx._lambda_cache[gamma] = (0, 2, 1, 3)
+    return ctx, {}
+
+
+def _generators_that_do_not_commute_on_c2c2(monkeypatch):
+    # of test_conjugation_report_checks_the_circle_generators_commute
+    ctx = Context(trivial_structure(GroupSpec(2, (1, 1))))
+    ctx._lambda_cache[(0, 1)] = (1, 0, 2, 3)
+    ctx._lambda_cache[(1, 0)] = (2, 1, 3, 0)
+    return ctx, {}
+
+
 def _plant_inverse(monkeypatch, change, stand_in):
     """On primitive(3, 2), holomorph.inverse with `change` applied to the
     inverse of tau((1, 0)), as in test_correspondence; the oracle gets
@@ -283,10 +315,11 @@ def _planted_row(n):
 
 @pytest.mark.parametrize("plant", [
     _stray_lam_on_z8, _stray_generator_on_z9, _inverse_without_its_matrix, _inverse_shifted,
-    _planted_row(1), _planted_row(3)])
+    _planted_row(1), _planted_row(3), _non_regular_generator_on_z8, _identity_everywhere_on_z8,
+    _transposition_everywhere_on_z4, _generators_that_do_not_commute_on_c2c2])
 def test_conjugation_report_matches_the_per_pair_oracle_on_planted_failures(monkeypatch, plant):
     # the oracle conjugates by the lam tables the report ended with, planted
-    # or grown by its closure, and is given the other stand-ins as they were
+    # or completed from circle products, and is given the other stand-ins as they were
     # planted; the failure lists must be equal, in order
     ctx, stand_ins = plant(monkeypatch)
     report = holomorph_conjugation_report(ctx)

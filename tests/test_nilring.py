@@ -295,7 +295,7 @@ def test_enumerate_structures_counts():
 def test_enumerated_structures_validate(spec):
     structures = enumerate_structures(spec)
     assert len(structures) == len(set(structures))
-    assert structures == sorted(structures, key=lambda A: A.sort_key())
+    assert structures == sorted(structures, key=lambda A: A.constants)
     for A in structures:
         assert validate(A) == []
 

@@ -3,6 +3,7 @@ workloads call, or a method the tracer looks up as `Class.method`, is renamed
 or removed.  The tracer wraps the module-level functions a module still
 defines, so a counted module-level name that is gone is skipped, not an error."""
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -19,3 +20,16 @@ def test_perfbench_smoke():
     )
     assert result.returncode == 0, result.stdout + result.stderr
     assert "FAIL" not in result.stdout
+
+
+def test_the_readme_workload_runs_the_readme_commands():
+    # README_COMMANDS is described as the CLI section of README.md, exactly
+    # as written: the `hopfgal` lines of that section's code block, in order
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    section = (ROOT / "README.md").read_text().split("\n## CLI\n", 1)[1]
+    block = section.split("```\n", 2)[1]
+    commands = [line.removeprefix("hopfgal ") for line in block.splitlines()
+                if line.startswith("hopfgal ")]
+    assert tuple(commands) == workloads.README_COMMANDS
