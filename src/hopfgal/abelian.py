@@ -5,8 +5,8 @@ A group is presented as a direct sum of cyclic p-power factors
 factor, always reduced modulo the factor order.  Everything here is a
 pure function on immutable values; outputs are canonically ordered so
 runs are deterministic and diffable.
-The public ops check their arguments and call the unchecked kernel
-(`_add`, `_scalar_mul`), which the package runs on its own elements.
+The public ops check their arguments and call the unchecked kernel (`_add`,
+`_scalar_mul`, `_walk_subgroups`), which the package runs on its own values.
 An element's index is its position in `GroupSpec.elements()`; the index
 tables of `_translation_perm` and `_linear_table` are built per coordinate.
 The one lattice walk is additive and runs on indices; `subgroup_count`
@@ -265,28 +265,35 @@ def minimal_generators(spec: GroupSpec, elements: frozenset) -> tuple:
 
 
 def walk_subgroups(spec: GroupSpec, maps=()) -> list:
+    """The checked form of `_walk_subgroups`: a map that is not |G| entries,
+    each an element index or None (which lies in no subgroup), is an InputError."""
+    maps, entries = tuple(maps), {None, *range(spec.order)}
+    if any(_length(m) != spec.order or not entries.issuperset(m) for m in maps):
+        raise InputError(f"each map must be a table of {spec.order} element indices or None")
+    return _walk_subgroups(spec, maps)
+
+
+def _walk_subgroups(spec: GroupSpec, maps) -> list:
     """Every additive subgroup of `spec` that each map in `maps`
     (endomorphisms) sends into itself, canonically sorted.  Each map is an
     index table like `_linear_table`'s, m[n] the index of the image of
-    elements[n]; the walk tabulates x -> px as one more such table.
+    elements[n]; on a group that is not elementary the walk tabulates x -> px
+    as one more such table (else px = 0, which lies in every subgroup).
 
     Each cover J < I has index p: I is J + <g> for any g in I - J, and pg and
     each m(g) lie in J.  This holds for subgroups of a p-group, and for ideals
-    of a nilpotent ring with the generator products as `maps` (such a ring acts
-    trivially on simple modules).  For each J, a g inside a cover already found
-    is skipped; else J grows by `_grow_by_cosets` under g's translation table,
-    built once per call, into g + J, ..., (p - 1)g + J, as pg + J = J.
-    Subgroups are walked as sets of indices and decoded only when returned.
-    A map that is not |G| entries, each an index or None (which lies in no
-    subgroup), is an InputError.
+    of a nilpotent ring A with the products by ring generators as `maps`, as A
+    acts trivially on the simple module I/J: AI and pI lie in J.  For each J,
+    a g inside a cover already found is skipped; else J grows by
+    `_grow_by_cosets` under g's translation table, built once per call, into
+    g + J, ..., (p - 1)g + J, as pg + J = J.  Subgroups are walked as sets of
+    indices and decoded only when returned.
     """
-    elements, maps = spec.elements(), tuple(maps)
-    entries = {None, *range(len(elements))}
-    if any(_length(m) != len(elements) or not entries.issuperset(m) for m in maps):
-        raise InputError(f"each map must be a table of {len(elements)} element indices or None")
-    multiples = _linear_table(spec, [[spec.p * c for c in row] for row in spec.basis()])
+    elements = spec.elements()
+    if spec.exponents[0] > 1:
+        maps = (_linear_table(spec, [[spec.p * c for c in row] for row in spec.basis()]), *maps)
     shift = cache(lambda g: _translation_perm(spec, elements[g]).__getitem__)
-    images = tuple(zip(multiples, *maps))
+    images = tuple(zip(*maps)) or ((),) * len(elements)
     level = [frozenset({0})]
     found = list(level)
     while level:

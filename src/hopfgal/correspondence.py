@@ -6,8 +6,8 @@ no lattice).  Left circle translations and additive translations give
 two regular representations on the same set; the subgroups invariant
 under conjugation by circle translations are computed by literal
 permutation conjugation and compared with the ideals of the structure.
-Both sides use the additive lattice walk `abelian.walk_subgroups` and differ
-by predicate: stability under generator multiplication vs. conjugation by the
+Both sides use the additive lattice walk `abelian._walk_subgroups` and differ
+by predicate: stability under ring generator products vs. conjugation by the
 circle generators.  Brute-force and closed-form tests check that the walk is
 complete.  The subgroups of (G, o) are counted from its type alone
 (`abelian.subgroup_count`).  Per gamma, `Context.conjugation_row` reads the
@@ -250,27 +250,46 @@ def _closed_form_table(ctx: Context, gamma: Elem) -> tuple:
          for j in range(spec.rank)] for i, mod in enumerate(spec.moduli)])
 
 
+def _ring_generators(A: RingStructure) -> list:
+    """The indices of a ring-generating set S, less its b_i with a zero row
+    (b_i A = 0 lies in every subgroup): the b_i, in order, whose images span
+    A/(A^2 + pA) = F_p^k / span{c_ij mod p}, that is, the i that are the last
+    nonzero coordinate of no vector of that span (Gaussian elimination mod p).
+    With R the ring S generates, A = R + A^2 + pA gives A = R + A^m + pA for
+    every m, so A = R + pA, as A is nilpotent, and A = R."""
+    p, pivots = A.spec.p, {}  # last nonzero coordinate t -> a vector of the span, 1 at t
+    for v in {tuple([x % p for x in c]) for i, row in enumerate(A.constants) for c in row[i:]}:
+        while any(v):
+            t = max([t for t, x in enumerate(v) if x])
+            if t not in pivots:
+                pivots[t] = [x * pow(v[t], -1, p) % p for x in v]
+                break
+            v = [(x - v[t] * y) % p for x, y in zip(v, pivots[t])]
+    return [i for i, row in enumerate(A.constants) if i not in pivots and any(map(any, row))]
+
+
 def _generator_products(ctx: Context) -> list:
-    """Per standard generator b_i, the index table of x -> b_i*x: the map is
-    linear, its matrix (column j is b_i*b_j) is row i of the structure
-    constants, and all |G| images come from one `abelian._linear_table`."""
-    return [abelian._linear_table(ctx.spec, tuple(zip(*row))) for row in ctx.ring.constants]
+    """Per ring generator b_i (`_ring_generators`), the index table of x ->
+    b_i*x: the map is linear, its matrix (column j is b_i*b_j) is row i of the
+    structure constants, and all |G| images come from one `abelian._linear_table`."""
+    return [abelian._linear_table(ctx.spec, tuple(zip(*ctx.ring.constants[i])))
+            for i in _ring_generators(ctx.ring)]
 
 
 def ideals(ctx: Context) -> list:
     """All ideals of the structure, canonically sorted: the additive subgroups
-    stable under the product with each generator (enough, by bilinearity),
-    from `abelian.walk_subgroups`, which is complete for a nilpotent ring.
-    The products are read off index tables, one per row of the structure
-    constants (`_generator_products`), and generators stay lazy."""
-    return abelian.walk_subgroups(ctx.spec, _generator_products(ctx))
+    J with sJ in J for each ring generator s (`_ring_generators`), from the
+    walk, which is complete for a nilpotent ring.  Then rJ is in J for every r
+    in the ring they generate, A, so J is an ideal.  The products are read off
+    index tables (`_generator_products`), and generators stay lazy."""
+    return abelian._walk_subgroups(ctx.spec, _generator_products(ctx))
 
 
 def invariant_subgroups(ctx: Context) -> list:
     """Additive subgroups J whose translation image is stable under conjugation
     by every circle translation, canonically sorted.  lam is a homomorphism on
     (G, o), so the circle generators suffice.  Each one's conjugation row
-    gives `abelian.walk_subgroups` the index table of g -> h - g = gamma * g,
+    gives `abelian._walk_subgroups` the index table of g -> h - g = gamma * g,
     a nilpotent endomorphism, so the walk is complete.  If every conjugate
     in the row is a translation, g -> h is additive and the table linear,
     with column j h - b_j; else a g whose conjugate is no translation maps
@@ -285,7 +304,7 @@ def invariant_subgroups(ctx: Context) -> list:
         else:
             maps.append(tuple(index[abelian._add(spec, elems[h], abelian._scalar_mul(spec, -1, g))]
                               if ok else None for g, h, ok in zip(elems, hs, oks)))
-    return abelian.walk_subgroups(spec, maps)
+    return abelian._walk_subgroups(spec, maps)
 
 
 def circle_subgroup_count(ctx: Context) -> int:

@@ -210,8 +210,9 @@ def test_generators_of_every_subgroup_are_pinned(p, exponents, count, digest):
 
 def _calls_per_walk(monkeypatch, name):
     """The argument tuples of the abelian.<name> calls made inside each
-    `abelian.walk_subgroups` call, one list per walk."""
-    walks, walk, original = [], abelian.walk_subgroups, getattr(abelian, name)
+    `abelian._walk_subgroups` call (the walk that `walk_subgroups` runs after
+    its map check), one list per walk."""
+    walks, walk, original = [], abelian._walk_subgroups, getattr(abelian, name)
 
     def counted(*args):
         walks[-1].append(args)
@@ -225,7 +226,7 @@ def _calls_per_walk(monkeypatch, name):
         finally:
             monkeypatch.setattr(abelian, name, original)
 
-    monkeypatch.setattr(abelian, "walk_subgroups", counted_walk)
+    monkeypatch.setattr(abelian, "_walk_subgroups", counted_walk)
     return walks
 
 

@@ -2,6 +2,7 @@ import contextlib
 import io
 import itertools
 import tracemalloc
+from functools import partial
 
 import pytest
 
@@ -453,28 +454,58 @@ def test_ideals_tabulate_the_generator_products(monkeypatch):
     assert len(muls) <= 16
 
 
-def test_ideals_read_the_p_multiples_off_a_table(monkeypatch):
-    # one index table of the p-th multiples, x -> p x, per walk, the ideal
-    # side's and the invariant side's; the ideal side also tabulates its
-    # k = 4 generator products, and the invariant side one map g -> h - g
-    # per circle generator, r = 4 here, as each row passes its basis test
-    ctx = Context(primitive_structure(5, 4))
-    p_identity = tuple(tuple(5 * c for c in row) for row in ctx.spec.basis())
-    matrices = []
-    linear_table = abelian._linear_table
+def _recorded_tables(monkeypatch):
+    """(matrix, table) for each `abelian._linear_table` call, in call order."""
+    built, linear_table = [], abelian._linear_table
 
     def recorded(spec, m):
-        matrices.append(tuple(map(tuple, m)))
-        return linear_table(spec, m)
+        built.append((tuple(map(tuple, m)), linear_table(spec, m)))
+        return built[-1][1]
 
     monkeypatch.setattr(abelian, "_linear_table", recorded)
+    return built
+
+
+def test_ideals_read_the_p_multiples_off_a_table(monkeypatch):
+    # primitive(5, 4) is generated as a ring by z = b_0, and its group is
+    # elementary, where px = 0 lies in every subgroup: the ideal side
+    # tabulates the one product x -> z x and no p-th multiples (k + 1 = 5
+    # tables when every generator's product and x -> px were tabulated), and
+    # the invariant side one map g -> h - g per circle generator, r = 4 here
+    ctx = Context(primitive_structure(5, 4))
+    built = _recorded_tables(monkeypatch)
     assert len(ideals(ctx)) == 5
-    assert matrices.count(p_identity) == 1
-    assert len(matrices) == 4 + 1
+    [(_, table)] = built
+    assert table == tuple(ctx.index[nilring.mul(ctx.ring, (1, 0, 0, 0), g)] for g in ctx.elements)
     assert len(invariant_subgroups(ctx)) == 5
     assert len(ctx.circle_generators) == 4
-    assert matrices.count(p_identity) == 2
-    assert len(matrices) == 4 + 2 + 4
+    assert len(built) == 1 + 4
+    # on C4 x C4 (b0 * b0 = b1) each walk reads x -> 2x off one index table
+    ctx = _c4c4_context()
+    p_identity = ((2, 0), (0, 2))
+    built.clear()
+    assert len(ideals(ctx)) == 7
+    assert [m for m, _ in built].count(p_identity) == 1 and len(built) == 1 + 1
+    for m, table in built:
+        image = (partial(abelian.scalar_mul, ctx.spec, 2) if m == p_identity
+                 else partial(nilring.mul, ctx.ring, (1, 0)))
+        assert table == tuple(ctx.index[image(g)] for g in ctx.elements)
+    invariant_subgroups(ctx)
+    assert [m for m, _ in built].count(p_identity) == 2
+
+
+def test_the_ideal_side_tabulates_the_ring_generators_products_only(monkeypatch):
+    # verify primitive reads the 14 ideals of primitive(2, 13) off one
+    # table, x -> z x (14 tables when every generator's product and x -> 2x
+    # were tabulated); on a trivial structure no generator is kept, as b A = 0
+    # lies in every subgroup, so its ideal side tabulates nothing
+    built = _recorded_tables(monkeypatch)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["verify", "primitive", "--p", "2", "--n", "13"]) == cli.EXIT_OK
+    assert len(built) == 1
+    built.clear()
+    assert len(ideals(Context(trivial_structure(GroupSpec(3, (1, 1)))))) == 6
+    assert built == []
 
 
 def test_circle_type_reads_the_lattice_walks_circle_tables(monkeypatch):
@@ -659,15 +690,16 @@ def test_the_holomorph_row_reads_the_context_translations(monkeypatch):
 def test_the_invariant_side_tabulates_each_passing_row(monkeypatch):
     # both rows of the r = 2 circle generators pass their basis test, so each
     # map g -> h - g is one linear table from its k = 2 columns: 2 * 2 = 4
-    # negations (one per element: 2 |G| = 32), and 6 tables in all, the
-    # ideal side's 2 products and p-th multiples, and the invariant side's
-    # p-th multiples and 2 maps (4 when the maps were built g by g)
+    # negations (one per element: 2 |G| = 32), and 5 tables in all, the
+    # ideal side's product by its one ring generator b0 and p-th multiples
+    # (6 when both generators' products were tabulated), and the invariant
+    # side's p-th multiples and 2 maps (4 when the maps were built g by g)
     ctx = _c4c4_context()
     negations = _counted(monkeypatch, abelian, "_scalar_mul")
     tables = _counted(monkeypatch, abelian, "_linear_table")
     lattice_report(ctx)
     assert len(ctx.circle_generators) == 2
-    assert (len(negations), len(tables)) == (4, 6)
+    assert (len(negations), len(tables)) == (4, 5)
 
 
 def test_each_tau_counts_its_images_once(monkeypatch):
@@ -741,7 +773,7 @@ def test_lattice_report_counts_elementary_circle_groups_in_closed_form(monkeypat
     # The two walks are the ideal side and the invariant side; a walk under
     # the circle operation would be a third, with |G| circle products or more
     assert 1 + gaussian_subspace_count(3, 3) == 28
-    walks = _counted(monkeypatch, abelian, "walk_subgroups")
+    walks = _counted(monkeypatch, abelian, "_walk_subgroups")
     circles = _counted(monkeypatch, nilring, "_circle")
     cases = [
         (trivial_structure(GroupSpec(3, (1, 1, 1))), (1, 1, 1), 28),

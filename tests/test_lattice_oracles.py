@@ -1,11 +1,13 @@
 """The lattice walk, the subgroup-count formula and the circle type against
 oracles that share no code with them: brute force over all element subsets,
 the walk and the formula against each other, and counts of the solutions of
-x^(p^k) = e.  The circle type is also checked against
-`oracles.isomorphism_type`, which checks the full circle table and then
-counts those solutions on it, and the count of circle-group subgroups on the
-benchmark catalogue against `oracles.circle_subgroups`, which grows them one
-element at a time under `circle`.
+x^(p^k) = e.  The ideals, walked on the products of the ring generators
+alone, are checked against the walk on all k generator products.  The
+circle type is also checked against `oracles.isomorphism_type`, which
+checks the full circle table and then counts those solutions on it, and the
+count of circle-group subgroups on the benchmark catalogue against
+`oracles.circle_subgroups`, which grows them one element at a time under
+`circle`.
 The invariant side's walk over the circle generators is checked against the
 filter of every additive subgroup through the full table of
 `oracles.conjugation_row`, which tests every conjugate point by point, and
@@ -33,6 +35,7 @@ from hopfgal.correspondence import (
     Context,
     _closed_form_table,
     _generator_products,
+    _ring_generators,
     circle_subgroup_count,
     gaussian_subspace_count,
     holomorph_conjugation_report,
@@ -344,15 +347,15 @@ def per_g_invariant_maps(ctx):
 
 @pytest.fixture
 def walked(monkeypatch):
-    """The maps each `abelian.walk_subgroups` call is given, in call order."""
+    """The maps each `abelian._walk_subgroups` call is given, in call order."""
     calls = []
-    walk = abelian.walk_subgroups
+    walk = abelian._walk_subgroups
 
     def recorded(spec, maps=()):
         calls.append(list(maps))
         return walk(spec, maps)
 
-    monkeypatch.setattr(abelian, "walk_subgroups", recorded)
+    monkeypatch.setattr(abelian, "_walk_subgroups", recorded)
     return calls
 
 
@@ -472,14 +475,17 @@ def test_ideals_match_brute_force(spec):
 
 @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=str)
 def test_walk_tables_match_the_element_api(spec, monkeypatch):
-    # the ideal side's product maps and the walk's p-th multiples, index
-    # tables decoded to elements, against one checked kernel call per element
+    # the ideal side's product maps, one per ring generator, and the walk's
+    # p-th multiples, index tables decoded to elements, against one checked
+    # kernel call per element.  Only a non-elementary group tabulates x -> px
     elems = spec.elements()
     for A in enumerate_structures(spec):
         ctx = Context(A)
         tables = _generator_products(ctx)
-        assert len(tables) == spec.rank
-        for b, table in zip(spec.basis(), tables):
+        gens = _ring_generators(A)
+        assert len(tables) == len(gens) <= spec.rank
+        for i, table in zip(gens, tables):
+            b = spec.basis()[i]
             assert tuple(map(elems.__getitem__, table)) == tuple(mul(A, b, g) for g in elems)
     built = []
     linear_table = abelian._linear_table
@@ -490,8 +496,57 @@ def test_walk_tables_match_the_element_api(spec, monkeypatch):
 
     monkeypatch.setattr(abelian, "_linear_table", recorded)
     abelian.walk_subgroups(spec)
-    assert len(built) == 1
-    assert tuple(map(elems.__getitem__, built[0])) == tuple(scalar_mul(spec, spec.p, g) for g in elems)
+    assert len(built) == (max(spec.exponents) > 1)
+    for table in built:
+        assert tuple(map(elems.__getitem__, table)) == tuple(scalar_mul(spec, spec.p, g) for g in elems)
+
+
+def ideals_from_every_product(A):
+    """The ideals as the subgroups stable under x -> b_i x for all k
+    generators b_i, each tabulated by `abelian._linear_table`."""
+    return walk_subgroups(A.spec, [abelian._linear_table(A.spec, tuple(zip(*row)))
+                                   for row in A.constants])
+
+
+CATALOGUE_SPECS = [GroupSpec(group["p"], tuple(group["exponents"]))
+                   for group in json.loads(CATALOGUE.read_text())["groups"]]
+RING_FAMILIES = {
+    **{f"primitive({p}, {n})": partial(primitive_structure, p, n)
+       for p, top in ((2, 8), (3, 5), (5, 4)) for n in range(1, top + 1)},
+    **{f"cyclic(3, 3, {d})": partial(cyclic_structure, 3, 3, d) for d in range(9)},
+}
+
+
+def test_ring_generator_ideals_match_every_product_on_the_catalogue_groups():
+    count = 0
+    for spec in CATALOGUE_SPECS:
+        for A in enumerate_structures(spec):
+            assert ideals(Context(A)) == ideals_from_every_product(A), A
+            count += 1
+    assert (len(CATALOGUE_SPECS), count) == (12, 217)
+
+
+@pytest.mark.parametrize("make", RING_FAMILIES.values(), ids=RING_FAMILIES)
+def test_ring_generator_ideals_match_every_product_on_the_families(make):
+    A = make()
+    assert ideals(Context(A)) == ideals_from_every_product(A)
+
+
+def test_ring_generators_skip_a_zero_row_and_are_all_needed():
+    # primitive(2, 2) + C2 on C2^3: b0^2 = b1, and b2 A = 0 with b2 outside
+    # A^2 + 2A, so b2 is in the generating set S = {b0, b2}, but its zero
+    # row is not tabulated: every subgroup is stable under x -> b2 x = 0
+    zero_row = ((0, 0, 0),) * 3
+    A = make_structure(GroupSpec(2, (1, 1, 1)), (((0, 1, 0), (0, 0, 0), (0, 0, 0)), zero_row, zero_row))
+    assert _ring_generators(A) == [0]
+    assert ideals(Context(A)) == ideals_from_every_product(A)
+    # negative control on C4 x C4, b0^2 = b1^2 = 2 b0: S = {b0, b1}, and the
+    # walk on b0's products alone keeps <b1>, which b1 * b1 = 2 b0 leaves
+    A = make_structure(GroupSpec(2, (2, 2)), (((2, 0), (0, 0)), ((0, 0), (2, 0))))
+    assert _ring_generators(A) == [0, 1]
+    fewer = walk_subgroups(A.spec, _generator_products(Context(A))[:-1])
+    assert fewer != ideals(Context(A)) == ideals_from_every_product(A)
+    assert ((0, 0), (0, 1), (0, 2), (0, 3)) in [s.elements for s in fewer]
 
 
 C4C2 = GroupSpec(2, (2, 1))

@@ -17,6 +17,7 @@ MODULES = {path.stem for path in SOURCES}
 ENTRY_POINTS = {
     "abelian.add": "checked form of the kernel's `_add`, the reference of the element tests",
     "abelian.scalar_mul": "checked form of `_scalar_mul`, the reference of the element tests",
+    "abelian.walk_subgroups": "checked form of `_walk_subgroups`, the walk on outside maps",
     "abelian.additive_closure": "checked closure of outside generators, the subgroup tests' reference",
     "nilring.mul": "checked form of `_mul`, the reference of the product tests",
     "nilring.circle": "checked form of `_circle`, the reference of the circle-group tests",
