@@ -255,10 +255,15 @@ def _verify_lattice(args) -> dict:
     rows = []
     for label, A in _resolve_structures(args, args.family):
         report = correspondence.lattice_report(Context(A, args.cap_enum))
+        ideal_count = len(report.ideals)
+        # with A^2 = 0 every subgroup is an ideal: Butler's count shares no code with the walk
+        if A.is_trivial() and ideal_count != (butler := abelian.subgroup_count(A.spec.p, A.spec.exponents)):
+            raise TheoremViolation("ideal count of A^2 = 0 differs from the subgroup count",
+                                   witness={"structure": label, "ideal_count": ideal_count, "subgroup_count": butler})
         rows.append(
             {
                 "structure": label,
-                "ideal_count": len(report.ideals),
+                "ideal_count": ideal_count,
                 "gamma_subgroup_count": report.gamma_subgroup_count,
                 "strong_ftgt": report.strong_ftgt,
                 "circle_type": list(report.circle_type),

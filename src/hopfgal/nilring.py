@@ -11,11 +11,12 @@ The element kernel runs on sparse terms: the nonzero generator products,
 listed once per structure on first use.  `validate`, `nilpotency_index` and
 the search's row tests run on the matrices of x -> b_i x, the constants' rows
 transposed.  `enumerate_structures` fills the table row by row: row i is the
-map x -> b_i x, kept when it commutes with the rows before it and is nilpotent
-on G/pG, decided once per residue class of the row mod p.  `validate` checks
-associativity on the triples i < l, and nilpotency on each matrix mod p; the
-search's kept tables are certified by the same axioms a slice at a time
-(`_all_valid`), and a slice it rejects by `validate`, table by table.
+map x -> b_i x, kept when it is nilpotent on G/pG, decided for every residue
+class of row 0 mod p in one batch before the backtrack, and commutes with the
+rows before it.  `validate` checks associativity on the triples i < l, and
+nilpotency on each matrix mod p; the search's kept tables are certified by the
+same axioms a slice at a time (`_all_valid`), and a slice it rejects by
+`validate`, table by table.
 """
 
 from __future__ import annotations
@@ -187,7 +188,7 @@ def validate(A: RingStructure) -> list:
     return []
 
 
-_SLICE_PRODUCTS = 1 << 16  # gathered products per slice `_all_valid` certifies: k^4 per table and squaring
+_SLICE_PRODUCTS = 1 << 16  # gathered products per slice and squaring: k^4 per table in `_all_valid`, k^3 per class
 
 
 def _all_valid(spec: GroupSpec, tables: list) -> bool:
@@ -296,25 +297,31 @@ def _commute(spec: GroupSpec, row, other) -> bool:
     return True
 
 
-def _nilpotent(spec: GroupSpec, row) -> bool:
-    """Whether the map L of `row` (`_commute`) is nilpotent, decided on G/pG =
-    F_p^k, k the rank: L commutes with x -> px, so L^k(G) in pG gives L^(ke)(G)
-    = 0, e the largest exponent.  The generators' images L(b_t) = row[t] mod p
-    are followed k - 1 steps under L's matrix mod p, each dropped once 0."""
-    p, mod_p = spec.p, spec.p.__rmod__  # mod_p(c) = c % p
-    op = [tuple(map(mod_p, col)) for col in zip(*row)]
-    vectors = {y for y in (tuple(map(mod_p, x)) for x in row) if any(y)}
-    for _ in range(spec.rank - 1):
-        vectors = {y for y in (tuple([sum(map(operator.mul, r, x)) % p for r in op]) for x in vectors) if any(y)}
-    return not vectors
+def _nilpotent_classes(spec: GroupSpec, residues) -> set:
+    """The classes in the product of `residues` (per entry of row 0, its distinct
+    residues mod p) on which the map L of the row (`_commute`) is nilpotent.  L
+    commutes with x -> px, so L^k(G) in pG gives L^(ke)(G) = 0, e the largest
+    exponent: L is nilpotent iff its matrix mod p on G/pG = F_p^k, here its
+    transpose, squared s times is 0, 2^s >= k.  col[a * k + b] lists entry (a, b)
+    of a slice of classes, so each squaring is one C-level run over the slice."""
+    k, p, classes, out = spec.rank, spec.p, itertools.product(*residues), set()
+    cells = list(itertools.product(range(k), repeat=2))
+    while batch := list(itertools.islice(classes, max(1, _SLICE_PRODUCTS // k**3))):
+        flat = list(itertools.chain.from_iterable(itertools.chain.from_iterable(batch)))
+        col = [flat[x::k * k] for x in range(k * k)]
+        for _ in range((k - 1).bit_length()):  # col = matrix^(2^s) mod p, 2^s >= k
+            col = [list(map(p.__rmod__, map(sum, zip(*(map(operator.mul, col[a * k + t], col[t * k + b])
+                                                        for t in range(k)))))) for a, b in cells]
+        out.update(itertools.compress(batch, map(operator.not_, map(any, zip(*col)))))
+    return out
 
 
-def _kept_tables(spec: GroupSpec, candidates, residues, rows, verdicts):
-    """The tables that extend the kept `rows` by rows that commute with every
-    earlier row and are nilpotent; candidates[i] lists row i's entries j >= i,
-    residues[i] the same mod p.  `verdicts` holds `_nilpotent`'s verdict per
-    residue class of a row mod p, keyed by the entries' residues at every
-    depth; a row of a class known to fail is dropped before the commute test."""
+def _kept_tables(spec: GroupSpec, candidates, residues, rows, nilpotent):
+    """The tables that extend the kept `rows` by rows that are nilpotent and
+    commute with every earlier row; candidates[i] lists row i's entries j >= i,
+    residues[i] the same mod p.  A row is nilpotent iff its residue class, its
+    entries' residues at every depth, is in `nilpotent` (`_nilpotent_classes`),
+    tested before the commute test."""
     i = len(rows)
     if i == spec.rank:
         yield rows
@@ -323,13 +330,8 @@ def _kept_tables(spec: GroupSpec, candidates, residues, rows, verdicts):
     head_key = tuple(tuple(c % spec.p for c in x) for x in head)
     for tail, tail_key in zip(itertools.product(*candidates[i]), itertools.product(*residues[i])):
         row = head + tail
-        key = head_key + tail_key
-        if verdicts.get(key) is False or not all(_commute(spec, row, earlier) for earlier in rows):
-            continue
-        if key not in verdicts:
-            verdicts[key] = _nilpotent(spec, row)
-        if verdicts[key]:
-            yield from _kept_tables(spec, candidates, residues, rows + (row,), verdicts)
+        if head_key + tail_key in nilpotent and all(_commute(spec, row, earlier) for earlier in rows):
+            yield from _kept_tables(spec, candidates, residues, rows + (row,), nilpotent)
 
 
 def enumerate_structures(
@@ -350,10 +352,12 @@ def enumerate_structures(
       A^(m+1) = R A^m, so A > A^2 > ... falls strictly until it reaches 0:
       A^(n+1) = 0, |G| = p^n.  A valid structure has nilpotent L_i.
     - L_i commutes with x -> px, so it is nilpotent iff the map it induces
-      on G/pG is, which `_nilpotent` decides in rank - 1 steps mod p.  That
-      map, and the class mod pG of each image, depend on row i mod p alone,
-      so the verdict is computed once per residue class and search, and a
-      row of a class already known to fail needs no commute test.
+      on G/pG is.  That map depends on row i mod p alone, so
+      `_nilpotent_classes` decides every residue class of row 0 in one batch
+      before the backtrack, and a row of a class that fails gets no commute
+      test.  Every row's class is one of row 0's: the exponents do not
+      increase, and entry (i, j) has residues mod p in coordinate u only if
+      e_u <= min(e_i, e_j) <= e_j = min(e_0, e_j), where entry (0, j) has all.
 
     The search space (the product of the candidate counts, in tensors) is
     compared with search_cap as it is multiplied up, before any candidate
@@ -375,7 +379,8 @@ def enumerate_structures(
         for i in range(k)
     ]
     residues = [[[tuple(c % spec.p for c in x) for x in entry] for entry in row] for row in candidates]
-    out, tables = [], _kept_tables(spec, candidates, residues, (), {})
+    nilpotent = _nilpotent_classes(spec, [list(dict.fromkeys(entry)) for entry in residues[0]])
+    out, tables = [], _kept_tables(spec, candidates, residues, (), nilpotent)
     while batch := list(itertools.islice(tables, max(1, _SLICE_PRODUCTS // k**4))):
         if not _all_valid(spec, batch):
             for A in map(RingStructure, itertools.repeat(spec), batch):

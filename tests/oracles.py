@@ -255,6 +255,19 @@ def nilpotent_on_g(spec, row) -> bool:
     return not vectors
 
 
+def nilpotent_mod_p(spec, row) -> bool:
+    """Whether the map L of G with L(b_t) = row[t] is nilpotent, decided on
+    G/pG = F_p^k, k the rank, one row at a time: the generators' images mod p
+    followed k - 1 steps under L mod p, each dropped once 0."""
+    p = spec.p
+    op = [tuple(c % p for c in col) for col in zip(*row)]
+    vectors = {y for y in (tuple(c % p for c in x) for x in row) if any(y)}
+    for _ in range(spec.rank - 1):
+        vectors = {y for y in (tuple(sum(a * b for a, b in zip(r, x)) % p for r in op) for x in vectors)
+                   if any(y)}
+    return not vectors
+
+
 def associativity_violations(A) -> list:
     """Every triple (i, j, l) with (b_i b_j) b_l != b_i (b_j b_l), in
     lexicographic order: all k^3 triples, with no use of commutativity."""

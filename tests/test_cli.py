@@ -610,6 +610,21 @@ def test_verify_conjugation_checks_the_order_of_each_generators_translation(monk
     assert witness == {"g": [1, 0], "b": [1, 0]}
 
 
+def test_verify_lattice_checks_a_zero_rings_ideal_count_against_butlers_count(monkeypatch):
+    # a walk that drops one subgroup drops it on both sides of the lattice
+    # report, which then agree; Butler's count of the subgroups of C3 x C3
+    # shares no code with the walk, and the 5 ideals of A^2 = 0 miss its 6
+    argv = ["verify", "lattice", "--family", "trivial", "--p", "3", "--n", "2"]
+    assert _main(argv)[0] == cli.EXIT_OK
+    walk = abelian._walk_subgroups
+    monkeypatch.setattr(abelian, "_walk_subgroups", lambda spec, maps: walk(spec, maps)[:1] + walk(spec, maps)[2:])
+    code, out, err = _main(argv)
+    message, _, witness = err.partition("\n")
+    assert (code, out) == (cli.EXIT_VIOLATION, "")
+    assert message == "verified identity failed: ideal count of A^2 = 0 differs from the subgroup count"
+    assert json.loads(witness) == {"structure": "trivial", "ideal_count": 5, "subgroup_count": 6}
+
+
 @pytest.mark.parametrize("exponents", [(1,), (3,), (1, 1), (2, 1), (2, 2, 1), (1, 1, 1, 1)])
 def test_spanning_pairs_are_fewer_than_k_times_the_order(exponents):
     # |G| - 1 + k(k - 1)/2 + k of the k |G| pairs (g, b): the first |G| - 1

@@ -1,6 +1,7 @@
 import ast
 import itertools
 import json
+import math
 import random
 import tracemalloc
 from collections import Counter
@@ -388,8 +389,9 @@ def test_planted_associativity_violations_match_the_all_triples_scan(spec, const
 
 
 def _kept_tables_row_by_row(spec, candidates, rows=()):
-    """The row backtrack of the search with no shared verdicts: `_nilpotent`
-    runs on every row that commutes with the rows before it."""
+    """The row backtrack of the search with no shared verdicts: the mod-p test
+    of `oracles.nilpotent_mod_p` runs on every row that commutes with the rows
+    before it."""
     i = len(rows)
     if i == spec.rank:
         yield rows
@@ -397,7 +399,7 @@ def _kept_tables_row_by_row(spec, candidates, rows=()):
     head = tuple(row[i] for row in rows)
     for tail in itertools.product(*candidates[i]):
         row = head + tail
-        if all(nilring._commute(spec, row, earlier) for earlier in rows) and nilring._nilpotent(spec, row):
+        if all(nilring._commute(spec, row, earlier) for earlier in rows) and oracles.nilpotent_mod_p(spec, row):
             yield from _kept_tables_row_by_row(spec, candidates, rows + (row,))
 
 
@@ -423,27 +425,31 @@ def test_shared_nilpotency_verdicts_keep_the_row_by_row_tables(spec):
     assert [A.constants for A in enumerate_structures(spec)] == _row_by_row_search(spec)
 
 
-@pytest.mark.parametrize("spec, decided, evaluated, kept, commute_tests", [
-    (GroupSpec(2, (1, 1, 1)), 924, 512, 92, (5184, 2704)),
-    (GroupSpec(2, (3, 2)), 864, 8, 288, (2048, 1025)),
-    (GroupSpec(3, (2, 1)), 306, 27, 45, (243, 83)),
-    (GroupSpec(5, (1, 1)), 690, 625, 25, (625, 341)),
-], ids=["C2^3", "C8xC4", "C9xC3", "C5xC5"])
-def test_nilpotency_is_evaluated_once_per_residue_class(monkeypatch, spec, decided, evaluated,
-                                                        kept, commute_tests):
-    # rows that pass the commute test reach the nilpotency decision; the
-    # search evaluates one of them per residue class of the row mod p, and
-    # drops a row of a class known to fail before its commute test
-    calls = {"_nilpotent": [], "_commute": []}
-    for name, log in calls.items():
-        check = getattr(nilring, name)
-        monkeypatch.setattr(nilring, name, lambda *args, log=log, check=check: log.append(1) or check(*args))
-    tables = _row_by_row_search(spec)
-    assert (len(calls["_nilpotent"]), len(calls["_commute"])) == (decided, commute_tests[0])
-    for log in calls.values():
-        log.clear()
-    assert len(enumerate_structures(spec)) == len(tables) == kept
-    assert (len(calls["_nilpotent"]), len(calls["_commute"])) == (evaluated, commute_tests[1])
+@pytest.mark.parametrize("spec, search_cap, row_by_row, classes, kept, commute_tests", [
+    (GroupSpec(2, (1, 1, 1)), nilring.DEFAULT_SEARCH_CAP, (924, 5184), 512, 92, 888),
+    (GroupSpec(2, (3, 2)), nilring.DEFAULT_SEARCH_CAP, (864, 2048), 8, 288, 1024),
+    (GroupSpec(3, (2, 1)), nilring.DEFAULT_SEARCH_CAP, (306, 243), 27, 45, 81),
+    (GroupSpec(5, (1, 1)), nilring.DEFAULT_SEARCH_CAP, (690, 625), 625, 25, 41),
+    (GroupSpec(3, (1, 1, 1)), 3**18, None, 3**9, 963, 26793),
+], ids=["C2^3", "C8xC4", "C9xC3", "C5xC5", "C3^3"])
+def test_nilpotency_is_evaluated_once_per_residue_class(monkeypatch, spec, search_cap, row_by_row,
+                                                        classes, kept, commute_tests):
+    # row by row, the rows that pass the commute test reach the nilpotency
+    # test; the search decides every residue class of row 0 mod p in one
+    # batch, and a row of a class that fails never reaches the commute test
+    calls = {"nilpotent_mod_p": [], "_commute": [], "_nilpotent_classes": []}
+    for owner, name in [(oracles, "nilpotent_mod_p"), (nilring, "_commute"), (nilring, "_nilpotent_classes")]:
+        check, log = getattr(owner, name), calls[name]
+        monkeypatch.setattr(owner, name, lambda *args, log=log, check=check: log.append(args) or check(*args))
+    if row_by_row:
+        tables = _row_by_row_search(spec)
+        assert (len(calls["nilpotent_mod_p"]), len(calls["_commute"])) == row_by_row
+        assert len(tables) == kept
+        calls["_commute"].clear()
+    assert len(enumerate_structures(spec, search_cap)) == kept
+    [(_, residues)] = calls["_nilpotent_classes"]
+    assert math.prod(map(len, residues)) == classes
+    assert len(calls["_commute"]) == commute_tests
 
 
 @pytest.mark.parametrize("p, search_cap", [(2, nilring.DEFAULT_SEARCH_CAP), (3, 3**18)])
@@ -463,7 +469,7 @@ def test_structures_on_f_p_cubed_by_dim_a_squared(p, search_cap):
 
 def test_search_raises_on_a_kept_table_that_validate_rejects(monkeypatch):
     # on Z/4 the table 1*1 = 1 passes every check but nilpotency
-    monkeypatch.setattr(nilring, "_nilpotent", lambda spec, row: True)
+    monkeypatch.setattr(nilring, "_nilpotent_classes", lambda spec, residues: set(itertools.product(*residues)))
     with pytest.raises(TheoremViolation, match="search kept an invalid structure"):
         enumerate_structures(Z4)
 
@@ -493,19 +499,64 @@ def test_commute_matches_composing_the_products(spec):
     assert verdicts[True] and verdicts[False]
 
 
+def _row_0_residues(spec):
+    """The distinct residues mod p of each row-0 entry, as the search lists them."""
+    return [list(dict.fromkeys(tuple(c % spec.p for c in x)
+                               for x in itertools.product(*nilring._entry_ranges(spec, 0, j))))
+            for j in range(spec.rank)]
+
+
 @pytest.mark.parametrize("spec", [GroupSpec(p, e) for p, e in [
     (2, (3, 2)), (3, (2, 1)), (2, (2, 1, 1)), (2, (6,))]], ids=str)
-def test_nilpotency_on_g_mod_p_matches_n_steps_on_g(spec):
+def test_nilpotent_classes_hold_the_rows_nilpotent_on_g(spec):
     # L commutes with x -> px, so L^k(G) in pG forces L^(ke)(G) = 0: the
-    # rank - 1 steps mod p decide what n - 1 steps over G decide, on every
-    # candidate for row 0
+    # classes decided mod p hold a row-0 candidate iff n - 1 steps over G
+    # take it to 0
+    nilpotent = nilring._nilpotent_classes(spec, _row_0_residues(spec))
     entries = [itertools.product(*nilring._entry_ranges(spec, 0, j)) for j in range(spec.rank)]
     verdicts = Counter()
     for row in itertools.product(*entries):
-        verdict = nilring._nilpotent(spec, row)
+        verdict = tuple(tuple(c % spec.p for c in x) for x in row) in nilpotent
         assert verdict is oracles.nilpotent_on_g(spec, row), row
         verdicts[verdict] += 1
     assert verdicts[True] and verdicts[False]
+
+
+@pytest.mark.parametrize("p, k", [(2, 2), (3, 2), (5, 2), (2, 3), (3, 3)])
+def test_nilpotent_classes_on_f_p_k_count_the_nilpotent_matrices(p, k):
+    # every k x k matrix over F_p is a class, and p^(k^2 - k) of them are
+    # nilpotent (Fine and Herstein, Illinois J. Math. 2, 1958)
+    spec = GroupSpec(p, (1,) * k)
+    nilpotent = nilring._nilpotent_classes(spec, _row_0_residues(spec))
+    assert len(nilpotent) == p ** (k * k - k)
+
+
+@pytest.mark.parametrize("spec", [GroupSpec(2, (1, 1, 1)), GroupSpec(5, (1, 1))], ids=str)
+def test_nilpotent_classes_do_not_depend_on_the_slice_bound(monkeypatch, spec):
+    # slices of 3 classes, the last one short, decide what one slice decides
+    residues = _row_0_residues(spec)
+    whole = nilring._nilpotent_classes(spec, residues)
+    monkeypatch.setattr(nilring, "_SLICE_PRODUCTS", 3 * spec.rank**3)
+    assert nilring._nilpotent_classes(spec, residues) == whole
+    assert len(whole) == {2: 64, 5: 25}[spec.p]
+
+
+@pytest.mark.parametrize("spec", _catalogue_specs() + [GroupSpec(2, (3, 2, 1)), GroupSpec(2, (2, 1, 1))],
+                         ids=str)
+def test_every_rows_residue_class_is_a_row_0_class(spec):
+    # entry (i, j) has residues mod p in coordinate u only if e_u <= min(e_i,
+    # e_j) <= min(e_0, e_j), so the key of every candidate row at every depth,
+    # its entries (min(i, j), max(i, j)) mod p, lies in the product of row 0's
+    # residues, where the search decides nilpotency; a key outside it would
+    # drop its row unseen
+    def residues(i, j):
+        return {tuple(c % spec.p for c in x)
+                for x in itertools.product(*nilring._entry_ranges(spec, min(i, j), max(i, j)))}
+
+    row_0 = set(itertools.product(*_row_0_residues(spec)))
+    for i in range(spec.rank):
+        keys = set(itertools.product(*(residues(i, j) for j in range(spec.rank))))
+        assert keys <= row_0, i
 
 
 def test_validate_checks_each_constant_once(monkeypatch):
@@ -537,7 +588,7 @@ def test_validate_runs_no_helper_of_the_search():
                 todo.extend(calls[name] & calls.keys())
         return reached
 
-    prune = {"_commute", "_nilpotent", "_kept_tables", "enumerate_structures"}
+    prune = {"_commute", "_nilpotent_classes", "_kept_tables", "enumerate_structures"}
     assert prune <= calls.keys()
     assert not reach("validate", "nilpotency_index") & prune
     # the batch certifier of the search's tables reaches neither the row
