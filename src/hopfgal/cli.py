@@ -10,6 +10,10 @@ Subcommands:
 JSON output (the payload and the exit-4 witness) is the bytes of json.dumps(
 indent=2, sort_keys=True), written by `_json_text`, not json's indenting encoder.
 
+Every command but enumerate runs one loop, `_certify`: each structure that
+`_resolve_structures` draws gets one Context, which the command's check reads;
+a structure that fails the Context's validation is a violation (exit 4).
+
 Exit codes: 0 success, 2 input/config error, 3 cap exceeded,
 4 verified identity failed (witness on stderr).
 """
@@ -251,24 +255,37 @@ def cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
-def _verify_lattice(args) -> dict:
+def _certify(args, family, check, cyclic_n=False) -> list:
+    """The rows of check(label, ctx) over the structures: it raises
+    TheoremViolation when a prediction fails, and returns None to skip one."""
     rows = []
-    for label, A in _resolve_structures(args, args.family):
-        report = correspondence.lattice_report(Context(A, args.cap_enum))
+    for label, A in _resolve_structures(args, family, cyclic_n):
+        try:  # the Context compares the cap first, so its InputError is its validation
+            ctx = Context(A, args.cap_enum)
+        except InputError:
+            kind = (family or "enumerate").partition(":")[0]
+            raise TheoremViolation(f"{kind}-family structure failed validation", witness=A.to_json()) from None
+        rows.append(check(label, ctx))
+    return [row for row in rows if row is not None]
+
+
+def _verify_lattice(args) -> dict:
+    def check(label, ctx):
+        report = correspondence.lattice_report(ctx)
         ideal_count = len(report.ideals)
         # with A^2 = 0 every subgroup is an ideal: Butler's count shares no code with the walk
-        if A.is_trivial() and ideal_count != (butler := abelian.subgroup_count(A.spec.p, A.spec.exponents)):
+        if ctx.ring.is_trivial() and ideal_count != (butler := abelian.subgroup_count(ctx.spec.p, ctx.spec.exponents)):
             raise TheoremViolation("ideal count of A^2 = 0 differs from the subgroup count",
                                    witness={"structure": label, "ideal_count": ideal_count, "subgroup_count": butler})
-        rows.append(
-            {
-                "structure": label,
-                "ideal_count": ideal_count,
-                "gamma_subgroup_count": report.gamma_subgroup_count,
-                "strong_ftgt": report.strong_ftgt,
-                "circle_type": list(report.circle_type),
-            }
-        )
+        return {
+            "structure": label,
+            "ideal_count": ideal_count,
+            "gamma_subgroup_count": report.gamma_subgroup_count,
+            "strong_ftgt": report.strong_ftgt,
+            "circle_type": list(report.circle_type),
+        }
+
+    rows = _certify(args, args.family, check)
     return {"check": "lattice", "structures_checked": len(rows), "rows": rows}
 
 
@@ -288,60 +305,84 @@ def _spanning_pairs(spec: GroupSpec):
 
 
 def _verify_conjugation(args) -> dict:
-    rows = []
-    for label, A in _resolve_structures(args, args.family):
-        ctx = Context(A, args.cap_enum)
+    checked = set()  # the specs whose additive translations passed
+
+    def check(label, ctx):
         report = correspondence.holomorph_conjugation_report(ctx)
         if report["failures"]:
             raise TheoremViolation(
                 "conjugation identities failed", witness=report["failures"]
             )
-        # homomorphism check on `_spanning_pairs`, every translation tabulated
-        # first, in element order: in pair order the peak memory was higher
-        for g in ctx.elements:
-            ctx.additive_translation_perm(g)
-        for g, b in _spanning_pairs(ctx.spec):
-            lhs = ctx.additive_translation_perm(abelian._add(ctx.spec, g, b))
-            rhs = correspondence.perm_compose(
-                ctx.additive_translation_perm(g), ctx.additive_translation_perm(b)
-            )
-            if lhs != rhs:
-                raise TheoremViolation(
-                    "additive translations do not compose additively",
-                    witness={"g": list(g), "b": list(b)},
+        # homomorphism check on `_spanning_pairs`: it reads G alone and a source has
+        # one spec, so it runs once per source, on the first Context, after its report;
+        # every translation tabulated first, in element order (in pair order the peak memory was higher)
+        if ctx.spec not in checked:
+            checked.add(ctx.spec)
+            for g in ctx.elements:
+                ctx.additive_translation_perm(g)
+            for g, b in _spanning_pairs(ctx.spec):
+                lhs = ctx.additive_translation_perm(abelian._add(ctx.spec, g, b))
+                rhs = correspondence.perm_compose(
+                    ctx.additive_translation_perm(g), ctx.additive_translation_perm(b)
                 )
-        rows.append({"structure": label, "pairs_checked": report["pairs_checked"]})
+                if lhs != rhs:
+                    raise TheoremViolation(
+                        "additive translations do not compose additively",
+                        witness={"g": list(g), "b": list(b)},
+                    )
+        return {"structure": label, "pairs_checked": report["pairs_checked"]}
+
+    rows = _certify(args, args.family, check)
     return {"check": "conjugation", "structures_checked": len(rows), "rows": rows}
 
 
 def _verify_elementary(args) -> dict:
     spec = _parse_spec(args)
-    scan = correspondence.elementary_scan(spec, args.cap_search, args.cap_enum)
-    scan["check"] = "elementary"
-    return scan
+    if any(e != 1 for e in spec.exponents):
+        raise InputError("scan requires an elementary abelian spec")
+
+    def check(label, ctx):
+        if any(e != 1 for e in ctx.circle_type):
+            return None
+        report = correspondence.lattice_report(ctx)
+        expected = ctx.ring.is_trivial()
+        if report.strong_ftgt != expected:
+            raise TheoremViolation(
+                "strong correspondence verdict contradicts the A^2 = 0 criterion",
+                witness={
+                    "structure": ctx.ring.to_json(),
+                    "strong_ftgt": report.strong_ftgt,
+                },
+            )
+        return {
+            "constants": ctx.ring.to_json()["constants"],
+            "trivial": expected,
+            "strong_ftgt": report.strong_ftgt,
+            "ideal_count": len(report.ideals),
+            "gamma_subgroup_count": report.gamma_subgroup_count,
+        }
+
+    rows = _certify(args, "enumerate", check)
+    return {"check": "elementary", "spec": spec.to_json(), "structures_scanned": len(rows), "rows": rows}
 
 
 def _verify_primitive(args) -> dict:
-    [(_, A)] = _resolve_structures(args, "primitive")
-    ideal_list = correspondence.ideals(Context(A, args.cap_enum))
-    sizes = [s.size for s in ideal_list]
-    chain = all(
-        set(a.elements) <= set(b.elements)
-        for a, b in zip(ideal_list, ideal_list[1:])
-    )
-    if len(ideal_list) != args.n + 1 or not chain:
-        raise TheoremViolation(
-            "one-generator structure does not have a chain of n+1 ideals",
-            witness={"ideal_sizes": sizes, "chain": chain},
+    def check(label, ctx):
+        ideal_list = correspondence.ideals(ctx)
+        sizes = [s.size for s in ideal_list]
+        chain = all(
+            set(a.elements) <= set(b.elements)
+            for a, b in zip(ideal_list, ideal_list[1:])
         )
-    return {
-        "check": "primitive",
-        "p": args.p,
-        "n": args.n,
-        "ideal_count": len(ideal_list),
-        "ideal_sizes": sizes,
-        "single_chain": chain,
-    }
+        if len(ideal_list) != args.n + 1 or not chain:
+            raise TheoremViolation(
+                "one-generator structure does not have a chain of n+1 ideals",
+                witness={"ideal_sizes": sizes, "chain": chain},
+            )
+        return {"ideal_count": len(ideal_list), "ideal_sizes": sizes, "single_chain": chain}
+
+    [row] = _certify(args, "primitive", check)
+    return {"check": "primitive", "p": args.p, "n": args.n, **row}
 
 
 def _verify_cyclic(args) -> dict:
@@ -355,34 +396,30 @@ def _verify_cyclic(args) -> dict:
     # the subgroups of Z/p^n, in closed form: the chain p^j Z/p^n, j = n, ..., 0
     sub_sets = [tuple((x,) for x in range(0, spec.order, args.p**j))
                 for j in range(args.n, -1, -1)]
-    rows = []
-    family = "cyclic" if args.family is None and not args.all_structures else args.family
-    for label, A in _resolve_structures(args, family, cyclic_n=True):
+
+    def check(label, ctx):
         # before its lattice report; a family has one spec, so the first decides
-        if A.spec != spec:
+        if ctx.spec != spec:
             raise InputError(f"cyclic verification requires structures on Z/p^n = {spec}")
-        try:  # the cap was compared above, so the Context's InputError is its validation
-            ctx = Context(A, args.cap_enum)
-        except InputError:
-            raise TheoremViolation("cyclic-family structure failed validation", witness=A.to_json()) from None
         report = correspondence.lattice_report(ctx)
         if [s.elements for s in report.ideals] != sub_sets:
             raise TheoremViolation(
                 "ideals of the cyclic-family structure are not all additive subgroups",
-                witness={"structure": A.to_json()},
+                witness={"structure": ctx.ring.to_json()},
             )
         if not report.strong_ftgt:
             raise TheoremViolation(
                 "strong correspondence fails for a cyclic-family structure",
-                witness={"structure": A.to_json()},
+                witness={"structure": ctx.ring.to_json()},
             )
-        rows.append(
-            {
-                "structure": label,
-                "ideal_count": len(report.ideals),
-                "strong_ftgt": report.strong_ftgt,
-            }
-        )
+        return {
+            "structure": label,
+            "ideal_count": len(report.ideals),
+            "strong_ftgt": report.strong_ftgt,
+        }
+
+    family = "cyclic" if args.family is None and not args.all_structures else args.family
+    rows = _certify(args, family, check, cyclic_n=True)
     return {
         "check": "cyclic",
         "p": args.p,
@@ -414,23 +451,21 @@ def cmd_verify(args) -> int:
 
 
 def cmd_report(args) -> int:
-    rows = []
-    for label, A in _resolve_structures(args, args.family):
-        ctx = Context(A, args.cap_enum)
-        ideal_list = correspondence.ideals(ctx)
+    def check(label, ctx):
+        ideal_count = len(correspondence.ideals(ctx))
         subfields = correspondence.circle_subgroup_count(ctx)
-        rows.append(
-            {
-                "family": label,
-                "spec": A.spec.to_json(),
-                "circle_type": list(ctx.circle_type),
-                "subhopf_count": len(ideal_list),
-                "subfield_count": subfields,
-                # circle_subgroup_count counts every type in closed form
-                "count_method": "formula",
-                "strong_ftgt": len(ideal_list) == subfields,
-            }
-        )
+        return {
+            "family": label,
+            "spec": ctx.spec.to_json(),
+            "circle_type": list(ctx.circle_type),
+            "subhopf_count": ideal_count,
+            "subfield_count": subfields,
+            # circle_subgroup_count counts every type in closed form
+            "count_method": "formula",
+            "strong_ftgt": ideal_count == subfields,
+        }
+
+    rows = _certify(args, args.family, check)
     payload = {"rows": rows}
     table = [["family", "spec", "circle type", "subHopf", "subfields", "strong", "method"]] + [
         [r["family"], f"p={r['spec']['p']} exp=" + "x".join(map(str, r["spec"]["exponents"])),

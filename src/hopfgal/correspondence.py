@@ -351,42 +351,6 @@ def lattice_report(ctx: Context) -> LatticeReport:
     )
 
 
-def elementary_scan(
-    spec: GroupSpec,
-    search_cap: int = nilring.DEFAULT_SEARCH_CAP,
-    cap: int = abelian.DEFAULT_ENUM_CAP,
-) -> dict:
-    """Over all structures on an elementary abelian spec whose circle group is
-    also elementary abelian, check: strong correspondence iff all products zero."""
-    if any(e != 1 for e in spec.exponents):
-        raise InputError("scan requires an elementary abelian spec")
-    rows = []
-    for A in nilring.enumerate_structures(spec, search_cap):
-        ctx = Context(A, cap)
-        if any(e != 1 for e in ctx.circle_type):
-            continue
-        report = lattice_report(ctx)
-        expected = A.is_trivial()
-        if report.strong_ftgt != expected:
-            raise TheoremViolation(
-                "strong correspondence verdict contradicts the A^2 = 0 criterion",
-                witness={
-                    "structure": A.to_json(),
-                    "strong_ftgt": report.strong_ftgt,
-                },
-            )
-        rows.append(
-            {
-                "constants": A.to_json()["constants"],
-                "trivial": expected,
-                "strong_ftgt": report.strong_ftgt,
-                "ideal_count": len(report.ideals),
-                "gamma_subgroup_count": report.gamma_subgroup_count,
-            }
-        )
-    return {"spec": spec.to_json(), "structures_scanned": len(rows), "rows": rows}
-
-
 def gaussian_subspace_count(p: int, n: int) -> int:
     """Sum over r = 1..n of the number of r-dimensional subspaces of F_p^n,
     in exact integers.  The sum deliberately starts at r = 1, so the zero

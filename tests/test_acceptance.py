@@ -5,15 +5,18 @@ PASS line (run with -s to see them).  All checks are exact: the
 underlying statements are combinatorial identities at desk scale.
 """
 
+import contextlib
+import io
 import itertools
+import json
 import time
 
 import pytest
 
+from hopfgal import cli
 from hopfgal.abelian import GroupSpec, add, walk_subgroups
 from hopfgal.correspondence import (
     Context,
-    elementary_scan,
     gaussian_subspace_count,
     holomorph_conjugation_report,
     ideals,
@@ -114,7 +117,10 @@ def test_criterion_4_primitive_ideal_chains():
 def test_criterion_5_elementary_strong_iff_trivial():
     scanned = 0
     for spec in (C2C2, C3C3):
-        scan = elementary_scan(spec)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["verify", "elementary", "--p", str(spec.p), "--n", str(spec.rank)]) == cli.EXIT_OK
+        scan = json.loads(out.getvalue())
         scanned += scan["structures_scanned"]
         for row in scan["rows"]:
             assert row["strong_ftgt"] == row["trivial"]

@@ -117,7 +117,12 @@ def test_verify_cyclic_walks_the_ideals_once_per_structure(monkeypatch):
     assert len(validations) == 9
 
 
-def test_verify_cyclic_reports_a_structure_that_fails_validation(monkeypatch):
+@pytest.mark.parametrize("argv", [
+    ("verify", "cyclic", "--p", "3", "--n", "3", "--d", "1"),
+    ("verify", "lattice", "--family", "cyclic:1", "--p", "3", "--n", "3"),
+    ("report", "--family", "cyclic:1", "--p", "3", "--n", "3"),
+])
+def test_verify_cyclic_reports_a_structure_that_fails_validation(monkeypatch, argv):
     # the Context's "invalid structure" input error is the check's theorem
     # violation, exit 4, with the structure as its witness: 1 * 1 = 1 on Z/27
     # is not nilpotent
@@ -125,7 +130,7 @@ def test_verify_cyclic_reports_a_structure_that_fails_validation(monkeypatch):
     monkeypatch.setattr(nilring, "cyclic_structure", lambda p, n, d: bad)
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = cli.main(["verify", "cyclic", "--p", "3", "--n", "3", "--d", "1"])
+        code = cli.main(list(argv))
     assert code == cli.EXIT_VIOLATION
     message, _, witness = err.getvalue().partition("\n")
     assert message == "verified identity failed: cyclic-family structure failed validation"
@@ -186,6 +191,40 @@ def test_verify_elementary():
     assert result.returncode == 0, result.stderr
     payload = json.loads(result.stdout)
     assert payload["structures_scanned"] == 9
+
+
+def test_verify_conjugation_checks_the_additive_translations_once_per_source(monkeypatch):
+    # the check reads G alone, and the 12 structures on C4 x C2 share it
+    calls = _counted(monkeypatch, cli, "_spanning_pairs")
+    code, out, err = _main(["verify", "conjugation", "--family", "enumerate", "--p", "2", "--exp", "2,1"])
+    assert code == cli.EXIT_OK, err
+    assert json.loads(out)["structures_checked"] == 12
+    assert calls == [GroupSpec(2, (2, 1))]
+
+
+# stdout digests of commands no benchmark golden covers, recorded before the
+# commands shared one loop over structures
+_DIGESTS = {
+    "report --family primitive --p 5 --n 4":
+        "6783589f6e88a287f1cc2dc0f88e3973501b9606bb5655dd6c229844f42e86ec",
+    "report --all-structures --p 2 --exp 2,1":
+        "8cd42c2d77e16c54b21e39105b38489198b92e7c8c5e5b16772f17efe3c43699",
+    "verify lattice --family cyclic --p 3 --n 2 --all-d":
+        "07b165ce0a2bea541797a97a2256df959ab17419d11200e230f40e0791dc416d",
+    "verify conjugation --all-structures --p 2 --exp 2,1":
+        "6cced5a8a76629794cfa890aac09abccfeb25003f5fcf63ce5f7458f43265b6c",
+    "verify cyclic --p 3 --n 2 --family enumerate":
+        "004c67ec4bd4e9a93bcd65d6872bcc0aead2885d6f12b8f30d1e09cbcb20823a",
+    "verify primitive --p 3 --n 2 --format table":
+        "ffb28e8c91ce4fbcc39f47742c525f6ffbb4ef0c50a9e56bdb52bc14cf489bdf",
+}
+
+
+@pytest.mark.parametrize("command", sorted(_DIGESTS))
+def test_stdout_is_byte_identical(command):
+    code, out, err = _main(command.split())
+    assert code == cli.EXIT_OK, err
+    assert hashlib.sha256(out.encode()).hexdigest() == _DIGESTS[command]
 
 
 def test_report_fixture_table():
@@ -408,7 +447,8 @@ def test_golden_cli_output():
             == expected, command
 
 
-@pytest.mark.parametrize("command", [("verify", "lattice"), ("report",)])
+@pytest.mark.parametrize("command", [("verify", "lattice"), ("report",), ("verify", "cyclic"),
+                                     ("verify", "conjugation")])
 def test_all_d_compares_the_cap_before_building_the_family(command):
     # 3^10 structures on Z/3^11, |G| above --cap-enum: the first one decides
     tracemalloc.start()

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import itertools
+import json
 import tracemalloc
 from functools import partial
 
@@ -11,7 +12,6 @@ from hopfgal.abelian import GroupSpec, add, walk_subgroups
 from hopfgal.correspondence import (
     Context,
     circle_subgroup_count,
-    elementary_scan,
     gaussian_subspace_count,
     holomorph_conjugation_report,
     ideals,
@@ -20,7 +20,7 @@ from hopfgal.correspondence import (
     lattice_report,
     perm_compose,
 )
-from hopfgal.errors import CapExceeded, InputError
+from hopfgal.errors import CapExceeded
 from hopfgal.nilring import (
     cyclic_structure,
     enumerate_structures,
@@ -330,8 +330,17 @@ def test_all_z9_structures_strong():
         assert lattice_report(Context(A)).strong_ftgt
 
 
+def _verify_elementary(*argv):
+    """(exit code, payload or stderr) of `hopfgal verify elementary`."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["verify", "elementary", *argv])
+    return code, json.loads(out.getvalue()) if code == cli.EXIT_OK else err.getvalue()
+
+
 def test_elementary_scan_c2c2():
-    scan = elementary_scan(C2C2)
+    code, scan = _verify_elementary("--p", "2", "--n", "2")
+    assert code == cli.EXIT_OK
     # only the trivial structure has an elementary abelian circle group
     assert scan["structures_scanned"] == 1
     assert scan["rows"][0]["trivial"] is True
@@ -339,7 +348,8 @@ def test_elementary_scan_c2c2():
 
 
 def test_elementary_scan_c3c3():
-    scan = elementary_scan(GroupSpec(3, (1, 1)))
+    code, scan = _verify_elementary("--p", "3", "--n", "2")
+    assert code == cli.EXIT_OK
     assert scan["structures_scanned"] == 9
     nontrivial = [r for r in scan["rows"] if not r["trivial"]]
     assert len(nontrivial) == 8
@@ -347,8 +357,8 @@ def test_elementary_scan_c3c3():
 
 
 def test_elementary_scan_rejects_non_elementary():
-    with pytest.raises(InputError):
-        elementary_scan(Z4)
+    assert _verify_elementary("--p", "2", "--exp", "2") == (
+        cli.EXIT_INPUT, "input error: scan requires an elementary abelian spec\n")
 
 
 def test_gaussian_examples():

@@ -84,3 +84,16 @@ def test_every_public_function_runs_or_is_a_checked_entry_point():
             unused.add(name)
     assert unused - set(ENTRY_POINTS) == set(), "public functions that nothing runs"
     assert set(ENTRY_POINTS) - unused == set(), "entry points that now run: take them off the list"
+
+
+def test_the_cli_has_one_loop_over_structures():
+    # one Context per structure, built in the one loop that draws them from
+    # the one structure source; the search is called by that source and by
+    # `enumerate`, and by no library module
+    trees = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
+    called = [getattr(node.func, "id", getattr(node.func, "attr", None))
+              for node in ast.walk(trees["cli"]) if isinstance(node, ast.Call)]
+    assert called.count("Context") == 1
+    assert called.count("_resolve_structures") == 1
+    assert {module for module, tree in trees.items()
+            if "nilring.enumerate_structures" in references(tree)} <= {"nilring", "cli"}
