@@ -8,7 +8,9 @@ Subcommands:
   report      counting table: sub-Hopf avatars vs intermediate-field avatars
 
 JSON output (the payload and the exit-4 witness) is the bytes of json.dumps(
-indent=2, sort_keys=True), written by `_json_text`, not json's indenting encoder.
+indent=2, sort_keys=True), written by `_json_text`, not json's indenting encoder:
+it matches exact types, joins a list of ints at once, and writes a tuple it meets
+again by identity (the search's shared rows) once per depth.
 
 Every command but enumerate runs one loop, `_certify`: each structure that
 `_resolve_structures` draws gets one Context, which the command's check reads;
@@ -145,7 +147,7 @@ def _resolve_structures(args, family, cyclic_n=False):
     if family in reads:
         _reject_unread(args, f"family {family}", reads[family], ("p", "exp", "n", "d", "all_d", "cap_search"))
     if family == "fixture:klein":
-        return [("fixture:klein", correspondence.klein_four_fixture().ring)]
+        return [("fixture:klein", correspondence.klein_four_ring())]
     if family == "enumerate":
         spec = _parse_spec(args, cyclic_n)
         return [
@@ -178,32 +180,36 @@ def _resolve_structures(args, family, cyclic_n=False):
 
 def _json_text(obj) -> str:
     """json.dumps(obj, indent=2, sort_keys=True), byte for byte, by joins, not
-    json's pure-Python indenting encoder.  A float, a dict with a key that is
-    not a str and any other type are left to json, indented to their depth (JSON
-    text has no raw newline in a string).  A tuple's text is built once per depth
-    and call, keyed by its identity and kept with it: by value, (True,) is (1,)."""
-    memo = {}
+    json's pure-Python indenting encoder.  Types are matched exactly, so a
+    subclass (an IntEnum, a namedtuple, an OrderedDict, a dict with a str
+    subclass key), a float, a dict with a key that is not a str and any other
+    type are left to json, indented to their depth (JSON text has no raw newline
+    in a string).  A list or tuple of ints is one join.  A tuple's text is built
+    once per depth and call, keyed by its identity and kept with it: by value,
+    (True,) is (1,).  Each key's text is built once per call."""
+    memo, key_text = {}, functools.cache(encode_basestring_ascii)
 
     def write(x, indent):
-        if isinstance(x, str):
+        kind = type(x)
+        if kind is tuple and (id(x), indent) in memo:
+            return memo[id(x), indent][1]
+        if kind is int:
+            return int.__repr__(x)
+        if kind is str:
             return encode_basestring_ascii(x)
         if x is None or x is True or x is False:
             return "null" if x is None else "true" if x else "false"
-        if isinstance(x, int):
-            return int.__repr__(x)
-        if isinstance(x, tuple):
-            if (id(x), indent) not in memo:
-                memo[id(x), indent] = x, write(list(x), indent)
-            return memo[id(x), indent][1]
         inner = indent + "  "
-        if isinstance(x, list):
-            items, ends = [inner + write(v, inner) for v in x], "[]"
-        elif isinstance(x, dict) and all(isinstance(k, str) for k in x):
-            items = [f"{inner}{encode_basestring_ascii(k)}: {write(v, inner)}" for k, v in sorted(x.items())]
-            ends = "{}"
-        else:
-            return json.dumps(x, indent=2, sort_keys=True).replace("\n", "\n" + indent)
-        return f"{ends[0]}\n" + ",\n".join(items) + f"\n{indent}{ends[1]}" if items else ends
+        if kind is list or kind is tuple:
+            items = map(int.__repr__, x) if set(map(type, x)) == {int} else [write(v, inner) for v in x]
+            text = f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]" if x else "[]"
+            if kind is tuple:
+                memo[id(x), indent] = x, text
+            return text
+        if kind is dict and set(map(type, x)) <= {str}:
+            items = [f"{key_text(k)}: {write(v, inner)}" for k, v in sorted(x.items())]
+            return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}" if x else "{}"
+        return json.dumps(x, indent=2, sort_keys=True).replace("\n", "\n" + indent)
 
     return write(obj, "")
 

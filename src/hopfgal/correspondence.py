@@ -365,13 +365,16 @@ def gaussian_subspace_count(p: int, n: int) -> int:
     return sum(abelian._gaussian_binomial(p, n, r) for r in range(1, n + 1))
 
 
-def klein_four_fixture() -> Context:
+def klein_four_ring() -> RingStructure:
     """The structure on Z/4 with 1*1 = 2, whose circle group is C2 x C2.
 
     Its correspondence data is the smallest wholly-abelian failure case:
     3 ideals against 5 subgroups of the circle group, with exactly one
     proper nontrivial invariant subgroup.
     """
-    spec = GroupSpec(2, (2,))
-    A = nilring.make_structure(spec, (((2,),),))
-    return Context(A)
+    return nilring.make_structure(GroupSpec(2, (2,)), (((2,),),))
+
+
+def klein_four_fixture() -> Context:
+    """The Context of `klein_four_ring`, validated."""
+    return Context(klein_four_ring())

@@ -10,13 +10,14 @@ whose isomorphism type plays the role of the Galois group.
 The element kernel runs on sparse terms: the nonzero generator products,
 listed once per structure on first use.  `validate`, `nilpotency_index` and
 the search's row tests run on the matrices of x -> b_i x, the constants' rows
-transposed.  `enumerate_structures` fills the table row by row: row i is the
-map x -> b_i x, kept when it is nilpotent on G/pG, decided for every residue
-class of row 0 mod p in one batch before the backtrack, and commutes with the
-rows before it.  `validate` checks associativity on the triples i < l, and
-nilpotency on each matrix mod p; the search's kept tables are certified by the
-same axioms a slice at a time (`_all_valid`), and a slice it rejects by
-`validate`, table by table.
+transposed.  `enumerate_structures` fills the table a depth at a time: every
+kept prefix meets every tail of row i, the map x -> b_i x, kept when it is
+nilpotent on G/pG, decided for every residue class of row 0 mod p in one batch
+before the search, and commutes with the rows before it, tested on bounded
+slices against one earlier row after another; equal kept rows are one object.
+`validate` checks associativity on the triples i < l, and nilpotency on each
+matrix mod p; the search's kept tables are certified by the same axioms a slice
+at a time (`_all_valid`), and a slice it rejects by `validate`, table by table.
 """
 
 from __future__ import annotations
@@ -188,7 +189,7 @@ def validate(A: RingStructure) -> list:
     return []
 
 
-_SLICE_PRODUCTS = 1 << 16  # gathered products per slice and squaring: k^4 per table in `_all_valid`, k^3 per class
+_SLICE_PRODUCTS = 1 << 16  # gathered products per slice and pass: k^4 per table in `_all_valid`, k^3 per class, 2k^3 per row
 
 
 def _all_valid(spec: GroupSpec, tables: list) -> bool:
@@ -285,21 +286,26 @@ def _entry_ranges(spec: GroupSpec, i: int, j: int) -> list:
     ]
 
 
-def _commute(spec: GroupSpec, row, other) -> bool:
-    """Whether the maps of two rows commute, on the generators: L(L'(b_t)) =
-    L'(L(b_t)), L(b_t) = row[t], L'(b_t) = other[t], one coordinate at a time:
-    L(x)_u is x dotted with row u of L's matrix, the row transposed."""
-    ops, other_ops = tuple(zip(*row)), tuple(zip(*other))
-    for x, y in zip(row, other):
-        for op, other_op, m in zip(ops, other_ops, spec.moduli):
-            if (sum(map(operator.mul, op, y)) - sum(map(operator.mul, other_op, x))) % m:
-                return False
-    return True
+def _commuting(spec: GroupSpec, rows: list, others: list) -> list:
+    """Per x, whether the map L of rows[x] commutes with the map L' of
+    others[x] on the generators: L(L'(b_t)) = L'(L(b_t)), L(b_t) = row[t],
+    one coordinate at a time, L(y)_u = sum_s y_s row[s][u].  col[s * k + u]
+    lists entry (s, u) of every row, and the other rows' columns are also
+    negated, so each difference (t, u) is one sum in one C-level run."""
+    k, moduli = spec.rank, spec.moduli
+    flat, other = (list(itertools.chain.from_iterable(itertools.chain.from_iterable(x))) for x in (rows, others))
+    col, other_col = [flat[x::k * k] for x in range(k * k)], [other[x::k * k] for x in range(k * k)]
+    negated = [list(map(operator.neg, c)) for c in other_col]
+    differences = [map(moduli[u].__rmod__, map(sum, zip(
+        *(map(operator.mul, col[s * k + u], other_col[t * k + s]) for s in range(k)),
+        *(map(operator.mul, col[t * k + s], negated[s * k + u]) for s in range(k)))))
+        for t, u in itertools.product(range(k), repeat=2)]
+    return list(map(operator.not_, map(any, zip(*differences))))
 
 
 def _nilpotent_classes(spec: GroupSpec, residues) -> set:
     """The classes in the product of `residues` (per entry of row 0, its distinct
-    residues mod p) on which the map L of the row (`_commute`) is nilpotent.  L
+    residues mod p) on which the map L of the row (`_commuting`) is nilpotent.  L
     commutes with x -> px, so L^k(G) in pG gives L^(ke)(G) = 0, e the largest
     exponent: L is nilpotent iff its matrix mod p on G/pG = F_p^k, here its
     transpose, squared s times is 0, 2^s >= k.  col[a * k + b] lists entry (a, b)
@@ -316,22 +322,33 @@ def _nilpotent_classes(spec: GroupSpec, residues) -> set:
     return out
 
 
-def _kept_tables(spec: GroupSpec, candidates, residues, rows, nilpotent):
-    """The tables that extend the kept `rows` by rows that are nilpotent and
-    commute with every earlier row; candidates[i] lists row i's entries j >= i,
-    residues[i] the same mod p.  A row is nilpotent iff its residue class, its
-    entries' residues at every depth, is in `nilpotent` (`_nilpotent_classes`),
-    tested before the commute test."""
-    i = len(rows)
-    if i == spec.rank:
-        yield rows
-        return
-    head = tuple(row[i] for row in rows)
-    head_key = tuple(tuple(c % spec.p for c in x) for x in head)
-    for tail, tail_key in zip(itertools.product(*candidates[i]), itertools.product(*residues[i])):
-        row = head + tail
-        if head_key + tail_key in nilpotent and all(_commute(spec, row, earlier) for earlier in rows):
-            yield from _kept_tables(spec, candidates, residues, rows + (row,), nilpotent)
+def _kept_tables(spec: GroupSpec, candidates, residues, nilpotent) -> list:
+    """The tables whose rows are nilpotent and commute with every earlier row,
+    built a depth at a time; candidates[i] lists row i's entries j >= i,
+    residues[i] the same mod p.  At depth i each kept prefix, in order, meets
+    each tail of row i, in order.  A row is nilpotent iff its residue class, its
+    entries' residues, is in `nilpotent` (`_nilpotent_classes`), so the tails
+    that pass are listed once per class of the head, the entries fixed by the
+    prefix.  A slice of those rows is tested against earlier row 0, what passes
+    against row 1, and so on: the pairs a short-circuiting test per row would
+    try.  Equal kept rows are one object, per call."""
+    k, p, shared, tables = spec.rank, spec.p, {}, [()]
+    for i in range(k):
+        heads = [tuple(row[i] for row in table) for table in tables]
+        keys = [tuple(tuple(map(p.__rmod__, x)) for x in head) for head in heads]
+        passing = {key: list(itertools.compress(itertools.product(*candidates[i]), map(
+            nilpotent.__contains__, map(key.__add__, itertools.product(*residues[i]))))) for key in set(keys)}
+        pairs = itertools.chain.from_iterable(zip(itertools.repeat(a), passing[key]) for a, key in enumerate(keys))
+        kept = []
+        while batch := list(itertools.islice(pairs, max(1, _SLICE_PRODUCTS // (2 * k**3)))):
+            prefixes, tails = map(list, zip(*batch))
+            rows = list(map(operator.add, map(heads.__getitem__, prefixes), tails))
+            for j in range(i):
+                verdicts = _commuting(spec, rows, [tables[a][j] for a in prefixes])
+                prefixes, rows = (list(itertools.compress(x, verdicts)) for x in (prefixes, rows))
+            kept += zip(prefixes, map(shared.setdefault, rows, rows))
+        tables = [tables[a] + (row,) for a, row in kept]
+    return tables
 
 
 def enumerate_structures(
@@ -339,11 +356,11 @@ def enumerate_structures(
 ) -> list:
     """Every valid structure on spec, exactly once, ordered by constants tensor.
 
-    A backtrack over the rows of the symmetric constants table c.  Row i
-    takes c[i][j], j < i, from the rows already fixed, and each c[i][j],
-    j >= i, from the constants that satisfy the order condition.  Row i is
-    the map L_i = (x -> b_i x); it is kept when L_i commutes with every
-    earlier L_j and is nilpotent.  The prune is exact:
+    A search over the rows of the symmetric constants table c, a depth at a
+    time (`_kept_tables`).  Row i takes c[i][j], j < i, from the rows already
+    fixed, and each c[i][j], j >= i, from the constants that satisfy the order
+    condition.  Row i is the map L_i = (x -> b_i x); it is kept when L_i
+    commutes with every earlier L_j and is nilpotent.  The prune is exact:
 
     - (xy)z = L_z L_x y and x(yz) = L_x L_z y, so a commutative product is
       associative iff the maps L commute, and by bilinearity iff the L_i
@@ -354,7 +371,7 @@ def enumerate_structures(
     - L_i commutes with x -> px, so it is nilpotent iff the map it induces
       on G/pG is.  That map depends on row i mod p alone, so
       `_nilpotent_classes` decides every residue class of row 0 in one batch
-      before the backtrack, and a row of a class that fails gets no commute
+      before the search, and a row of a class that fails gets no commute
       test.  Every row's class is one of row 0's: the exponents do not
       increase, and entry (i, j) has residues mod p in coordinate u only if
       e_u <= min(e_i, e_j) <= e_j = min(e_0, e_j), where entry (0, j) has all.
@@ -363,8 +380,11 @@ def enumerate_structures(
     compared with search_cap as it is multiplied up, before any candidate
     is built.  `_all_valid` certifies the full tables a bounded slice at a
     time; a slice it rejects raises TheoremViolation with the first table
-    `validate` rejects, or, if there is none, as a disagreement.  Rows and
-    candidates are tried in lexicographic order, so the tables come out sorted.
+    `validate` rejects, or, if there is none, as a disagreement.  At each
+    depth the kept prefixes meet the tails in lexicographic order, so the tables
+    come out sorted.  The commute test runs on bounded slices of rows, against
+    one earlier row at a time (`_commuting`), and equal kept rows are one object,
+    so a payload that holds the tables writes each distinct row once.
     """
     k = spec.rank
     space = 1
@@ -380,7 +400,7 @@ def enumerate_structures(
     ]
     residues = [[[tuple(c % spec.p for c in x) for x in entry] for entry in row] for row in candidates]
     nilpotent = _nilpotent_classes(spec, [list(dict.fromkeys(entry)) for entry in residues[0]])
-    out, tables = [], _kept_tables(spec, candidates, residues, (), nilpotent)
+    out, tables = [], iter(_kept_tables(spec, candidates, residues, nilpotent))
     while batch := list(itertools.islice(tables, max(1, _SLICE_PRODUCTS // k**4))):
         if not _all_valid(spec, batch):
             for A in map(RingStructure, itertools.repeat(spec), batch):

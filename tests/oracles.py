@@ -268,6 +268,19 @@ def nilpotent_mod_p(spec, row) -> bool:
     return not vectors
 
 
+def _commute(spec, row, other) -> bool:
+    """Whether the maps of two rows commute, one pair at a time: L(L'(b_t)) =
+    L'(L(b_t)) for every generator, L(b_t) = row[t], L'(b_t) = other[t], one
+    coordinate at a time: L(x)_u is x dotted with row u of L's matrix, the row
+    transposed."""
+    ops, other_ops = tuple(zip(*row)), tuple(zip(*other))
+    for x, y in zip(row, other):
+        for op, other_op, m in zip(ops, other_ops, spec.moduli):
+            if (sum(a * b for a, b in zip(op, y)) - sum(a * b for a, b in zip(other_op, x))) % m:
+                return False
+    return True
+
+
 def associativity_violations(A) -> list:
     """Every triple (i, j, l) with (b_i b_j) b_l != b_i (b_j b_l), in
     lexicographic order: all k^3 triples, with no use of commutativity."""

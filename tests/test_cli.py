@@ -1,4 +1,6 @@
+import collections
 import contextlib
+import enum
 import hashlib
 import io
 import json
@@ -146,6 +148,16 @@ def test_verify_elementary_validates_once_per_structure(monkeypatch):
         assert cli.main(["verify", "elementary", "--p", "3", "--n", "2"]) == cli.EXIT_OK
     assert len(validations) == 9
     assert len(set(validations)) == 9
+
+
+@pytest.mark.parametrize("argv", [("verify", "conjugation", "--family", "fixture:klein"),
+                                  ("report", "--family", "fixture:klein")])
+def test_the_klein_fixture_is_validated_once(monkeypatch, argv):
+    # the fixture's ring is drawn with no Context, so the loop's Context is its one validation
+    validations = _counted(monkeypatch, nilring, "validate")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(list(argv)) == cli.EXIT_OK
+    assert validations == [correspondence.klein_four_ring()]
 
 
 def test_the_parser_is_built_once_on_first_use():
@@ -402,6 +414,13 @@ def test_verify_cyclic_accepts_every_structure_on_the_cyclic_group(argv):
 
 
 _SHARED = (1, (2, [3]))  # one tuple at two depths; it holds a list, so it is unhashable
+_PAIR = (4, 5)  # an int tuple, joined at once, at two depths
+_Level = enum.IntEnum("_Level", {"LOW": 0, "HIGH": 7})
+_Point = collections.namedtuple("_Point", "x y")
+
+
+class _Key(str):
+    """A str subclass: a dict with such a key is left to json."""
 
 
 @pytest.mark.parametrize("obj", [
@@ -414,6 +433,9 @@ _SHARED = (1, (2, [3]))  # one tuple at two depths; it holds a list, so it is un
     1.5, [{"x": [0.1, -2.0]}],  # floats: json's own text, indented
     {1: "a", 2: [3]}, [{1: {"b": [4]}}],  # an int key: json's own text, indented
     nilring.primitive_structure(3, 2).to_json(),
+    # exact types only: each subclass is left to json, at its depth
+    [1, _Level.HIGH, 3], [_Point(1, [2]), [_Point(3, 4)]], collections.OrderedDict([("b", [1]), ("a", 2)]),
+    {_Key("b"): [1], "a": 2}, [_PAIR, [_PAIR], {"t": _PAIR}], [[{"xs": list(range(-25, 25))}]],
 ], ids=repr)
 def test_json_text_is_what_json_dumps_writes(obj):
     assert cli._json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
@@ -425,6 +447,17 @@ def test_json_text_writes_a_whole_enumerate_payload(monkeypatch):
     assert _main(["enumerate", "--p", "2", "--exp", "2,1"])[0] == cli.EXIT_OK
     [payload] = payloads
     assert payload["structure_count"] == 12
+    assert cli._json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+
+def test_json_text_writes_an_enumerate_payload_with_shared_rows(monkeypatch):
+    # 288 tables on C8 x C4 share 128 row objects, each written once per depth
+    payloads = []
+    monkeypatch.setattr(cli, "_emit", lambda args, payload, lines: payloads.append(payload))
+    assert _main(["enumerate", "--p", "2", "--exp", "3,2", "--cap-hol", "1000"])[0] == cli.EXIT_OK
+    [payload] = payloads
+    rows = [row for A in payload["structures"] for row in A["constants"]]
+    assert (payload["structure_count"], len(rows), len(set(map(id, rows)))) == (288, 576, 128)
     assert cli._json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
 
 

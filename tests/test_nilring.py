@@ -389,27 +389,28 @@ def test_planted_associativity_violations_match_the_all_triples_scan(spec, const
 
 
 def _kept_tables_row_by_row(spec, candidates, rows=()):
-    """The row backtrack of the search with no shared verdicts: the mod-p test
-    of `oracles.nilpotent_mod_p` runs on every row that commutes with the rows
-    before it."""
+    """The row backtrack of the search with no shared verdicts and no batch:
+    the mod-p test of `oracles.nilpotent_mod_p` runs on every row that
+    commutes, by `oracles._commute`, with the rows before it.  With the
+    candidates of the first rows only, it yields the kept prefixes."""
     i = len(rows)
-    if i == spec.rank:
+    if i == len(candidates):
         yield rows
         return
     head = tuple(row[i] for row in rows)
     for tail in itertools.product(*candidates[i]):
         row = head + tail
-        if all(nilring._commute(spec, row, earlier) for earlier in rows) and oracles.nilpotent_mod_p(spec, row):
+        if all(oracles._commute(spec, row, earlier) for earlier in rows) and oracles.nilpotent_mod_p(spec, row):
             yield from _kept_tables_row_by_row(spec, candidates, rows + (row,))
 
 
-def _row_by_row_search(spec):
+def _candidates(spec):
     k = spec.rank
-    candidates = [
-        [list(itertools.product(*nilring._entry_ranges(spec, i, j))) for j in range(i, k)]
-        for i in range(k)
-    ]
-    return list(_kept_tables_row_by_row(spec, candidates))
+    return [[list(itertools.product(*nilring._entry_ranges(spec, i, j))) for j in range(i, k)] for i in range(k)]
+
+
+def _row_by_row_search(spec):
+    return list(_kept_tables_row_by_row(spec, _candidates(spec)))
 
 
 def _catalogue_specs():
@@ -425,6 +426,62 @@ def test_shared_nilpotency_verdicts_keep_the_row_by_row_tables(spec):
     assert [A.constants for A in enumerate_structures(spec)] == _row_by_row_search(spec)
 
 
+@pytest.mark.parametrize("spec", [GroupSpec(2, (1, 1, 1)), GroupSpec(2, (3, 2)), GroupSpec(5, (1, 1))], ids=str)
+def test_search_does_not_depend_on_the_slice_bound(monkeypatch, spec):
+    # slices of 3 rows per depth, the last one short, keep the tables of one slice
+    whole = [A.constants for A in enumerate_structures(spec)]
+    monkeypatch.setattr(nilring, "_SLICE_PRODUCTS", 3 * spec.rank**3)
+    assert [A.constants for A in enumerate_structures(spec)] == whole
+    assert len(whole) == {(1, 1, 1): 92, (3, 2): 288, (1, 1): 25}[spec.exponents]
+
+
+@pytest.mark.parametrize("spec", [GroupSpec(2, (1, 1, 1)), GroupSpec(2, (3, 2))], ids=str)
+def test_commuting_matches_the_per_pair_test_on_every_prefix_and_tail(spec):
+    # every kept prefix of every depth, each tail of the next row, each earlier row
+    candidates, rows, others = _candidates(spec), [], []
+    for depth in range(1, spec.rank):
+        for prefix in _kept_tables_row_by_row(spec, candidates[:depth]):
+            head = tuple(row[depth] for row in prefix)
+            for tail, earlier in itertools.product(itertools.product(*candidates[depth]), prefix):
+                rows.append(head + tail)
+                others.append(earlier)
+    verdicts = nilring._commuting(spec, rows, others)
+    assert verdicts == [oracles._commute(spec, row, other) for row, other in zip(rows, others)]
+    assert set(verdicts) == {True, False}
+
+
+@pytest.mark.parametrize("spec, search_cap, tried, class_tests", [
+    (GroupSpec(2, (3, 2)), nilring.DEFAULT_SEARCH_CAP, 512 + 128 * 16, 528),
+    (GroupSpec(3, (1, 1, 1)), 3**18, 581013, 49599),
+], ids=str)
+def test_the_class_test_runs_once_per_head_class(monkeypatch, spec, search_cap, tried, class_tests):
+    # a row's class is its head's residues followed by its tail's, so the tails
+    # that pass are listed once per class of the head, not once per prefix: on
+    # C8 x C4, 528 class tests for the 2 560 rows tried (512 of row 0, 16 tails
+    # for each of the 128 kept row 0s, whose heads share one class)
+    keys = []
+
+    class Counted(set):
+        def __contains__(self, key):
+            keys.append(key)
+            return set.__contains__(self, key)
+
+    classes = nilring._nilpotent_classes
+    monkeypatch.setattr(nilring, "_nilpotent_classes", lambda spec, residues: Counted(classes(spec, residues)))
+    assert len(enumerate_structures(spec, search_cap)) == {2: 288, 3: 963}[spec.p]
+    assert len(keys) == class_tests < tried
+
+
+@pytest.mark.parametrize("spec, search_cap", [(spec, nilring.DEFAULT_SEARCH_CAP) for spec in _catalogue_specs()] + [
+    (GroupSpec(2, (1, 1, 1)), nilring.DEFAULT_SEARCH_CAP), (GroupSpec(2, (3, 2)), nilring.DEFAULT_SEARCH_CAP),
+    (GroupSpec(3, (1, 1, 1)), 3**18)], ids=str)
+def test_search_hands_out_one_object_per_distinct_row(spec, search_cap):
+    rows = [row for A in enumerate_structures(spec, search_cap) for row in A.constants]
+    assert len({id(row) for row in rows}) == len(set(rows))
+    if spec == GroupSpec(2, (3, 2)):
+        assert len(rows) == 576 and len(set(rows)) == 128
+
+
 @pytest.mark.parametrize("spec, search_cap, row_by_row, classes, kept, commute_tests", [
     (GroupSpec(2, (1, 1, 1)), nilring.DEFAULT_SEARCH_CAP, (924, 5184), 512, 92, 888),
     (GroupSpec(2, (3, 2)), nilring.DEFAULT_SEARCH_CAP, (864, 2048), 8, 288, 1024),
@@ -436,20 +493,22 @@ def test_nilpotency_is_evaluated_once_per_residue_class(monkeypatch, spec, searc
                                                         classes, kept, commute_tests):
     # row by row, the rows that pass the commute test reach the nilpotency
     # test; the search decides every residue class of row 0 mod p in one
-    # batch, and a row of a class that fails never reaches the commute test
-    calls = {"nilpotent_mod_p": [], "_commute": [], "_nilpotent_classes": []}
-    for owner, name in [(oracles, "nilpotent_mod_p"), (nilring, "_commute"), (nilring, "_nilpotent_classes")]:
+    # batch, and a row of a class that fails never reaches the commute test.
+    # The batch compresses its rows after each earlier row, so it tests the
+    # (row, earlier row) pairs a short-circuiting per-pair test would
+    calls = {"nilpotent_mod_p": [], "_commute": [], "_nilpotent_classes": [], "_commuting": []}
+    for owner, name in [(oracles, "nilpotent_mod_p"), (oracles, "_commute"), (nilring, "_nilpotent_classes"),
+                        (nilring, "_commuting")]:
         check, log = getattr(owner, name), calls[name]
         monkeypatch.setattr(owner, name, lambda *args, log=log, check=check: log.append(args) or check(*args))
     if row_by_row:
         tables = _row_by_row_search(spec)
         assert (len(calls["nilpotent_mod_p"]), len(calls["_commute"])) == row_by_row
         assert len(tables) == kept
-        calls["_commute"].clear()
     assert len(enumerate_structures(spec, search_cap)) == kept
     [(_, residues)] = calls["_nilpotent_classes"]
     assert math.prod(map(len, residues)) == classes
-    assert len(calls["_commute"]) == commute_tests
+    assert sum(len(rows) for _, rows, _ in calls["_commuting"]) == commute_tests
 
 
 @pytest.mark.parametrize("p, search_cap", [(2, nilring.DEFAULT_SEARCH_CAP), (3, 3**18)])
@@ -494,9 +553,11 @@ def test_commute_matches_composing_the_products(spec):
     verdicts = Counter()
     for (row, L), (other, M) in itertools.product(zip(rows, maps), repeat=2):
         verdict = all(L[M[b]] == M[L[b]] for b in spec.basis())
-        assert nilring._commute(spec, row, other) is verdict, (row, other)
+        assert oracles._commute(spec, row, other) is verdict, (row, other)
         verdicts[verdict] += 1
     assert verdicts[True] and verdicts[False]
+    pairs = list(itertools.product(rows, repeat=2))
+    assert nilring._commuting(spec, *map(list, zip(*pairs))) == [oracles._commute(spec, *pair) for pair in pairs]
 
 
 def _row_0_residues(spec):
@@ -588,7 +649,7 @@ def test_validate_runs_no_helper_of_the_search():
                 todo.extend(calls[name] & calls.keys())
         return reached
 
-    prune = {"_commute", "_nilpotent_classes", "_kept_tables", "enumerate_structures"}
+    prune = {"_commuting", "_nilpotent_classes", "_kept_tables", "enumerate_structures"}
     assert prune <= calls.keys()
     assert not reach("validate", "nilpotency_index") & prune
     # the batch certifier of the search's tables reaches neither the row

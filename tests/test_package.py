@@ -27,6 +27,7 @@ ENTRY_POINTS = {
     "holomorph.affine_map": "checked (a, m) pair from outside input",
     "holomorph.holomorph_elements": "Hol(G) listed whole, the reference of the search tests",
     "correspondence.gaussian_subspace_count": "closed form the brute-force subgroup counts are tested against",
+    "correspondence.klein_four_fixture": "the validated Context of `klein_four_ring`, the correspondence tests' fixture",
 }
 
 
