@@ -184,6 +184,32 @@ def _linear_table(spec: GroupSpec, m) -> tuple:
     return tuple(map(spec.element_index.__getitem__, zip(*coords)))
 
 
+def _pivots(p: int, vectors) -> dict:
+    """Gaussian elimination mod p: {t: v}, one v per dimension of the span of
+    `vectors` in F_p^k, v in the span with last nonzero coordinate t, there 1.
+    The keys depend on the span alone, and its dimension is their number."""
+    pivots = {}
+    for v in vectors:
+        v = [x % p for x in v]
+        while any(v):
+            t = max([t for t, x in enumerate(v) if x])
+            if t not in pivots:
+                pivots[t] = [x * pow(v[t], -1, p) % p for x in v]
+                break
+            v = [(x - v[t] * y) % p for x, y in zip(v, pivots[t])]
+    return pivots
+
+
+def _nilpotent_mod_p(p: int, rows) -> bool:
+    """Whether the k x k matrix `rows` is nilpotent mod p: squared s times to
+    0, 2^s >= k, as a nilpotent N on F_p^k has N^k = 0."""
+    power = [[x % p for x in row] for row in rows]
+    for _ in range((len(power) - 1).bit_length()):
+        if any(map(any, power)):
+            power = [[sum(map(operator.mul, row, col)) % p for col in zip(*power)] for row in power]
+    return not any(map(any, power))
+
+
 def _grow_by_cosets(span: set, step) -> set:
     """span, grown in place by its images under the powers of the map `step`,
     up to the first image inside it.  When span is a group H of permutations

@@ -9,8 +9,9 @@ Subcommands:
 
 JSON output (the payload and the exit-4 witness) is the bytes of json.dumps(
 indent=2, sort_keys=True), written by `_json_text`, not json's indenting encoder:
-it matches exact types, joins a list of ints at once, and writes a tuple it meets
-again by identity (the search's shared rows) once per depth.
+it matches exact types, joins a list of ints at once, and writes a tuple or dict it
+meets again by identity (the search's shared rows, enumerate's one spec) once
+per depth.
 
 Every command but enumerate runs one loop, `_certify`: each structure that
 `_resolve_structures` draws gets one Context, which the command's check reads;
@@ -184,14 +185,14 @@ def _json_text(obj) -> str:
     subclass (an IntEnum, a namedtuple, an OrderedDict, a dict with a str
     subclass key), a float, a dict with a key that is not a str and any other
     type are left to json, indented to their depth (JSON text has no raw newline
-    in a string).  A list or tuple of ints is one join.  A tuple's text is built
-    once per depth and call, keyed by its identity and kept with it: by value,
-    (True,) is (1,).  Each key's text is built once per call."""
+    in a string).  A list or tuple of ints is one join.  A tuple's or dict's
+    text is built once per depth and call, keyed by its identity and kept with
+    it: by value, (True,) is (1,).  Each key's text is built once per call."""
     memo, key_text = {}, functools.cache(encode_basestring_ascii)
 
     def write(x, indent):
         kind = type(x)
-        if kind is tuple and (id(x), indent) in memo:
+        if (kind is tuple or kind is dict) and (id(x), indent) in memo:
             return memo[id(x), indent][1]
         if kind is int:
             return int.__repr__(x)
@@ -208,7 +209,9 @@ def _json_text(obj) -> str:
             return text
         if kind is dict and set(map(type, x)) <= {str}:
             items = [f"{key_text(k)}: {write(v, inner)}" for k, v in sorted(x.items())]
-            return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}" if x else "{}"
+            text = f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}" if x else "{}"
+            memo[id(x), indent] = x, text
+            return text
         return json.dumps(x, indent=2, sort_keys=True).replace("\n", "\n" + indent)
 
     return write(obj, "")
@@ -232,10 +235,12 @@ def _emit(args, payload, table_lines):
 def cmd_enumerate(args) -> int:
     spec = _parse_spec(args)
     structures = nilring.enumerate_structures(spec, args.cap_search)
+    spec_json = spec.to_json()  # one object, which `_json_text` writes once per depth
     payload = {
-        "spec": spec.to_json(),
+        "spec": spec_json,
         "structure_count": len(structures),
-        "structures": [A.to_json() for A in structures],
+        # `RingStructure.to_json`, each with the one spec
+        "structures": [{"spec": spec_json, "constants": A.constants} for A in structures],
     }
     try:
         regular, abelian_regular = holomorph.regular_subgroup_counts(spec, args.cap_hol)

@@ -254,17 +254,11 @@ def _ring_generators(A: RingStructure) -> list:
     """The indices of a ring-generating set S, less its b_i with a zero row
     (b_i A = 0 lies in every subgroup): the b_i, in order, whose images span
     A/(A^2 + pA) = F_p^k / span{c_ij mod p}, that is, the i that are the last
-    nonzero coordinate of no vector of that span (Gaussian elimination mod p).
+    nonzero coordinate of no vector of that span (`abelian._pivots`).
     With R the ring S generates, A = R + A^2 + pA gives A = R + A^m + pA for
     every m, so A = R + pA, as A is nilpotent, and A = R."""
-    p, pivots = A.spec.p, {}  # last nonzero coordinate t -> a vector of the span, 1 at t
-    for v in {tuple([x % p for x in c]) for i, row in enumerate(A.constants) for c in row[i:]}:
-        while any(v):
-            t = max([t for t, x in enumerate(v) if x])
-            if t not in pivots:
-                pivots[t] = [x * pow(v[t], -1, p) % p for x in v]
-                break
-            v = [(x - v[t] * y) % p for x, y in zip(v, pivots[t])]
+    p = A.spec.p
+    pivots = abelian._pivots(p, {tuple([x % p for x in c]) for i, row in enumerate(A.constants) for c in row[i:]})
     return [i for i, row in enumerate(A.constants) if i not in pivots and any(map(any, row))]
 
 

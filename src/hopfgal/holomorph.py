@@ -11,11 +11,15 @@ with `_tau`.  The round trip runs on the matrices: a reduced, well-defined
 (a, m) is its map, and the way back tests T abelian by T = tau(A), with no
 closure.  Elsewhere a map tabulates its linear part on element indices once:
 `AffineMap.linear_table` serves the image count that `is_invertible` and
-`inverse` read, the conjugation report and the search.  The search tests
-p-power order once per automorphism m: Hol(G) -> Aut(G) has kernel the
-translations, a p-group, so x -> a + m(x) has p-power order iff m does.  It
-builds fixed-point-free maps for those m alone, grows subgroups by cosets
-(`_extend`), and counts a subgroup abelian if its generators commute.
+`inverse` read, and the conjugation report.  The regular-subgroup search runs
+on pairs (a, n), x -> a + m(x) with a an element index and m the n-th
+automorphism, and decides mod p, on G/pG = F_p^k: m is an automorphism iff m
+mod p has rank k (`_invertible_mod_p`), and has p-power order iff m mod p is
+unipotent (`_unipotent`), and then so has x -> a + m(x), as the translations
+are a p-group.  No permutation is composed or raised to a power: only the
+unipotent m are tabulated, with their 1 - m for the fixed points.  The search
+grows subgroups by cosets (`_extend`), and counts a subgroup abelian if its
+generators commute.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from functools import cached_property, partial, reduce
+from functools import cached_property, partial
 
 from . import abelian, nilring
 from .abelian import Elem, GroupSpec, _length
@@ -171,17 +175,15 @@ class RegularSubgroup:
         return [t.to_json() for t in self.elements]
 
 
-def _perm_compose(f: tuple, g: tuple) -> tuple:
-    """(f o g)(x) = f(g(x)) on index permutations."""
-    return tuple(map(f.__getitem__, g))
-
-
-def _extend(group: list, gens: tuple, limit: int, admit):
+def _extend(group: list, gens: tuple, limit: int, admit, compose):
     """The members of <gens>, for gens generating a group that contains H, the
-    group listed in `group`, by Dimino's cosets (Butler, LNCS 559, 1991): for
-    g in gens outside them, the coset H g joins whole, then H (g g') for g'
-    in gens, until the members are closed under the generators.  None once
-    the order would pass limit, or at the first new member that fails `admit`."""
+    group listed in `group` with its identity first, by Dimino's cosets
+    (Butler, LNCS 559, 1991) under the product `compose`: for g in gens outside
+    them, the coset H g joins whole, then H (g g') for g' in gens, until the
+    members are closed under the generators.  None once the order would pass
+    limit, or at the first new member that fails `admit`.  As H lists its
+    identity first, g is the first member of H g, so compose meets no left
+    factor that is neither in H nor admitted."""
     out, inside, reps = list(group), set(group), list(gens)
     for r in reps:  # reps grows while it is read
         if r in inside:
@@ -189,12 +191,12 @@ def _extend(group: list, gens: tuple, limit: int, admit):
         if len(out) + len(group) > limit:
             return None
         for h in group:
-            y = _perm_compose(h, r)
+            y = compose(h, r)
             if not admit(y):
                 return None
             out.append(y)
         inside.update(out[-len(group):])
-        reps.extend(_perm_compose(r, g) for g in gens)
+        reps.extend(compose(r, g) for g in gens)
     return out
 
 
@@ -265,22 +267,37 @@ def ring_from_regular_subgroup(T: RegularSubgroup) -> RingStructure:
     return A
 
 
+def _invertible_mod_p(spec: GroupSpec, m) -> bool:
+    """Whether the well-defined matrix m, its rows, is an automorphism: whether
+    m mod p has rank k (`abelian._pivots`).  m induces m' = (m_ij mod p) on
+    G/pG = F_p^k.  If m is onto, so is m'.  If m' has rank k, m(G) + pG = G,
+    and pG is the Frattini subgroup of G, so m(G) = G by the Burnside basis
+    theorem: a set that generates G modulo pG generates G.  Then m, onto the
+    finite G, is one to one.  No map is tabulated."""
+    return len(abelian._pivots(spec.p, m)) == spec.rank
+
+
 def _automorphism_maps(spec: GroupSpec) -> list:
-    """Aut(G) as maps x -> m(x), each keeping the table its image count read."""
-    k = spec.rank
-    col_ranges = []
-    for i in range(k):
-        for j in range(k):
-            step = spec.p ** max(0, spec.exponents[i] - spec.exponents[j])
-            col_ranges.append(range(0, spec.moduli[i], step))
-    maps = (AffineMap(spec, spec.zero(), tuple(zip(*[iter(flat)] * k)))
-            for flat in itertools.product(*col_ranges))
-    return [f for f in maps if is_invertible(f)]
+    """Aut(G) as matrices, in the lexicographic order of their entries: each
+    residue matrix mod p of a well-defined m that passes `_invertible_mod_p`,
+    lifted to every well-defined m with those residues.  Entry (i, j) of a
+    well-defined m is a multiple of p^(e_i - e_j) below p^e_i, so it is 0 mod
+    p where e_i > e_j (m mod p is block triangular), and any r + pt where
+    e_i <= e_j."""
+    p, k, exps = spec.p, spec.rank, spec.exponents
+    residues = [range(p if ei <= ej else 1) for ei in exps for ej in exps]
+    strides = [p ** max(1, ei - ej) for ei in exps for ej in exps]
+    moduli = [mod for mod in spec.moduli for _ in exps]
+    flats = []
+    for flat in itertools.product(*residues):
+        if _invertible_mod_p(spec, zip(*[iter(flat)] * k)):
+            flats += itertools.product(*map(range, flat, moduli, strides))
+    return [tuple(zip(*[iter(flat)] * k)) for flat in sorted(flats)]
 
 
 def enumerate_automorphisms(spec: GroupSpec) -> list:
     """All additive automorphisms, as matrices (`_automorphism_maps`)."""
-    return [f.m for f in _automorphism_maps(spec)]
+    return _automorphism_maps(spec)
 
 
 def automorphism_count(spec: GroupSpec) -> int:
@@ -298,9 +315,9 @@ def automorphism_count(spec: GroupSpec) -> int:
 
 
 def _automorphisms(spec: GroupSpec, cap: int) -> list:
-    """Aut(G) as maps x -> m(x), each tabulated once.  |Hol(G)| is compared
-    with cap by `automorphism_count` before any automorphism is enumerated,
-    and the enumeration must then match that closed form."""
+    """Aut(G) as matrices.  |Hol(G)| is compared with cap by
+    `automorphism_count` before any automorphism is enumerated, and the
+    enumeration, by the rank test mod p, must then match that closed form."""
     size = spec.order * automorphism_count(spec)
     if size > cap:
         raise CapExceeded(f"|Hol(G)| = {size} exceeds holomorph cap {cap}")
@@ -314,44 +331,62 @@ def _automorphisms(spec: GroupSpec, cap: int) -> list:
 def holomorph_elements(spec: GroupSpec, cap: int = DEFAULT_HOL_CAP) -> list:
     """Every x -> a + m(x) with m in Aut(G), within cap (`_automorphisms`)."""
     auts = _automorphisms(spec, cap)
-    return [AffineMap(spec, a, f.m) for a in spec.elements() for f in auts]
+    return [AffineMap(spec, a, m) for a in spec.elements() for m in auts]
 
 
-def _fixed_point_free(spec: GroupSpec, auts):
-    """(m, f) for each fixed-point-free x -> a + m(x) of p-power order, m over
-    the maps `auts`, f its index permutation (f[0] indexes a).  It has p-power
-    order iff m does, as Hol(G) -> Aut(G) has a p-group kernel, the translations,
-    and then f^(p^n) = id, as each cycle of p^n points has length p^j, j <= n.
-    It fixes x iff a = (1 - m)(x): the a outside (1 - m)(G) are m's candidates."""
+def _unipotent(spec: GroupSpec, m) -> bool:
+    """Whether the automorphism m has p-power order: whether m' = m mod p is
+    unipotent, m' - I nilpotent mod p (`abelian._nilpotent_mod_p`).  The kernel
+    of Aut(G) -> GL_k(F_p) is a p-group: there m = 1 + d with dG in pG, and if
+    dG lies in p^t G, t >= 1, then m^p = 1 + sum_{0<i<p} C(p, i) d^i + d^p is
+    1 + d' with d'G in p^(t+1) G, as p divides each C(p, i); so m^(p^(e-1)) = 1,
+    p^e the exponent of G.  If m has order p^j, then (m' - I)^(p^j) = m'^(p^j)
+    - I = 0 mod p.  If (m' - I)^k = 0 and p^j >= k, then m'^(p^j) = I, so
+    m^(p^j) lies in the kernel, and m has p-power order."""
+    return abelian._nilpotent_mod_p(spec.p, [[x - (i == j) for j, x in enumerate(row)]
+                                             for i, row in enumerate(m)])
+
+
+def _fixed_point_free(spec: GroupSpec, auts: list) -> tuple:
+    """Hol(G) on pairs (a, n), the map x -> a + m(x) with a an element index
+    and m = auts[n]: (compose, identity, candidates), the candidates every
+    fixed-point-free pair of p-power order.  (a, n) has p-power order iff m
+    does (`_unipotent`, once per automorphism), as Hol(G) -> Aut(G) has a
+    p-group kernel, the translations, and it fixes x iff a = (1 - m)(x).  So
+    the candidates are the (a, n) with m unipotent mod p and a outside
+    (1 - m)(G), and only those m are tabulated, with their 1 - m.
+    compose(f, g), f = (a, m) a candidate or the identity and g = (b, n), is
+    f o g: x -> a + m(b) + m(n(x)).  a + m(b) is shift_a[table_m[b]], and
+    m o n, fixed by its basis images m(n(b_j)), is the automorphism whose
+    columns have the indices table_m[n(b_j)]: no map is composed whole."""
+    index = spec.element_index
+    columns = [tuple([index[c] for c in zip(*m)]) for m in auts]
+    ids = {c: n for n, c in enumerate(columns)}
     shifts = [abelian._translation_perm(spec, a) for a in spec.elements()]
-    for aut in (f for f in auts if _p_power_order(f.linear_table, spec.p, spec.n)):
-        one_minus_m = [map(operator.sub, b, row) for b, row in zip(spec._basis, aut.m)]
-        fixing = set(abelian._linear_table(spec, _reduce_matrix(spec, one_minus_m)))
-        for a, shift in enumerate(shifts):
-            if a not in fixing:
-                yield aut.m, _perm_compose(shift, aut.linear_table)
+    tables, candidates = [None] * len(auts), []
+    for n, m in enumerate(auts):
+        if _unipotent(spec, m):
+            tables[n] = abelian._linear_table(spec, m)
+            one_minus_m = [map(operator.sub, b, row) for b, row in zip(spec._basis, m)]
+            fixing = set(abelian._linear_table(spec, _reduce_matrix(spec, one_minus_m)))
+            candidates += [(a, n) for a in range(spec.order) if a not in fixing]
 
+    def compose(f, g):
+        table = tables[f[1]]
+        return shifts[f[0]][table[g[0]]], ids[tuple(map(table.__getitem__, columns[g[1]]))]
 
-def _p_power_order(f: tuple, p: int, n: int) -> bool:
-    """Whether the index permutation f has f^(p^j) = id for some j <= n, by
-    p-th powers up to the first identity: at most n (p - 1) compositions."""
-    ident = tuple(range(len(f)))
-    for _ in range(n):
-        if (f := reduce(_perm_compose, [f] * p)) == ident:
-            return True
-    return False
+    return compose, (0, ids[tuple([index[b] for b in spec._basis])]), candidates
 
 
 def _regular_search(spec: GroupSpec, cap: int):
-    """(matrix, found): found holds each regular subgroup of Hol(G) as (gens, <gens>)
-    in index permutations, matrix each candidate's m (`enumerate_regular_subgroups`).
-    The subgroups are grown depth first from one stack; each is kept once, by its
+    """(auts, compose, found): found holds each regular subgroup of Hol(G) as
+    (gens, <gens>) in pairs (`_fixed_point_free`), their m indexing auts.  The
+    subgroups are grown depth first from one stack; each is kept once, by its
     member set, in whatever order the search reaches it."""
-    order = spec.order
-    ident = tuple(range(order))
-    matrix, by_base = {ident: spec._basis}, {}  # by the image of 0 (index 0)
-    for m, f in _fixed_point_free(spec, _automorphisms(spec, cap)):
-        matrix[f] = m
+    order, auts = spec.order, _automorphisms(spec, cap)
+    compose, ident, candidates = _fixed_point_free(spec, auts)
+    admitted, by_base = {ident, *candidates}, {}  # by the image of 0, the index a
+    for f in candidates:
         by_base.setdefault(f[0], []).append(f)
     seen, found, stack = set(), [], [((), [ident])]
     while stack:
@@ -362,27 +397,27 @@ def _regular_search(spec: GroupSpec, cap: int):
         orbit = {t[0] for t in sub}  # orbit of 0 (index 0)
         base = next(x for x in range(order) if x not in orbit)
         for f in by_base.get(base, ()):
-            grown = _extend(sub, gens + (f,), order, matrix.__contains__)
+            grown = _extend(sub, gens + (f,), order, admitted.__contains__, compose)
             if grown is not None and (key := frozenset(grown)) not in seen:
                 seen.add(key)
                 stack.append((gens + (f,), grown))
-    return matrix, found
+    return auts, compose, found
 
 
 def enumerate_regular_subgroups(spec: GroupSpec, cap: int = DEFAULT_HOL_CAP) -> list:
     """All regular subgroups of Hol(G), grown one generator at a time from {id}
     (`_regular_search`).  Their members but id are fixed-point-free of p-power
-    order, the candidates, as index permutations (`_fixed_point_free`, which
-    tests the order once per automorphism m: x -> a + m(x) has it iff m has).
+    order, the candidates, as pairs (`_fixed_point_free`, which decides the
+    order mod p once per automorphism m: x -> a + m(x) has it iff m has).
     A regular R above a subgroup S has one member sending 0 to each point, so
     S grows only by the candidates f with f(0) the least point outside the
     orbit S(0), and the search stays complete.  <S, f> grows from S by cosets
     (`_extend`), dropped at its first new member that is no candidate or once
     its order would pass |G|.  A kept subgroup acts semiregularly, so it is
     regular at order |G|.  Only the returned subgroups become affine maps."""
-    matrix, found = _regular_search(spec, cap)
+    auts, _, found = _regular_search(spec, cap)
     elements = spec.elements()
-    out = [RegularSubgroup(spec, tuple(sorted((AffineMap(spec, elements[t[0]], matrix[t]) for t in sub),
+    out = [RegularSubgroup(spec, tuple(sorted((AffineMap(spec, elements[a], auts[n]) for a, n in sub),
                                               key=AffineMap.sort_key))) for _, sub in found]
     out.sort(key=lambda T: tuple(t.sort_key() for t in T.elements))
     return out
@@ -391,6 +426,6 @@ def enumerate_regular_subgroups(spec: GroupSpec, cap: int = DEFAULT_HOL_CAP) -> 
 def regular_subgroup_counts(spec: GroupSpec, cap: int = DEFAULT_HOL_CAP) -> tuple:
     """(regular, abelian) subgroup counts of Hol(G), from `_regular_search`: each
     is <gens> for the generators it was grown from, so abelian iff they commute."""
-    found = _regular_search(spec, cap)[1]
-    return len(found), sum(all(_perm_compose(f, g) == _perm_compose(g, f)
-                               for f, g in itertools.combinations(gens, 2)) for gens, _ in found)
+    _, compose, found = _regular_search(spec, cap)
+    return len(found), sum(all(compose(f, g) == compose(g, f) for f, g in itertools.combinations(gens, 2))
+                           for gens, _ in found)

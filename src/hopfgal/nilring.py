@@ -179,13 +179,8 @@ def validate(A: RingStructure) -> list:
     )
     if failed:
         return [Violation("associativity", triple) for triple in failed]
-    for op in ops:
-        power = [[x % p for x in row] for row in op]
-        for _ in range((k - 1).bit_length()):  # power = op^(2^s) mod p, 2^s >= k
-            if any(map(any, power)):
-                power = [[sum(map(operator.mul, row, col)) % p for col in zip(*power)] for row in power]
-        if any(map(any, power)):
-            return [Violation("nilpotency", (next((x for row in c for x in row if any(x)), spec.zero()),))]
+    if not all(abelian._nilpotent_mod_p(p, op) for op in ops):
+        return [Violation("nilpotency", (next((x for row in c for x in row if any(x)), spec.zero()),))]
     return []
 
 

@@ -2,7 +2,10 @@
 
 Each oracle works from first principles: a full operation table, trial
 division, affine maps and permutations applied point by point, or subgroups
-grown one element at a time.  From `hopfgal` they import only the element
+grown one element at a time.  The regular-subgroup search here composes
+index permutations, finds Aut(G) by image counts and p-power order by p-th
+powers, where `holomorph` composes (translation, automorphism) pairs and
+decides both mod p.  From `hopfgal` they import only the element
 API (`test_oracles_import_only_the_element_api` keeps it that way), never
 the lattice walk, the subgroup-count formulas or `Context`, whose circle type
 `isomorphism_type` and `omega_type` check from a full operation table.
@@ -341,3 +344,96 @@ def validation(A) -> list:
     if any(x != zero for x in products):
         return [("nilpotency", (next((c for row in table for c in row if c != zero), zero),))]
     return []
+
+
+def well_defined_matrices(spec) -> list:
+    """The endomorphisms of G as matrices, in the lexicographic order of their
+    entries: every matrix with entry (i, j) below p^e_i whose column j is
+    killed by p^e_j."""
+    k, moduli = len(spec.exponents), spec.moduli
+    matrices = (tuple(zip(*[iter(flat)] * k))
+                for flat in itertools.product(*[range(mi) for mi in moduli for _ in range(k)]))
+    return [m for m in matrices
+            if all(m[i][j] * moduli[j] % moduli[i] == 0 for i in range(k) for j in range(k))]
+
+
+def automorphisms_by_image_count(spec) -> list:
+    """Aut(G) as matrices: the `well_defined_matrices` whose index permutation
+    (`index_perm`) has |G| distinct images."""
+    return [m for m in well_defined_matrices(spec)
+            if len(set(index_perm(AffineMap(spec, spec.zero(), m)))) == spec.order]
+
+
+def p_power_order(f, p, n) -> bool:
+    """Whether the index permutation f has f^(p^j) = id for some j <= n, by
+    p-th powers up to the first identity."""
+    ident = tuple(range(len(f)))
+    for _ in range(n):
+        g = ident
+        for _ in range(p):
+            g = tuple(f[x] for x in g)
+        if (f := g) == ident:
+            return True
+    return False
+
+
+def extend_by_cosets(group, gens, limit, admit):
+    """Dimino's cosets on index permutations: <gens> from the group listed in
+    `group`, its identity first; None once its order would pass limit, or at
+    the first new member that fails `admit`."""
+    out, inside, reps = list(group), set(group), list(gens)
+    for r in reps:
+        if r in inside:
+            continue
+        if len(out) + len(group) > limit:
+            return None
+        for h in group:
+            y = tuple(h[x] for x in r)
+            if not admit(y):
+                return None
+            out.append(y)
+        inside.update(out[-len(group):])
+        reps.extend(tuple(r[x] for x in g) for g in gens)
+    return out
+
+
+def regular_subgroups_by_permutations(spec) -> list:
+    """(gens, members) for each regular subgroup of Hol(G), members a frozenset
+    of AffineMaps, gens the index permutations it was grown from: the
+    permutation search, with no cap.  The candidates are the fixed-point-free
+    x -> a + m(x) of p-power order (`automorphisms_by_image_count`,
+    `p_power_order` on every map); from {id} a subgroup grows, one stack and
+    depth first, by each candidate that sends 0 to the least point outside
+    its orbit of 0, by `extend_by_cosets`, and is kept once by its members."""
+    order, n = spec.order, spec.n
+    ident = tuple(range(order))
+    maps, by_base = {ident: AffineMap(spec, spec.zero(), tuple(spec.basis()))}, {}
+    for m in automorphisms_by_image_count(spec):
+        for a in spec.elements():
+            f = AffineMap(spec, a, m)
+            perm = index_perm(f)
+            if all(perm[x] != x for x in range(order)) and p_power_order(perm, spec.p, n):
+                maps[perm] = f
+                by_base.setdefault(perm[0], []).append(perm)
+    seen, found, stack = set(), [], [((), [ident])]
+    while stack:
+        gens, sub = stack.pop()
+        if len(sub) == order:
+            found.append((gens, frozenset(map(maps.__getitem__, sub))))
+            continue
+        orbit = {t[0] for t in sub}
+        base = min(x for x in range(order) if x not in orbit)
+        for f in by_base.get(base, ()):
+            grown = extend_by_cosets(sub, gens + (f,), order, maps.__contains__)
+            if grown is not None and (key := frozenset(grown)) not in seen:
+                seen.add(key)
+                stack.append((gens + (f,), grown))
+    return found
+
+
+def regular_subgroup_counts(spec) -> tuple:
+    """(regular, abelian) counts of `regular_subgroups_by_permutations`: a
+    subgroup is abelian iff the permutations it was grown from commute."""
+    found = regular_subgroups_by_permutations(spec)
+    return len(found), sum(all(tuple(f[x] for x in g) == tuple(g[x] for x in f)
+                               for f, g in itertools.combinations(gens, 2)) for gens, _ in found)

@@ -415,6 +415,7 @@ def test_verify_cyclic_accepts_every_structure_on_the_cyclic_group(argv):
 
 _SHARED = (1, (2, [3]))  # one tuple at two depths; it holds a list, so it is unhashable
 _PAIR = (4, 5)  # an int tuple, joined at once, at two depths
+_SPEC = {"p": 2, "exponents": [3, 2]}  # one dict at two depths, twice at one
 _Level = enum.IntEnum("_Level", {"LOW": 0, "HIGH": 7})
 _Point = collections.namedtuple("_Point", "x y")
 
@@ -436,6 +437,7 @@ class _Key(str):
     # exact types only: each subclass is left to json, at its depth
     [1, _Level.HIGH, 3], [_Point(1, [2]), [_Point(3, 4)]], collections.OrderedDict([("b", [1]), ("a", 2)]),
     {_Key("b"): [1], "a": 2}, [_PAIR, [_PAIR], {"t": _PAIR}], [[{"xs": list(range(-25, 25))}]],
+    [_SPEC, {"spec": _SPEC}, [_SPEC, {"spec": _SPEC}]],
 ], ids=repr)
 def test_json_text_is_what_json_dumps_writes(obj):
     assert cli._json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
@@ -451,13 +453,15 @@ def test_json_text_writes_a_whole_enumerate_payload(monkeypatch):
 
 
 def test_json_text_writes_an_enumerate_payload_with_shared_rows(monkeypatch):
-    # 288 tables on C8 x C4 share 128 row objects, each written once per depth
+    # 288 tables on C8 x C4 share 128 row objects, and the payload one spec
+    # object, each written once per depth
     payloads = []
     monkeypatch.setattr(cli, "_emit", lambda args, payload, lines: payloads.append(payload))
     assert _main(["enumerate", "--p", "2", "--exp", "3,2", "--cap-hol", "1000"])[0] == cli.EXIT_OK
     [payload] = payloads
     rows = [row for A in payload["structures"] for row in A["constants"]]
     assert (payload["structure_count"], len(rows), len(set(map(id, rows)))) == (288, 576, 128)
+    assert {id(A["spec"]) for A in payload["structures"]} == {id(payload["spec"])}
     assert cli._json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
 
 
