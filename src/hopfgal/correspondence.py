@@ -217,7 +217,7 @@ def _gamma_failures(ctx: Context, n: int) -> list:
     if ctx.circle_translation_perm(gamma)[0] != n:
         return every_g("lam(gamma) does not send 0 to gamma")
     beta = holomorph._tau(ctx.ring, gamma)
-    beta_inv = holomorph.inverse(beta)
+    beta_inv = holomorph._inverse(beta)
     if not holomorph.compose(beta, beta_inv).is_translation():
         return every_g("holomorph conjugate is not a translation")
     # beta(0) + M_beta(g + beta^{-1}(0)) for every g, composed on indices
@@ -367,8 +367,3 @@ def klein_four_ring() -> RingStructure:
     proper nontrivial invariant subgroup.
     """
     return nilring.make_structure(GroupSpec(2, (2,)), (((2,),),))
-
-
-def klein_four_fixture() -> Context:
-    """The Context of `klein_four_ring`, validated."""
-    return Context(klein_four_ring())

@@ -5,21 +5,22 @@ column j of m the image of the j-th standard generator.  Includes the
 embedding of the circle group into Hol(G), both directions of the
 structure/regular-subgroup correspondence, and the regular-subgroup search
 for small holomorphs.  `AffineMap.apply`, `tau`, `translation` and
-`affine_map` check their elements, and `regular_subgroup_from_ring` its ring;
-the rest is unchecked, and the package's own loops build circle translations
-with `_tau`.  The round trip runs on the matrices: a reduced, well-defined
+`affine_map` check their elements, `tau` and `inverse` that the linear part
+is an automorphism (`is_invertible`: well defined, rank k mod p), and
+`regular_subgroup_from_ring` its ring; the rest is unchecked, and the
+package's own loops build and invert circle translations with `_tau` and
+`_inverse`.  The round trip runs on the matrices: a reduced, well-defined
 (a, m) is its map, and the way back tests T abelian by T = tau(A), with no
-closure.  Elsewhere a map tabulates its linear part on element indices once:
-`AffineMap.linear_table` serves the image count that `is_invertible` and
-`inverse` read, and the conjugation report.  The regular-subgroup search runs
-on pairs (a, n), x -> a + m(x) with a an element index and m the n-th
-automorphism, and decides mod p, on G/pG = F_p^k: m is an automorphism iff m
-mod p has rank k (`_invertible_mod_p`), and has p-power order iff m mod p is
-unipotent (`_unipotent`), and then so has x -> a + m(x), as the translations
-are a p-group.  No permutation is composed or raised to a power: only the
-unipotent m are tabulated, with their 1 - m for the fixed points.  The search
-grows subgroups by cosets (`_extend`), and counts a subgroup abelian if its
-generators commute.
+closure.  A map tabulates its linear part on element indices once, for the
+preimages `_inverse` reads and the conjugation report.  The regular-subgroup
+search runs on pairs (a, n), x -> a + m(x) with a an element index and m
+the n-th automorphism, and decides mod p, on G/pG = F_p^k: m is an
+automorphism iff m mod p has rank k (`_invertible_mod_p`), and has p-power
+order iff m mod p is unipotent (`_unipotent`), and then so has x -> a + m(x),
+as the translations are a p-group.  No permutation is composed or raised to
+a power: only the unipotent m are tabulated, with their 1 - m for the fixed
+points.  The search grows subgroups by cosets (`_extend`), and counts a
+subgroup abelian if its generators commute.
 """
 
 from __future__ import annotations
@@ -61,11 +62,6 @@ class AffineMap:
         use and kept on the map, outside the dataclass fields."""
         return abelian._linear_table(self.spec, self.m)
 
-    @cached_property
-    def _bijective(self) -> bool:
-        """Whether `linear_table` has |G| distinct entries, counted once."""
-        return len(set(self.linear_table)) == self.spec.order
-
     def is_translation(self) -> bool:
         return self.m == self.spec._basis
 
@@ -84,12 +80,8 @@ def _reduce_matrix(spec: GroupSpec, m) -> tuple:
 
 def _matrix_well_defined(spec: GroupSpec, m) -> bool:
     """Column j must be killed by p^{e_j} (image of a generator of that order)."""
-    k = spec.rank
-    for j in range(k):
-        for i in range(k):
-            if (spec.p ** spec.exponents[j] * m[i][j]) % spec.moduli[i] != 0:
-                return False
-    return True
+    moduli = spec.moduli
+    return all(mj * v % mi == 0 for row, mi in zip(m, moduli) for v, mj in zip(row, moduli))
 
 
 def affine_map(spec: GroupSpec, a: Elem, m) -> AffineMap:
@@ -112,8 +104,11 @@ def translation(spec: GroupSpec, g: Elem) -> AffineMap:
 
 
 def is_invertible(f: AffineMap) -> bool:
-    """Bijectivity of the linear part, by counting its image indices."""
-    return f._bijective
+    """Whether f lies in Hol(G): whether its linear part is an automorphism of
+    G, i.e. well defined (`_matrix_well_defined`) with rank k mod p, which by
+    the Burnside basis theorem suffices (`_invertible_mod_p`).  No map is
+    tabulated."""
+    return _matrix_well_defined(f.spec, f.m) and _invertible_mod_p(f.spec, f.m)
 
 
 def compose(f: AffineMap, g: AffineMap) -> AffineMap:
@@ -128,11 +123,18 @@ def compose(f: AffineMap, g: AffineMap) -> AffineMap:
 
 
 def inverse(f: AffineMap) -> AffineMap:
-    """Inverse map x -> m^{-1}(x - a); requires an invertible linear part.  The
-    preimages of the generators and of a are read off the linear table."""
-    spec = f.spec
-    if not f._bijective:
+    """Inverse map x -> m^{-1}(x - a) (`_inverse`) of an f in Hol(G): InputError
+    unless m is well defined with rank k mod p (`is_invertible`)."""
+    if not is_invertible(f):
         raise InputError("linear part is not invertible")
+    return _inverse(f)
+
+
+def _inverse(f: AffineMap) -> AffineMap:
+    """inverse, unchecked, for m an automorphism (well defined, rank k mod p,
+    as `_invertible_mod_p` proves): the preimages of the generators and of a
+    are read off the linear table."""
+    spec = f.spec
     elems, index, table = spec.elements(), spec.element_index, f.linear_table
     *cols, a = [elems[table.index(index[y])] for y in spec._basis + (f.a,)]
     return AffineMap(spec, abelian._scalar_mul(spec, -1, a), _reduce_matrix(spec, zip(*cols)))
@@ -140,12 +142,13 @@ def inverse(f: AffineMap) -> AffineMap:
 
 def tau(A: RingStructure, g: Elem) -> AffineMap:
     """The affine map x -> g o x realizing left circle translation by g.  A is
-    not validated here, so the map's image count is checked: InputError if
-    it is not invertible.  The package's own loops over `spec.elements()`
-    call `_tau`, which skips both checks."""
+    not validated here, so the map is checked to lie in Hol(G), its linear part
+    well defined with rank k mod p (`is_invertible`): InputError if not.  The
+    package's own loops over `spec.elements()` call `_tau`, which skips both
+    checks."""
     A.spec.check_elem(g)
     f = _tau(A, g)
-    if not f._bijective:
+    if not is_invertible(f):
         raise InputError(f"circle translation by {g} is not invertible: invalid structure")
     return f
 
@@ -277,7 +280,7 @@ def _invertible_mod_p(spec: GroupSpec, m) -> bool:
     return len(abelian._pivots(spec.p, m)) == spec.rank
 
 
-def _automorphism_maps(spec: GroupSpec) -> list:
+def enumerate_automorphisms(spec: GroupSpec) -> list:
     """Aut(G) as matrices, in the lexicographic order of their entries: each
     residue matrix mod p of a well-defined m that passes `_invertible_mod_p`,
     lifted to every well-defined m with those residues.  Entry (i, j) of a
@@ -293,11 +296,6 @@ def _automorphism_maps(spec: GroupSpec) -> list:
         if _invertible_mod_p(spec, zip(*[iter(flat)] * k)):
             flats += itertools.product(*map(range, flat, moduli, strides))
     return [tuple(zip(*[iter(flat)] * k)) for flat in sorted(flats)]
-
-
-def enumerate_automorphisms(spec: GroupSpec) -> list:
-    """All additive automorphisms, as matrices (`_automorphism_maps`)."""
-    return _automorphism_maps(spec)
 
 
 def automorphism_count(spec: GroupSpec) -> int:
@@ -321,17 +319,11 @@ def _automorphisms(spec: GroupSpec, cap: int) -> list:
     size = spec.order * automorphism_count(spec)
     if size > cap:
         raise CapExceeded(f"|Hol(G)| = {size} exceeds holomorph cap {cap}")
-    auts = _automorphism_maps(spec)
+    auts = enumerate_automorphisms(spec)
     if spec.order * len(auts) != size:
         raise TheoremViolation("|Aut(G)| enumerated differs from the closed form",
                                witness={"spec": spec.to_json(), "enumerated": len(auts)})
     return auts
-
-
-def holomorph_elements(spec: GroupSpec, cap: int = DEFAULT_HOL_CAP) -> list:
-    """Every x -> a + m(x) with m in Aut(G), within cap (`_automorphisms`)."""
-    auts = _automorphisms(spec, cap)
-    return [AffineMap(spec, a, m) for a in spec.elements() for m in auts]
 
 
 def _unipotent(spec: GroupSpec, m) -> bool:

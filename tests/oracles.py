@@ -5,9 +5,10 @@ division, affine maps and permutations applied point by point, or subgroups
 grown one element at a time.  The regular-subgroup search here composes
 index permutations, finds Aut(G) by image counts and p-power order by p-th
 powers, where `holomorph` composes (translation, automorphism) pairs and
-decides both mod p.  From `hopfgal` they import only the element
-API (`test_oracles_import_only_the_element_api` keeps it that way), never
-the lattice walk, the subgroup-count formulas or `Context`, whose circle type
+decides both mod p; Hol(G) is listed whole from the same image counts.
+From `hopfgal` they import only the element API
+(`test_oracles_import_only_the_element_api` keeps it that way), never the
+lattice walk, the subgroup-count formulas or `Context`, whose circle type
 `isomorphism_type` and `omega_type` check from a full operation table.
 """
 
@@ -362,6 +363,13 @@ def automorphisms_by_image_count(spec) -> list:
     (`index_perm`) has |G| distinct images."""
     return [m for m in well_defined_matrices(spec)
             if len(set(index_perm(AffineMap(spec, spec.zero(), m)))) == spec.order]
+
+
+def holomorph_elements(spec) -> list:
+    """Hol(G) listed whole: every x -> a + m(x), a in G and m in
+    `automorphisms_by_image_count`, a first."""
+    auts = automorphisms_by_image_count(spec)
+    return [AffineMap(spec, a, m) for a in spec.elements() for m in auts]
 
 
 def p_power_order(f, p, n) -> bool:

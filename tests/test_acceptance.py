@@ -20,7 +20,7 @@ from hopfgal.correspondence import (
     gaussian_subspace_count,
     holomorph_conjugation_report,
     ideals,
-    klein_four_fixture,
+    klein_four_ring,
     lattice_report,
 )
 from hopfgal.holomorph import (
@@ -161,7 +161,7 @@ def test_criterion_7_gaussian_formula():
 
 
 def test_criterion_8_klein_four_fixture():
-    ctx = klein_four_fixture()
+    ctx = Context(klein_four_ring())
     rep = lattice_report(ctx)
     assert len(rep.ideals) == 3
     assert rep.gamma_subgroup_count == 5
@@ -175,7 +175,7 @@ def test_criterion_9_property_suites():
     fixtures = [
         trivial_structure(C2C2),
         trivial_structure(GroupSpec(2, (2, 1))),
-        klein_four_fixture().ring,
+        klein_four_ring(),
         primitive_structure(2, 2),
         primitive_structure(2, 3),
         primitive_structure(3, 2),

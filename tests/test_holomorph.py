@@ -17,7 +17,6 @@ from hopfgal.holomorph import (
     compose,
     enumerate_automorphisms,
     enumerate_regular_subgroups,
-    holomorph_elements,
     inverse,
     is_abelian,
     is_invertible,
@@ -35,7 +34,7 @@ from hopfgal.nilring import (
     primitive_structure,
     trivial_structure,
 )
-from oracles import identity_map, is_closed, is_fixed_point_free, is_regular
+from oracles import holomorph_elements, identity_map, is_closed, is_fixed_point_free, is_regular
 
 C2C2 = GroupSpec(2, (1, 1))
 Z4 = GroupSpec(2, (2,))
@@ -148,6 +147,31 @@ def test_tau_checks_its_element_and_the_structure():
         regular_subgroup_from_ring(B)
 
 
+# b0*b1 = (1, 0) on C4 x C2: an image of the order-2 generator b1 of order 4,
+# so validate reports two well-defined violations, and circle translation by
+# b0 has the linear part ((1, 1), (0, 1)), a bijection of the coordinate
+# tuples that is no endomorphism of G: it fails additivity on 16 of 64 pairs
+NOT_WELL_DEFINED = make_structure(GroupSpec(2, (2, 1)), (((0, 0), (1, 0)), ((1, 0), (0, 0))))
+NOT_AN_ENDOMORPHISM = AffineMap(NOT_WELL_DEFINED.spec, (1, 0), ((1, 1), (0, 1)))
+
+
+def test_tau_refuses_a_linear_part_that_is_not_well_defined():
+    assert [v.axiom for v in nilring.validate(NOT_WELL_DEFINED)] == ["well-defined"] * 2
+    with pytest.raises(InputError, match="not invertible: invalid structure"):
+        tau(NOT_WELL_DEFINED, (1, 0))
+
+
+def test_inverse_refuses_a_linear_part_that_is_not_well_defined():
+    f, spec = NOT_AN_ENDOMORPHISM, NOT_AN_ENDOMORPHISM.spec
+    assert holomorph._tau(NOT_WELL_DEFINED, (1, 0)) == f
+    m = AffineMap(spec, spec.zero(), f.m)
+    assert sum(_image(m, abelian.add(spec, x, y)) != abelian.add(spec, _image(m, x), _image(m, y))
+               for x, y in itertools.product(spec.elements(), repeat=2)) == 16
+    assert is_invertible(f) is False
+    with pytest.raises(InputError, match="not invertible"):
+        inverse(f)
+
+
 @pytest.mark.parametrize(
     "A",
     [
@@ -184,11 +208,6 @@ def test_holomorph_sizes():
     assert len(enumerate_automorphisms(GroupSpec(3, (1, 1)))) == 48
 
 
-def test_holomorph_cap():
-    with pytest.raises(CapExceeded):
-        holomorph_elements(C2C2, cap=10)
-
-
 AUT_SPECS = [
     GroupSpec(p, e)
     for p, e in [
@@ -209,14 +228,12 @@ def test_holomorph_cap_checked_before_enumeration(monkeypatch):
         raise AssertionError("Aut(G) enumerated before the cap was compared")
 
     monkeypatch.setattr(holomorph, "enumerate_automorphisms", refuse)
-    monkeypatch.setattr(holomorph, "_automorphism_maps", refuse)
-    for build in (holomorph_elements, enumerate_regular_subgroups, regular_subgroup_counts):
+    for build in (enumerate_regular_subgroups, regular_subgroup_counts):
         with pytest.raises(CapExceeded):  # |Hol(C5 x C5)| = 25 * 480
             build(GroupSpec(5, (1, 1)), cap=1000)
 
 
-@pytest.mark.parametrize("build", [holomorph_elements, enumerate_regular_subgroups,
-                                   regular_subgroup_counts])
+@pytest.mark.parametrize("build", [enumerate_regular_subgroups, regular_subgroup_counts])
 def test_enumerated_automorphisms_must_match_the_closed_form(monkeypatch, build):
     count = holomorph.automorphism_count
     monkeypatch.setattr(holomorph, "automorphism_count", lambda spec: count(spec) + 1)
@@ -273,10 +290,11 @@ def test_candidates_match_brute_force(monkeypatch, spec):
 @pytest.mark.parametrize("spec", AUT_SPECS, ids=str)
 def test_rank_mod_p_decides_invertibility(spec):
     # Burnside's basis theorem: m is an automorphism iff m mod p has rank k,
-    # as the image count of its linear table finds, on every well-defined m
+    # as the oracle's image count finds, on every well-defined m
     matrices = oracles.well_defined_matrices(spec)
     verdicts = [holomorph._invertible_mod_p(spec, m) for m in matrices]
-    assert verdicts == [is_invertible(AffineMap(spec, spec.zero(), m)) for m in matrices]
+    assert verdicts == [len(set(oracles.index_perm(AffineMap(spec, spec.zero(), m)))) == spec.order
+                        for m in matrices]
     assert sum(verdicts) == automorphism_count(spec) < len(matrices)
 
 
@@ -576,7 +594,7 @@ def test_linear_image_scan_does_not_change_identity():
     A = primitive_structure(3, 2)
     scanned = tau(A, (1, 2))
     fresh = AffineMap(scanned.spec, scanned.a, scanned.m)
-    assert is_invertible(scanned)
+    assert is_invertible(scanned) and scanned.linear_table
     assert "linear_table" in vars(scanned) and "linear_table" not in vars(fresh)
     assert scanned == fresh and hash(scanned) == hash(fresh)
     assert fresh in {scanned} and scanned in {fresh} and len({scanned, fresh}) == 1

@@ -41,7 +41,7 @@ from hopfgal.correspondence import (
     holomorph_conjugation_report,
     ideals,
     invariant_subgroups,
-    klein_four_fixture,
+    klein_four_ring,
 )
 from hopfgal.errors import InputError
 from hopfgal.nilring import (
@@ -280,11 +280,11 @@ def _generators_that_do_not_commute_on_c2c2(monkeypatch):
 
 
 def _plant_inverse(monkeypatch, change, stand_in):
-    """On primitive(3, 2), holomorph.inverse with `change` applied to the
-    inverse of tau((1, 0)), as in test_correspondence; the oracle gets
-    `stand_in` applied to the true inverse, as a dict."""
-    inverse = holomorph.inverse
-    monkeypatch.setattr(holomorph, "inverse",
+    """On primitive(3, 2), holomorph._inverse, which the report runs, with
+    `change` applied to the inverse of tau((1, 0)), as in test_correspondence;
+    the oracle gets `stand_in` applied to the true inverse, as a dict."""
+    inverse = holomorph._inverse
+    monkeypatch.setattr(holomorph, "_inverse",
                         lambda f: change(inverse(f)) if f.a == (1, 0) else inverse(f))
     A = primitive_structure(3, 2)
     beta = circle_translation(A, (1, 0))
@@ -451,7 +451,7 @@ def test_invariant_subgroups_match_brute_force(spec):
 
 
 def test_fixture_invariant_subgroups_match_brute_force():
-    ctx = klein_four_fixture()
+    ctx = Context(klein_four_ring())
     subs = invariant_subgroups(ctx)
     assert {frozenset(s.elements) for s in subs} == brute_force_invariant_subgroups(ctx.ring)
     assert len(subs) == 3

@@ -25,10 +25,8 @@ ENTRY_POINTS = {
     "holomorph.translation": "checked x -> g + x, the reference of the tau tests",
     "holomorph.tau": "checked circle translation, which also tests invertibility",
     "holomorph.affine_map": "checked (a, m) pair from outside input",
-    "holomorph.is_invertible": "the image count of a map's linear part, the reference of the rank test mod p",
-    "holomorph.holomorph_elements": "Hol(G) listed whole, the reference of the search tests",
+    "holomorph.inverse": "checked inverse of an affine map from outside input",
     "correspondence.gaussian_subspace_count": "closed form the brute-force subgroup counts are tested against",
-    "correspondence.klein_four_fixture": "the validated Context of `klein_four_ring`, the correspondence tests' fixture",
 }
 
 
