@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, partial
 
-from . import abelian, holomorph, nilring
+from . import abelian, holomorph, linalg, nilring
 from .abelian import Elem, GroupSpec
 from .errors import CapExceeded, InputError, TheoremViolation
 from .nilring import RingStructure
@@ -242,23 +242,23 @@ def _gamma_failures(ctx: Context, n: int) -> list:
 
 def _closed_form_table(ctx: Context, gamma: Elem) -> tuple:
     """The index table of g -> g + gamma*g, from the structure constants c
-    alone: the map is linear, with matrix I + M, M[i][j] = sum_t gamma_t
-    c[t][j][i] the coordinate i of gamma * b_j."""
+    alone: the map is linear, with column j b_j + gamma*b_j, and gamma*b_j =
+    sum_t gamma_t c[t][j] is the matrix with columns c[t][j] applied to gamma."""
     spec, c = ctx.spec, ctx.ring.constants
-    return abelian._linear_table(spec, [
-        [((i == j) + sum(gt * c[t][j][i] for t, gt in enumerate(gamma))) % mod
-         for j in range(spec.rank)] for i, mod in enumerate(spec.moduli)])
+    columns = [abelian._add(spec, b, linalg.apply(spec.moduli, zip(*[row[j] for row in c]), gamma))
+               for j, b in enumerate(spec._basis)]
+    return abelian._linear_table(spec, tuple(zip(*columns)))
 
 
 def _ring_generators(A: RingStructure) -> list:
     """The indices of a ring-generating set S, less its b_i with a zero row
     (b_i A = 0 lies in every subgroup): the b_i, in order, whose images span
     A/(A^2 + pA) = F_p^k / span{c_ij mod p}, that is, the i that are the last
-    nonzero coordinate of no vector of that span (`abelian._pivots`).
+    nonzero coordinate of no vector of that span (`linalg.pivots`).
     With R the ring S generates, A = R + A^2 + pA gives A = R + A^m + pA for
     every m, so A = R + pA, as A is nilpotent, and A = R."""
     p = A.spec.p
-    pivots = abelian._pivots(p, {tuple([x % p for x in c]) for i, row in enumerate(A.constants) for c in row[i:]})
+    pivots = linalg.pivots(p, {tuple([x % p for x in c]) for i, row in enumerate(A.constants) for c in row[i:]})
     return [i for i, row in enumerate(A.constants) if i not in pivots and any(map(any, row))]
 
 

@@ -1,26 +1,27 @@
 """Hol(G) as invertible affine maps on a finite abelian p-group.
 
-Elements are stored as (translation, matrix) pairs: x -> a + m(x), with
-column j of m the image of the j-th standard generator.  Includes the
-embedding of the circle group into Hol(G), both directions of the
-structure/regular-subgroup correspondence, and the regular-subgroup search
-for small holomorphs.  `AffineMap.apply`, `tau`, `translation` and
-`affine_map` check their elements, `tau` and `inverse` that the linear part
-is an automorphism (`is_invertible`: well defined, rank k mod p), and
-`regular_subgroup_from_ring` its ring; the rest is unchecked, and the
-package's own loops build and invert circle translations with `_tau` and
-`_inverse`.  The round trip runs on the matrices: a reduced, well-defined
-(a, m) is its map, and the way back tests T abelian by T = tau(A), with no
-closure.  A map tabulates its linear part on element indices once, for the
-preimages `_inverse` reads and the conjugation report.  The regular-subgroup
-search runs on pairs (a, n), x -> a + m(x) with a an element index and m
-the n-th automorphism, and decides mod p, on G/pG = F_p^k: m is an
-automorphism iff m mod p has rank k (`_invertible_mod_p`), and has p-power
-order iff m mod p is unipotent (`_unipotent`), and then so has x -> a + m(x),
-as the translations are a p-group.  No permutation is composed or raised to
-a power: only the unipotent m are tabulated, with their 1 - m for the fixed
-points.  The search grows subgroups by cosets (`_extend`), and counts a
-subgroup abelian if its generators commute.
+Elements are stored as (translation, matrix) pairs: x -> a + m(x), m in
+`linalg`'s format, column j the image of the j-th standard generator.
+Includes the embedding of the circle group into Hol(G), both directions of
+the structure/regular-subgroup correspondence, and the regular-subgroup
+search for small holomorphs.  `AffineMap.apply`, `tau`, `translation` and
+`affine_map` check their elements, `tau` its constants' shape, `tau` and
+`inverse` that the linear part is an automorphism (`is_invertible`: k x k,
+well defined, rank k mod p), and `regular_subgroup_from_ring` its ring; the
+rest is unchecked, and the package's own loops build and invert circle
+translations with `_tau` and `_inverse`.  The round trip runs on the
+matrices: a reduced, well-defined (a, m) is its map, and the way back tests
+T abelian by T = tau(A), with no closure.  A map tabulates its linear part
+on element indices once, for the preimages `_inverse` reads and the
+conjugation report.  The regular-subgroup search runs on pairs (a, n),
+x -> a + m(x) with a an element index and m the n-th automorphism, and
+decides mod p, on G/pG = F_p^k: m is an automorphism iff m mod p has rank k
+(`is_invertible`), and has p-power order iff m mod p is unipotent
+(`_unipotent`), and then so has x -> a + m(x), as the translations are a
+p-group.  No permutation is composed or raised to a power: only the
+unipotent m are tabulated, with their 1 - m for the fixed points.  The
+search grows subgroups by cosets (`_extend`), and counts a subgroup abelian
+if its generators commute.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property, partial
 
-from . import abelian, nilring
+from . import abelian, linalg, nilring
 from .abelian import Elem, GroupSpec, _length
 from .errors import CapExceeded, InputError, TheoremViolation
 from .nilring import RingStructure
@@ -51,10 +52,7 @@ class AffineMap:
         return abelian._add(self.spec, self.a, self.linear_apply(x))
 
     def linear_apply(self, x: Elem) -> Elem:
-        return tuple(
-            sum(map(operator.mul, row, x)) % mod
-            for row, mod in zip(self.m, self.spec.moduli)
-        )
+        return linalg.apply(self.spec.moduli, self.m, x)
 
     @cached_property
     def linear_table(self) -> tuple:
@@ -72,27 +70,15 @@ class AffineMap:
         return {"a": list(self.a), "m": [list(row) for row in self.m]}
 
 
-def _reduce_matrix(spec: GroupSpec, m) -> tuple:
-    return tuple(
-        tuple(int(v) % mod for v in row) for row, mod in zip(m, spec.moduli)
-    )
-
-
-def _matrix_well_defined(spec: GroupSpec, m) -> bool:
-    """Column j must be killed by p^{e_j} (image of a generator of that order)."""
-    moduli = spec.moduli
-    return all(mj * v % mi == 0 for row, mi in zip(m, moduli) for v, mj in zip(row, moduli))
-
-
 def affine_map(spec: GroupSpec, a: Elem, m) -> AffineMap:
     spec.check_elem(a)
-    if _length(m) != spec.rank or any(_length(row) != spec.rank for row in m):
+    if not nilring._square(spec, m):
         raise InputError("matrix has wrong shape")
     m = tuple(map(tuple, m))
     if not all(abelian._is_int(v) for row in m for v in row):
         raise InputError(f"matrix {m} has a non-integer entry")
-    mat = _reduce_matrix(spec, m)
-    if not _matrix_well_defined(spec, mat):
+    mat = linalg.reduce(spec.moduli, m)
+    if not linalg.well_defined(spec.moduli, mat):
         raise InputError(f"matrix {mat} is not a well-defined endomorphism")
     return AffineMap(spec, a, mat)
 
@@ -104,11 +90,15 @@ def translation(spec: GroupSpec, g: Elem) -> AffineMap:
 
 
 def is_invertible(f: AffineMap) -> bool:
-    """Whether f lies in Hol(G): whether its linear part is an automorphism of
-    G, i.e. well defined (`_matrix_well_defined`) with rank k mod p, which by
-    the Burnside basis theorem suffices (`_invertible_mod_p`).  No map is
-    tabulated."""
-    return _matrix_well_defined(f.spec, f.m) and _invertible_mod_p(f.spec, f.m)
+    """Whether f lies in Hol(G): whether its linear part m is an automorphism
+    of G, that is, a k x k matrix (`nilring._square`), well defined, and of
+    rank k mod p (`linalg.pivots`).  m induces m' = (m_ij mod p) on G/pG =
+    F_p^k.  If m is onto, so is m'.  If m' has rank k, m(G) + pG = G, and pG
+    is the Frattini subgroup of G, so m(G) = G by the Burnside basis theorem:
+    a set that generates G modulo pG generates G.  Then m, onto the finite G,
+    is one to one.  No map is tabulated."""
+    return (nilring._square(f.spec, f.m) and linalg.well_defined(f.spec.moduli, f.m)
+            and len(linalg.pivots(f.spec.p, f.m)) == f.spec.rank)
 
 
 def compose(f: AffineMap, g: AffineMap) -> AffineMap:
@@ -117,36 +107,36 @@ def compose(f: AffineMap, g: AffineMap) -> AffineMap:
     if f.spec != g.spec:
         raise InputError("affine maps over different specs")
     spec = f.spec
-    *cols, a = (tuple(sum(map(operator.mul, row, col)) % mod for row, mod in zip(f.m, spec.moduli))
-                for col in (*zip(*g.m), g.a))
+    *cols, a = (linalg.apply(spec.moduli, f.m, col) for col in (*zip(*g.m), g.a))
     return AffineMap(spec, abelian._add(spec, f.a, a), tuple(zip(*cols)))
 
 
 def inverse(f: AffineMap) -> AffineMap:
     """Inverse map x -> m^{-1}(x - a) (`_inverse`) of an f in Hol(G): InputError
-    unless m is well defined with rank k mod p (`is_invertible`)."""
+    unless m is k x k, well defined and of rank k mod p (`is_invertible`)."""
     if not is_invertible(f):
         raise InputError("linear part is not invertible")
     return _inverse(f)
 
 
 def _inverse(f: AffineMap) -> AffineMap:
-    """inverse, unchecked, for m an automorphism (well defined, rank k mod p,
-    as `_invertible_mod_p` proves): the preimages of the generators and of a
-    are read off the linear table."""
+    """inverse, unchecked, for m an automorphism (as `is_invertible` decides):
+    the preimages of the generators and of a are read off the linear table."""
     spec = f.spec
     elems, index, table = spec.elements(), spec.element_index, f.linear_table
     *cols, a = [elems[table.index(index[y])] for y in spec._basis + (f.a,)]
-    return AffineMap(spec, abelian._scalar_mul(spec, -1, a), _reduce_matrix(spec, zip(*cols)))
+    return AffineMap(spec, abelian._scalar_mul(spec, -1, a), tuple(zip(*cols)))
 
 
 def tau(A: RingStructure, g: Elem) -> AffineMap:
     """The affine map x -> g o x realizing left circle translation by g.  A is
-    not validated here, so the map is checked to lie in Hol(G), its linear part
-    well defined with rank k mod p (`is_invertible`): InputError if not.  The
-    package's own loops over `spec.elements()` call `_tau`, which skips both
-    checks."""
+    not validated here, so its constants are checked to be a k x k table of
+    elements (`nilring._check_constants`), and the map to lie in Hol(G), its
+    linear part well defined with rank k mod p (`is_invertible`): InputError
+    if not.  The package's own loops over `spec.elements()` call `_tau`, which
+    skips these checks."""
     A.spec.check_elem(g)
+    nilring._check_constants(A)
     f = _tau(A, g)
     if not is_invertible(f):
         raise InputError(f"circle translation by {g} is not invertible: invalid structure")
@@ -164,7 +154,7 @@ def _tau(A: RingStructure, g: Elem) -> AffineMap:
         if gi := g[i]:
             for t, c in coeffs:
                 rows[t][j] += gi * c
-    return AffineMap(spec, g, tuple([tuple([v % mod for v in row]) for row, mod in zip(rows, spec.moduli)]))
+    return AffineMap(spec, g, linalg.reduce(spec.moduli, rows))
 
 
 @dataclass(frozen=True)
@@ -270,22 +260,12 @@ def ring_from_regular_subgroup(T: RegularSubgroup) -> RingStructure:
     return A
 
 
-def _invertible_mod_p(spec: GroupSpec, m) -> bool:
-    """Whether the well-defined matrix m, its rows, is an automorphism: whether
-    m mod p has rank k (`abelian._pivots`).  m induces m' = (m_ij mod p) on
-    G/pG = F_p^k.  If m is onto, so is m'.  If m' has rank k, m(G) + pG = G,
-    and pG is the Frattini subgroup of G, so m(G) = G by the Burnside basis
-    theorem: a set that generates G modulo pG generates G.  Then m, onto the
-    finite G, is one to one.  No map is tabulated."""
-    return len(abelian._pivots(spec.p, m)) == spec.rank
-
-
 def enumerate_automorphisms(spec: GroupSpec) -> list:
     """Aut(G) as matrices, in the lexicographic order of their entries: each
-    residue matrix mod p of a well-defined m that passes `_invertible_mod_p`,
-    lifted to every well-defined m with those residues.  Entry (i, j) of a
-    well-defined m is a multiple of p^(e_i - e_j) below p^e_i, so it is 0 mod
-    p where e_i > e_j (m mod p is block triangular), and any r + pt where
+    residue matrix mod p of a well-defined m of rank k (`is_invertible`'s
+    test), lifted to every well-defined m with those residues.  Entry (i, j)
+    of a well-defined m is a multiple of p^(e_i - e_j) below p^e_i, so it is 0
+    mod p where e_i > e_j (m mod p is block triangular), and any r + pt where
     e_i <= e_j."""
     p, k, exps = spec.p, spec.rank, spec.exponents
     residues = [range(p if ei <= ej else 1) for ei in exps for ej in exps]
@@ -293,7 +273,7 @@ def enumerate_automorphisms(spec: GroupSpec) -> list:
     moduli = [mod for mod in spec.moduli for _ in exps]
     flats = []
     for flat in itertools.product(*residues):
-        if _invertible_mod_p(spec, zip(*[iter(flat)] * k)):
+        if len(linalg.pivots(p, zip(*[iter(flat)] * k))) == k:
             flats += itertools.product(*map(range, flat, moduli, strides))
     return [tuple(zip(*[iter(flat)] * k)) for flat in sorted(flats)]
 
@@ -328,14 +308,14 @@ def _automorphisms(spec: GroupSpec, cap: int) -> list:
 
 def _unipotent(spec: GroupSpec, m) -> bool:
     """Whether the automorphism m has p-power order: whether m' = m mod p is
-    unipotent, m' - I nilpotent mod p (`abelian._nilpotent_mod_p`).  The kernel
+    unipotent, m' - I nilpotent mod p (`linalg.nilpotent_mod_p`).  The kernel
     of Aut(G) -> GL_k(F_p) is a p-group: there m = 1 + d with dG in pG, and if
     dG lies in p^t G, t >= 1, then m^p = 1 + sum_{0<i<p} C(p, i) d^i + d^p is
     1 + d' with d'G in p^(t+1) G, as p divides each C(p, i); so m^(p^(e-1)) = 1,
     p^e the exponent of G.  If m has order p^j, then (m' - I)^(p^j) = m'^(p^j)
     - I = 0 mod p.  If (m' - I)^k = 0 and p^j >= k, then m'^(p^j) = I, so
     m^(p^j) lies in the kernel, and m has p-power order."""
-    return abelian._nilpotent_mod_p(spec.p, [[x - (i == j) for j, x in enumerate(row)]
+    return linalg.nilpotent_mod_p(spec.p, [[x - (i == j) for j, x in enumerate(row)]
                                              for i, row in enumerate(m)])
 
 
@@ -360,7 +340,7 @@ def _fixed_point_free(spec: GroupSpec, auts: list) -> tuple:
         if _unipotent(spec, m):
             tables[n] = abelian._linear_table(spec, m)
             one_minus_m = [map(operator.sub, b, row) for b, row in zip(spec._basis, m)]
-            fixing = set(abelian._linear_table(spec, _reduce_matrix(spec, one_minus_m)))
+            fixing = set(abelian._linear_table(spec, linalg.reduce(spec.moduli, one_minus_m)))
             candidates += [(a, n) for a in range(spec.order) if a not in fixing]
 
     def compose(f, g):

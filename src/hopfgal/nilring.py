@@ -8,9 +8,9 @@ whose isomorphism type plays the role of the Galois group.
 `_circle` the package runs.  The ideals and the circle type are served by
 `correspondence.Context`, which caps and validates a structure first.
 The element kernel runs on sparse terms: the nonzero generator products,
-listed once per structure on first use.  `validate`, `nilpotency_index` and
-the search's row tests run on the matrices of x -> b_i x, the constants' rows
-transposed.  `enumerate_structures` fills the table a depth at a time: every
+listed once per structure on first use.  `validate` and `nilpotency_index`
+run on the matrices of x -> b_i x, the constants' rows transposed, by
+`linalg`.  `enumerate_structures` fills the table a depth at a time: every
 kept prefix meets every tail of row i, the map x -> b_i x, kept when it is
 nilpotent on G/pG, decided for every residue class of row 0 mod p in one batch
 before the search, and commutes with the rows before it, tested on bounded
@@ -27,7 +27,7 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property
 
-from . import abelian
+from . import abelian, linalg
 from .abelian import Elem, GroupSpec, _length
 from .errors import CapExceeded, InputError, TheoremViolation
 
@@ -84,7 +84,7 @@ class Violation:
 
 
 def make_structure(spec: GroupSpec, constants) -> RingStructure:
-    if not _square(RingStructure(spec, constants)):  # before a part with no length is iterated
+    if not _square(spec, constants):  # before a part with no length is iterated
         raise InputError(f"constants table must be {spec.rank}x{spec.rank}: it or a row has the wrong length")
     return RingStructure(spec, tuple(tuple(spec.reduce_coords(c) for c in row) for row in constants))
 
@@ -120,23 +120,27 @@ def nilpotency_index(A: RingStructure) -> int:
     valid structures have m <= n + 1.  The products ops[i] g = b_i g of the
     generators g of A^m generate A^(m+1), by bilinearity, so A^m = 0 exactly
     when no nonzero generator is left (ops[i]: `validate`'s matrices)."""
-    if not _square(A):
-        raise InputError(f"constants table must be {A.spec.rank}x{A.spec.rank}")
-    for c in itertools.chain.from_iterable(A.constants):
-        A.spec.check_elem(c)
+    _check_constants(A)
     spec, zero, ops = A.spec, A.spec.zero(), [tuple(zip(*row)) for row in A.constants]
     gens = set(map(tuple, itertools.chain.from_iterable(A.constants))) - {zero}  # of A^2
     m = 2
     while gens and m <= spec.n + 1:
-        gens = {tuple([sum(map(operator.mul, row, g)) % mod for row, mod in zip(op, spec.moduli)])
-                for op in ops for g in gens} - {zero}
+        gens = {linalg.apply(spec.moduli, op, g) for op in ops for g in gens} - {zero}
         m += 1
     return m
 
 
-def _square(A: RingStructure) -> bool:
-    """Whether the constants are a k x k table (`abelian._length` decides what has a length)."""
-    return _length(A.constants) == A.spec.rank and all(_length(row) == A.spec.rank for row in A.constants)
+def _square(spec: GroupSpec, table) -> bool:
+    """Whether table, constants or matrix, is k x k (`abelian._length` decides what has a length)."""
+    return _length(table) == spec.rank and all(_length(row) == spec.rank for row in table)
+
+
+def _check_constants(A: RingStructure) -> None:
+    """InputError unless the constants are a k x k table of reduced elements."""
+    if not _square(A.spec, A.constants):
+        raise InputError(f"constants table must be {A.spec.rank}x{A.spec.rank}")
+    for c in itertools.chain.from_iterable(A.constants):
+        A.spec.check_elem(c)
 
 
 def validate(A: RingStructure) -> list:
@@ -155,7 +159,7 @@ def validate(A: RingStructure) -> list:
     that holds iff ops[i] mod p on G/pG = F_p^k, squared s times, is 0, 2^s >= k.
     """
     spec, c, k, moduli, p = A.spec, A.constants, A.spec.rank, A.spec.moduli, A.spec.p
-    if not _square(A):
+    if not _square(spec, c):
         return [Violation("shape", (c if (n := _length(c)) is None else n,))]
     for i, j in itertools.product(range(k), repeat=2):
         try:
@@ -173,13 +177,12 @@ def validate(A: RingStructure) -> list:
         triple
         for i, l in itertools.combinations(range(k), 2)
         for j in range(k)
-        if any((sum(map(operator.mul, row_l, c[i][j])) - sum(map(operator.mul, row_i, c[j][l]))) % m
-               for row_l, row_i, m in zip(ops[l], ops[i], moduli))
+        if linalg.apply(moduli, ops[l], c[i][j]) != linalg.apply(moduli, ops[i], c[j][l])
         for triple in ((i, j, l), (l, j, i))
     )
     if failed:
         return [Violation("associativity", triple) for triple in failed]
-    if not all(abelian._nilpotent_mod_p(p, op) for op in ops):
+    if not all(linalg.nilpotent_mod_p(p, op) for op in ops):
         return [Violation("nilpotency", (next((x for row in c for x in row if any(x)), spec.zero()),))]
     return []
 

@@ -729,9 +729,9 @@ def test_each_tau_counts_its_images_once(monkeypatch):
 
 
 def test_each_map_is_scanned_once(monkeypatch):
-    # one |G|-element linear image scan per gamma, for tau's invertibility
-    # check, shared by its inverse and by every pair's beta(g + beta^{-1}(0)),
-    # plus at most one more linear image per gamma
+    # one |G|-element linear image scan per gamma, made by _inverse for its
+    # preimages and shared by every pair's beta(g + beta^{-1}(0)), plus at
+    # most one more linear image per gamma
     ctx = _c4c4_context()
     order = ctx.spec.order
     scans = _counted(monkeypatch, holomorph.AffineMap, "linear_apply")

@@ -172,6 +172,30 @@ def test_inverse_refuses_a_linear_part_that_is_not_well_defined():
         inverse(f)
 
 
+@pytest.mark.parametrize("constants", [
+    (((1, 0),) * 3,) * 3,  # 3 x 3 on a rank-2 group
+    (((0, 0), (0, 0)),),  # one row
+    (((0, 0), 1), ((0, 0), (0, 0))),  # an int constant
+    (((0, 0), (0, 2)), ((0, 2), (0, 0))),  # a constant not reduced
+], ids=["3x3", "one-row", "int-constant", "unreduced"])
+def test_tau_refuses_a_misshapen_constants_table(constants):
+    # A is not validated, so tau checks the constants' shape as
+    # nilpotency_index does, before _tau reads them
+    with pytest.raises(InputError):
+        tau(nilring.RingStructure(C2C2, constants), (1, 0))
+
+
+@pytest.mark.parametrize("m", [
+    ((1, 0), (0, 1), (1, 1)),  # 3 rows of rank 2
+    ((1, 0, 0), (0, 1, 0)),  # rows of 3 entries
+], ids=["3-rows", "long-rows"])
+def test_a_linear_part_that_is_not_square_is_no_automorphism(m):
+    f = AffineMap(C2C2, (0, 0), m)
+    assert is_invertible(f) is False
+    with pytest.raises(InputError, match="not invertible"):
+        inverse(f)
+
+
 @pytest.mark.parametrize(
     "A",
     [
@@ -292,7 +316,7 @@ def test_rank_mod_p_decides_invertibility(spec):
     # Burnside's basis theorem: m is an automorphism iff m mod p has rank k,
     # as the oracle's image count finds, on every well-defined m
     matrices = oracles.well_defined_matrices(spec)
-    verdicts = [holomorph._invertible_mod_p(spec, m) for m in matrices]
+    verdicts = [is_invertible(AffineMap(spec, spec.zero(), m)) for m in matrices]
     assert verdicts == [len(set(oracles.index_perm(AffineMap(spec, spec.zero(), m)))) == spec.order
                         for m in matrices]
     assert sum(verdicts) == automorphism_count(spec) < len(matrices)

@@ -655,6 +655,11 @@ def test_validate_runs_no_helper_of_the_search():
     # the batch certifier of the search's tables reaches neither the row
     # checks nor validate, the certifier it stands beside
     assert not reach("_all_valid") & (prune | {"validate"})
+    # the prune and the batch certifier keep their own columnar kernels and
+    # name no helper of linalg, which validate runs on
+    assert "linalg" in calls["validate"]
+    assert not {"linalg"} & set().union(*map(calls.get, reach("_commuting", "_nilpotent_classes",
+                                                              "_kept_tables", "_all_valid")))
 
 
 def test_structure_json_round_trip():

@@ -40,11 +40,27 @@ def imported_modules(path):
 
 
 def test_modules_import_only_the_standard_library_and_hopfgal():
-    assert len(SOURCES) == 7
+    assert MODULES == {"__init__", "abelian", "cli", "correspondence", "errors", "holomorph", "linalg",
+                       "nilring"}
     allowed = sys.stdlib_module_names | {"hopfgal"}
     foreign = {(path.name, name) for path in SOURCES for name in imported_modules(path)
                if name not in allowed}
     assert foreign == set()
+
+
+def test_linalg_imports_nothing_from_the_package_but_errors():
+    # the matrix module holds no model and no element table, so any module
+    # can run on it and share no other code through it
+    tree = ast.parse((ROOT / "src" / "hopfgal" / "linalg.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "hopfgal"):
+            module = (node.module or "").removeprefix("hopfgal").lstrip(".")
+            imported.update([module] if module else [alias.name for alias in node.names])
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name.removeprefix("hopfgal").lstrip(".") or "hopfgal"
+                            for alias in node.names if alias.name.split(".")[0] == "hopfgal")
+    assert imported <= {"errors"}
 
 
 def references(tree, module=None, skip=None):
