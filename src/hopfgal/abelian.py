@@ -265,11 +265,24 @@ def minimal_generators(spec: GroupSpec, elements: frozenset) -> tuple:
 
 
 def walk_subgroups(spec: GroupSpec, maps=()) -> list:
-    """The checked form of `_walk_subgroups`: a map that is not |G| entries,
-    each an element index or None (which lies in no subgroup), is an InputError."""
-    maps, entries = tuple(maps), {None, *range(spec.order)}
-    if any(_length(m) != spec.order or not entries.issuperset(m) for m in maps):
-        raise InputError(f"each map must be a table of {spec.order} element indices or None")
+    """The checked form of `_walk_subgroups`: InputError unless `maps` is an
+    iterable of tables of |G| entries, each an element index (an int, no bool)
+    or None (which lies in no subgroup), and each map is nilpotent, as the
+    walk's completeness needs: its table, squared until the exponent is at
+    least n (|G| = p^n), sends every index to 0 or None.  Additivity stays the
+    caller's contract and is not checked."""
+    try:
+        maps = tuple(maps)
+    except TypeError:
+        raise InputError("maps must be an iterable of tables") from None
+    for m in maps:
+        if _length(m) != spec.order or not all(e is None or _is_int(e) and 0 <= e < spec.order for e in m):
+            raise InputError(f"each map must be a table of {spec.order} element indices or None")
+        power, e = m, 1
+        while e < spec.n:
+            power, e = [None if i is None else power[i] for i in power], 2 * e
+        if any(power):
+            raise InputError("each map must be nilpotent")
     return _walk_subgroups(spec, maps)
 
 

@@ -91,13 +91,15 @@ def translation(spec: GroupSpec, g: Elem) -> AffineMap:
 
 def is_invertible(f: AffineMap) -> bool:
     """Whether f lies in Hol(G): whether its linear part m is an automorphism
-    of G, that is, a k x k matrix (`nilring._square`), well defined, and of
-    rank k mod p (`linalg.pivots`).  m induces m' = (m_ij mod p) on G/pG =
-    F_p^k.  If m is onto, so is m'.  If m' has rank k, m(G) + pG = G, and pG
-    is the Frattini subgroup of G, so m(G) = G by the Burnside basis theorem:
-    a set that generates G modulo pG generates G.  Then m, onto the finite G,
-    is one to one.  No map is tabulated."""
-    return (nilring._square(f.spec, f.m) and linalg.well_defined(f.spec.moduli, f.m)
+    of G, that is, a k x k matrix (`nilring._square`) of ints, no bools (as
+    `affine_map` requires), well defined, and of rank k mod p
+    (`linalg.pivots`).  m induces m' = (m_ij mod p) on G/pG = F_p^k.  If m is
+    onto, so is m'.  If m' has rank k, m(G) + pG = G, and pG is the Frattini
+    subgroup of G, so m(G) = G by the Burnside basis theorem: a set that
+    generates G modulo pG generates G.  Then m, onto the finite G, is one to
+    one.  No map is tabulated."""
+    return (nilring._square(f.spec, f.m) and all(abelian._is_int(v) for row in f.m for v in row)
+            and linalg.well_defined(f.spec.moduli, f.m)
             and len(linalg.pivots(f.spec.p, f.m)) == f.spec.rank)
 
 
@@ -113,7 +115,9 @@ def compose(f: AffineMap, g: AffineMap) -> AffineMap:
 
 def inverse(f: AffineMap) -> AffineMap:
     """Inverse map x -> m^{-1}(x - a) (`_inverse`) of an f in Hol(G): InputError
-    unless m is k x k, well defined and of rank k mod p (`is_invertible`)."""
+    unless a is an element (`check_elem`) and m is k x k, of ints, well defined
+    and of rank k mod p (`is_invertible`)."""
+    f.spec.check_elem(f.a)
     if not is_invertible(f):
         raise InputError("linear part is not invertible")
     return _inverse(f)

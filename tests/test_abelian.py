@@ -282,6 +282,42 @@ def test_walk_subgroups_refuses_a_malformed_map(maps):
         walk_subgroups(C4C2, maps)
 
 
+@pytest.mark.parametrize("table", [(0.0, 1.0), (0, True), (0, 1.0), (0, "1")],
+                         ids=["floats", "bool", "float", "str"])
+def test_walk_subgroups_refuses_an_entry_that_is_no_int(table):
+    # 0.0 == 0 and True == 1 passed the set test of the entries, as indices
+    with pytest.raises(InputError, match="each map must be a table of 2 element indices or None"):
+        walk_subgroups(GroupSpec(2, (1,)), [table])
+
+
+def test_walk_subgroups_refuses_maps_that_are_not_iterable():
+    # tuple(5) raised TypeError
+    with pytest.raises(InputError, match="maps must be an iterable of tables"):
+        walk_subgroups(C4C2, 5)
+
+
+ID_C4C2 = abelian._linear_table(C4C2, [[1, 0], [0, 1]])
+
+
+@pytest.mark.parametrize("spec, table", [
+    (GroupSpec(2, (1,)), (0, 1)), (C4C2, ID_C4C2), (C4C2, ID_C4C2[:1] + (None,) + ID_C4C2[2:]),
+    (C4C2, abelian._linear_table(C4C2, [[1, 2], [1, 1]])),
+    (GroupSpec(2, (3,)), abelian._linear_table(GroupSpec(2, (3,)), [[3]])),
+], ids=["identity-C2", "identity-C4xC2", "identity-with-None", "automorphism-C4xC2", "units-Z8"])
+def test_walk_subgroups_refuses_a_map_that_is_not_nilpotent(spec, table):
+    # the walk is complete for nilpotent maps only: on C2 the identity, which
+    # every subgroup is stable under, gave only {0}
+    with pytest.raises(InputError, match="each map must be nilpotent"):
+        walk_subgroups(spec, [table])
+
+
+def test_walk_subgroups_takes_a_map_nilpotent_only_at_its_last_power():
+    # x -> 2x on Z/8: its square x -> 4x is not 0, its cube is; each of the
+    # four subgroups 2^j Z/8 is stable
+    Z8 = GroupSpec(2, (3,))
+    assert len(walk_subgroups(Z8, [abelian._linear_table(Z8, [[2]])])) == 4
+
+
 def test_walk_subgroups_takes_none_for_an_image_in_no_subgroup():
     # None, which the per-g maps of invariant_subgroups give for a conjugate
     # that is no translation, lies in no subgroup: with None at every g != 0,

@@ -1,6 +1,7 @@
 import collections
 import contextlib
 import enum
+import gc
 import hashlib
 import io
 import json
@@ -8,6 +9,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import pytest
@@ -206,12 +208,41 @@ def test_verify_elementary():
 
 
 def test_verify_conjugation_checks_the_additive_translations_once_per_source(monkeypatch):
-    # the check reads G alone, and the 12 structures on C4 x C2 share it
-    calls = _counted(monkeypatch, cli, "_spanning_pairs")
+    # the 12 structures on C4 x C2 share one spec: each (spec, g) whose table
+    # some report read is checked, and once
+    checks, read = [], set()
+    check, report = cli._check_translation, correspondence.holomorph_conjugation_report
+
+    def reading(ctx):
+        out = report(ctx)
+        read.update((ctx.spec, g) for g in ctx._alpha_cache)
+        return out
+
+    monkeypatch.setattr(cli, "_check_translation", lambda ctx, g: checks.append((ctx.spec, g)) or check(ctx, g))
+    monkeypatch.setattr(correspondence, "holomorph_conjugation_report", reading)
     code, out, err = _main(["verify", "conjugation", "--family", "enumerate", "--p", "2", "--exp", "2,1"])
     assert code == cli.EXIT_OK, err
     assert json.loads(out)["structures_checked"] == 12
-    assert calls == [GroupSpec(2, (2, 1))]
+    assert len(checks) == len(set(checks)) and set(checks) == read
+
+
+def test_verify_conjugation_keeps_one_spec_per_source(monkeypatch):
+    # each cyclic structure is built on its own equal spec, with its own
+    # element tables; the memo of checked translations keeps the first alive,
+    # and no later one (a memo keyed by (spec, g) kept all 27)
+    specs, alive = [], []
+    report = correspondence.holomorph_conjugation_report
+
+    def reading(ctx):
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in specs))
+        specs.append(weakref.ref(ctx.spec))
+        return report(ctx)
+
+    monkeypatch.setattr(correspondence, "holomorph_conjugation_report", reading)
+    code, out, err = _main(["verify", "conjugation", "--family", "cyclic", "--p", "3", "--n", "4", "--all-d"])
+    assert code == cli.EXIT_OK, err
+    assert alive == [0] + [1] * 26
 
 
 # stdout digests of commands no benchmark golden covers, recorded before the
@@ -229,6 +260,9 @@ _DIGESTS = {
         "004c67ec4bd4e9a93bcd65d6872bcc0aead2885d6f12b8f30d1e09cbcb20823a",
     "verify primitive --p 3 --n 2 --format table":
         "ffb28e8c91ce4fbcc39f47742c525f6ffbb4ef0c50a9e56bdb52bc14cf489bdf",
+    # recorded before the pointwise check of the translation tables
+    "verify conjugation --family primitive --p 5 --n 4":
+        "33a8c8444a37d6e88b6bcba593ceedeb1fb1196bbd7d942660881446fafb141d",
 }
 
 
@@ -620,37 +654,56 @@ def test_cap_exceeded_exit_code():
     assert "cap" in result.stderr
 
 
-def test_verify_conjugation_checks_that_translations_compose(monkeypatch):
-    # alpha((3, 3)) on C4 x C4 with the images of 0 and 1 swapped; the
-    # report reads only the translations its rows need, none of them (3, 3),
-    # so it passes, and the additive check fails first at g + b = (3, 3)
-    # the Context tabulates its additive translations by this kernel function
-    original = correspondence.abelian._translation_perm
+def _plant_translation(monkeypatch, planted):
+    """The kernel the Context tabulates its additive translations by, with
+    the images of 0 and 1 swapped in the table of g = planted."""
+    original = abelian._translation_perm
 
     def patched(spec, g):
         table = original(spec, g)
-        return (table[1], table[0], *table[2:]) if g == (3, 3) else table
+        return (table[1], table[0], *table[2:]) if g == planted else table
 
-    monkeypatch.setattr(correspondence.abelian, "_translation_perm", patched)
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = cli.main(["verify", "conjugation", "--family", "trivial", "--p", "2", "--exp", "2,2"])
-    assert code == cli.EXIT_VIOLATION
-    message, _, witness = err.getvalue().partition("\n")
-    assert message == "verified identity failed: additive translations do not compose additively"
-    assert json.loads(witness) == {"b": [1, 0], "g": [2, 3]}
-    assert witness == json.dumps({"b": [1, 0], "g": [2, 3]}, indent=2, sort_keys=True) + "\n"
+    monkeypatch.setattr(abelian, "_translation_perm", patched)
 
 
-# index permutations of the 4 elements (0, 0), (0, 1), (1, 0), (1, 1) of C2 x C2
+C4C4_TRIVIAL = ["verify", "conjugation", "--family", "trivial", "--p", "2", "--exp", "2,2"]
+
+
+def test_verify_conjugation_ignores_a_table_no_verdict_reads(monkeypatch):
+    # alpha((3, 3)) on C4 x C4 planted wrong: the report reads only the
+    # translations its rows need, none of them (3, 3), and the check reads
+    # only the tables the report read: a table no verdict reads changes no
+    # output, so the run passes with the same stdout
+    expected = _main(C4C4_TRIVIAL)
+    _plant_translation(monkeypatch, (3, 3))
+    assert _main(C4C4_TRIVIAL) == expected
+    assert expected[0] == cli.EXIT_OK and expected[2] == ""
+
+
+@pytest.mark.parametrize("g", [(0, 1), (1, 0)], ids=str)
+def test_verify_conjugation_rejects_a_wrong_table_the_report_read(monkeypatch, g):
+    # every conjugation row reads the translations by the standard generators
+    # in its basis test, so a wrong table of either is named
+    _plant_translation(monkeypatch, g)
+    code, out, err = _main(C4C4_TRIVIAL)
+    message, _, witness = err.partition("\n")
+    assert (code, out) == (cli.EXIT_VIOLATION, "")
+    assert message == "verified identity failed: additive translation is not x -> g + x"
+    assert json.loads(witness) == {"g": list(g)}
+
+
+# index permutations of the 4 elements (0, 0), (0, 1), (1, 0), (1, 1) of C2 x C2;
+# alpha((0, 1)) is _SWAP_01_23, alpha((1, 0)) _SWAP_02_13
 _ID, _SWAP_01, _SWAP_12, _CYCLE_012 = (0, 1, 2, 3), (1, 0, 2, 3), (0, 2, 1, 3), (1, 2, 0, 3)
+_SWAP_01_23, _SWAP_02_13 = (1, 0, 3, 2), (2, 3, 0, 1)
 
 
 def _additive_check_on(monkeypatch, alpha_1_0, alpha_0_1):
     """`verify conjugation` on trivial C2 x C2, with the Context's additive
     translations replaced after the report: alpha(0) the identity, the two
-    given tables, and alpha(1, 1) = alpha(0, 1) alpha(1, 0), so that every
-    pair (g - b_g, b_g) holds whatever the two tables are."""
+    given tables, and alpha(1, 1) = alpha(0, 1) alpha(1, 0), so that the
+    tables compose additively whenever the two given ones commute and have
+    order 2."""
     report = correspondence.holomorph_conjugation_report
 
     def patched(ctx):
@@ -670,21 +723,31 @@ def _additive_check_on(monkeypatch, alpha_1_0, alpha_0_1):
 
 
 def test_verify_conjugation_checks_that_the_generators_translations_commute(monkeypatch):
-    # two involutions that do not commute: every (g - b_g, b_g) and
-    # ((m_i - 1) b_i, b_i) pair holds, and only (b_0, b_1) fails
+    # two involutions that do not commute: the tables are checked in the
+    # order the report read them, and alpha((0, 1)) is the first wrong one
     code, message, witness = _additive_check_on(monkeypatch, _SWAP_01, _SWAP_12)
     assert code == cli.EXIT_VIOLATION
-    assert message == "verified identity failed: additive translations do not compose additively"
-    assert witness == {"g": [1, 0], "b": [0, 1]}
+    assert message == "verified identity failed: additive translation is not x -> g + x"
+    assert witness == {"g": [0, 1]}
 
 
 def test_verify_conjugation_checks_the_order_of_each_generators_translation(monkeypatch):
-    # alpha(b_0) a 3-cycle, alpha(b_1) the identity: the pairs (g - b_g, b_g)
-    # and (b_0, b_1) hold, and only alpha(b_0)^2 = alpha(0) fails
-    code, message, witness = _additive_check_on(monkeypatch, _CYCLE_012, _ID)
+    # alpha(b_0) a 3-cycle, alpha(b_1) the true translation: only alpha(b_0)
+    # and alpha(b_0 + b_1) are wrong, and b_0 = (1, 0) comes first
+    code, message, witness = _additive_check_on(monkeypatch, _CYCLE_012, _SWAP_01_23)
     assert code == cli.EXIT_VIOLATION
-    assert message == "verified identity failed: additive translations do not compose additively"
-    assert witness == {"g": [1, 0], "b": [1, 0]}
+    assert message == "verified identity failed: additive translation is not x -> g + x"
+    assert witness == {"g": [1, 0]}
+
+
+def test_verify_conjugation_rejects_translations_twisted_by_an_automorphism(monkeypatch):
+    # alpha(g) the translation by phi(g), phi swapping the two coordinates:
+    # the tables compose additively, which the check of alpha(g + b) =
+    # alpha(g) alpha(b) passed, but alpha((0, 1)) is not x -> (0, 1) + x
+    code, message, witness = _additive_check_on(monkeypatch, _SWAP_01_23, _SWAP_02_13)
+    assert code == cli.EXIT_VIOLATION
+    assert message == "verified identity failed: additive translation is not x -> g + x"
+    assert witness == {"g": [0, 1]}
 
 
 def test_verify_lattice_checks_a_zero_rings_ideal_count_against_butlers_count(monkeypatch):
@@ -700,15 +763,3 @@ def test_verify_lattice_checks_a_zero_rings_ideal_count_against_butlers_count(mo
     assert (code, out) == (cli.EXIT_VIOLATION, "")
     assert message == "verified identity failed: ideal count of A^2 = 0 differs from the subgroup count"
     assert json.loads(witness) == {"structure": "trivial", "ideal_count": 5, "subgroup_count": 6}
-
-
-@pytest.mark.parametrize("exponents", [(1,), (3,), (1, 1), (2, 1), (2, 2, 1), (1, 1, 1, 1)])
-def test_spanning_pairs_are_fewer_than_k_times_the_order(exponents):
-    # |G| - 1 + k(k - 1)/2 + k of the k |G| pairs (g, b): the first |G| - 1
-    # sum to the nonzero elements in element order, each b a generator
-    spec = GroupSpec(2, exponents)
-    pairs = list(cli._spanning_pairs(spec))
-    k, basis = spec.rank, spec.basis()
-    assert len(pairs) == spec.order - 1 + k * (k - 1) // 2 + k
-    assert all(g in spec.elements() and b in basis for g, b in pairs)
-    assert [abelian.add(spec, g, b) for g, b in pairs[:spec.order - 1]] == list(spec.elements()[1:])

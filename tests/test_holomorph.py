@@ -172,6 +172,26 @@ def test_inverse_refuses_a_linear_part_that_is_not_well_defined():
         inverse(f)
 
 
+def test_inverse_checks_the_translation_part():
+    # an unreduced a, or one of the wrong length, raised KeyError in the
+    # preimage lookup
+    for a in ((5,), (1, 0), (-1,)):
+        with pytest.raises(InputError, match="element"):
+            inverse(AffineMap(GroupSpec(2, (1,)), a, ((1,),)))
+
+
+@pytest.mark.parametrize("entry", ["a", 1.0, True], ids=["str", "float", "bool"])
+def test_is_invertible_is_false_on_an_entry_that_is_no_int(entry):
+    # a str or float entry raised TypeError, and a bool counted as 1, where
+    # affine_map refuses all three
+    f = AffineMap(GroupSpec(2, (1,)), (0,), ((entry,),))
+    assert is_invertible(f) is False
+    with pytest.raises(InputError, match="not invertible"):
+        inverse(f)
+    with pytest.raises(InputError, match="non-integer entry"):
+        holomorph.affine_map(f.spec, f.a, f.m)
+
+
 @pytest.mark.parametrize("constants", [
     (((1, 0),) * 3,) * 3,  # 3 x 3 on a rank-2 group
     (((0, 0), (0, 0)),),  # one row

@@ -333,6 +333,43 @@ def test_conjugation_report_matches_the_per_pair_oracle_on_planted_failures(monk
     assert report == conjugation_report(ctx.ring, lams=lams, **stand_ins)
 
 
+def _report_reading_alpha(monkeypatch, ctx):
+    """holomorph_conjugation_report(ctx), asserting that it tabulates by
+    `abelian._translation_perm` exactly the tables it adds to the Context's
+    `_alpha_cache`: every translation the report reads is held there, which
+    `cli._check_translation` rests on."""
+    calls, held, original = [], set(ctx._alpha_cache), abelian._translation_perm
+    monkeypatch.setattr(abelian, "_translation_perm", lambda spec, g: calls.append(g) or original(spec, g))
+    report = holomorph_conjugation_report(ctx)
+    monkeypatch.setattr(abelian, "_translation_perm", original)
+    assert sorted(calls) == sorted(ctx._alpha_cache.keys() - held)
+    return report
+
+
+def test_the_report_reads_alpha_only_through_the_context_on_the_catalogue(monkeypatch):
+    # on the circle generators' tables, and on the scan of every gamma that
+    # a true lam held for another gamma starts
+    count = 0
+    for A in catalogue_structures():
+        assert _report_reading_alpha(monkeypatch, Context(A))["failures"] == []
+        ctx = Context(A)
+        elems = ctx.elements
+        ctx.circle_translation_perm(elems[max(set(range(len(elems))) - set(ctx.circle_generators))])
+        assert _report_reading_alpha(monkeypatch, ctx)["failures"] == []
+        count += 1
+    assert count == 217
+
+
+@pytest.mark.parametrize("plant", [
+    _stray_lam_on_z8, _stray_generator_on_z9, _inverse_without_its_matrix, _inverse_shifted,
+    _planted_row(1), _non_regular_generator_on_z8, _identity_everywhere_on_z8,
+    _transposition_everywhere_on_z4, _generators_that_do_not_commute_on_c2c2])
+def test_the_report_reads_alpha_only_through_the_context_on_planted_failures(monkeypatch, plant):
+    # a row whose basis test fails reads alpha(g) and alpha(h) for every g
+    ctx, _ = plant(monkeypatch)
+    assert _report_reading_alpha(monkeypatch, ctx)["failures"]
+
+
 def per_g_invariant_maps(ctx):
     """Each circle generator's map g -> h - g off its conjugation row, built
     g by g through the element API, None where the conjugate is no
