@@ -6,7 +6,7 @@ factor, always reduced modulo the factor order.  Everything here is a
 pure function on immutable values; outputs are canonically ordered so
 runs are deterministic and diffable.
 The public ops check their arguments and call the unchecked kernel (`_add`,
-`_scalar_mul`, `_walk_subgroups`), which the package runs on its own values.
+`_scalar_mul`, `_walk_subgroups`) on the checked values, as the package does.
 An element's index is its position in `GroupSpec.elements()`; the index
 tables of `_translation_perm` and `_linear_table` are built per coordinate.
 The one lattice walk is additive and runs on indices; `subgroup_count`
@@ -111,12 +111,16 @@ class GroupSpec:
     def basis(self) -> list:
         return list(self._basis)
 
+    def _check_shape(self, a) -> None:
+        """InputError unless a is a tuple or a list of rank entries: a set or a dict has no coordinate order."""
+        if not (isinstance(a, (tuple, list)) and len(a) == self.rank):
+            raise InputError(f"element {a} has wrong length or type for {self}: a tuple or a list is needed")
+
     def reduce_coords(self, coords) -> Elem:
-        if _length(coords) != self.rank:
-            raise InputError(f"element {coords} has wrong length for {self}")
+        self._check_shape(coords)
         if not all(map(_is_int, coords)):
             raise InputError(f"element {coords} has a non-integer coordinate")
-        return tuple(c % m for c, m in zip(coords, self.moduli))
+        return tuple(map(operator.mod, coords, self.moduli))
 
     @cached_property
     def _elements(self) -> tuple:
@@ -131,12 +135,12 @@ class GroupSpec:
         first use and kept on the spec, outside the dataclass fields."""
         return self._elements
 
-    def check_elem(self, a: Elem) -> None:
-        """InputError unless a is a sequence of rank ints, each in [0, its modulus)."""
-        if _length(a) != self.rank:
-            raise InputError(f"element {a} has wrong length for {self}")
+    def check_elem(self, a) -> Elem:
+        """tuple(a), InputError unless a is a tuple or a list of rank ints, each in [0, its modulus)."""
+        self._check_shape(a)
         if not (all(map(_is_int, a)) and min(a) >= 0 and all(map(operator.lt, a, self.moduli))):
             raise InputError(f"element {a} not reduced for moduli {self.moduli}")
+        return tuple(a)
 
     def to_json(self) -> dict:
         return {"p": self.p, "exponents": list(self.exponents)}
@@ -197,16 +201,13 @@ def _grow_by_cosets(span: set, step) -> set:
 
 
 def add(spec: GroupSpec, a: Elem, b: Elem) -> Elem:
-    spec.check_elem(a)
-    spec.check_elem(b)
-    return _add(spec, a, b)
+    return _add(spec, spec.check_elem(a), spec.check_elem(b))
 
 
 def scalar_mul(spec: GroupSpec, m: int, a: Elem) -> Elem:
     if not _is_int(m):
         raise InputError(f"multiplier {m!r} is not an integer")
-    spec.check_elem(a)
-    return _scalar_mul(spec, m, a)
+    return _scalar_mul(spec, m, spec.check_elem(a))
 
 
 @dataclass(frozen=True)

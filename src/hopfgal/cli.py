@@ -40,8 +40,9 @@ EXIT_CAP = 3
 EXIT_VIOLATION = 4
 
 
-# the options each command or verify check reads; --format and --out are
-# read by all
+# the options each command or verify check reads (--format and --out are
+# read by all), and the structure options each family reads, by kind:
+# `cyclic:d` is cyclic, and the bare `cyclic` reads --d or --all-d besides
 _STRUCTURES = {"p", "exp", "n", "family", "d", "all_d", "all_structures", "cap_enum", "cap_search"}
 _READS = {
     "enumerate": {"p", "exp", "n", "cap_search", "cap_hol"},
@@ -52,6 +53,8 @@ _READS = {
     "verify primitive": {"p", "n", "family", "all_structures", "cap_enum"},
     "verify cyclic": _STRUCTURES - {"exp"},
 }
+_FAMILY_READS = {"fixture:klein": set(), "trivial": {"p", "exp", "n"}, "enumerate": {"p", "exp", "n", "cap_search"},
+                 "primitive": {"p", "n"}, "cyclic": {"p", "n"}}
 
 
 class _Typed(argparse.Action):
@@ -115,7 +118,7 @@ def _int_option(text) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _parse_spec(args, cyclic_n=False) -> GroupSpec:
+def _parse_spec(args) -> GroupSpec:
     if args.p is None:
         raise InputError("--p is required")
     if args.exp is not None and args.n is not None:
@@ -123,50 +126,37 @@ def _parse_spec(args, cyclic_n=False) -> GroupSpec:
     if args.exp is not None:
         return GroupSpec(args.p, tuple(_parse_int(x, "--exp entry") for x in args.exp.split(",")))
     if args.n is not None:
-        return GroupSpec(args.p, (args.n,)) if cyclic_n else abelian._elementary(args.p, args.n)
+        return abelian._elementary(args.p, args.n)
     raise InputError("one of --exp or --n is required")
 
 
-def _resolve_structures(args, family, cyclic_n=False):
-    """(label, structure) pairs selected by family / --all-structures; the
-    cyclic family's are built one at a time, so a cap stops them at the first.
-    An --all-structures beside another family, or a --family other than the
-    one the caller asks for, is an input error, and so is a --p, --exp, --n,
-    --d, --all-d or --cap-search that a known family does not read (with
-    cyclic_n, the caller reads --p and --n itself, for Z/p^n)."""
+def _resolve_structures(args, family, spec=None):
+    """(label, structure) pairs selected by family / --all-structures: those of
+    `trivial` and `enumerate` on spec, else on `_parse_spec(args)`, and the
+    cyclic family's built one at a time, so a cap stops them at the first.
+    An --all-structures beside another family, a --family other than
+    the one the caller asks for, an unknown family, and a --p, --exp, --n, --d,
+    --all-d or --cap-search that the family does not read are input errors."""
     if args.all_structures:
         if family not in (None, "enumerate"):
             raise InputError(f"--all-structures conflicts with family {family}")
         family = "enumerate"
     if args.family is not None and args.family != family:
         raise InputError(f"--family {args.family} conflicts with family {family}")
-    reads = {"fixture:klein": {"p", "n"} if cyclic_n else set(), "trivial": {"p", "exp", "n"},
-             "enumerate": {"p", "exp", "n", "cap_search"}, "primitive": {"p", "n"}}
-    if family is not None and family.partition(":")[0] == "cyclic":
-        reads[family] = {"p", "n"} | (set() if ":" in family else {"all_d" if args.all_d else "d"})
-    if family in reads:
-        _reject_unread(args, f"family {family}", reads[family], ("p", "exp", "n", "d", "all_d", "cap_search"))
+    kind = "cyclic" if family and family.startswith("cyclic:") else family
+    if kind not in _FAMILY_READS:
+        raise InputError(f"cannot resolve structures from family={family!r}")
+    reads = _FAMILY_READS[kind] | ({"all_d" if args.all_d else "d"} if family == "cyclic" else set())
+    _reject_unread(args, f"family {family}", reads, ("p", "exp", "n", "d", "all_d", "cap_search"))
+    if kind in ("primitive", "cyclic") and (args.p is None or args.n is None):
+        raise InputError(f"{kind} family requires --p and --n")
     if family == "fixture:klein":
         return [("fixture:klein", correspondence.klein_four_ring())]
-    if family == "enumerate":
-        spec = _parse_spec(args, cyclic_n)
-        return [
-            (f"enumerated[{i}]", A)
-            for i, A in enumerate(nilring.enumerate_structures(spec, args.cap_search))
-        ]
-    if family == "trivial":
-        return [("trivial", nilring.trivial_structure(_parse_spec(args, cyclic_n)))]
     if family == "primitive":
-        if args.p is None or args.n is None:
-            raise InputError("primitive family requires --p and --n")
         return [("primitive", nilring.primitive_structure(args.p, args.n))]
-    if family is not None and family.partition(":")[0] == "cyclic":
-        if args.p is None or args.n is None:
-            raise InputError("cyclic family requires --p and --n")
-        if args.n < 1:
-            raise InputError("n must be >= 1")
-        if ":" in family:
-            ds = [_parse_int(family.split(":", 1)[1], "cyclic family parameter d")]
+    if kind == "cyclic":
+        if family != "cyclic":
+            ds = [_parse_int(family.partition(":")[2], "cyclic family parameter d")]
         elif args.all_d:
             # d = 0 runs the spec's range check before p^(n-1) = |G|/p
             ds = range(nilring.cyclic_structure(args.p, args.n, 0).spec.order // args.p)
@@ -175,7 +165,10 @@ def _resolve_structures(args, family, cyclic_n=False):
         else:
             raise InputError("cyclic family requires :d, --d, or --all-d")
         return ((f"cyclic:{d}", nilring.cyclic_structure(args.p, args.n, d)) for d in ds)
-    raise InputError(f"cannot resolve structures from family={family!r}")
+    spec = spec or _parse_spec(args)
+    if family == "trivial":
+        return [("trivial", nilring.trivial_structure(spec))]
+    return [(f"enumerated[{i}]", A) for i, A in enumerate(nilring.enumerate_structures(spec, args.cap_search))]
 
 
 def _json_text(obj) -> str:
@@ -265,11 +258,11 @@ def cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
-def _certify(args, family, check, cyclic_n=False) -> list:
-    """The rows of check(label, ctx) over the structures: it raises
-    TheoremViolation when a prediction fails, and returns None to skip one."""
+def _certify(args, family, check, spec=None) -> list:
+    """The rows of check(label, ctx) over the structures (on spec, if given): it
+    raises TheoremViolation when a prediction fails, and returns None to skip one."""
     rows = []
-    for label, A in _resolve_structures(args, family, cyclic_n):
+    for label, A in _resolve_structures(args, family, spec):
         try:  # the Context compares the cap first, so its InputError is its validation
             ctx = Context(A, args.cap_enum)
         except InputError:
@@ -360,7 +353,7 @@ def _verify_elementary(args) -> dict:
             "gamma_subgroup_count": report.gamma_subgroup_count,
         }
 
-    rows = _certify(args, "enumerate", check)
+    rows = _certify(args, "enumerate", check, spec)
     return {"check": "elementary", "spec": spec.to_json(), "structures_scanned": len(rows), "rows": rows}
 
 
@@ -417,7 +410,7 @@ def _verify_cyclic(args) -> dict:
         }
 
     family = "cyclic" if args.family is None and not args.all_structures else args.family
-    rows = _certify(args, family, check, cyclic_n=True)
+    rows = _certify(args, family, check, spec)
     return {
         "check": "cyclic",
         "p": args.p,

@@ -68,13 +68,13 @@ class Context:
         self._rows = {}
 
     def circle_translation_perm(self, gamma: Elem) -> Perm:
-        """Left translation by gamma in (G, o): delta -> gamma o delta, the
-        whole table, completed from the points `_circle_translation` holds."""
-        if gamma not in self._lambda_cache:
-            self.spec.check_elem(gamma)
-            self._lambda_cache[gamma] = tuple(map(self._circle_translation(gamma),
-                                                  range(len(self.elements))))
-            self._points.pop(gamma, None)
+        """Left translation by gamma in (G, o): delta -> gamma o delta, the whole
+        table, completed from the points `_circle_translation` holds; checked if not held."""
+        if type(gamma) is not tuple or gamma not in self._lambda_cache:
+            gamma = self.spec.check_elem(gamma)
+            if gamma not in self._lambda_cache:
+                self._lambda_cache[gamma] = tuple(map(self._circle_translation(gamma), range(len(self.elements))))
+                self._points.pop(gamma, None)
         return self._lambda_cache[gamma]
 
     def _circle_translation(self, gamma: Elem):
@@ -92,10 +92,11 @@ class Context:
         return lam
 
     def additive_translation_perm(self, g: Elem) -> Perm:
-        """Translation by g in (G, +), regarded as a permutation of the set."""
-        if g not in self._alpha_cache:
-            self.spec.check_elem(g)
-            self._alpha_cache[g] = abelian._translation_perm(self.spec, g)
+        """Translation by g in (G, +) as a permutation of the set, g checked as gamma is above."""
+        if type(g) is not tuple or g not in self._alpha_cache:
+            g = self.spec.check_elem(g)
+            if g not in self._alpha_cache:
+                self._alpha_cache[g] = abelian._translation_perm(self.spec, g)
         return self._alpha_cache[g]
 
     @cached_property

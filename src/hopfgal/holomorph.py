@@ -48,8 +48,7 @@ class AffineMap:
     m: tuple  # k x k tuple of rows of ints
 
     def apply(self, x: Elem) -> Elem:
-        self.spec.check_elem(x)
-        return abelian._add(self.spec, self.a, self.linear_apply(x))
+        return abelian._add(self.spec, self.a, self.linear_apply(self.spec.check_elem(x)))
 
     def linear_apply(self, x: Elem) -> Elem:
         return linalg.apply(self.spec.moduli, self.m, x)
@@ -71,12 +70,9 @@ class AffineMap:
 
 
 def affine_map(spec: GroupSpec, a: Elem, m) -> AffineMap:
-    spec.check_elem(a)
-    if not nilring._square(spec, m):
-        raise InputError("matrix has wrong shape")
-    m = tuple(map(tuple, m))
-    if not all(abelian._is_int(v) for row in m for v in row):
-        raise InputError(f"matrix {m} has a non-integer entry")
+    a = spec.check_elem(a)
+    if not _int_matrix(spec, m):
+        raise InputError(f"matrix {m} has wrong shape or a non-integer entry: k x k ints are needed")
     mat = linalg.reduce(spec.moduli, m)
     if not linalg.well_defined(spec.moduli, mat):
         raise InputError(f"matrix {mat} is not a well-defined endomorphism")
@@ -85,8 +81,7 @@ def affine_map(spec: GroupSpec, a: Elem, m) -> AffineMap:
 
 def translation(spec: GroupSpec, g: Elem) -> AffineMap:
     """The left regular representation of (G, +): x -> g + x."""
-    spec.check_elem(g)
-    return AffineMap(spec, g, spec._basis)
+    return AffineMap(spec, spec.check_elem(g), spec._basis)
 
 
 def is_invertible(f: AffineMap) -> bool:
@@ -98,9 +93,13 @@ def is_invertible(f: AffineMap) -> bool:
     subgroup of G, so m(G) = G by the Burnside basis theorem: a set that
     generates G modulo pG generates G.  Then m, onto the finite G, is one to
     one.  No map is tabulated."""
-    return (nilring._square(f.spec, f.m) and all(abelian._is_int(v) for row in f.m for v in row)
-            and linalg.well_defined(f.spec.moduli, f.m)
+    return (_int_matrix(f.spec, f.m) and linalg.well_defined(f.spec.moduli, f.m)
             and len(linalg.pivots(f.spec.p, f.m)) == f.spec.rank)
+
+
+def _int_matrix(spec: GroupSpec, m) -> bool:
+    """Whether m is k x k (`nilring._square`) and of ints, no bools (`abelian._is_int`)."""
+    return nilring._square(spec, m) and all(abelian._is_int(v) for row in m for v in row)
 
 
 def compose(f: AffineMap, g: AffineMap) -> AffineMap:
@@ -116,11 +115,11 @@ def compose(f: AffineMap, g: AffineMap) -> AffineMap:
 def inverse(f: AffineMap) -> AffineMap:
     """Inverse map x -> m^{-1}(x - a) (`_inverse`) of an f in Hol(G): InputError
     unless a is an element (`check_elem`) and m is k x k, of ints, well defined
-    and of rank k mod p (`is_invertible`)."""
-    f.spec.check_elem(f.a)
+    and of rank k mod p (`is_invertible`).  Only an f whose a is no tuple is rebuilt."""
+    a = f.spec.check_elem(f.a)
     if not is_invertible(f):
         raise InputError("linear part is not invertible")
-    return _inverse(f)
+    return _inverse(f if a is f.a else AffineMap(f.spec, a, f.m))
 
 
 def _inverse(f: AffineMap) -> AffineMap:
@@ -139,7 +138,7 @@ def tau(A: RingStructure, g: Elem) -> AffineMap:
     linear part well defined with rank k mod p (`is_invertible`): InputError
     if not.  The package's own loops over `spec.elements()` call `_tau`, which
     skips these checks."""
-    A.spec.check_elem(g)
+    g = A.spec.check_elem(g)
     nilring._check_constants(A)
     f = _tau(A, g)
     if not is_invertible(f):
@@ -224,7 +223,8 @@ def ring_from_regular_subgroup(T: RegularSubgroup) -> RingStructure:
     """Recover the structure with g * h = t_g(h) - g - h, t_g the member with
     t_g(0) = t_g.a = g: c_ij = b_i b_j = m_{b_i} b_j - b_j, column j of the
     matrix of t_{b_i} less b_j.  T must be regular (InputError): |G| affine
-    maps on G sending 0 to each element once.  Only an abelian T carries a
+    maps on G sending 0 to each element once, the t_{b_i} with k x k integer
+    matrices (`_int_matrix`), read before the constants.  Only an abelian T carries a
     commutative structure (Hol(Z/8) has dihedral and quaternion regular
     subgroups), and T is abelian iff (a) the t_{b_i} commute pairwise and
     (b) t_g = tau_A(g) for every g: k(k - 1) compositions and |G| `_tau`
@@ -247,6 +247,8 @@ def ring_from_regular_subgroup(T: RegularSubgroup) -> RingStructure:
         raise InputError("not a regular subgroup: its members must be affine maps on G "
                          "sending 0 to each element once")
     gens = [by_base[b] for b in spec._basis]
+    if not all(_int_matrix(spec, t.m) for t in gens):
+        raise InputError("not a regular subgroup: its generators' linear parts must be k x k integer matrices")
     A = RingStructure(spec, tuple(
         tuple(abelian._add(spec, col, map(operator.neg, b)) for col, b in zip(zip(*t.m), spec._basis))
         for t in gens))

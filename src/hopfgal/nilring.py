@@ -4,8 +4,8 @@ A structure is stored as a symmetric table of structure constants on the
 standard generators and extended bilinearly.  The induced circle
 operation a o b = a + b + a*b turns the underlying set into a group,
 whose isomorphism type plays the role of the Galois group.
-`mul` and `circle` check their input, then call the unchecked `_mul` and
-`_circle` the package runs.  The ideals and the circle type are served by
+`mul` and `circle` check the constants and elements, then call the unchecked
+`_mul` and `_circle` the package runs.  The ideals and the circle type are served by
 `correspondence.Context`, which caps and validates a structure first.
 The element kernel runs on sparse terms: the nonzero generator products,
 listed once per structure on first use.  `validate` and `nilpotency_index`
@@ -109,10 +109,9 @@ def _circle(A: RingStructure, a: Elem, b: Elem) -> Elem:
 
 
 def mul(A: RingStructure, a: Elem, b: Elem) -> Elem:
-    """Bilinear extension of the generator products."""
-    A.spec.check_elem(a)
-    A.spec.check_elem(b)
-    return _mul(A, a, b)
+    """Bilinear extension of the generator products, on checked constants and elements."""
+    _check_constants(A)
+    return _mul(A, A.spec.check_elem(a), A.spec.check_elem(b))
 
 
 def nilpotency_index(A: RingStructure) -> int:
@@ -237,10 +236,9 @@ def _all_valid(spec: GroupSpec, tables: list) -> bool:
 
 
 def circle(A: RingStructure, a: Elem, b: Elem) -> Elem:
-    """a o b = a + b + a*b."""
-    A.spec.check_elem(a)
-    A.spec.check_elem(b)
-    return _circle(A, a, b)
+    """a o b = a + b + a*b, checked as by `mul`."""
+    _check_constants(A)
+    return _circle(A, A.spec.check_elem(a), A.spec.check_elem(b))
 
 
 def trivial_structure(spec: GroupSpec) -> RingStructure:

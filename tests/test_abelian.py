@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from hopfgal import abelian, nilring
+from hopfgal import abelian, holomorph, nilring
 from hopfgal.abelian import (
     GroupSpec,
     Subgroup,
@@ -134,6 +134,74 @@ def test_elements_reject_a_boolean_coordinate():
         scalar_mul(GroupSpec(3, (1, 1)), True, (1, 0))
     with pytest.raises(InputError, match="must be integers"):
         GroupSpec(2, (True,))
+
+
+_RING = primitive_structure(2, 2)  # on C2 x C2
+_IDENTITY = ((1, 0), (0, 1))
+
+
+def _held_table(method, cache):
+    """A fresh Context's table of the element, and the keys of its cache: a
+    held key is a tuple, and the tuple finds the same table."""
+    def call(x):
+        ctx = Context(_RING)
+        table = getattr(ctx, method)(x)
+        assert getattr(ctx, method)((1, 0)) is table
+        return table, tuple(getattr(ctx, cache))
+    return call
+
+
+_ELEMENT_ENTRY_POINTS = {
+    "add": lambda x: (add(C2C2, x, (1, 1)), add(C2C2, (1, 1), x)),
+    "scalar_mul": lambda x: scalar_mul(C2C2, 3, x),
+    "mul": lambda x: (mul(_RING, x, (1, 1)), mul(_RING, (1, 1), x)),
+    "circle": lambda x: (circle(_RING, x, (1, 1)), circle(_RING, (1, 1), x)),
+    "AffineMap.apply": lambda x: translation(C2C2, (1, 1)).apply(x),
+    "affine_map": lambda x: holomorph.affine_map(C2C2, x, _IDENTITY),
+    "translation": lambda x: translation(C2C2, x),
+    "tau": lambda x: tau(_RING, x),
+    "inverse": lambda x: holomorph.inverse(holomorph.AffineMap(C2C2, x, _IDENTITY)),
+    "Context.circle_translation_perm": _held_table("circle_translation_perm", "_lambda_cache"),
+    "Context.additive_translation_perm": _held_table("additive_translation_perm", "_alpha_cache"),
+}
+
+
+@pytest.mark.parametrize("call", _ELEMENT_ENTRY_POINTS.values(), ids=_ELEMENT_ENTRY_POINTS.keys())
+def test_an_entry_point_runs_on_the_tuple_its_check_returns(call):
+    # a list gives exactly the tuple's result, hashable, where the maps held
+    # the list (unequal to the tuple's, and unhashable) and the Context and
+    # inverse raised TypeError on it; a set or a dict, which has no coordinate
+    # order, passed the check and was read in its iteration order (add gave
+    # (0, 0) on the dict) or raised TypeError (tau on the set)
+    expected = call((1, 0))
+    got = call([1, 0])
+    assert got == expected and hash(got) == hash(expected)
+    for bad in ({0, 1}, {1: "x", 0: "y"}):
+        with pytest.raises(InputError, match="wrong length or type"):
+            call(bad)
+
+
+def test_check_elem_returns_the_element_as_a_tuple():
+    a = (1, 0)
+    assert C2C2.check_elem(a) is a
+    b = C2C2.check_elem([1, 0])
+    assert type(b) is tuple and b == a
+    with pytest.raises(InputError, match="wrong length or type"):
+        C2C2.reduce_coords({0, 1})
+
+
+def test_context_checks_an_element_only_when_its_table_is_not_held(monkeypatch):
+    # a held tuple key returns its table unchecked; a list is checked, and
+    # finds the table its tuple holds
+    checked = []
+    check = GroupSpec.check_elem
+    monkeypatch.setattr(GroupSpec, "check_elem", lambda spec, a: checked.append(a) or check(spec, a))
+    ctx = Context(_RING)
+    for method in (ctx.circle_translation_perm, ctx.additive_translation_perm):
+        checked.clear()
+        table = method((0, 1))
+        assert method((0, 1)) is table and checked == [(0, 1)]
+        assert method([0, 1]) is table and checked == [(0, 1), [0, 1]]
 
 
 def test_scalar_mul_examples():

@@ -447,6 +447,36 @@ def test_verify_cyclic_accepts_every_structure_on_the_cyclic_group(argv):
     assert json.loads(out)["status"] == "pass"
 
 
+def test_verify_elementary_parses_its_spec_once(monkeypatch):
+    # the spec it checks is the one its structures are enumerated on
+    calls = []
+    parse = cli._parse_spec
+    monkeypatch.setattr(cli, "_parse_spec", lambda *args: calls.append(None) or parse(*args))
+    code, out, err = _main(["verify", "elementary", "--p", "3", "--n", "2"])
+    assert code == cli.EXIT_OK, err
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("report", "--family", "cyclic:", "--p", "3", "--n", "2"),
+     "cyclic family parameter d must be an integer, got ''"),
+    (("verify", "cyclic", "--family", "fixture:klein", "--p", "3", "--n", "2"),
+     "family fixture:klein does not read --p"),
+    (("verify", "lattice", "--family", "cyclicfoo", "--p", "3", "--n", "2", "--d", "1"),
+     "cannot resolve structures from family='cyclicfoo'"),
+    (("verify", "lattice", "--family", "cyclic:1", "--n", "2"), "cyclic family requires --p and --n"),
+    (("verify", "lattice", "--family", "primitive", "--p", "3"), "primitive family requires --p and --n"),
+    (("report", "--family", "cyclic:0", "--p", "3", "--n", "0"), "n must be >= 1"),
+    (("report", "--family", "cyclic", "--p", "3", "--n", "0", "--d", "0"), "n must be >= 1"),
+], ids=["empty-d", "klein-under-verify-cyclic", "unknown-family", "cyclic-without-p", "primitive-without-n",
+        "cyclic-n-0", "cyclic-d-n-0"])
+def test_structure_source_messages(argv, message):
+    # each rule has one gate: an unknown family is refused before its options
+    # are read, fixture:klein reads no option under any command, and n >= 1
+    # is cyclic_structure's own test
+    assert _main(list(argv)) == (cli.EXIT_INPUT, "", f"input error: {message}\n")
+
+
 _SHARED = (1, (2, [3]))  # one tuple at two depths; it holds a list, so it is unhashable
 _PAIR = (4, 5)  # an int tuple, joined at once, at two depths
 _SPEC = {"p": 2, "exponents": [3, 2]}  # one dict at two depths, twice at one

@@ -450,6 +450,21 @@ def test_ring_from_regular_subgroup_refuses_a_set_that_is_not_regular(maps):
         ring_from_regular_subgroup(holomorph.RegularSubgroup(Z8, members))
 
 
+@pytest.mark.parametrize("m", [
+    5,  # raised TypeError in zip
+    (("1", 0), (0, 1)),  # raised TypeError on concatenating str
+    ((1, 0, 0), (0, 1, 0)),  # 2 x 3: reported as non-abelian
+    ((True, 0), (1, 1)),
+], ids=["int", "str-entry", "two-by-three", "bool-entry"])
+def test_ring_from_regular_subgroup_checks_the_generators_matrices(m):
+    # the member sending 0 to b_0 carries a linear part that is no k x k
+    # table of ints; the constants are read off it, so it is refused first
+    T = regular_subgroup_from_ring(primitive_structure(2, 2))
+    members = tuple(AffineMap(C2C2, t.a, m) if t.a == (1, 0) else t for t in T.elements)
+    with pytest.raises(InputError, match="not a regular subgroup"):
+        ring_from_regular_subgroup(holomorph.RegularSubgroup(C2C2, members))
+
+
 @pytest.mark.parametrize("spec,regular,abelian", [
     (GroupSpec(2, (3,)), 6, 4), (GroupSpec(2, (4,)), 16, 8), (GroupSpec(2, (1, 1, 1)), 232, 92),
     (GroupSpec(2, (2, 1)), 28, 12), (GroupSpec(3, (1, 1)), 9, 9), (GroupSpec(3, (3,)), 9, 9),

@@ -121,6 +121,18 @@ def test_nilpotency_index_examples():
     assert nilpotency_index(cyclic_structure(3, 2, 2)) == 3
 
 
+@pytest.mark.parametrize("constants", [
+    (((1, 0),),),  # 1 x 1 on C2 x C2: (1, 1) * (1, 1) was (1, 0)
+    (((0, 0, 1), (0, 0)), ((0, 0), (0, 0))),  # an entry of length 3 raised IndexError
+    5,  # no table: TypeError
+], ids=["one-by-one", "entry-of-length-3", "int"])
+@pytest.mark.parametrize("op", [nilring.mul, nilring.circle], ids=["mul", "circle"])
+def test_mul_and_circle_check_the_constants(op, constants):
+    # neither read the constants' shape, as nilpotency_index and tau do
+    with pytest.raises(InputError):
+        op(RingStructure(C2C2, constants), (1, 1), (1, 1))
+
+
 @pytest.mark.parametrize("rows", [3, 1])
 def test_nilpotency_index_rejects_a_table_that_is_not_k_by_k(rows):
     # a 3-row table on C2 x C2 raised IndexError, a 1-row one gave index 2;
